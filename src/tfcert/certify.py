@@ -20,13 +20,14 @@ import numpy as np
 
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal)
-from .tfops import (FunctionEvaluator, GridSpec, PointSet, dilate, fourier,
+from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
+                    _check_points_clear, axis_quadrature, dilate, fourier,
                     quadrature_points, stft, stft_grid, translate)
 
 BISECT_TOL = 1e-9
-# Radii below this are indistinguishable from 0 for smooth envelopes in
-# float64 (the envelope value equals the peak to machine precision).
-ZERO_SNAP = 1e-8
+# An envelope within this relative distance of the bound at the bisected
+# radius is flat at its peak to float64 resolution, so the radius is 0.
+FLAT_PEAK_RTOL = 8 * np.finfo(float).eps
 ENVELOPE_HORIZON = 1e9
 
 SUP_ENVELOPE = "Envelope"
@@ -102,19 +103,20 @@ def _verdict(margins) -> str:
     return "Certified" if all(m > 0 for m in margins) else "NotCertified"
 
 
-def _as_shift_array(shifts, dim: Optional[int] = None) -> np.ndarray:
-    arr = [np.atleast_1d(np.asarray(s, dtype=float)) for s in shifts]
-    if not arr:
+def _as_shift_array(shifts, dim: int) -> np.ndarray:
+    S = _as_points(shifts, dim)[0]
+    if S.shape[0] == 0:
         raise InputError("shift set must be nonempty")
-    n = arr[0].size if dim is None else dim
-    if any(a.size != n for a in arr):
-        raise InputError("shifts must share one dimension")
-    return np.stack([a.reshape(n) for a in arr])
+    return S
+
+
+def _pair_differences(S: np.ndarray) -> np.ndarray:
+    """Rows x_i - x_j over the ordered pairs i != j."""
+    return (S[:, None, :] - S[None, :, :])[~np.eye(S.shape[0], dtype=bool)]
 
 
 def _eval_abs(f: FunctionEvaluator, points: np.ndarray) -> np.ndarray:
     """|f| at the given points, refusing singular or nonfinite evaluations."""
-    from .tfops import _check_points_clear
     _check_points_clear(points, f.singularities, f.dim)
     vals = np.abs(np.atleast_1d(f(points)))
     if not np.all(np.isfinite(vals)):
@@ -138,7 +140,8 @@ def _radius_from_envelope(envelope: Callable[[float], float], bound: float) -> f
     """Smallest radius where the monotone envelope drops strictly below bound.
 
     Bisection to BISECT_TOL; returns 0 when the strict bound already holds at
-    every resolvable positive radius.
+    every positive radius, which for an envelope that is flat at its peak
+    shows as a value within float64 resolution of the bound.
     """
     if envelope(0.0) < bound:
         return 0.0
@@ -155,7 +158,7 @@ def _radius_from_envelope(envelope: Callable[[float], float], bound: float) -> f
             hi = mid
         else:
             lo = mid
-    return 0.0 if hi <= ZERO_SNAP else hi
+    return 0.0 if envelope(hi) >= bound * (1.0 - FLAT_PEAK_RTOL) else hi
 
 
 def _radius_from_samples(radii: np.ndarray, values: np.ndarray, bound: float) -> float:
@@ -186,8 +189,7 @@ def sup_outside(f: FunctionEvaluator, radius: float, center=None, *,
         return SupEstimate(float(f.envelope(radius)), SUP_ENVELOPE)
     grid = grid or GridSpec.default(f.dim)
     pts, _ = quadrature_points(grid, f.dim, f.singularities)
-    radii = np.abs(pts - float(center[0])) if f.dim == 1 else \
-        np.linalg.norm(pts - center[None, :], axis=1)
+    radii = np.linalg.norm(pts - center, axis=1)
     outside = radii >= radius
     if not outside.any():
         raise NumericalRefusal("sampling grid does not reach outside the ball")
@@ -230,9 +232,8 @@ def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
     grid = grid or GridSpec.default(f.dim)
     shifted_sings = tuple(s - anchor for s in f.singularities)
     pts, _ = quadrature_points(grid, f.dim, shifted_sings)
-    sample_at = pts + anchor if f.dim > 1 else pts + float(anchor[0])
-    values = _eval_abs(f, sample_at)
-    radii = np.abs(pts) if f.dim == 1 else np.linalg.norm(pts, axis=1)
+    values = _eval_abs(f, pts + anchor)
+    radii = np.linalg.norm(pts, axis=1)
     return _radius_from_samples(radii, values, bound)
 
 
@@ -254,12 +255,7 @@ def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
         return Certificate("Lemma1", "Certified", 1, 0.0, M, peak, math.inf,
                            (), SUP_POINTWISE)
     bound = peak / (N - 1)
-    diffs = (S[:, None, :] - S[None, :, :]).reshape(N * N, f.dim)
-    mask = ~np.eye(N, dtype=bool).reshape(-1)
-    diffs = diffs[mask]
-    if f.dim == 1:
-        diffs = diffs[:, 0]
-    vals = _eval_abs(f, diffs)
+    vals = _eval_abs(f, _pair_differences(S))
     margins = tuple(float(bound - v) for v in vals)
     return Certificate("Lemma1", _verdict(margins), N, 0.0, M, peak, bound,
                        margins, SUP_POINTWISE)
@@ -331,31 +327,17 @@ def best_translate(f: FunctionEvaluator, shifts: Sequence,
     cand = pts[keep]
     cand_mag = mag[keep]
     order = np.argsort(-cand_mag, kind="stable")[:max_candidates]
-    cand = cand[order]
-    if f.dim == 1:
-        cand = cand.reshape(-1, 1)
-    cand = np.vstack([np.zeros((1, f.dim)), cand])
+    cand = np.vstack([np.zeros((1, f.dim)), cand[order]])
 
-    if n_pts == 1:
-        diffs = np.empty((0, f.dim))
-    else:
-        nn = S.shape[0]
-        mask = ~np.eye(nn, dtype=bool).reshape(-1)
-        diffs = (S[:, None, :] - S[None, :, :]).reshape(nn * nn, f.dim)[mask]
+    diffs = np.empty((0, f.dim)) if n_pts == 1 else _pair_differences(S)
 
     # T_{-a} f evaluated at d is f(d + a); the peak after re-anchoring is f(a).
-    probe = cand[:, None, :] + diffs[None, :, :] if diffs.size else \
-        np.empty((cand.shape[0], 0, f.dim))
+    # Nonfinite values fail the strict comparison.
     with np.errstate(all="ignore"):
-        peaks = np.abs(np.atleast_1d(f(cand if f.dim > 1 else cand[:, 0])))
-        vals = np.abs(f(probe if f.dim > 1 else probe[:, :, 0])) if diffs.size \
-            else np.zeros((cand.shape[0], 0))
-    finite = np.isfinite(peaks) & (peaks > 0)
-    if diffs.size:
-        finite &= np.all(np.isfinite(vals), axis=1)
-        ok = finite & np.all(vals * (n_pts - 1) < peaks[:, None], axis=1)
-    else:
-        ok = finite
+        peaks = np.abs(f(cand))
+        vals = np.abs(f(cand[:, None, :] + diffs[None, :, :]))
+    ok = np.isfinite(peaks) & (peaks > 0) & \
+        np.all(vals * (n_pts - 1) < peaks[:, None], axis=1)
     if not ok.any():
         return None
     idx = int(np.argmax(ok))
@@ -485,7 +467,7 @@ def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
         step = 1e-3
         x = p + step * _unit(f.dim)
         for _ in range(60):
-            val = float(np.abs(f(x if f.dim > 1 else float(x[0]))))
+            val = float(np.abs(f(x)))
             if np.isfinite(val) and val > 0:
                 return Certificate("Thm2", "Certified", 1, 0.0, math.inf, val,
                                    math.inf, (), SUP_POINTWISE, translate_x=x)
@@ -512,7 +494,7 @@ def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
         rho *= 0.5
         x = p + rho * direction
         with np.errstate(all="ignore"):
-            val = float(np.abs(f(x if f.dim > 1 else float(x[0]))))
+            val = float(np.abs(f(x)))
         if not (np.isfinite(val) and val > need):
             continue
         # Consistency: the re-anchored pointwise inequalities must pass.
@@ -568,8 +550,7 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
             raise NumericalRefusal(
                 "lattice scan is implemented for dimension 1; supply stft_envelope")
         lattice = lattice or GridSpec(8.0, 128)
-        xs = np.linspace(-lattice.half_width, lattice.half_width,
-                         lattice.samples_per_axis)
+        xs = axis_quadrature(lattice)[0]
         field = np.abs(stft_grid(f, g, xs, xs, grid))
         radii = np.hypot(*np.meshgrid(xs, xs, indexing="ij"))
         violating = radii[field >= bound]

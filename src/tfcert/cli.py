@@ -25,7 +25,7 @@ from . import __version__
 from .certify import (check_corollary1, check_corollary2, check_corollary3,
                       check_lemma1, check_theorem1, check_theorem2,
                       check_theorem3, dilation_threshold, stretch)
-from .errors import InputError, NumericalRefusal
+from .errors import InputError, NumericalRefusal, convert
 from .funcs import FamilySpec, make_example1, make_example2, make_gaussian
 from .oracle import (collocation_rank, default_collocation_points,
                      dependence_residual_er, er_lattice, gram_matrix,
@@ -41,7 +41,7 @@ EXIT_INCONCLUSIVE = 4
 
 SCHEMA_VERSION = 1
 
-_GRID_KEYS = {"half_width", "samples_per_axis", "exclusion_radius"}
+_GRID_FIELDS = {"half_width": float, "samples_per_axis": int, "exclusion_radius": float}
 
 _ALLOWED_KEYS = {
     ("certify", "lemma1"): {"dimension", "function", "grid", "shifts"},
@@ -74,19 +74,17 @@ def _load_config(path: str, command: str, sub: str | None) -> dict:
 
 def _grid_from(cfg: dict, key: str = "grid", dim: int = 1,
                fallback: GridSpec | None = None) -> GridSpec:
+    base = fallback or GridSpec.default(dim)
     obj = cfg.get(key)
     if obj is None:
-        return fallback if fallback is not None else GridSpec.default(dim)
+        return base
     if not isinstance(obj, dict):
         raise InputError(f"{key} must be a JSON object")
-    extra = set(obj) - _GRID_KEYS
+    extra = set(obj).difference(_GRID_FIELDS)
     if extra:
         raise InputError(f"unknown {key} keys: {sorted(extra)}")
-    base = fallback if fallback is not None else GridSpec.default(dim)
-    return GridSpec(
-        half_width=float(obj.get("half_width", base.half_width)),
-        samples_per_axis=int(obj.get("samples_per_axis", base.samples_per_axis)),
-        exclusion_radius=float(obj.get("exclusion_radius", base.exclusion_radius)))
+    return GridSpec(**{name: convert(kind, obj.get(name, getattr(base, name)), f"{key}.{name}")
+                       for name, kind in _GRID_FIELDS.items()})
 
 
 def _function_from(cfg: dict, key: str = "function", default: dict | None = None):
@@ -105,7 +103,7 @@ def _pointset_from(cfg: dict, dim: int) -> PointSet:
 
 
 def _dimension_of(cfg: dict, f) -> int:
-    dim = int(cfg.get("dimension", f.dim))
+    dim = convert(int, cfg.get("dimension", f.dim), "dimension")
     if dim != f.dim:
         raise InputError(f"config dimension {dim} does not match function dimension {f.dim}")
     return dim
@@ -139,7 +137,7 @@ def _cmd_certify(args) -> tuple[dict, int, list | None]:
                               require_envelope=rigorous)
     elif args.theorem == "cor1":
         lam = _pointset_from(cfg, dim)
-        cert = check_corollary1(f, lam, r=float(cfg.get("r", 1.0)), grid=grid,
+        cert = check_corollary1(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid,
                                 require_envelope=rigorous)
     elif args.theorem == "cor2":
         if rigorous:
@@ -152,7 +150,7 @@ def _cmd_certify(args) -> tuple[dict, int, list | None]:
             raise NumericalRefusal(
                 "cor3 sup estimates come from quadrature sampling; no rigorous mode")
         lam = _pointset_from(cfg, dim)
-        cert = check_corollary3(f, lam, r=float(cfg.get("r", 1.0)), grid=grid)
+        cert = check_corollary3(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid)
     elif args.theorem == "thm2":
         if rigorous and f.envelope is None:
             raise NumericalRefusal("rigorous mode requires a decay envelope")
@@ -196,9 +194,9 @@ def _cmd_oracle(args) -> tuple[dict, int, list | None]:
         extra = set(er) - {"half_width", "step", "quad_tol"}
         if extra:
             raise InputError(f"unknown er keys: {sorted(extra)}")
-        quad_tol = float(er.get("quad_tol", 1e-9))
-        lattice = er_lattice(float(er.get("half_width", 3.0)),
-                             float(er.get("step", 0.25)))
+        quad_tol = convert(float, er.get("quad_tol", 1e-9), "er.quad_tol")
+        lattice = er_lattice(convert(float, er.get("half_width", 3.0), "er.half_width"),
+                             convert(float, er.get("step", 0.25), "er.step"))
         rep = dependence_residual_er(lattice, quad_tol)
         code = EXIT_OK if rep.max_abs_residual <= 6.0 * quad_tol else EXIT_NEGATIVE
         body = rep.to_json()
@@ -234,8 +232,8 @@ def _cmd_oracle(args) -> tuple[dict, int, list | None]:
     kind = cfg.get("kind")
     if kind is None:
         raise InputError("metaplectic config requires a 'kind'")
-    params = (float(cfg.get("r", 1.0)), float(cfg.get("x", 0.0)),
-              float(cfg.get("omega", 0.0)))
+    params = tuple(convert(float, cfg.get(k, d), k)
+                   for k, d in (("r", 1.0), ("x", 0.0), ("omega", 0.0)))
     reports = metaplectic_residual(kind, params, f, cfg.get("sample_points"), grid)
     body = {name: rep.to_json() for name, rep in reports.items()}
     return {"report": body}, EXIT_OK, None
@@ -251,10 +249,12 @@ def _cmd_window_search(args) -> tuple[dict, int, list | None]:
     dim = _dimension_of(cfg, f)
     grid = _grid_from(cfg, dim=dim)
     lattice = _grid_from(cfg, "lattice", dim, fallback=GridSpec(8.0, 81))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else convert(int, cfg.get("seed", 0), "seed")
     result = window_search(
-        f, R=float(cfg["R"]), N=int(cfg["N"]), d=int(cfg.get("degree", 0)),
-        budget=int(cfg.get("budget", 200)), seed=seed, lattice=lattice, grid=grid)
+        f, R=convert(float, cfg.get("R"), "R"), N=convert(int, cfg.get("N"), "N"),
+        d=convert(int, cfg.get("degree", 0), "degree"),
+        budget=convert(int, cfg.get("budget", 200), "budget"),
+        seed=seed, lattice=lattice, grid=grid)
     rows = [["step", "width"]
             + [f"c{k}" for k in range(len(result.best_params.hermite_coeffs))]
             + ["ratio"]]

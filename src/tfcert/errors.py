@@ -31,3 +31,14 @@ class SingularityHitError(NumericalRefusal):
 
 class NearOrthogonalError(NumericalRefusal):
     """A denominator inner product is numerically indistinguishable from zero."""
+
+
+def convert(kind, value, what: str):
+    """`kind(value)` for a value read from a config; a missing (None) or
+    malformed value raises InputError naming `what`."""
+    if value is None:
+        raise InputError(f"{what} is required")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be {kind.__name__}, got {value!r}") from exc

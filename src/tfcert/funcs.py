@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, convert
 from .tfops import FunctionEvaluator
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -182,26 +182,23 @@ class FamilySpec:
         if "family" not in obj:
             raise InputError("function spec requires a 'family' key")
         return cls(family=obj["family"], params=dict(obj.get("params", {})),
-                   quad_tol=float(obj.get("quad_tol", 1e-9)))
+                   quad_tol=convert(float, obj.get("quad_tol", 1e-9), "quad_tol"))
 
     def build(self) -> FunctionEvaluator:
         p = dict(self.params)
 
-        def take(name, default=None):
-            if name in p:
-                return p.pop(name)
-            if default is not None:
-                return default
-            raise InputError(f"family {self.family!r} requires parameter {name!r}")
+        def take(name, kind, default=None):
+            return convert(kind, p.pop(name, default),
+                           f"parameter {name!r} of family {self.family!r}")
 
         if self.family == "example1":
-            out = make_example1(float(take("C")), float(take("omega", 0.0)))
+            out = make_example1(take("C", float), take("omega", float, 0.0))
         elif self.family == "example2":
-            out = make_example2(float(take("omega", 0.0)))
+            out = make_example2(take("omega", float, 0.0))
         elif self.family == "singular_cos":
-            out = make_singular_cos(float(take("omega", 1.0)))
+            out = make_singular_cos(take("omega", float, 1.0))
         elif self.family == "gaussian":
-            out = make_gaussian(int(take("n", 1)))
+            out = make_gaussian(take("n", int, 1))
         else:
             out = make_edgar_rosenblatt(self.quad_tol)
         if p:

@@ -17,9 +17,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalRefusal
-from .tfops import (FunctionEvaluator, GridSpec, PointSet,
-                    _check_points_clear, inverse_fourier_multiplier, modulate,
-                    quadrature_points, stft_grid, translate)
+from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
+                    _check_points_clear, axis_quadrature,
+                    inverse_fourier_multiplier, modulate, quadrature_points,
+                    stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,14 +87,7 @@ def _classify(sigma_min: float, sigma_max: float) -> tuple[float, str]:
 
 def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.ndarray:
     """Matrix of (pi(lambda_i) f)(t_k) values, rows indexed by i."""
-    rows = []
-    for p in lam.points:
-        if f.dim == 1:
-            vals = f(pts - float(p.x[0])) * np.exp(TWO_PI * 1j * float(p.omega[0]) * pts)
-        else:
-            vals = f(pts - p.x[None, :]) * np.exp(TWO_PI * 1j * (pts @ p.omega))
-        rows.append(vals)
-    return np.stack(rows)
+    return np.stack([tf_shift(f, p)(pts) for p in lam.points])
 
 
 def gram_matrix(f: FunctionEvaluator, lam: PointSet,
@@ -178,10 +172,7 @@ def collocation_rank(f: FunctionEvaluator, lam: PointSet,
     N = len(lam)
     if N > MAX_MATRIX:
         raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
-    if f.dim == 1:
-        pts = np.asarray(sample_points, dtype=float).reshape(-1)
-    else:
-        pts = np.asarray(sample_points, dtype=float).reshape(-1, f.dim)
+    pts = _as_points(sample_points, f.dim)[0]
     if pts.shape[0] < N:
         raise InputError("need at least N sample points")
     for p in lam.points:
@@ -239,7 +230,7 @@ def stft_identity_residual(f: FunctionEvaluator, g: FunctionEvaluator,
     u = float(np.atleast_1d(np.asarray(u, dtype=float))[0])
     eta = float(np.atleast_1d(np.asarray(eta, dtype=float))[0])
     lattice = lattice or GridSpec(3.0, 33)
-    xs = np.linspace(-lattice.half_width, lattice.half_width, lattice.samples_per_axis)
+    xs = axis_quadrature(lattice)[0]
     shifted_f = translate(modulate(f, eta), u)
     lhs = stft_grid(shifted_f, g, xs, xs, grid)
     rhs = stft_grid(f, g, xs - u, xs - eta, grid)

@@ -6,12 +6,27 @@ happens only inside quadrature (Fourier transform, STFT, norms) and sup
 estimation. All quadrature is tensor-product trapezoid on [-L, L]^n, which is
 spectrally accurate for smooth integrands that have decayed at the box edge.
 
+Point layout: every point array has shape (k, n) internally, and evaluators
+read a trailing axis of length n as the coordinate axis (for n = 1 it may be
+omitted, so a plain array holds one point per entry). Only
+`FunctionEvaluator.__call__` adapts points to the `fn` contract, under which
+a 1-D `fn` takes shape (k,).
+
+The Fourier transforms and `stft_grid` share one phase-sum kernel;
+`stft_points` is its batch form over arbitrary (x, omega) rows and `stft` is
+`stft_points` on one row. The STFT entry points work in any dimension the
+quadrature grid supports. Quadrature nodes within the exclusion radius of a
+singularity of f are dropped; nodes within it of a shifted window
+singularity get weight zero.
+
 Evaluators are immutable and freely shareable across threads; quadrature
 reductions use a fixed summation order, so results are reproducible.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -44,8 +59,8 @@ class GridSpec:
     exclusion_radius: float = 0.0
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise InputError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise InputError("half_width must be positive and finite")
         if self.samples_per_axis < 2:
             raise InputError("samples_per_axis must be at least 2")
         if not 0.0 <= self.exclusion_radius < self.half_width:
@@ -71,7 +86,7 @@ class FunctionEvaluator:
     `fn` is the vectorized kernel: for dim 1 it maps a float array of shape
     (k,) to complex (k,); for dim >= 2 it maps points of shape (k, n) to
     complex (k,). Calling the evaluator accepts scalars, single points and
-    batches and reshapes accordingly.
+    batches under the module's point layout and reshapes accordingly.
 
     `envelope`, when present, maps a radius r >= 0 to a monotone nonincreasing
     upper bound on sup_{||t|| >= r} |f(t)|. Operations that cannot transform
@@ -95,16 +110,10 @@ class FunctionEvaluator:
         object.__setattr__(self, "singularities", sings)
 
     def __call__(self, t):
-        a = np.asarray(t, dtype=float)
-        if self.dim == 1:
-            out = np.asarray(self.fn(a.reshape(-1)), dtype=complex).reshape(a.shape)
-            return complex(out) if out.shape == () else out
-        if a.shape == (self.dim,):
-            return complex(np.asarray(self.fn(a.reshape(1, self.dim)), dtype=complex)[0])
-        if a.ndim >= 2 and a.shape[-1] == self.dim:
-            out = np.asarray(self.fn(a.reshape(-1, self.dim)), dtype=complex)
-            return out.reshape(a.shape[:-1])
-        raise InputError(f"expected points with last axis of length {self.dim}, got shape {a.shape}")
+        pts, batch = _as_points(t, self.dim)
+        out = np.asarray(self.fn(pts[:, 0] if self.dim == 1 else pts), dtype=complex)
+        out = out.reshape(batch)
+        return complex(out) if out.ndim == 0 else out
 
     def with_envelope(self, envelope: Callable[[float], float]) -> "FunctionEvaluator":
         return replace(self, envelope=envelope)
@@ -122,6 +131,8 @@ class TFPoint:
         w = np.atleast_1d(np.asarray(self.omega, dtype=float))
         if x.ndim != 1 or w.ndim != 1 or x.shape != w.shape:
             raise InputError("x and omega must be real vectors of equal length")
+        if not (np.isfinite(x).all() and np.isfinite(w).all()):
+            raise InputError("time-frequency points must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "omega", w)
 
@@ -211,49 +222,55 @@ def axis_quadrature(grid: GridSpec):
     return t, w
 
 
+def _as_points(t, dim: int):
+    """`t` in the (k, dim) point layout, plus the batch shape of its points."""
+    try:
+        a = np.asarray(t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"points must form a real array: {exc}") from exc
+    batch = a.shape[:-1] if a.shape[-1:] == (dim,) else a.shape
+    if a.size != dim * math.prod(batch):
+        raise InputError(f"expected points with last axis of length {dim}, got shape {a.shape}")
+    return a.reshape(-1, dim), batch
+
+
 def quadrature_points(grid: GridSpec, dim: int, singularities: Sequence = ()):
     """Tensor-product trapezoid nodes/weights, singular neighborhoods removed.
 
-    Returns `(pts, w)` with pts of shape (K,) for dim 1 and (K, dim) for
-    dim 2. Nodes within `grid.exclusion_radius` of a singularity (or exactly
-    on one, when the radius is 0) are dropped.
+    Returns `(pts, w)` with pts of shape (K, dim). Nodes within
+    `grid.exclusion_radius` of a singularity (or exactly on one, when the
+    radius is 0) are dropped.
     """
-    if dim == 1:
-        pts, w = axis_quadrature(grid)
-    elif dim == 2:
-        t, wt = axis_quadrature(grid)
-        a, b = np.meshgrid(t, t, indexing="ij")
-        pts = np.column_stack([a.ravel(), b.ravel()])
-        w = np.outer(wt, wt).ravel()
-    else:
+    if dim > 2:
         raise InputError("quadrature grids support dimensions 1 and 2 only")
-
+    t, wt = axis_quadrature(grid)
+    pts = np.stack([a.ravel() for a in np.meshgrid(*[t] * dim, indexing="ij")], axis=1)
+    w = functools.reduce(np.multiply.outer, [wt] * dim).ravel()
     if singularities:
         keep = np.ones(w.shape[0], dtype=bool)
         for s in singularities:
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            if dim == 1:
-                dist = np.abs(pts - s[0])
-            else:
-                dist = np.linalg.norm(pts - s[None, :], axis=1)
-            keep &= dist > max(grid.exclusion_radius, 1e-12)
+            keep &= _distance(pts, s) > _exclusion(grid)
         pts, w = pts[keep], w[keep]
     return pts, w
 
 
+def _distance(pts: np.ndarray, center) -> np.ndarray:
+    """Euclidean distance of each (k, n) point to `center`."""
+    return np.linalg.norm(pts - np.asarray(center, dtype=float), axis=-1)
+
+
+def _exclusion(grid: GridSpec) -> float:
+    """Radius of the ball around a singularity whose nodes are excluded."""
+    return max(grid.exclusion_radius, 1e-12)
+
+
 def _check_points_clear(points, singularities, dim: int, tol: float = 1e-12):
     """Raise when an evaluation point coincides with a singularity."""
-    if not singularities:
-        return
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if dim == 1:
-        pts = pts.reshape(-1, 1)
-    else:
-        pts = pts.reshape(-1, dim)
+    pts = _as_points(points, dim)[0]
     for s in singularities:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(np.linalg.norm(pts - s[None, :], axis=1) <= tol):
-            raise SingularityHitError(f"evaluation point hits singularity at {s.tolist()}")
+        if np.any(_distance(pts, s) <= tol):
+            raise SingularityHitError(
+                f"evaluation point hits singularity at {np.ravel(s).tolist()}")
 
 
 def l2_norm(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> float:
@@ -289,13 +306,8 @@ def translate(f: FunctionEvaluator, x) -> FunctionEvaluator:
     if x.shape != (f.dim,):
         raise InputError(f"shift must be a vector of length {f.dim}")
     inner = f.fn
-    if f.dim == 1:
-        x0 = float(x[0])
-        fn = lambda t: inner(t - x0)
-    else:
-        fn = lambda t: inner(t - x[None, :])
     return FunctionEvaluator(
-        dim=f.dim, fn=fn, envelope=None,
+        dim=f.dim, fn=lambda t: inner(t - x), envelope=None,
         singularities=tuple(s + x for s in f.singularities),
         square_integrable=f.square_integrable)
 
@@ -306,11 +318,8 @@ def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
     if omega.shape != (f.dim,):
         raise InputError(f"modulation must be a vector of length {f.dim}")
     inner = f.fn
-    if f.dim == 1:
-        w0 = float(omega[0])
-        fn = lambda t: np.exp(TWO_PI * 1j * w0 * t) * inner(t)
-    else:
-        fn = lambda t: np.exp(TWO_PI * 1j * (t @ omega)) * inner(t)
+    freq = TWO_PI * omega
+    fn = lambda t: np.exp(1j * np.dot(np.reshape(t, (-1, f.dim)), freq)) * inner(t)
     return FunctionEvaluator(
         dim=f.dim, fn=fn, envelope=f.envelope,
         singularities=f.singularities, square_integrable=f.square_integrable)
@@ -362,22 +371,36 @@ def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
 # Quadrature-backed transforms
 # ---------------------------------------------------------------------------
 
-def _phase_sum(targets: np.ndarray, nodes: np.ndarray, weighted: np.ndarray,
-               sign: float, dim: int) -> np.ndarray:
-    """sum_k weighted[k] exp(sign * 2 pi i targets.nodes[k]), chunked."""
-    targets = np.asarray(targets, dtype=float)
-    if dim == 1:
-        targets = targets.reshape(-1)
-    out = np.empty(targets.shape[0], dtype=complex)
-    k = nodes.shape[0]
-    chunk = max(1, min(_EVAL_CHUNK, _PHASE_BUDGET // max(k, 1)))
+def _chunk_rows(k: int) -> int:
+    """Rows per block of a (rows, k) exp() matrix within the phase budget."""
+    return max(1, min(_EVAL_CHUNK, _PHASE_BUDGET // max(k, 1)))
+
+
+def _outer_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, K) matrix of dot products of (m, n) rows a with (K, n) rows b.
+
+    Built one coordinate at a time: in 1-D this is a plain outer product,
+    several times faster than a matmul with inner dimension 1.
+    """
+    out = np.multiply.outer(a[:, 0], b[:, 0])
+    for d in range(1, a.shape[1]):
+        out += np.multiply.outer(a[:, d], b[:, d])
+    return out
+
+
+def _phase_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+               sign: float) -> np.ndarray:
+    """sum_k weights[k] exp(sign 2 pi i targets.nodes[k]), chunked over targets.
+
+    `targets` is (m, n) and `nodes` (K, n); `weights` of shape (K,) gives an
+    (m,) result and weights of shape (K, p) an (m, p) one.
+    """
+    out = np.empty((targets.shape[0],) + weights.shape[1:], dtype=complex)
+    chunk = _chunk_rows(nodes.shape[0])
     for lo in range(0, targets.shape[0], chunk):
-        tc = targets[lo:lo + chunk]
-        if dim == 1:
-            phase = np.outer(tc, nodes)
-        else:
-            phase = tc @ nodes.T
-        out[lo:lo + chunk] = np.exp(sign * TWO_PI * 1j * phase) @ weighted
+        block = sign * TWO_PI * 1j * _outer_dot(targets[lo:lo + chunk], nodes)
+        np.exp(block, out=block)
+        out[lo:lo + chunk] = block @ weights
     return out
 
 
@@ -397,9 +420,8 @@ def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEv
     grid = grid or GridSpec.default(f.dim)
     nodes, w = quadrature_points(grid, f.dim, f.singularities)
     weighted = f(nodes) * w
-    dim = f.dim
-    fn = lambda om: _phase_sum(om, nodes, weighted, -1.0, dim)
-    return FunctionEvaluator(dim=dim, fn=fn, envelope=None, singularities=(),
+    fn = lambda om: _phase_sum(np.reshape(om, (-1, f.dim)), nodes, weighted, -1.0)
+    return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=(),
                              square_integrable=f.square_integrable)
 
 
@@ -407,18 +429,42 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
                                grid: Optional[GridSpec] = None) -> FunctionEvaluator:
     """Apply a frequency-domain multiplier: result = IFT(multiplier * fhat).
 
-    `multiplier` maps a frequency array to complex factors. Used for
-    chirp-type Fourier multipliers, where the frequency-domain form is far
-    better conditioned than a literal chirp convolution.
+    `multiplier` maps frequencies to complex factors with the same array
+    contract as `FunctionEvaluator.fn`. Used for chirp-type Fourier
+    multipliers, where the frequency-domain form is far better conditioned
+    than a literal chirp convolution.
     """
     grid = grid or GridSpec.default(f.dim)
     fhat = fourier(f, grid)
     nodes, w = quadrature_points(grid, f.dim)
-    weighted = fhat(nodes) * np.asarray(multiplier(nodes), dtype=complex) * w
-    dim = f.dim
-    fn = lambda t: _phase_sum(t, nodes, weighted, +1.0, dim)
-    return FunctionEvaluator(dim=dim, fn=fn, envelope=None, singularities=(),
+    weighted = fhat(nodes) * FunctionEvaluator(f.dim, multiplier)(nodes) * w
+    fn = lambda t: _phase_sum(np.reshape(t, (-1, f.dim)), nodes, weighted, +1.0)
+    return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=(),
                              square_integrable=f.square_integrable)
+
+
+def _stft_setup(f: FunctionEvaluator, g: FunctionEvaluator,
+                grid: Optional[GridSpec]):
+    """Validated grid, quadrature nodes and weighted values f(t) w of an STFT."""
+    if f.dim != g.dim:
+        raise InputError("dimension mismatch")
+    if not (f.square_integrable and g.square_integrable):
+        raise InputError("stft requires square-integrable inputs")
+    grid = grid or GridSpec.default(f.dim)
+    nodes, w = quadrature_points(grid, f.dim, f.singularities)
+    return grid, nodes, f(nodes) * w
+
+
+def _window_rows(g: FunctionEvaluator, nodes: np.ndarray, xs: np.ndarray,
+                 grid: GridSpec) -> np.ndarray:
+    """g(t_k - x_i) as an (i, k) matrix, zero where t_k lies within the
+    exclusion radius of a singularity of the shifted window."""
+    shifted = nodes - xs[:, None, :]
+    with np.errstate(all="ignore"):
+        rows = g(shifted)
+    for s in g.singularities:
+        rows = np.where(_distance(shifted, s) <= _exclusion(grid), 0.0, rows)
+    return rows
 
 
 def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
@@ -426,65 +472,40 @@ def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
     """Short-time Fourier transform value V_g f(lambda) = <f, pi(lambda) g>.
 
     Computed by quadrature of f(t) conj(e^{2 pi i omega.t} g(t - x)) over the
-    truncation box.
+    truncation box; this is `stft_points` at the single point lambda.
     """
-    if f.dim != g.dim:
-        raise InputError("dimension mismatch")
-    if not (f.square_integrable and g.square_integrable):
-        raise InputError("stft requires square-integrable inputs")
-    lam = TFPoint.of(lam)
-    if lam.dim != f.dim:
-        raise InputError("dimension mismatch between point and functions")
-    grid = grid or GridSpec.default(f.dim)
-    sings = tuple(f.singularities) + tuple(s + lam.x for s in g.singularities)
-    pts, w = quadrature_points(grid, f.dim, sings)
-    if f.dim == 1:
-        shifted = pts - float(lam.x[0])
-        phase = np.exp(TWO_PI * 1j * float(lam.omega[0]) * pts)
-    else:
-        shifted = pts - lam.x[None, :]
-        phase = np.exp(TWO_PI * 1j * (pts @ lam.omega))
-    return complex(np.sum(w * f(pts) * np.conj(phase * g(shifted))))
+    return complex(stft_points(f, g, TFPoint.of(lam).as_row(), grid)[0])
 
 
 def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,
               grid: Optional[GridSpec] = None) -> np.ndarray:
-    """V_g f on a separable lattice, dimension 1 only.
+    """V_g f on a separable lattice: V[i, j] = V_g f(xs[i], omegas[j]).
 
-    Returns the matrix V[i, j] = V_g f(xs[i], omegas[j]) computed with one
-    shared quadrature grid, so the whole lattice costs two dense matmuls.
-    The window must be continuous (no singularities to exclude per shift).
+    The window rows f(t) w conj(g(t - x_i)) are the weights of one phase sum
+    over the shared quadrature grid, so the lattice costs one exp() per
+    (omega, node) pair.
     """
-    if f.dim != 1 or g.dim != 1:
-        raise InputError("stft_grid supports dimension 1; use stft per point otherwise")
-    if g.singularities:
-        raise InputError("stft_grid requires a window without singularities")
-    grid = grid or GridSpec.default(1)
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    t, w = quadrature_points(grid, 1, f.singularities)
-    fvals = f(t) * w
-    h = np.conj(g(t[None, :] - xs[:, None])) * fvals[None, :]
-    phases = np.exp(-TWO_PI * 1j * np.outer(omegas, t))
-    return h @ phases.T
+    grid, nodes, fw = _stft_setup(f, g, grid)
+    xs = _as_points(xs, f.dim)[0]
+    omegas = _as_points(omegas, f.dim)[0]
+    rows = np.conj(_window_rows(g, nodes, xs, grid)) * fw
+    return _phase_sum(omegas, nodes, rows.T, -1.0).T
 
 
 def stft_points(f: FunctionEvaluator, g: FunctionEvaluator, lattice_pts,
                 grid: Optional[GridSpec] = None) -> np.ndarray:
-    """V_g f at arbitrary TF points, dimension 1 only; rows are (x, omega)."""
-    if f.dim != 1 or g.dim != 1:
-        raise InputError("stft_points supports dimension 1")
-    if g.singularities:
-        raise InputError("stft_points requires a window without singularities")
-    grid = grid or GridSpec.default(1)
-    pts = np.asarray(lattice_pts, dtype=float).reshape(-1, 2)
-    t, w = quadrature_points(grid, 1, f.singularities)
-    fvals = f(t) * w
+    """V_g f at arbitrary time-frequency points; rows are (x, omega) in R^{2n}."""
+    grid, nodes, fw = _stft_setup(f, g, grid)
+    pts = _as_points(lattice_pts, 2 * f.dim)[0]
     out = np.empty(pts.shape[0], dtype=complex)
-    chunk = max(1, _PHASE_BUDGET // max(t.size, 1))
+    chunk = _chunk_rows(nodes.shape[0])
     for lo in range(0, pts.shape[0], chunk):
         blk = pts[lo:lo + chunk]
-        kernel = np.conj(g(t[None, :] - blk[:, 0:1])
-                         * np.exp(TWO_PI * 1j * blk[:, 1:2] * t[None, :]))
-        out[lo:lo + chunk] = kernel @ fvals
+        rows = _window_rows(g, nodes, blk[:, :f.dim], grid)
+        kernel = _outer_dot(TWO_PI * 1j * blk[:, f.dim:], nodes)
+        np.exp(kernel, out=kernel)
+        kernel *= rows
+        np.conj(kernel, out=kernel)
+        kernel *= fw
+        out[lo:lo + chunk] = np.sum(kernel, axis=1)
     return out

@@ -122,6 +122,26 @@ def test_theorem1_example1_certified():
     assert cert.M == 1.0
 
 
+def test_theorem1_tiny_radius_is_not_snapped_to_zero():
+    # The envelope min(C, 1/r) stays at the peak out to 1/C = 5e-9, beyond
+    # the separation 1e-9, so the pointwise check and Theorem 1 both fail.
+    f = make_example1(2e8, 0.0)
+    cert = check_theorem1(f, lam_times([0.0, 1e-9]))
+    assert cert.sup_method == "Envelope"
+    assert cert.verdict == "NotCertified"
+    assert cert.R > 5e-9
+    assert not check_lemma1(f, [0.0, 1e-9]).certified
+
+
+def test_corollary1_gaussian_pair_has_zero_radius_at_every_stretch():
+    # For N = 2 the bound is the Gaussian's own peak: strict everywhere.
+    lam = lam_times([0.0, 1.0])
+    for r in (0.5, 0.8, 1.0, 1.2537, 1.6, 2.0):
+        cert = check_corollary1(make_gaussian(1), lam, r=r)
+        assert cert.R == 0.0 and cert.certified, f"r={r}"
+        assert cert.to_json()["threshold_r"] is None
+
+
 def test_theorem1_single_point():
     cert = check_theorem1(make_gaussian(1), PointSet.from_rows([[2.0, 3.0]]))
     assert cert.certified

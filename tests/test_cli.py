@@ -242,6 +242,25 @@ def test_bad_family_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, cfg", [
+    (("window-search",), {"function": {"family": "gaussian"}, "N": 2}),
+    (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": "two"}),
+    (("certify", "cor1"), {"function": {"family": "gaussian"},
+                           "lambda": [[0, 0], [1, 0]], "r": "abc"}),
+    (("certify", "thm1"), {"function": {"family": "example1", "params": {"C": "x"}},
+                           "lambda": [[0, 0], [1, 0]]}),
+    (("certify", "thm1"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 0]],
+                           "grid": {"half_width": "inf"}}),
+    (("certify", "thm1"), {"function": {"family": "gaussian"},
+                           "lambda": [[math.nan, 0], [1, 0]]}),
+])
+def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, "bad.json", cfg)
+    code, _, err = run(capsys, *command, "--config", path)
+    assert code == 1
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_rigorous_mode_refusals_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "t3r.json", {
         "function": {"family": "gaussian"}, "lambda": [[0, 0], [2, 0]]})

@@ -5,8 +5,9 @@ import pytest
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     PointSet, TFPoint, chirp_mul, dilate, fourier,
-                    inner_product, l2_norm, make_example1, make_gaussian,
-                    modulate, stft, stft_grid, tf_shift, translate)
+                    inner_product, l2_norm, make_example1, make_example2,
+                    make_gaussian, modulate, stft, stft_grid, stft_points,
+                    tf_shift, translate)
 
 PI = math.pi
 
@@ -282,6 +283,34 @@ def test_stft_covariance_identity():
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("window", ["gaussian", "example2"])
+def test_stft_entry_points_agree(window):
+    # One kernel behind all three; example2's window singularity sits on a
+    # quadrature node at x = 0.5 and inside the exclusion radius elsewhere.
+    f = make_example1(4.0, 1.0)
+    g = make_gaussian(1) if window == "gaussian" else make_example2(0.7)
+    for grid in (GridSpec(8.0, 4097), GridSpec(8.0, 4097, exclusion_radius=0.01)):
+        for x, omega in ((0.0, 0.0), (0.5, -1.3), (-2.001, 0.4)):
+            one = stft(f, g, (x, omega), grid)
+            assert abs(stft_points(f, g, [[x, omega]], grid)[0] - one) < 1e-12
+            assert abs(stft_grid(f, g, [x], [omega], grid)[0, 0] - one) < 1e-12
+
+
+def test_stft_two_dimensional_gaussian_closed_form():
+    # |V_g g(x, omega)| = e^{-pi (|x|^2 + |omega|^2) / 2} for the unit Gaussian
+    g = make_gaussian(2)
+    grid = GridSpec(6.0, 128)
+    rng = np.random.default_rng(7)
+    xs, omegas = rng.uniform(-1.5, 1.5, (3, 2)), rng.uniform(-1.5, 1.5, (4, 2))
+    expect = np.exp(-PI * (np.sum(xs ** 2, axis=1)[:, None]
+                           + np.sum(omegas ** 2, axis=1)[None, :]) / 2)
+    np.testing.assert_allclose(np.abs(stft_grid(g, g, xs, omegas, grid)), expect,
+                               rtol=0, atol=1e-10)
+    rows = [np.concatenate([x, w]) for x in xs for w in omegas]
+    np.testing.assert_allclose(np.abs(stft_points(g, g, rows, grid)), expect.ravel(),
+                               rtol=0, atol=1e-10)
+
+
 def test_stft_rejects_non_square_integrable():
     from tfcert import make_singular_cos
     with pytest.raises(InputError):
@@ -307,6 +336,14 @@ def test_pointset_rejects_duplicates():
         PointSet.from_rows([[0, 0], [0, 0]])
 
 
+def test_pointset_rejects_nonfinite_rows():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            PointSet.from_rows([[bad, 0], [1, 0]])
+        with pytest.raises(InputError):
+            PointSet.from_rows([[0, 0], [1, bad]])
+
+
 def test_pointset_rejects_mixed_dimensions():
     with pytest.raises(InputError):
         PointSet((TFPoint(0.0, 0.0), TFPoint([0.0, 1.0], [0.0, 0.0])))
@@ -323,6 +360,10 @@ def test_pointset_accessors():
 def test_gridspec_validation():
     with pytest.raises(InputError):
         GridSpec(0.0, 16)
+    with pytest.raises(InputError):
+        GridSpec(math.inf, 16)
+    with pytest.raises(InputError):
+        GridSpec(math.nan, 16)
     with pytest.raises(InputError):
         GridSpec(2.0, 1)
     with pytest.raises(InputError):
