@@ -21,12 +21,12 @@ import numpy as np
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
-                    _check_points_clear, axis_quadrature, dilate, fourier,
+                    _check_points_clear, dilate, fourier,
                     quadrature_points, stft, stft_grid, translate)
 
 BISECT_TOL = 1e-9
-# An envelope within this relative distance of the bound at the bisected
-# radius is flat at its peak to float64 resolution, so the radius is 0.
+# An envelope within this relative distance of the bound from 0 to twice the
+# bisected radius is flat at its peak to float64 resolution, so the radius is 0.
 FLAT_PEAK_RTOL = 8 * np.finfo(float).eps
 ENVELOPE_HORIZON = 1e9
 
@@ -140,8 +140,10 @@ def _radius_from_envelope(envelope: Callable[[float], float], bound: float) -> f
     """Smallest radius where the monotone envelope drops strictly below bound.
 
     Bisection to BISECT_TOL; returns 0 when the strict bound already holds at
-    every positive radius, which for an envelope that is flat at its peak
-    shows as a value within float64 resolution of the bound.
+    every positive radius. For an envelope whose peak equals the bound that
+    shows as an envelope within float64 resolution of the bound on all of
+    [0, 2 hi]: the crossing lies below the resolution of the data. An envelope
+    that decays past hi (a real crossing, however far out) keeps its radius.
     """
     if envelope(0.0) < bound:
         return 0.0
@@ -158,7 +160,9 @@ def _radius_from_envelope(envelope: Callable[[float], float], bound: float) -> f
             hi = mid
         else:
             lo = mid
-    return 0.0 if envelope(hi) >= bound * (1.0 - FLAT_PEAK_RTOL) else hi
+    flat = (envelope(0.0) <= bound * (1.0 + FLAT_PEAK_RTOL)
+            and envelope(2.0 * hi) >= bound * (1.0 - FLAT_PEAK_RTOL))
+    return 0.0 if flat else hi
 
 
 def _radius_from_samples(radii: np.ndarray, values: np.ndarray, bound: float) -> float:
@@ -550,7 +554,8 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
             raise NumericalRefusal(
                 "lattice scan is implemented for dimension 1; supply stft_envelope")
         lattice = lattice or GridSpec(8.0, 128)
-        xs = axis_quadrature(lattice)[0]
+        xs = np.linspace(-lattice.half_width, lattice.half_width,
+                         lattice.samples_per_axis)
         field = np.abs(stft_grid(f, g, xs, xs, grid))
         radii = np.hypot(*np.meshgrid(xs, xs, indexing="ij"))
         violating = radii[field >= bound]

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import InputError, NumericalRefusal
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
-                    _check_points_clear, axis_quadrature,
-                    inverse_fourier_multiplier, modulate, quadrature_points,
-                    stft_grid, tf_shift, translate)
+                    _check_points_clear, inverse_fourier_multiplier, modulate,
+                    quadrature_points, stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -230,7 +229,7 @@ def stft_identity_residual(f: FunctionEvaluator, g: FunctionEvaluator,
     u = float(np.atleast_1d(np.asarray(u, dtype=float))[0])
     eta = float(np.atleast_1d(np.asarray(eta, dtype=float))[0])
     lattice = lattice or GridSpec(3.0, 33)
-    xs = axis_quadrature(lattice)[0]
+    xs = np.linspace(-lattice.half_width, lattice.half_width, lattice.samples_per_axis)
     shifted_f = translate(modulate(f, eta), u)
     lhs = stft_grid(shifted_f, g, xs, xs, grid)
     rhs = stft_grid(f, g, xs - u, xs - eta, grid)

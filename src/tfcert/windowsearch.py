@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NearOrthogonalError, NumericalRefusal
-from .tfops import (FunctionEvaluator, GridSpec, axis_quadrature, stft,
-                    stft_grid, stft_points)
+from .tfops import FunctionEvaluator, GridSpec, stft, stft_grid, stft_points
 
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
@@ -92,7 +91,8 @@ def tail_ratio(f: FunctionEvaluator, g_params: WindowParams, R: float, N: int,
         raise NearOrthogonalError(
             "|<f, g>| underflows; the tail ratio is undefined for this window")
     lattice = lattice or GridSpec(8.0, 81)
-    xs = axis_quadrature(lattice)[0]
+    xs = np.linspace(-lattice.half_width, lattice.half_width,
+                     lattice.samples_per_axis)
     field = np.abs(stft_grid(f, g, xs, xs, grid))
     radii = np.hypot(*np.meshgrid(xs, xs, indexing="ij"))
     outside = field[radii > R]

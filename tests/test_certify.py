@@ -133,6 +133,16 @@ def test_theorem1_tiny_radius_is_not_snapped_to_zero():
     assert not check_lemma1(f, [0.0, 1e-9]).certified
 
 
+def test_theorem1_large_radius_is_not_snapped_to_zero():
+    # min(C, 1/r) with C = 1e-6 leaves the peak only at 1/C = 1e6, where the
+    # bisection's absolute tolerance is below float64 resolution of the bound.
+    f = make_example1(1e-6, 0.0)
+    cert = check_theorem1(f, lam_times([0.0, 1.0]))
+    assert cert.verdict == "NotCertified"
+    assert cert.R == pytest.approx(1e6, rel=1e-9)
+    assert not check_lemma1(f, [0.0, 1.0]).certified
+
+
 def test_corollary1_gaussian_pair_has_zero_radius_at_every_stretch():
     # For N = 2 the bound is the Gaussian's own peak: strict everywhere.
     lam = lam_times([0.0, 1.0])

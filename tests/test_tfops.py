@@ -329,19 +329,18 @@ def test_stft_dimension_mismatch():
 def test_tfpoint_requires_matching_lengths():
     with pytest.raises(InputError):
         TFPoint([1.0, 2.0], [0.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            TFPoint(bad, 0.0)
+        with pytest.raises(InputError):
+            PointSet.from_rows([[bad, 0], [1, 0]])
+        with pytest.raises(InputError):
+            PointSet.from_rows([[0, 0], [1, bad]])
 
 
 def test_pointset_rejects_duplicates():
     with pytest.raises(InputError):
         PointSet.from_rows([[0, 0], [0, 0]])
-
-
-def test_pointset_rejects_nonfinite_rows():
-    for bad in (math.nan, math.inf):
-        with pytest.raises(InputError):
-            PointSet.from_rows([[bad, 0], [1, 0]])
-        with pytest.raises(InputError):
-            PointSet.from_rows([[0, 0], [1, bad]])
 
 
 def test_pointset_rejects_mixed_dimensions():
