@@ -557,6 +557,10 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         xs = np.linspace(-lattice.half_width, lattice.half_width,
                          lattice.samples_per_axis)
         field = np.abs(stft_grid(f, g, xs, xs, grid))
+        if (field[[0, -1]] >= bound).any() or (field[:, [0, -1]] >= bound).any():
+            raise NumericalRefusal(
+                "|V_g f| >= |<f, g>|/(N-1) on the edge of the scanned lattice, "
+                "so the radius is not resolved; widen the lattice")
         radii = np.hypot(*np.meshgrid(xs, xs, indexing="ij"))
         violating = radii[field >= bound]
         R0 = float(violating.max()) if violating.size else 0.0

@@ -30,7 +30,7 @@ from .funcs import FamilySpec, make_example1, make_example2, make_gaussian
 from .oracle import (collocation_rank, default_collocation_points,
                      dependence_residual_er, er_lattice, gram_matrix,
                      metaplectic_residual, stft_identity_residual)
-from .tfops import GridSpec, PointSet, stft
+from .tfops import GridSpec, PointSet, _as_points, stft
 from .windowsearch import search as window_search
 
 EXIT_OK = 0
@@ -102,6 +102,17 @@ def _pointset_from(cfg: dict, dim: int) -> PointSet:
     return ps
 
 
+def _anchor_from(cfg: dict, dim: int):
+    """The config's finite anchor vector of length dim, or None."""
+    anchor = cfg.get("anchor")
+    if anchor is None:
+        return None
+    pts = _as_points(anchor, dim)[0]
+    if pts.shape[0] != 1 or not np.isfinite(pts).all():
+        raise InputError(f"anchor must be a finite vector of length {dim}")
+    return pts[0]
+
+
 def _dimension_of(cfg: dict, f) -> int:
     dim = convert(int, cfg.get("dimension", f.dim), "dimension")
     if dim != f.dim:
@@ -133,7 +144,14 @@ def _cmd_certify(args) -> tuple[dict, int, list | None]:
         cert = check_lemma1(f, shifts)
     elif args.theorem == "thm1":
         lam = _pointset_from(cfg, dim)
-        cert = check_theorem1(f, lam, anchor=cfg.get("anchor"), grid=grid,
+        anchor = _anchor_from(cfg, dim)
+        if anchor is not None and f.envelope is not None:
+            # check_theorem1 reads the envelope as centred on the anchor a; a
+            # family's is centred on the origin, and {||t - a|| >= r} lies in
+            # {||t|| >= r - ||a||}.
+            env, offset = f.envelope, float(np.linalg.norm(anchor))
+            f = f.with_envelope(lambda r: env(max(0.0, r - offset)))
+        cert = check_theorem1(f, lam, anchor=anchor, grid=grid,
                               require_envelope=rigorous)
     elif args.theorem == "cor1":
         lam = _pointset_from(cfg, dim)

@@ -17,7 +17,8 @@ The Fourier transforms and `stft_grid` share one phase-sum kernel;
 `stft_points` on one row. The STFT entry points work in any dimension the
 quadrature grid supports. Quadrature nodes within the exclusion radius of a
 singularity of f are dropped; nodes within it of a shifted window
-singularity get weight zero.
+singularity get weight zero. Window rows g(t_k - x_i) are evaluated in
+cache-sized row blocks; blocking changes no arithmetic.
 
 Evaluators are immutable and freely shareable across threads; quadrature
 reductions use a fixed summation order, so results are reproducible.
@@ -37,9 +38,11 @@ from .errors import InputError, NumericalRefusal, SingularityHitError
 TWO_PI = 2.0 * np.pi
 
 # Chunk sizes keep the exp() phase matrices of quadrature-backed transforms
-# below a few tens of MB.
+# below a few tens of MB. Window rows g(t_k - x_i) are evaluated in blocks of
+# about _WINDOW_BLOCK values, so that their temporaries stay in cache.
 _EVAL_CHUNK = 512
 _PHASE_BUDGET = 4_000_000
+_WINDOW_BLOCK = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +391,29 @@ def _outer_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phase_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
-               sign: float) -> np.ndarray:
-    """sum_k weights[k] exp(sign 2 pi i targets.nodes[k]), chunked over targets.
+def _phase_blocks(targets: np.ndarray, nodes: np.ndarray, sign: float):
+    """Row blocks of the (m, K) matrix exp(sign 2 pi i targets.nodes).
 
-    `targets` is (m, n) and `nodes` (K, n); `weights` of shape (K,) gives an
-    (m,) result and weights of shape (K, p) an (m, p) one.
+    `targets` is (m, n) and `nodes` (K, n); each block has at most
+    `_chunk_rows(K)` rows.
     """
-    out = np.empty((targets.shape[0],) + weights.shape[1:], dtype=complex)
     chunk = _chunk_rows(nodes.shape[0])
     for lo in range(0, targets.shape[0], chunk):
         block = sign * TWO_PI * 1j * _outer_dot(targets[lo:lo + chunk], nodes)
         np.exp(block, out=block)
-        out[lo:lo + chunk] = block @ weights
-    return out
+        yield block
+
+
+def _phase_sum(phases, weights: np.ndarray) -> np.ndarray:
+    """sum_k phase[i, k] weights[k] over the row blocks of a phase matrix.
+
+    `phases` iterates over `_phase_blocks`; weights of shape (K,) give an
+    (m,) result and weights of shape (K, p) an (m, p) one.
+    """
+    sums = [block @ weights for block in phases]
+    if not sums:
+        return np.empty((0,) + weights.shape[1:], dtype=complex)
+    return np.concatenate(sums)
 
 
 def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEvaluator:
@@ -420,7 +432,8 @@ def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEv
     grid = grid or GridSpec.default(f.dim)
     nodes, w = quadrature_points(grid, f.dim, f.singularities)
     weighted = f(nodes) * w
-    fn = lambda om: _phase_sum(np.reshape(om, (-1, f.dim)), nodes, weighted, -1.0)
+    fn = lambda om: _phase_sum(
+        _phase_blocks(np.reshape(om, (-1, f.dim)), nodes, -1.0), weighted)
     return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=(),
                              square_integrable=f.square_integrable)
 
@@ -438,7 +451,8 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
     fhat = fourier(f, grid)
     nodes, w = quadrature_points(grid, f.dim)
     weighted = fhat(nodes) * FunctionEvaluator(f.dim, multiplier)(nodes) * w
-    fn = lambda t: _phase_sum(np.reshape(t, (-1, f.dim)), nodes, weighted, +1.0)
+    fn = lambda t: _phase_sum(
+        _phase_blocks(np.reshape(t, (-1, f.dim)), nodes, +1.0), weighted)
     return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=(),
                              square_integrable=f.square_integrable)
 
@@ -455,16 +469,56 @@ def _stft_setup(f: FunctionEvaluator, g: FunctionEvaluator,
     return grid, nodes, f(nodes) * w
 
 
-def _window_rows(g: FunctionEvaluator, nodes: np.ndarray, xs: np.ndarray,
-                 grid: GridSpec) -> np.ndarray:
-    """g(t_k - x_i) as an (i, k) matrix, zero where t_k lies within the
-    exclusion radius of a singularity of the shifted window."""
-    shifted = nodes - xs[:, None, :]
-    with np.errstate(all="ignore"):
-        rows = g(shifted)
-    for s in g.singularities:
-        rows = np.where(_distance(shifted, s) <= _exclusion(grid), 0.0, rows)
-    return rows
+def _window_blocks(g: FunctionEvaluator, nodes: np.ndarray, xs: np.ndarray,
+                   grid: GridSpec):
+    """g(t_k - x_i) for (m, n) shifts xs, as (lo, block) pairs of rows lo.. of
+    the (i, k) matrix with about `_WINDOW_BLOCK` values per block. Entries
+    where t_k lies within the exclusion radius of a singularity of the
+    shifted window are zero."""
+    step = max(1, _WINDOW_BLOCK // max(nodes.shape[0], 1))
+    for lo in range(0, xs.shape[0], step):
+        shifted = nodes - xs[lo:lo + step, None, :]
+        with np.errstate(all="ignore"):
+            rows = g(shifted)
+        for s in g.singularities:
+            rows = np.where(_distance(shifted, s) <= _exclusion(grid), 0.0, rows)
+        yield lo, rows
+
+
+def _window_rows(g: FunctionEvaluator, nodes: np.ndarray, fw: np.ndarray,
+                 xs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The (i, k) phase-sum weights conj(g(t_k - x_i)) fw[k] of an STFT
+    lattice, filled one window block at a time."""
+    out = np.empty((xs.shape[0], nodes.shape[0]), dtype=complex)
+    for lo, rows in _window_blocks(g, nodes, xs, grid):
+        block = out[lo:lo + rows.shape[0]]
+        np.conj(rows, out=block)
+        block *= fw
+    return out
+
+
+def _modulation(omegas: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """exp(2 pi i omega_i.t_k) as an (i, k) matrix."""
+    kernel = _outer_dot(TWO_PI * 1j * omegas, nodes)
+    np.exp(kernel, out=kernel)
+    return kernel
+
+
+def _point_sums(g: FunctionEvaluator, nodes: np.ndarray, fw: np.ndarray,
+                xs: np.ndarray, phase, grid: GridSpec) -> np.ndarray:
+    """sum_k conj(phase[i, k] g(t_k - x_i)) fw[k] for each shift x_i.
+
+    `phase(lo, hi)` returns rows lo:hi of the (i, k) modulation matrix; each
+    window block is multiplied, conjugated and summed while it is in cache.
+    """
+    out = np.empty(xs.shape[0], dtype=complex)
+    for lo, rows in _window_blocks(g, nodes, xs, grid):
+        hi = lo + rows.shape[0]
+        kernel = phase(lo, hi) * rows
+        np.conj(kernel, out=kernel)
+        kernel *= fw
+        out[lo:hi] = np.sum(kernel, axis=1)
+    return out
 
 
 def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
@@ -488,8 +542,8 @@ def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,
     grid, nodes, fw = _stft_setup(f, g, grid)
     xs = _as_points(xs, f.dim)[0]
     omegas = _as_points(omegas, f.dim)[0]
-    rows = np.conj(_window_rows(g, nodes, xs, grid)) * fw
-    return _phase_sum(omegas, nodes, rows.T, -1.0).T
+    rows = _window_rows(g, nodes, fw, xs, grid)
+    return _phase_sum(_phase_blocks(omegas, nodes, -1.0), rows.T).T
 
 
 def stft_points(f: FunctionEvaluator, g: FunctionEvaluator, lattice_pts,
@@ -497,15 +551,6 @@ def stft_points(f: FunctionEvaluator, g: FunctionEvaluator, lattice_pts,
     """V_g f at arbitrary time-frequency points; rows are (x, omega) in R^{2n}."""
     grid, nodes, fw = _stft_setup(f, g, grid)
     pts = _as_points(lattice_pts, 2 * f.dim)[0]
-    out = np.empty(pts.shape[0], dtype=complex)
-    chunk = _chunk_rows(nodes.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        blk = pts[lo:lo + chunk]
-        rows = _window_rows(g, nodes, blk[:, :f.dim], grid)
-        kernel = _outer_dot(TWO_PI * 1j * blk[:, f.dim:], nodes)
-        np.exp(kernel, out=kernel)
-        kernel *= rows
-        np.conj(kernel, out=kernel)
-        kernel *= fw
-        out[lo:lo + chunk] = np.sum(kernel, axis=1)
-    return out
+    omegas = pts[:, f.dim:]
+    return _point_sums(g, nodes, fw, pts[:, :f.dim],
+                       lambda lo, hi: _modulation(omegas[lo:hi], nodes), grid)

@@ -412,6 +412,18 @@ def test_theorem3_lattice_scan_heuristic():
     assert cert.certified
 
 
+def test_theorem3_lattice_scan_refuses_a_field_at_the_lattice_edge():
+    # On half-width 1 the violating set runs off the scanned box, so the
+    # scanned radius (1.22) says nothing; half-width 8 resolves R = 1.75.
+    f, g = make_example1(8.0, 5.0), make_gaussian(1)
+    lam = PointSet.from_rows([[0, 0], [1.3, 0], [0, 1.3]])
+    with pytest.raises(NumericalRefusal):
+        check_theorem3(f, g, lam, lattice=GridSpec(1.0, 128))
+    cert = check_theorem3(f, g, lam, lattice=GridSpec(8.0, 128))
+    assert cert.verdict == "NotCertified"
+    assert cert.R == pytest.approx(1.754, abs=1e-3)
+
+
 def test_theorem3_single_point():
     g = make_gaussian(1)
     cert = check_theorem3(g, g, PointSet.from_rows([[0.0, 0.0]]))

@@ -37,6 +37,20 @@ def test_certify_thm1_certified(thm1_config, capsys):
     assert doc["report"]["R"] == pytest.approx(0.375, abs=1e-6)
 
 
+def test_certify_thm1_anchor_recentres_the_family_envelope(tmp_path, capsys):
+    # |f(-2)| = 1/2 exceeds the bound |f(2)|/2 = 1/4 at distance 4 from the
+    # anchor, so R = 4 is false; the origin envelope moved by ||a|| = 2 gives 6.
+    cfg = write_config(tmp_path, "anchored.json", {
+        "function": {"family": "example1", "params": {"C": 8, "omega": 0}},
+        "lambda": [[0, 0], [5, 0], [10, 0]], "anchor": 2})
+    code, out, _ = run(capsys, "certify", "thm1", "--config", cfg, "--rigorous", "--no-meta")
+    report = json.loads(out)["report"]
+    assert code == 3
+    assert report["verdict"] == "NotCertified"
+    assert report["sup_method"] == "Envelope"
+    assert report["R"] == pytest.approx(6.0, abs=1e-6)
+
+
 def test_certify_single_point_exit_zero(tmp_path, capsys):
     cfg = write_config(tmp_path, "n1.json", {
         "function": {"family": "gaussian"}, "lambda": [[0.5, 1.5]]})
@@ -253,6 +267,8 @@ def test_bad_family_exit_one(tmp_path, capsys):
                            "grid": {"half_width": "inf"}}),
     (("certify", "thm1"), {"function": {"family": "gaussian"},
                            "lambda": [[math.nan, 0], [1, 0]]}),
+    (("certify", "thm1"), {"function": {"family": "gaussian"},
+                           "lambda": [[0, 0], [1, 0]], "anchor": "abc"}),
 ])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)

@@ -287,13 +287,20 @@ def test_stft_covariance_identity():
 def test_stft_entry_points_agree(window):
     # One kernel behind all three; example2's window singularity sits on a
     # quadrature node at x = 0.5 and inside the exclusion radius elsewhere.
+    # Window rows are evaluated in blocks: the lattice spans several blocks
+    # and ends in a partial one.
+    from tfcert.tfops import _WINDOW_BLOCK
     f = make_example1(4.0, 1.0)
     g = make_gaussian(1) if window == "gaussian" else make_example2(0.7)
+    block = _WINDOW_BLOCK // 4097
+    xs = np.concatenate([[0.0, 0.5, -2.001], np.linspace(-3.0, 3.0, 2 * block - 2)])
+    assert xs.size > block and xs.size % block
+    omegas = np.array([0.0, -1.3, 0.4])
     for grid in (GridSpec(8.0, 4097), GridSpec(8.0, 4097, exclusion_radius=0.01)):
-        for x, omega in ((0.0, 0.0), (0.5, -1.3), (-2.001, 0.4)):
-            one = stft(f, g, (x, omega), grid)
-            assert abs(stft_points(f, g, [[x, omega]], grid)[0] - one) < 1e-12
-            assert abs(stft_grid(f, g, [x], [omega], grid)[0, 0] - one) < 1e-12
+        one = np.array([[stft(f, g, (x, omega), grid) for omega in omegas] for x in xs])
+        np.testing.assert_allclose(stft_grid(f, g, xs, omegas, grid), one, rtol=0, atol=1e-12)
+        rows = [[x, omega] for x in xs for omega in omegas]
+        np.testing.assert_allclose(stft_points(f, g, rows, grid), one.ravel(), rtol=0, atol=1e-12)
 
 
 def test_stft_two_dimensional_gaussian_closed_form():

@@ -94,6 +94,20 @@ def test_search_trace_monotone():
     assert res.ratio == ratios[-1]
 
 
+def test_search_trace_matches_fresh_tail_ratio():
+    # search builds the window-independent scan once; every incumbent ratio
+    # must be exactly what a standalone tail_ratio gives for that window. The
+    # second search finds two improvements after its first evaluation, so a
+    # scan that drifts between evaluations shows.
+    runs = ((make_example1(4.0, 2.0), 1.0, 4, 4, 60, 3),
+            (make_example1(4.0, 1.0), 1.5, 3, 1, 30, 0))
+    for f, R, N, d, budget, seed in runs:
+        res = search(f, R=R, N=N, d=d, budget=budget, seed=seed)
+        for params, ratio in res.trace:
+            assert ratio == tail_ratio(f, params, R, N)
+    assert len(res.trace) >= 3
+
+
 def test_search_deterministic():
     a = search(make_gaussian(1), R=1.0, N=3, d=2, budget=40, seed=42)
     b = search(make_gaussian(1), R=1.0, N=3, d=2, budget=40, seed=42)
