@@ -18,7 +18,9 @@ The Fourier transforms and `stft_grid` share one phase-sum kernel;
 quadrature grid supports. Quadrature nodes within the exclusion radius of a
 singularity of f are dropped; nodes within it of a shifted window
 singularity get weight zero. Window rows g(t_k - x_i) are evaluated in
-cache-sized row blocks; blocking changes no arithmetic.
+cache-sized row blocks; blocking changes no arithmetic. `stft_grid` and
+`stft_points` are one-window uses of `_STFTScan`, which holds everything of
+an STFT lattice that does not depend on the window.
 
 Evaluators are immutable and freely shareable across threads; quadrature
 reductions use a fixed summation order, so results are reproducible.
@@ -457,18 +459,6 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
                              square_integrable=f.square_integrable)
 
 
-def _stft_setup(f: FunctionEvaluator, g: FunctionEvaluator,
-                grid: Optional[GridSpec]):
-    """Validated grid, quadrature nodes and weighted values f(t) w of an STFT."""
-    if f.dim != g.dim:
-        raise InputError("dimension mismatch")
-    if not (f.square_integrable and g.square_integrable):
-        raise InputError("stft requires square-integrable inputs")
-    grid = grid or GridSpec.default(f.dim)
-    nodes, w = quadrature_points(grid, f.dim, f.singularities)
-    return grid, nodes, f(nodes) * w
-
-
 def _window_blocks(g: FunctionEvaluator, nodes: np.ndarray, xs: np.ndarray,
                    grid: GridSpec):
     """g(t_k - x_i) for (m, n) shifts xs, as (lo, block) pairs of rows lo.. of
@@ -521,6 +511,65 @@ def _point_sums(g: FunctionEvaluator, nodes: np.ndarray, fw: np.ndarray,
     return out
 
 
+def _check_window(dim: int, g: FunctionEvaluator) -> None:
+    """Refuse a window that cannot serve in the STFT of a dim-dimensional f."""
+    if g.dim != dim:
+        raise InputError("dimension mismatch")
+    if not g.square_integrable:
+        raise InputError("stft requires square-integrable inputs")
+
+
+class _STFTScan:
+    """V_g f of one f on a fixed lattice and point set, for any window g.
+
+    Holds what does not depend on the window: the quadrature nodes, f(t) w,
+    the lattice shifts xs with the phase blocks of the lattice frequencies,
+    and the shifts and modulation rows of the (x, omega) points. `stft_grid`
+    and `stft_points` build a scan and evaluate one window against it; a
+    window search builds one with `retain_phases` and evaluates every window
+    it tries, so its exp() values are computed once.
+    """
+
+    def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
+                 xs=(), omegas=(), points=(), retain_phases: bool = False):
+        if not f.square_integrable:
+            raise InputError("stft requires square-integrable inputs")
+        self.dim = f.dim
+        self.grid = grid or GridSpec.default(f.dim)
+        self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
+        self.fw = f(self.nodes) * w
+        self.xs = _as_points(xs, f.dim)[0]
+        self.omegas = _as_points(omegas, f.dim)[0]
+        pts = _as_points(points, 2 * f.dim)[0]
+        self.point_xs, self.point_omegas = pts[:, :f.dim], pts[:, f.dim:]
+        self.lattice_phase = self.point_phase = None
+        if retain_phases:
+            self.lattice_phase = list(_phase_blocks(self.omegas, self.nodes, -1.0))
+            self.point_phase = _modulation(self.point_omegas, self.nodes)
+
+    def lattice(self, g: FunctionEvaluator) -> np.ndarray:
+        """V[i, j] = V_g f(xs[i], omegas[j]).
+
+        The window rows f(t) w conj(g(t - x_i)) are the weights of one phase
+        sum over the shared quadrature grid.
+        """
+        _check_window(self.dim, g)
+        phases = self.lattice_phase
+        if phases is None:
+            phases = _phase_blocks(self.omegas, self.nodes, -1.0)
+        rows = _window_rows(g, self.nodes, self.fw, self.xs, self.grid)
+        return _phase_sum(phases, rows.T).T
+
+    def at_points(self, g: FunctionEvaluator) -> np.ndarray:
+        """V_g f at each (x, omega) point of the scan."""
+        _check_window(self.dim, g)
+        if self.point_phase is None:
+            phase = lambda lo, hi: _modulation(self.point_omegas[lo:hi], self.nodes)
+        else:
+            phase = lambda lo, hi: self.point_phase[lo:hi]
+        return _point_sums(g, self.nodes, self.fw, self.point_xs, phase, self.grid)
+
+
 def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
          grid: Optional[GridSpec] = None) -> complex:
     """Short-time Fourier transform value V_g f(lambda) = <f, pi(lambda) g>.
@@ -535,22 +584,14 @@ def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,
               grid: Optional[GridSpec] = None) -> np.ndarray:
     """V_g f on a separable lattice: V[i, j] = V_g f(xs[i], omegas[j]).
 
-    The window rows f(t) w conj(g(t - x_i)) are the weights of one phase sum
-    over the shared quadrature grid, so the lattice costs one exp() per
-    (omega, node) pair.
+    The lattice costs one exp() per (omega, node) pair.
     """
-    grid, nodes, fw = _stft_setup(f, g, grid)
-    xs = _as_points(xs, f.dim)[0]
-    omegas = _as_points(omegas, f.dim)[0]
-    rows = _window_rows(g, nodes, fw, xs, grid)
-    return _phase_sum(_phase_blocks(omegas, nodes, -1.0), rows.T).T
+    _check_window(f.dim, g)
+    return _STFTScan(f, grid, xs=xs, omegas=omegas).lattice(g)
 
 
 def stft_points(f: FunctionEvaluator, g: FunctionEvaluator, lattice_pts,
                 grid: Optional[GridSpec] = None) -> np.ndarray:
     """V_g f at arbitrary time-frequency points; rows are (x, omega) in R^{2n}."""
-    grid, nodes, fw = _stft_setup(f, g, grid)
-    pts = _as_points(lattice_pts, 2 * f.dim)[0]
-    omegas = pts[:, f.dim:]
-    return _point_sums(g, nodes, fw, pts[:, :f.dim],
-                       lambda lo, hi: _modulation(omegas[lo:hi], nodes), grid)
+    _check_window(f.dim, g)
+    return _STFTScan(f, grid, points=lattice_pts).at_points(g)

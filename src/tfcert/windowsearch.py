@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NearOrthogonalError, NumericalRefusal
-from .tfops import (FunctionEvaluator, GridSpec, _modulation, _phase_blocks,
-                    _phase_sum, _point_sums, _stft_setup, _window_rows)
+from .tfops import FunctionEvaluator, GridSpec, _STFTScan
 
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
@@ -72,12 +71,11 @@ def realize_window(params: WindowParams) -> FunctionEvaluator:
 
 
 class _TailScan:
-    """The part of the tail ratio that does not depend on the window.
+    """The tail ratio of any window for one (f, R, lattice, grid).
 
-    Built once per (f, R, lattice, grid): the quadrature nodes and f(t) w,
-    the lattice phase blocks with the ||lambda|| > R mask, and the modulation
-    rows of the origin followed by the boundary ring. `ratio` then only
-    evaluates the window rows of one window and sums them against these.
+    Holds the `||lambda|| > R` lattice mask and an STFT scan of f, with
+    retained phases, over the lattice and over the origin followed by the
+    boundary ring; `ratio` evaluates one window against them.
     """
 
     def __init__(self, f: FunctionEvaluator, R: float,
@@ -87,32 +85,25 @@ class _TailScan:
         R = float(R)
         if R <= 0:
             raise InputError("R must be positive")
-        # Every window of the family is 1-D and square integrable.
-        self.grid, self.nodes, self.fw = _stft_setup(f, hermite_function(0), grid)
         lattice = lattice or GridSpec(8.0, 81)
         xs = np.linspace(-lattice.half_width, lattice.half_width,
                          lattice.samples_per_axis)
-        self.xs = xs[:, None]
-        self.lattice_phase = list(_phase_blocks(self.xs, self.nodes, -1.0))
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
         theta = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
         points = np.vstack([[0.0, 0.0],
                             np.column_stack([R * np.cos(theta), R * np.sin(theta)])])
-        self.point_xs = points[:, :1]
-        self.point_phase = _modulation(points[:, 1:], self.nodes)
+        self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points,
+                              retain_phases=True)
 
     def ratio(self, g_params: WindowParams) -> float:
         """`tail_ratio` of one window, evaluated against this scan."""
         g = realize_window(g_params)
-        sums = _point_sums(g, self.nodes, self.fw, self.point_xs,
-                           lambda lo, hi: self.point_phase[lo:hi], self.grid)
+        sums = self.scan.at_points(g)
         denom = abs(complex(sums[0]))
         if denom <= DENOM_FLOOR:
             raise NearOrthogonalError(
                 "|<f, g>| underflows; the tail ratio is undefined for this window")
-        rows = _window_rows(g, self.nodes, self.fw, self.xs, self.grid)
-        field = np.abs(_phase_sum(self.lattice_phase, rows.T).T)
-        outside = field[self.outside]
+        outside = np.abs(self.scan.lattice(g))[self.outside]
         best = float(outside.max()) if outside.size else 0.0
         return max(best, float(np.abs(sums[1:]).max())) / denom
 

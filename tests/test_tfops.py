@@ -298,9 +298,12 @@ def test_stft_entry_points_agree(window):
     omegas = np.array([0.0, -1.3, 0.4])
     for grid in (GridSpec(8.0, 4097), GridSpec(8.0, 4097, exclusion_radius=0.01)):
         one = np.array([[stft(f, g, (x, omega), grid) for omega in omegas] for x in xs])
-        np.testing.assert_allclose(stft_grid(f, g, xs, omegas, grid), one, rtol=0, atol=1e-12)
+        assert np.isfinite(one).all()
+        np.testing.assert_allclose(stft_grid(f, g, xs, omegas, grid), one,
+                                   rtol=0, atol=1e-12, equal_nan=False)
         rows = [[x, omega] for x in xs for omega in omegas]
-        np.testing.assert_allclose(stft_points(f, g, rows, grid), one.ravel(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stft_points(f, g, rows, grid), one.ravel(),
+                                   rtol=0, atol=1e-12, equal_nan=False)
 
 
 def test_stft_two_dimensional_gaussian_closed_form():
