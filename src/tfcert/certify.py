@@ -379,8 +379,8 @@ def stretch(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     the stretched function is r times the original).
     """
     r = float(r)
-    if r == 0.0:
-        raise InputError("stretch factor must be nonzero")
+    if not math.isfinite(r) or r == 0.0:
+        raise InputError(f"stretch factor must be finite and nonzero, got {r}")
     return dilate(f, 1.0 / r)
 
 

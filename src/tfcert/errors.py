@@ -8,6 +8,8 @@ vanishing denominator). The CLI maps the former to exit code 1 and the
 latter to exit code 2.
 """
 
+import math
+
 
 class TFCertError(Exception):
     """Base class for all package errors."""
@@ -42,3 +44,11 @@ def convert(kind, value, what: str):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
+def finite(value, what: str) -> float:
+    """`convert(float, value, what)` that also refuses NaN and infinities."""
+    v = convert(float, value, what)
+    if not math.isfinite(v):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return v

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalRefusal
+from .errors import InputError, NumericalRefusal, finite
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
                     _check_points_clear, inverse_fourier_multiplier, modulate,
                     quadrature_points, stft_grid, tf_shift, translate)
@@ -156,6 +156,14 @@ def default_collocation_points(f: FunctionEvaluator, lam: PointSet,
     return cand
 
 
+def _sample_points(points, dim: int) -> np.ndarray:
+    """Caller-supplied sample points as a nonempty finite (k, dim) array."""
+    pts = _as_points(points, dim)[0]
+    if pts.shape[0] == 0 or not np.isfinite(pts).all():
+        raise InputError("sample_points must be a nonempty list of finite points")
+    return pts
+
+
 def collocation_rank(f: FunctionEvaluator, lam: PointSet,
                      sample_points: Sequence) -> IndependenceReport:
     """Rank test on the matrix A_ki = (pi(lambda_i) f)(t_k).
@@ -171,7 +179,7 @@ def collocation_rank(f: FunctionEvaluator, lam: PointSet,
     N = len(lam)
     if N > MAX_MATRIX:
         raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
-    pts = _as_points(sample_points, f.dim)[0]
+    pts = _sample_points(sample_points, f.dim)
     if pts.shape[0] < N:
         raise InputError("need at least N sample points")
     for p in lam.points:
@@ -226,8 +234,7 @@ def stft_identity_residual(f: FunctionEvaluator, g: FunctionEvaluator,
     """
     if f.dim != 1 or g.dim != 1:
         raise InputError("identity residual scan is implemented for dimension 1")
-    u = float(np.atleast_1d(np.asarray(u, dtype=float))[0])
-    eta = float(np.atleast_1d(np.asarray(eta, dtype=float))[0])
+    u, eta = finite(u, "u"), finite(eta, "eta")
     lattice = lattice or GridSpec(3.0, 33)
     xs = np.linspace(-lattice.half_width, lattice.half_width, lattice.samples_per_axis)
     shifted_f = translate(modulate(f, eta), u)
@@ -301,11 +308,14 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
         raise InputError(f"unknown metaplectic kind {kind!r}")
     if f.dim != 1:
         raise InputError("metaplectic residuals are implemented for dimension 1")
-    r, x, omega = (float(v) for v in params)
+    r, x, omega = params
+    r, x, omega = finite(r, "r"), finite(x, "x"), finite(omega, "omega")
     if kind == "dilation" and r == 0.0:
         raise InputError("dilation parameter must be nonzero")
-    pts = np.linspace(-4.0, 4.0, 201) if sample_points is None else \
-        np.asarray(sample_points, dtype=float).reshape(-1)
+    if sample_points is None:
+        pts = np.linspace(-4.0, 4.0, 201)
+    else:
+        pts = _sample_points(sample_points, 1)[:, 0]
 
     shifted = modulate(translate(f, x), omega)
     if kind == "dilation":

@@ -14,8 +14,19 @@ a 1-D `fn` takes shape (k,).
 
 The Fourier transforms and `stft_grid` share one phase-sum kernel;
 `stft_points` is its batch form over arbitrary (x, omega) rows and `stft` is
-`stft_points` on one row. The STFT entry points work in any dimension the
-quadrature grid supports. Quadrature nodes within the exclusion radius of a
+`stft_points` on one row. `fourier` and `inverse_fourier_multiplier` sum
+through `_fourier_sum`: in 1-D, when the targets and the nodes are both
+arithmetic progressions (every a[j] within 8 eps max|a| of a[0] + j step)
+and there are enough targets, the sum is a Bluestein chirp-z transform on
+`numpy.fft` in O((K + m) log(K + m)) instead of m K exps. Evaluating at the
+ideal progressions moves each phase 2 pi omega t by at most
+16 eps 2 pi max|omega| max|t|, a small multiple of the rounding the dense
+kernel makes when it forms and exponentiates phases of that size. Short,
+non-uniform or 2-D target sets, and nodes with an interior singular
+neighborhood dropped, keep the dense kernel. STFT lattices stay dense: their
+sums have one weight column per window shift, which BLAS handles well.
+
+The STFT entry points work in any dimension the quadrature grid supports. Quadrature nodes within the exclusion radius of a
 singularity of f are dropped; nodes within it of a shifted window
 singularity get weight zero. Window rows g(t_k - x_i) are evaluated in
 cache-sized row blocks; blocking changes no arithmetic. `stft_grid` and
@@ -45,6 +56,13 @@ TWO_PI = 2.0 * np.pi
 _EVAL_CHUNK = 512
 _PHASE_BUDGET = 4_000_000
 _WINDOW_BLOCK = 16_384
+# A 1-D array is an arithmetic progression when it lies within this relative
+# distance of one. A chirp-z sum replaces the dense one when the m K dense
+# exps exceed _CHIRP_COST size log2(size) for the FFT length `size`; the two
+# cost the same between 0.25 and 0.8 on x86-64 with one BLAS thread
+# (measured for K = 256 to 16384).
+_UNIFORM_RTOL = 8 * np.finfo(float).eps
+_CHIRP_COST = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +363,8 @@ def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     transforms exactly: env'(rho) = |r|^{n/2} env(|r| rho).
     """
     r = float(r)
-    if r == 0.0:
-        raise InputError("dilation factor must be nonzero")
+    if not math.isfinite(r) or r == 0.0:
+        raise InputError(f"dilation factor must be finite and nonzero, got {r}")
     inner = f.fn
     scale = abs(r) ** (f.dim / 2.0)
     fn = lambda t: scale * inner(r * t)
@@ -418,6 +436,74 @@ def _phase_sum(phases, weights: np.ndarray) -> np.ndarray:
     return np.concatenate(sums)
 
 
+def _progression(a: np.ndarray):
+    """(centre, step) of a 1-D array that is an arithmetic progression, else
+    None: a[j] must lie within 8 eps max|a| of a[0] + j step.
+
+    Callers evaluate at the ideal progression, which moves each phase
+    2 pi omega t by at most 8 eps 2 pi max|a| times the other factor: a small
+    multiple of the rounding of the dense kernel's own phase products.
+    """
+    m = a.shape[0]
+    if m < 2:
+        return None
+    step = (a[-1] - a[0]) / (m - 1)
+    ideal = a[0] + step * np.arange(m)
+    if np.max(np.abs(a - ideal)) > _UNIFORM_RTOL * np.max(np.abs(a)):
+        return None
+    return a[0] + step * (0.5 * (m - 1)), step
+
+
+def _chirp_sum(omega, axis, m: int, weights: np.ndarray, sign: float,
+               size: int) -> np.ndarray:
+    """sum_k weights[k] exp(sign 2 pi i omega_j t_k) for the progressions
+    omega_j = oc + p delta (j = 0..m-1) and t_k = tc + q h (k = 0..K-1), with
+    p and q the indices centred on (m-1)/2 and (K-1)/2.
+
+    Bluestein: pq = (p^2 + q^2 - (p - q)^2) / 2 turns the m x K sum into one
+    convolution of length size >= K + m - 1 with the chirp exp(-i a s^2/2),
+    a = sign 2 pi delta h, at the lags s = p - q (integers plus a fixed
+    offset). The rounding of a is common to all three quadratic factors, so
+    it acts as a relative change of delta h; centring keeps the quadratic
+    phases, and so their own rounding, at most pi |delta h| ((K + m)/2)^2.
+    """
+    (oc, delta), (tc, h) = omega, axis
+    K = weights.shape[0]
+    theta = sign * TWO_PI
+    alpha = theta * delta * h
+    p = np.arange(m) - 0.5 * (m - 1)
+    q = np.arange(K) - 0.5 * (K - 1)
+    y = weights * np.exp(1j * (theta * oc * h * q + 0.5 * alpha * q * q))
+    # Lags s = p - q = n + (K - m)/2 for n = j - k in [-(K-1), m-1].
+    n = np.arange(-(K - 1), m)
+    lags = n + 0.5 * (K - m)
+    chirp = np.zeros(size, dtype=complex)
+    chirp[n % size] = np.exp(-0.5j * alpha * lags * lags)
+    conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(chirp))[:m]
+    return conv * np.exp(1j * (theta * tc * (oc + delta * p) + 0.5 * alpha * p * p))
+
+
+def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+                 sign: float) -> np.ndarray:
+    """sum_k weights[k] exp(sign 2 pi i omega_j.t_k) for (m, n) targets omega
+    and (K, n) nodes t.
+
+    In 1-D, when targets and nodes are both arithmetic progressions and m is
+    large enough that three FFTs cost less than the m K dense exps, the sum
+    is a chirp-z transform (`_chirp_sum`) in O((K + m) log(K + m)). Otherwise
+    it is the dense phase-sum kernel.
+    """
+    m, K = targets.shape[0], nodes.shape[0]
+    if targets.shape[1] == 1 and m >= 2:
+        size = 1 << (K + m - 2).bit_length()  # power of two >= K + m - 1
+        if m * K > _CHIRP_COST * size * math.log2(size):
+            omega = _progression(targets[:, 0])
+            axis = None if omega is None else _progression(nodes[:, 0])
+            if axis is not None:
+                return _chirp_sum(omega, axis, m, weights, sign, size)
+    return _phase_sum(_phase_blocks(targets, nodes, sign), weights)
+
+
 def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEvaluator:
     """Truncated-quadrature Fourier transform as an evaluator on R^n.
 
@@ -434,8 +520,7 @@ def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEv
     grid = grid or GridSpec.default(f.dim)
     nodes, w = quadrature_points(grid, f.dim, f.singularities)
     weighted = f(nodes) * w
-    fn = lambda om: _phase_sum(
-        _phase_blocks(np.reshape(om, (-1, f.dim)), nodes, -1.0), weighted)
+    fn = lambda om: _fourier_sum(np.reshape(om, (-1, f.dim)), nodes, weighted, -1.0)
     return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=(),
                              square_integrable=f.square_integrable)
 
@@ -453,8 +538,7 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
     fhat = fourier(f, grid)
     nodes, w = quadrature_points(grid, f.dim)
     weighted = fhat(nodes) * FunctionEvaluator(f.dim, multiplier)(nodes) * w
-    fn = lambda t: _phase_sum(
-        _phase_blocks(np.reshape(t, (-1, f.dim)), nodes, +1.0), weighted)
+    fn = lambda t: _fourier_sum(np.reshape(t, (-1, f.dim)), nodes, weighted, +1.0)
     return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=(),
                              square_integrable=f.square_integrable)
 

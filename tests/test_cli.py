@@ -269,12 +269,45 @@ def test_bad_family_exit_one(tmp_path, capsys):
                            "lambda": [[math.nan, 0], [1, 0]]}),
     (("certify", "thm1"), {"function": {"family": "gaussian"},
                            "lambda": [[0, 0], [1, 0]], "anchor": "abc"}),
+    (("oracle", "stft-identity"), {"function": {"family": "gaussian"}, "u": "x"}),
+    (("oracle", "stft-identity"), {"function": {"family": "gaussian"}, "u": [1, 2]}),
+    (("oracle", "stft-identity"), {"function": {"family": "gaussian"}, "eta": math.inf}),
 ])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)
     code, _, err = run(capsys, *command, "--config", path)
     assert code == 1
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("points", ["abc", [1.0, math.nan], [0.0, math.inf], []])
+def test_metaplectic_bad_sample_points_exit_one(tmp_path, capsys, points):
+    path = write_config(tmp_path, "bad.json", {
+        "function": {"family": "gaussian"}, "kind": "fourier_multiplier",
+        "r": 0.25, "sample_points": points})
+    code, out, err = run(capsys, "oracle", "metaplectic", "--config", path)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_collocation_nonfinite_sample_points_exit_one(tmp_path, capsys):
+    path = write_config(tmp_path, "bad.json", {
+        "function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 1]],
+        "sample_points": [0.1, math.nan, 0.5]})
+    code, _, err = run(capsys, "oracle", "collocation", "--config", path)
+    assert code == 1
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("theorem", ["cor1", "cor3"])
+@pytest.mark.parametrize("r", [math.nan, "nan", math.inf, -math.inf])
+def test_nonfinite_stretch_factor_exit_one(tmp_path, capsys, theorem, r):
+    path = write_config(tmp_path, "bad.json", {
+        "function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 1]], "r": r})
+    code, _, err = run(capsys, "certify", theorem, "--config", path)
+    assert code == 1
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "finite" in err
 
 
 def test_rigorous_mode_refusals_exit_two(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     inner_product, l2_norm, make_example1, make_example2,
                     make_gaussian, modulate, stft, stft_grid, stft_points,
                     tf_shift, translate)
+from tfcert.tfops import (_phase_blocks, _phase_sum, inverse_fourier_multiplier,
+                          quadrature_points)
 
 PI = math.pi
 
@@ -158,6 +161,12 @@ def test_dilate_zero_rejected():
         dilate(plain_gaussian(), 0.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_dilate_nonfinite_rejected(r):
+    with pytest.raises(InputError, match="finite"):
+        dilate(plain_gaussian(), r)
+
+
 # ---------------------------------------------------------------------------
 # chirp_mul
 # ---------------------------------------------------------------------------
@@ -232,6 +241,83 @@ def test_fourier_matches_independent_high_resolution_quadrature():
     for omega in (0.25, 0.75, 1.5):
         oracle = np.sum(w * g(t) * np.exp(-2j * PI * omega * t))
         assert abs(fh(omega) - oracle) < 1e-10
+
+
+def dense_sum(targets, nodes, weights, sign):
+    """The dense phase-sum kernel at 1-D targets: the chirp-z path's reference."""
+    return _phase_sum(_phase_blocks(np.reshape(targets, (-1, 1)), nodes, sign), weights)
+
+
+def quadrature(f, grid):
+    nodes, w = quadrature_points(grid, 1, f.singularities)
+    return nodes, f(nodes) * w
+
+
+FAST_PATH_FUNCTIONS = {"gaussian": make_gaussian(1), "example1": make_example1(8.0, 5.0)}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH_FUNCTIONS))
+def test_fourier_chirp_path_matches_dense_sum(name):
+    # Uniform targets take the chirp-z path: all quadrature nodes, a shifted
+    # 201-point sample grid, a decreasing progression, more targets than
+    # nodes on a coarser grid, and nodes off-centre because a singularity
+    # on the box edge drops the last node.
+    f = FAST_PATH_FUNCTIONS[name]
+    edge = replace(f, singularities=(8.0,))
+    for h, grid, targets in ((f, GridSpec.default(1), None),
+                             (f, GridSpec.default(1), np.linspace(-4.0, 4.0, 201) - 0.37),
+                             (f, GridSpec.default(1), np.linspace(3.0, -2.5, 300)),
+                             (f, GridSpec(6.0, 512), np.linspace(-7.0, 9.0, 1500)),
+                             (edge, GridSpec.default(1), np.linspace(-4.0, 4.0, 201))):
+        nodes, fw = quadrature(h, grid)
+        targets = nodes[:, 0] if targets is None else targets
+        fast = fourier(h, grid)(targets)
+        dense = dense_sum(targets, nodes, fw, -1.0)
+        assert np.max(np.abs(fast - dense)) < 1e-12 * np.sum(np.abs(fw))
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH_FUNCTIONS))
+def test_inverse_fourier_multiplier_chirp_path_matches_dense_sum(name):
+    f = FAST_PATH_FUNCTIONS[name]
+    grid = GridSpec.default(1)
+    mult = lambda xi: np.exp(2j * PI * 0.3 * xi * xi)
+    nodes, w = quadrature_points(grid, 1)
+    weighted = fourier(f, grid)(nodes) * mult(nodes[:, 0]) * w
+    h = inverse_fourier_multiplier(f, mult, grid)
+    for targets in (np.linspace(-4.0, 4.0, 201) + 0.61, np.linspace(2.0, -6.0, 5000)):
+        dense = dense_sum(targets, nodes, weighted, +1.0)
+        assert np.max(np.abs(h(targets) - dense)) < 1e-12 * np.sum(np.abs(weighted))
+
+
+def test_fourier_dense_path_is_unchanged_off_progressions():
+    # A non-uniform target set, a single target, nodes with a singular point
+    # dropped from the interior, and 2-D targets all keep the dense kernel.
+    g = make_gaussian(1)
+    grid = GridSpec.default(1)
+    nodes, fw = quadrature(g, grid)
+    rng = np.random.default_rng(7)
+    for targets in (np.sort(rng.uniform(-3.0, 3.0, 400)), np.array([0.75])):
+        fhat = np.atleast_1d(fourier(g, grid)(targets))
+        assert np.array_equal(fhat, dense_sum(targets, nodes, fw, -1.0))
+
+    f, odd = make_example2(2.0), GridSpec(8.0, 1025)  # t = 0 is node 512
+    nodes, fw = quadrature(f, odd)
+    assert nodes.shape[0] == 1024
+    targets = np.linspace(-2.0, 2.0, 400)
+    assert np.array_equal(fourier(f, odd)(targets), dense_sum(targets, nodes, fw, -1.0))
+
+    g2, small = make_gaussian(2), GridSpec(4.0, 32)
+    nodes, w = quadrature_points(small, 2)
+    targets = np.stack([np.linspace(-2.0, 2.0, 300)] * 2, axis=1)
+    dense = _phase_sum(_phase_blocks(targets, nodes, -1.0), g2(nodes) * w)
+    assert np.array_equal(fourier(g2, small)(targets), dense)
+
+
+def test_fourier_gaussian_self_dual_on_all_nodes():
+    g = plain_gaussian()
+    nodes = quadrature_points(GridSpec.default(1), 1)[0][:, 0]
+    fh = fourier(g)(nodes)
+    assert np.max(np.abs(fh - np.exp(-PI * nodes * nodes))) < 1e-6
 
 
 def test_fourier_refuses_unbounded_truncation_error():
