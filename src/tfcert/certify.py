@@ -29,6 +29,7 @@ BISECT_TOL = 1e-9
 # bisected radius is flat at its peak to float64 resolution, so the radius is 0.
 FLAT_PEAK_RTOL = 8 * np.finfo(float).eps
 ENVELOPE_HORIZON = 1e9
+MAX_TRANSLATE_CANDIDATES = 4096
 
 SUP_ENVELOPE = "Envelope"
 SUP_DENSE = "DenseSample"
@@ -179,18 +180,38 @@ def _radius_from_samples(radii: np.ndarray, values: np.ndarray, bound: float) ->
     return 0.0 if idx == 0 else float(r_sorted[idx])
 
 
+def _anchor(anchor, dim: int) -> np.ndarray:
+    """`anchor` as a finite vector of length dim; None is the origin."""
+    if anchor is None:
+        return np.zeros(dim)
+    pts = _as_points(anchor, dim)[0]
+    if pts.shape[0] != 1 or not np.isfinite(pts).all():
+        raise InputError(f"anchor must be a finite vector of length {dim}")
+    return pts[0]
+
+
+def _envelope_about(f: FunctionEvaluator, point: np.ndarray) -> Callable[[float], float]:
+    """r -> env(max(0, r - ||point - c||)) for f's envelope env about c.
+
+    It bounds sup_{||t - point|| >= r} |f(t)|, because that set lies in
+    {||t - c|| >= r - ||point - c||}.
+    """
+    env = f.envelope
+    offset = float(np.linalg.norm(point - f.envelope_center))
+    return lambda r: env(max(0.0, r - offset))
+
+
 def sup_outside(f: FunctionEvaluator, radius: float, center=None, *,
                 grid: Optional[GridSpec] = None) -> SupEstimate:
     """Upper estimate of sup |f(t)| over ||t - center|| >= radius.
 
-    Envelope-backed when the evaluator carries one and the center is the
-    origin (rigorous); otherwise the maximum over truncation-box samples,
-    which lower-bounds the true sup and is flagged heuristic.
+    Envelope-backed when the evaluator carries one, about any center
+    (rigorous); otherwise the maximum over truncation-box samples, which
+    lower-bounds the true sup and is flagged heuristic.
     """
-    center = np.zeros(f.dim) if center is None else \
-        np.atleast_1d(np.asarray(center, dtype=float))
-    if f.envelope is not None and not np.any(center):
-        return SupEstimate(float(f.envelope(radius)), SUP_ENVELOPE)
+    center = _anchor(center, f.dim)
+    if f.envelope is not None:
+        return SupEstimate(float(_envelope_about(f, center)(radius)), SUP_ENVELOPE)
     grid = grid or GridSpec.default(f.dim)
     pts, _ = quadrature_points(grid, f.dim, f.singularities)
     radii = np.linalg.norm(pts - center, axis=1)
@@ -210,26 +231,22 @@ def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
                  require_envelope: bool = False) -> float:
     """Smallest R with sup_{||t - anchor|| >= R} |f(t)| < |f(anchor)|/(N-1).
 
-    The anchor plays the role of the origin after translation: in envelope
-    mode the evaluator's envelope is read as the envelope of the re-anchored
-    function (the caller's contract when anchor != 0). Without an envelope a
-    dense-sample scan is used, which is heuristic and resolves R only to the
-    grid step.
+    In envelope mode the envelope is read about the anchor by the rule of
+    `sup_outside`, whatever its centre, so R is rigorous. Without an envelope
+    a dense-sample scan is used, which is heuristic and resolves R only to
+    the grid step.
     """
     N = int(N)
     if N < 2:
         raise InputError("decay_radius requires N >= 2")
-    anchor = np.zeros(f.dim) if anchor is None else \
-        np.atleast_1d(np.asarray(anchor, dtype=float))
-    if anchor.shape != (f.dim,):
-        raise InputError(f"anchor must be a vector of length {f.dim}")
+    anchor = _anchor(anchor, f.dim)
     peak = float(_eval_abs(f, anchor)[0])
     if peak == 0.0:
         raise InputError("f vanishes at the anchor; pick another anchor")
     bound = peak / (N - 1)
 
     if f.envelope is not None:
-        return _radius_from_envelope(f.envelope, bound)
+        return _radius_from_envelope(_envelope_about(f, anchor), bound)
     if require_envelope:
         raise NumericalRefusal("rigorous mode requires a decay envelope")
 
@@ -281,8 +298,7 @@ def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
     N = len(lam)
     if lam.dim != f.dim:
         raise InputError("dimension mismatch between point set and function")
-    anchor_arr = np.zeros(f.dim) if anchor is None else \
-        np.atleast_1d(np.asarray(anchor, dtype=float))
+    anchor_arr = _anchor(anchor, f.dim)
     peak = float(_eval_abs(f, anchor_arr)[0])
     if peak == 0.0:
         raise InputError("f vanishes at the anchor")
@@ -308,19 +324,17 @@ def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
                        threshold_r=threshold_r, note=note)
 
 
-def best_translate(f: FunctionEvaluator, shifts: Sequence,
-                   N: Optional[int] = None, *,
-                   grid: Optional[GridSpec] = None,
-                   max_candidates: int = 4096):
+def best_translate(f: FunctionEvaluator, shifts: Sequence, *,
+                   grid: Optional[GridSpec] = None):
     """Search for an anchor that makes the Lemma-1 check pass after re-anchoring.
 
     Candidates are the origin followed by truncation-box grid points where
     |f| reaches at least half of its sampled maximum (only large anchors can
     certify), scanned in order of decreasing |f|. Returns the first anchor
-    certifying T_{-a} f on the given shifts, or None.
+    certifying T_{-a} f on the given shifts, or None. At most
+    MAX_TRANSLATE_CANDIDATES grid points are scanned.
     """
     S = _as_shift_array(shifts, f.dim)
-    n_pts = S.shape[0] if N is None else int(N)
     grid = grid or GridSpec.default(f.dim)
 
     pts, _ = quadrature_points(grid, f.dim, f.singularities)
@@ -330,10 +344,10 @@ def best_translate(f: FunctionEvaluator, shifts: Sequence,
     keep = mag >= 0.5 * mag.max()
     cand = pts[keep]
     cand_mag = mag[keep]
-    order = np.argsort(-cand_mag, kind="stable")[:max_candidates]
+    order = np.argsort(-cand_mag, kind="stable")[:MAX_TRANSLATE_CANDIDATES]
     cand = np.vstack([np.zeros((1, f.dim)), cand[order]])
 
-    diffs = np.empty((0, f.dim)) if n_pts == 1 else _pair_differences(S)
+    diffs = _pair_differences(S)
 
     # T_{-a} f evaluated at d is f(d + a); the peak after re-anchoring is f(a).
     # Nonfinite values fail the strict comparison.
@@ -341,7 +355,7 @@ def best_translate(f: FunctionEvaluator, shifts: Sequence,
         peaks = np.abs(f(cand))
         vals = np.abs(f(cand[:, None, :] + diffs[None, :, :]))
     ok = np.isfinite(peaks) & (peaks > 0) & \
-        np.all(vals * (n_pts - 1) < peaks[:, None], axis=1)
+        np.all(vals * (len(S) - 1) < peaks[:, None], axis=1)
     if not ok.any():
         return None
     idx = int(np.argmax(ok))
@@ -397,20 +411,16 @@ def check_corollary1(f: FunctionEvaluator, lam: PointSet, r: float = 1.0, *,
 
 def check_corollary2(f: FunctionEvaluator, lam: PointSet,
                      grid: Optional[GridSpec] = None, *,
-                     fhat_envelope: Optional[Callable[[float], float]] = None,
                      theorem: str = "Cor2",
                      threshold_r: Optional[float] = None) -> Certificate:
     """Frequency-separation certificate via the Fourier-rotated point set.
 
     Forms fhat by quadrature, maps each (x, omega) to (omega, -x), and runs
     the time-separation check on the transformed data. Because fhat comes
-    from quadrature its sup estimates are dense-sample heuristics unless the
-    caller supplies an analytic envelope for fhat.
+    from quadrature, its peak and sup estimates are dense-sample heuristics.
     """
     grid = grid or GridSpec.default(f.dim)
     fhat = fourier(f, grid)
-    if fhat_envelope is not None:
-        fhat = fhat.with_envelope(fhat_envelope)
     rotated = PointSet.from_rows(
         [np.concatenate([p.omega, -p.x]) for p in lam.points], dim=lam.dim)
     return check_theorem1(fhat, rotated, grid=grid, theorem=theorem,
@@ -418,8 +428,7 @@ def check_corollary2(f: FunctionEvaluator, lam: PointSet,
 
 
 def dilation_threshold_freq(f: FunctionEvaluator, lam: PointSet,
-                            grid: Optional[GridSpec] = None, *,
-                            fhat_envelope: Optional[Callable[[float], float]] = None) -> float:
+                            grid: Optional[GridSpec] = None) -> float:
     """Stretch threshold Rhat/M_omega for the frequency-side dilation family.
 
     Contract: for every r above the returned value, the r-stretched function
@@ -433,20 +442,15 @@ def dilation_threshold_freq(f: FunctionEvaluator, lam: PointSet,
     if M_omega == 0.0:
         raise InputError("min pairwise frequency separation is zero")
     grid = grid or GridSpec.default(f.dim)
-    fhat = fourier(f, grid)
-    if fhat_envelope is not None:
-        fhat = fhat.with_envelope(fhat_envelope)
-    R_hat = decay_radius(fhat, N, grid=grid)
+    R_hat = decay_radius(fourier(f, grid), N, grid=grid)
     return R_hat / M_omega
 
 
 def check_corollary3(f: FunctionEvaluator, lam: PointSet, r: float = 1.0,
-                     grid: Optional[GridSpec] = None, *,
-                     fhat_envelope: Optional[Callable[[float], float]] = None) -> Certificate:
+                     grid: Optional[GridSpec] = None) -> Certificate:
     """Corollary-2 certificate for the r-stretched function, threshold attached."""
-    thr = dilation_threshold_freq(f, lam, grid, fhat_envelope=fhat_envelope)
-    return check_corollary2(stretch(f, r), lam, grid,
-                            fhat_envelope=None, theorem="Cor3", threshold_r=thr)
+    thr = dilation_threshold_freq(f, lam, grid)
+    return check_corollary2(stretch(f, r), lam, grid, theorem="Cor3", threshold_r=thr)
 
 
 def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
@@ -454,11 +458,10 @@ def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
     """Certificate for functions blowing up at one point p.
 
     With R the min pairwise time separation, bounds A >= sup of |f| outside
-    the R/2-ball around p (envelope if available around p = 0, otherwise a
-    dense sample), then walks x toward p along a halving sequence until
-    |f(x)| > A(N-1). The returned translate is consistency-checked by
-    re-running the pointwise Lemma-1 inequalities on the re-anchored
-    function.
+    the R/2-ball around p (the envelope about p, else a dense sample), then
+    walks x toward p along a halving sequence until |f(x)| > A(N-1). The
+    returned translate is consistency-checked by re-running the pointwise
+    Lemma-1 inequalities on the re-anchored function.
     """
     if len(f.singularities) != 1:
         raise InputError("check_theorem2 expects exactly one singularity")

@@ -30,7 +30,7 @@ from .funcs import FamilySpec, make_example1, make_example2, make_gaussian
 from .oracle import (collocation_rank, default_collocation_points,
                      dependence_residual_er, er_lattice, gram_matrix,
                      metaplectic_residual, stft_identity_residual)
-from .tfops import GridSpec, PointSet, _as_points, stft
+from .tfops import GridSpec, PointSet, stft
 from .windowsearch import search as window_search
 
 EXIT_OK = 0
@@ -102,17 +102,6 @@ def _pointset_from(cfg: dict, dim: int) -> PointSet:
     return ps
 
 
-def _anchor_from(cfg: dict, dim: int):
-    """The config's finite anchor vector of length dim, or None."""
-    anchor = cfg.get("anchor")
-    if anchor is None:
-        return None
-    pts = _as_points(anchor, dim)[0]
-    if pts.shape[0] != 1 or not np.isfinite(pts).all():
-        raise InputError(f"anchor must be a finite vector of length {dim}")
-    return pts[0]
-
-
 def _dimension_of(cfg: dict, f) -> int:
     dim = convert(int, cfg.get("dimension", f.dim), "dimension")
     if dim != f.dim:
@@ -144,14 +133,7 @@ def _cmd_certify(args) -> tuple[dict, int, list | None]:
         cert = check_lemma1(f, shifts)
     elif args.theorem == "thm1":
         lam = _pointset_from(cfg, dim)
-        anchor = _anchor_from(cfg, dim)
-        if anchor is not None and f.envelope is not None:
-            # check_theorem1 reads the envelope as centred on the anchor a; a
-            # family's is centred on the origin, and {||t - a|| >= r} lies in
-            # {||t|| >= r - ||a||}.
-            env, offset = f.envelope, float(np.linalg.norm(anchor))
-            f = f.with_envelope(lambda r: env(max(0.0, r - offset)))
-        cert = check_theorem1(f, lam, anchor=anchor, grid=grid,
+        cert = check_theorem1(f, lam, anchor=cfg.get("anchor"), grid=grid,
                               require_envelope=rigorous)
     elif args.theorem == "cor1":
         lam = _pointset_from(cfg, dim)
@@ -426,8 +408,15 @@ def _cmd_reproduce(args) -> tuple[dict, int, list | None]:
 # plumbing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so it exits 1 like any bad input."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tfcert",
         description="Numerical independence certificates for time-frequency translates")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -437,15 +426,14 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--rigorous", action="store_true",
-                       help="require analytic envelopes (refuse heuristic sups)")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--no-meta", action="store_true",
                        help="omit timestamps for byte-identical reruns")
 
     p = sub.add_parser("certify", help="run a sufficient-condition checker")
     p.add_argument("theorem", choices=("lemma1", "thm1", "cor1", "cor2", "cor3",
                                        "thm2", "thm3"))
+    p.add_argument("--rigorous", action="store_true",
+                   help="require analytic envelopes (refuse heuristic sups)")
     common(p)
     p.set_defaults(handler=_cmd_certify)
 
@@ -456,6 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("window-search", help="search for a window meeting the tail target")
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(handler=_cmd_window_search)
 
@@ -496,9 +485,8 @@ def _emit(payload: dict, args, csv_rows) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, code, csv_rows = args.handler(args)
         _emit(payload, args, csv_rows)
     except InputError as exc:

@@ -42,7 +42,7 @@ def convert(kind, value, what: str):
         raise InputError(f"{what} is required")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
 
 

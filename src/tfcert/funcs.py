@@ -181,7 +181,10 @@ class FamilySpec:
             raise InputError(f"unknown keys in function spec: {sorted(extra)}")
         if "family" not in obj:
             raise InputError("function spec requires a 'family' key")
-        return cls(family=obj["family"], params=dict(obj.get("params", {})),
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise InputError("function params must be a JSON object")
+        return cls(family=obj["family"], params=dict(params),
                    quad_tol=convert(float, obj.get("quad_tol", 1e-9), "quad_tol"))
 
     def build(self) -> FunctionEvaluator:

@@ -33,6 +33,9 @@ cache-sized row blocks; blocking changes no arithmetic. `stft_grid` and
 `stft_points` are one-window uses of `_STFTScan`, which holds everything of
 an STFT lattice that does not depend on the window.
 
+A decay envelope bounds |f| outside balls about `envelope_center`; every
+exact operator keeps it valid, moving that centre with the function.
+
 Evaluators are immutable and freely shareable across threads; quadrature
 reductions use a fixed summation order, so results are reproducible.
 """
@@ -112,9 +115,10 @@ class FunctionEvaluator:
     batches under the module's point layout and reshapes accordingly.
 
     `envelope`, when present, maps a radius r >= 0 to a monotone nonincreasing
-    upper bound on sup_{||t|| >= r} |f(t)|. Operations that cannot transform
-    the envelope exactly drop it; callers may resupply one via
-    `with_envelope`.
+    upper bound on sup_{||t - c|| >= r} |f(t)|, where c is `envelope_center`
+    (the origin by default). The exact operators carry the envelope and move
+    its centre with the function; the quadrature transforms drop it.
+    `with_envelope` supplies one about the current centre.
     """
 
     dim: int
@@ -122,15 +126,19 @@ class FunctionEvaluator:
     envelope: Optional[Callable[[float], float]] = None
     singularities: tuple = ()
     square_integrable: bool = True
+    envelope_center: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("dim must be a positive integer")
         sings = tuple(np.atleast_1d(np.asarray(s, dtype=float)) for s in self.singularities)
-        for s in sings:
+        center = np.zeros(self.dim) if self.envelope_center is None else \
+            np.atleast_1d(np.asarray(self.envelope_center, dtype=float))
+        for s in sings + (center,):
             if s.shape != (self.dim,):
-                raise InputError("singularities must be points in R^dim")
+                raise InputError("singularities and the envelope centre must be points in R^dim")
         object.__setattr__(self, "singularities", sings)
+        object.__setattr__(self, "envelope_center", center)
 
     def __call__(self, t):
         pts, batch = _as_points(t, self.dim)
@@ -207,7 +215,10 @@ class PointSet:
 
     @classmethod
     def from_rows(cls, rows, dim: Optional[int] = None) -> "PointSet":
-        rows = [np.asarray(r, dtype=float).reshape(-1) for r in rows]
+        try:
+            rows = [np.asarray(r, dtype=float).reshape(-1) for r in rows]
+        except (TypeError, ValueError) as exc:
+            raise InputError("lambda must be a list of numeric rows") from exc
         if not rows:
             raise InputError("point set must contain at least one point")
         if dim is None:
@@ -322,17 +333,16 @@ def inner_product(f: FunctionEvaluator, g: FunctionEvaluator,
 def translate(f: FunctionEvaluator, x) -> FunctionEvaluator:
     """Time shift: result(t) = f(t - x).
 
-    Singularities shift by +x. The radial envelope is dropped because it is
-    anchored at the origin; resupply one with `with_envelope` if known.
+    Singularities and the envelope centre shift by +x; the envelope itself
+    is unchanged.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (f.dim,):
         raise InputError(f"shift must be a vector of length {f.dim}")
     inner = f.fn
-    return FunctionEvaluator(
-        dim=f.dim, fn=lambda t: inner(t - x), envelope=None,
-        singularities=tuple(s + x for s in f.singularities),
-        square_integrable=f.square_integrable)
+    return replace(f, fn=lambda t: inner(t - x),
+                   singularities=tuple(s + x for s in f.singularities),
+                   envelope_center=f.envelope_center + x)
 
 
 def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
@@ -343,9 +353,7 @@ def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
     inner = f.fn
     freq = TWO_PI * omega
     fn = lambda t: np.exp(1j * np.dot(np.reshape(t, (-1, f.dim)), freq)) * inner(t)
-    return FunctionEvaluator(
-        dim=f.dim, fn=fn, envelope=f.envelope,
-        singularities=f.singularities, square_integrable=f.square_integrable)
+    return replace(f, fn=fn)
 
 
 def tf_shift(f: FunctionEvaluator, lam) -> FunctionEvaluator:
@@ -360,22 +368,20 @@ def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     """Unitary dilation: result(t) = |r|^{n/2} f(r t).
 
     Large |r| compresses the function toward the origin. The envelope
-    transforms exactly: env'(rho) = |r|^{n/2} env(|r| rho).
+    transforms exactly: env'(rho) = |r|^{n/2} env(|r| rho) about c / r.
     """
     r = float(r)
     if not math.isfinite(r) or r == 0.0:
         raise InputError(f"dilation factor must be finite and nonzero, got {r}")
     inner = f.fn
     scale = abs(r) ** (f.dim / 2.0)
-    fn = lambda t: scale * inner(r * t)
     env = None
     if f.envelope is not None:
         base = f.envelope
         env = lambda rho: scale * base(abs(r) * rho)
-    return FunctionEvaluator(
-        dim=f.dim, fn=fn, envelope=env,
-        singularities=tuple(s / r for s in f.singularities),
-        square_integrable=f.square_integrable)
+    return replace(f, fn=lambda t: scale * inner(r * t), envelope=env,
+                   singularities=tuple(s / r for s in f.singularities),
+                   envelope_center=f.envelope_center / r)
 
 
 def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
@@ -384,10 +390,7 @@ def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
         raise InputError("chirp multiplication is defined for dimension 1 only")
     r = float(r)
     inner = f.fn
-    fn = lambda t: np.exp(TWO_PI * 1j * r * t * t) * inner(t)
-    return FunctionEvaluator(
-        dim=1, fn=fn, envelope=f.envelope,
-        singularities=f.singularities, square_integrable=f.square_integrable)
+    return replace(f, fn=lambda t: np.exp(TWO_PI * 1j * r * t * t) * inner(t))
 
 
 # ---------------------------------------------------------------------------

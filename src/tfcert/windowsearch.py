@@ -22,6 +22,7 @@ from .tfops import FunctionEvaluator, GridSpec, _STFTScan
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
+RESTARTS = 3
 _RING_SAMPLES = 180
 
 
@@ -168,15 +169,14 @@ class _Budget:
 
 def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
            seed: int = 0, lattice: Optional[GridSpec] = None,
-           grid: Optional[GridSpec] = None,
-           restarts: int = 3) -> SearchResult:
+           grid: Optional[GridSpec] = None) -> SearchResult:
     """Derivative-free simplex search minimizing the tail ratio.
 
     Runs reflect/expand/contract iterations over the (d+2)-dimensional
     parameter box (width plus d+1 coefficients) from a fixed Gaussian start
-    and seeded random restarts, reflecting out-of-box proposals back inside.
-    Deterministic for fixed inputs; restarts merge by lowest ratio with ties
-    resolved in start order. The trace records every improvement of the
+    and RESTARTS - 1 seeded random ones, reflecting out-of-box proposals back
+    inside. Deterministic for fixed inputs; restarts merge by lowest ratio with
+    ties resolved in start order. The trace records every improvement of the
     incumbent, so it is nonincreasing by construction. The window-independent
     part of the tail-ratio scan is built once per call, so each objective
     evaluation gives exactly `tail_ratio` of its window.
@@ -217,7 +217,7 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
 
     rng = np.random.default_rng(int(seed))
     starts = [np.concatenate([[1.0], np.eye(1, d + 1, 0)[0]])]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(RESTARTS - 1):
         width0 = rng.uniform(0.5, 2.0)
         coeffs0 = rng.uniform(-1.0, 1.0, d + 1)
         starts.append(np.concatenate([[width0], coeffs0]))

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError,
                     NearOrthogonalError, NotCertifiableError, NumericalRefusal,
@@ -12,7 +14,7 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError,
                     decay_radius, dilation_threshold, dilation_threshold_freq,
                     gram_matrix, hermite_function, make_example1,
                     make_example2, make_gaussian, make_singular_cos, stretch,
-                    translate)
+                    sup_outside, translate)
 
 PI = math.pi
 GAUSS_R3 = math.sqrt(math.log(2.0) / PI)          # envelope = peak/2
@@ -195,6 +197,32 @@ def test_theorem1_translation_invariance_exact():
     assert moved.M == base.M
 
 
+def test_theorem1_anchor_reads_the_envelope_about_its_centre():
+    # |f(-2)| = 1/2 exceeds the bound |f(2)|/2 = 1/4 at distance 4 from the
+    # anchor, so R = 4 would be false; 1/(R - 2) = 1/4 gives R = 6 > M = 5.
+    cert = check_theorem1(make_example1(8.0, 0.0), lam_times([0.0, 5.0, 10.0]),
+                          anchor=2.0, require_envelope=True)
+    assert cert.sup_method == "Envelope"
+    assert cert.verdict == "NotCertified"
+    assert cert.R == pytest.approx(6.0, abs=1e-8)
+
+
+DYADIC = st.integers(-32, 32).map(lambda k: k / 8.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=DYADIC, b=st.integers(-8, 8).map(lambda k: k / 8.0),
+       times=st.lists(st.integers(-40, 40), min_size=2, max_size=5, unique=True),
+       gaussian=st.booleans())
+def test_theorem1_translated_function_keeps_its_certificate(a, b, times, gaussian):
+    # translate moves the envelope centre with f, so no envelope is resupplied
+    f = make_gaussian(1) if gaussian else make_example1(8.0, 3.0)
+    base = check_theorem1(f, lam_times([k / 4.0 for k in times]), anchor=b)
+    moved = check_theorem1(translate(f, a), lam_times([k / 4.0 + a for k in times]),
+                           anchor=a + b)
+    assert (moved.verdict, moved.R, moved.M) == (base.verdict, base.R, base.M)
+
+
 def test_theorem1_translation_invariance_dense():
     g = replace(make_gaussian(1), envelope=None)
     lam = lam_times([0.0, 1.0, 2.0])
@@ -370,6 +398,21 @@ def test_sup_outside_modes():
     dense = sup_outside(replace(g, envelope=None), 1.0)
     assert dense.method == "DenseSample"
     assert dense.value <= est.value + 1e-12  # sampled max never exceeds the bound
+
+
+@pytest.mark.parametrize("f, center", [
+    (make_gaussian(1), [0.5]),
+    (make_gaussian(2), [0.3, 0.4]),
+    (translate(make_example1(8.0, 0.0), 3.0), [1.0]),
+])
+def test_sup_outside_reads_the_envelope_about_any_center(f, center):
+    offset = float(np.linalg.norm(np.asarray(center) - f.envelope_center))
+    for r in (0.25, 1.5, 4.0):
+        est = sup_outside(f, r, center=center)
+        assert est.method == "Envelope"
+        assert est.value == f.envelope(max(0.0, r - offset))
+        dense = sup_outside(replace(f, envelope=None), r, center=center)
+        assert dense.value <= est.value + 1e-12
 
 
 def test_theorem2_rejects_bad_inputs():

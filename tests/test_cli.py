@@ -272,6 +272,13 @@ def test_bad_family_exit_one(tmp_path, capsys):
     (("oracle", "stft-identity"), {"function": {"family": "gaussian"}, "u": "x"}),
     (("oracle", "stft-identity"), {"function": {"family": "gaussian"}, "u": [1, 2]}),
     (("oracle", "stft-identity"), {"function": {"family": "gaussian"}, "eta": math.inf}),
+    (("certify", "thm1"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 0]],
+                           "grid": {"samples_per_axis": 1e400}}),
+    (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 1e400}),
+    (("certify", "thm1"), {"function": {"family": "gaussian", "params": 5},
+                           "lambda": [[0, 0], [1, 0]]}),
+    (("certify", "thm1"), {"function": {"family": "gaussian"}, "lambda": [[0, "a"], [1, 0]]}),
+    (("certify", "thm1"), {"function": {"family": "gaussian"}, "lambda": 7}),
 ])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)
@@ -308,6 +315,28 @@ def test_nonfinite_stretch_factor_exit_one(tmp_path, capsys, theorem, r):
     assert code == 1
     assert err.startswith("input error:") and err.count("\n") == 1
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "bogus", "--config", "{cfg}"),
+    ("certify", "thm1"),
+    # each flag is registered only on the subcommand that reads it
+    ("oracle", "gram", "--config", "{cfg}", "--rigorous"),
+    ("oracle", "gram", "--config", "{cfg}", "--seed", "3"),
+    ("certify", "thm1", "--config", "{cfg}", "--seed", "3"),
+    ("reproduce", "example1", "--rigorous"),
+])
+def test_usage_error_exit_one(thm1_config, capsys, argv):
+    code, out, err = run(capsys, *(a.format(cfg=thm1_config) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+    assert "--rigorous" in capsys.readouterr().out
 
 
 def test_rigorous_mode_refusals_exit_two(tmp_path, capsys):

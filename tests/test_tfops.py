@@ -47,12 +47,13 @@ def test_translate_gaussian_values():
     assert tg(0.0) == pytest.approx(math.exp(-PI))
 
 
-def test_translate_shifts_singularities_and_drops_envelope():
+def test_translate_shifts_singularities_and_envelope_center():
     from tfcert import make_singular_cos
     f = make_singular_cos(1.0)
     tf = translate(f, 2.0)
     assert tf.singularities[0][0] == pytest.approx(2.0)
-    assert tf.envelope is None
+    assert tf.envelope is f.envelope
+    assert tf.envelope_center[0] == 2.0
 
 
 def test_translate_dimension_mismatch():
@@ -154,6 +155,20 @@ def test_dilate_envelope_transform():
     d = dilate(g, 2.0)
     # env'(rho) = |r|^{1/2} env(|r| rho)
     assert d.envelope(0.5) == pytest.approx(math.sqrt(2) * g.envelope(1.0))
+
+
+def test_exact_operators_carry_the_envelope_center():
+    # |f(t)| <= env(|t - c|) must hold for the centre c each operator reports.
+    f = translate(make_example1(8.0, 0.0), 2.0)
+    ts = np.linspace(-20.0, 20.0, 4001)
+    for r in (4.0, -0.5):
+        d = dilate(f, r)
+        assert d.envelope_center[0] == 2.0 / r
+        env = np.array([d.envelope(rho) for rho in np.abs(ts - d.envelope_center[0])])
+        assert np.all(np.abs(d(ts)) <= env * (1.0 + 1e-12))
+    assert modulate(f, 1.5).envelope_center[0] == 2.0
+    assert chirp_mul(f, 0.3).envelope_center[0] == 2.0
+    assert f.with_envelope(lambda rho: 8.0).envelope_center[0] == 2.0
 
 
 def test_dilate_zero_rejected():
