@@ -11,10 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, convert
+from .errors import InputError, convert, finite
 from .tfops import FunctionEvaluator
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# Points per block of the batched Edgar-Rosenblatt quadrature: the panel
+# arrays of one bisection grow with the block, not with the point set.
+_ER_BLOCK = 512
+_GL_RULE = None  # 10-point Gauss-Legendre (nodes, weights), built on first use
 
 
 def make_example1(C: float, omega: float) -> FunctionEvaluator:
@@ -23,8 +26,8 @@ def make_example1(C: float, omega: float) -> FunctionEvaluator:
     f(t) = C cos(omega t) for |t| < 1/C and cos(omega t)/|t| otherwise;
     continuous, square-integrable, with exact envelope min(C, 1/r).
     """
-    C = float(C)
-    omega = float(omega)
+    C = finite(C, "C")
+    omega = finite(omega, "omega")
     if C <= 0:
         raise InputError("C must be positive")
     cut = 1.0 / C
@@ -49,7 +52,7 @@ def make_example2(omega: float) -> FunctionEvaluator:
     f(t) = cos(omega t)/|t|^{1/4} for |t| < 1 and cos(omega t)/|t| otherwise.
     The envelope is r^{-1/4} on (0, 1) and 1/r beyond; it is unbounded at 0.
     """
-    omega = float(omega)
+    omega = finite(omega, "omega")
 
     def fn(t):
         at = np.abs(t)
@@ -71,7 +74,7 @@ def make_example2(omega: float) -> FunctionEvaluator:
 
 def make_singular_cos(omega: float) -> FunctionEvaluator:
     """cos(omega t)/|t|: singular at 0, bounded away from it, not in L^2."""
-    omega = float(omega)
+    omega = finite(omega, "omega")
 
     def fn(t):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -95,47 +98,89 @@ def make_gaussian(n: int = 1) -> FunctionEvaluator:
     if n == 1:
         fn = lambda t: (amp * np.exp(-np.pi * t * t)).astype(complex)
     else:
-        fn = lambda t: (amp * np.exp(-np.pi * np.sum(t * t, axis=1))).astype(complex)
+        fn = lambda t: (amp * np.exp(-np.pi * _sum_of_squares(t))).astype(complex)
     envelope = lambda r: amp * np.exp(-np.pi * r * r)
     return FunctionEvaluator(dim=n, fn=fn, envelope=envelope,
                              singularities=(), square_integrable=True)
 
 
-def _adaptive_oscillatory(a: float, b: float, tol: float) -> complex:
-    """integral over [1/3, 2/3] of exp(i(a acos(t) + b acos(1-t))) dt.
+def _sum_of_squares(t: np.ndarray) -> np.ndarray:
+    """sum_k t[:, k]^2, accumulated column by column from the left."""
+    out = t[:, 0] * t[:, 0]
+    for k in range(1, t.shape[1]):
+        out += t[:, k] * t[:, k]
+    return out
 
-    Gauss-Legendre panels bisected until the two-panel refinement of each
-    panel agrees with the one-panel value within its share of `tol`; the
-    accepted-panel error budget telescopes, so the absolute error is below
-    `tol`. Deterministic: identical inputs traverse identical panels.
+
+def _gauss_legendre():
+    """The 10-point Gauss-Legendre rule on [-1, 1]; loading numpy.polynomial
+    is left to the first Edgar-Rosenblatt evaluation, not the package import."""
+    global _GL_RULE
+    if _GL_RULE is None:
+        _GL_RULE = np.polynomial.legendre.leggauss(10)
+    return _GL_RULE
+
+
+def _er_panels(a, b, lo, hi) -> np.ndarray:
+    """Gauss-Legendre value of exp(i(a acos(t) + b acos(1-t))) over each panel
+    [lo, hi]; all arguments are 1-D arrays, one entry per panel."""
+    nodes, weights = _gauss_legendre()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    tt = mid[:, None] + half[:, None] * nodes
+    phase = a[:, None] * np.arccos(tt) + b[:, None] * np.arccos(1.0 - tt)
+    return half * np.sum(weights * np.exp(1j * phase), axis=1)
+
+
+def _er_block(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Adaptive ER quadrature for one block of points (a[i], b[i]).
+
+    Bisection runs level by level over every pending panel of every point.
+    A panel [lo, hi] holding the error share `share` and one-panel value
+    `whole` is accepted when its two halves sum to within `share` of `whole`
+    (or it is narrower than 1e-12); otherwise each half goes on with half
+    the share. The shares telescope, so each point's error is below `tol`.
+    Accepted sums are added per point by decreasing `lo`, the order of a
+    depth-first right-first traversal, so every value is reproducible bit
+    for bit and independent of the block it falls in.
     """
-    def panel(lo, hi):
+    n = a.size
+    point = np.arange(n)
+    lo = np.full(n, 1.0 / 3.0)
+    hi = np.full(n, 2.0 / 3.0)
+    share = np.full(n, tol)
+    whole = _er_panels(a, b, lo, hi)
+    done_point, done_lo, done_sum = [], [], []
+    while point.size:
         mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        tt = mid + half * _GL_NODES
-        return half * np.sum(_GL_WEIGHTS * np.exp(1j * (a * np.arccos(tt) + b * np.arccos(1.0 - tt))))
-
-    total = 0.0 + 0.0j
-    stack = [(1.0 / 3.0, 2.0 / 3.0, tol, panel(1.0 / 3.0, 2.0 / 3.0))]
-    while stack:
-        lo, hi, share, whole = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if abs(left + right - whole) < share or (hi - lo) < 1e-12:
-            total += left + right
-        else:
-            stack.append((lo, mid, 0.5 * share, left))
-            stack.append((mid, hi, 0.5 * share, right))
-    return complex(total)
+        halves = _er_panels(np.tile(a[point], 2), np.tile(b[point], 2),
+                            np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = np.split(halves, 2)
+        pair = left + right
+        ok = (np.abs(pair - whole) < share) | ((hi - lo) < 1e-12)
+        done_point.append(point[ok])
+        done_lo.append(lo[ok])
+        done_sum.append(pair[ok])
+        split = ~ok
+        point = np.tile(point[split], 2)
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+        share = np.tile(0.5 * share[split], 2)
+        whole = np.concatenate([left[split], right[split]])
+    point, lo, pair = (np.concatenate(x) for x in (done_point, done_lo, done_sum))
+    order = np.lexsort((-lo, point))
+    total = np.zeros(n, dtype=complex)
+    np.add.at(total, point[order], pair[order])
+    return total
 
 
 def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
     """Two-dimensional oscillatory-integral evaluator with certified accuracy.
 
     f(a, b) = integral over [1/3, 2/3] of exp(i(a acos(t) + b acos(1-t))) dt,
-    computed per point by adaptive Gauss-Legendre to absolute tolerance
-    `quad_tol`. The square-integrable flag is left False: the function is
+    computed by adaptive Gauss-Legendre to absolute tolerance `quad_tol` at
+    every point. The points are bisected together, level by level, in blocks
+    of `_ER_BLOCK`; each value is bit-identical to a per-point depth-first
+    bisection. The square-integrable flag is left False: the function is
     only p-integrable for large p, so Gram quadrature is not certified.
     """
     quad_tol = float(quad_tol)
@@ -144,8 +189,11 @@ def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        return np.array([_adaptive_oscillatory(a, b, quad_tol) for a, b in pts],
-                        dtype=complex)
+        out = np.empty(pts.shape[0], dtype=complex)
+        for s in range(0, pts.shape[0], _ER_BLOCK):
+            block = pts[s:s + _ER_BLOCK]
+            out[s:s + _ER_BLOCK] = _er_block(block[:, 0], block[:, 1], quad_tol)
+        return out
 
     return FunctionEvaluator(dim=2, fn=fn, envelope=None, singularities=(),
                              square_integrable=False)
@@ -191,8 +239,8 @@ class FamilySpec:
         p = dict(self.params)
 
         def take(name, kind, default=None):
-            return convert(kind, p.pop(name, default),
-                           f"parameter {name!r} of family {self.family!r}")
+            value, what = p.pop(name, default), f"parameter {name!r} of family {self.family!r}"
+            return finite(value, what) if kind is float else convert(kind, value, what)
 
         if self.family == "example1":
             out = make_example1(take("C", float), take("omega", float, 0.0))

@@ -28,6 +28,7 @@ TWO_PI = 2.0 * np.pi
 EPS_INDEP = 1e-6
 EPS_DEP = 1e-10
 MAX_MATRIX = 64
+MAX_ER_LATTICE = 10**6
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,10 @@ def _classify(sigma_min: float, sigma_max: float) -> tuple[float, str]:
 
 def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.ndarray:
     """Matrix of (pi(lambda_i) f)(t_k) values, rows indexed by i."""
-    return np.stack([tf_shift(f, p)(pts) for p in lam.points])
+    out = np.empty((len(lam), pts.shape[0]), dtype=complex)
+    for i, p in enumerate(lam.points):
+        out[i] = tf_shift(f, p)(pts)
+    return out
 
 
 def gram_matrix(f: FunctionEvaluator, lam: PointSet,
@@ -110,7 +114,8 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     sings = tuple(s + p.x for s in f.singularities for p in lam.points)
     pts, w = quadrature_points(grid, f.dim, sings)
     phi = _shift_values(f, lam, pts)
-    G = (phi * w[None, :]) @ phi.conj().T
+    phiw = phi * w
+    G = phiw @ np.conj(phi, out=phi).T
     herm = 0.5 * (G + G.conj().T)
     eigs = np.linalg.eigvalsh(herm)
     herm_defect = float(np.max(np.abs(G - G.conj().T)))
@@ -208,9 +213,8 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
     f = make_edgar_rosenblatt(quad_tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     shifts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    stencil = pts[None, :, :] + shifts[:, None, :]
-    flat = stencil.reshape(-1, 2)
-    uniq, inverse = np.unique(np.round(flat, 12), axis=0, return_inverse=True)
+    flat = (pts[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    uniq, inverse = np.unique(np.round(flat, 12, out=flat), axis=0, return_inverse=True)
     vals = f(uniq)[inverse].reshape(5, -1)
     residual = np.abs(2.0 * vals[0] - vals[1] - vals[2] - vals[3] - vals[4])
     return ResidualReport("edgar_rosenblatt_five_term", float(residual.max()),
@@ -218,7 +222,17 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
 
 
 def er_lattice(half_width: float = 3.0, step: float = 0.25) -> np.ndarray:
-    """Square lattice of (a, b) points used by the dependence residual."""
+    """Square lattice of (a, b) points used by the dependence residual.
+
+    Refuses a non-finite or non-positive half width or step, and lattices
+    of more than MAX_ER_LATTICE points.
+    """
+    half_width, step = finite(half_width, "half_width"), finite(step, "step")
+    if half_width <= 0.0 or step <= 0.0:
+        raise InputError("half_width and step must be positive")
+    per_axis = np.ceil((half_width + 1e-12 + half_width) / step)  # np.arange's length
+    if per_axis > math.sqrt(MAX_ER_LATTICE):
+        raise InputError(f"er lattices beyond {MAX_ER_LATTICE} points are not supported")
     axis = np.arange(-half_width, half_width + 1e-12, step)
     a, b = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([a.ravel(), b.ravel()])

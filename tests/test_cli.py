@@ -317,6 +317,32 @@ def test_nonfinite_stretch_factor_exit_one(tmp_path, capsys, theorem, r):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("command", [("oracle", "collocation"), ("oracle", "gram"),
+                                     ("certify", "thm1")])
+@pytest.mark.parametrize("function", [
+    {"family": "example1", "params": {"C": math.nan, "omega": 1}},
+    {"family": "example2", "params": {"omega": math.nan}},
+])
+def test_nonfinite_family_parameter_exit_one(tmp_path, capsys, command, function):
+    path = write_config(tmp_path, "bad.json", {"function": function,
+                                               "lambda": [[0, 0], [1, 1]]})
+    code, out, err = run(capsys, *command, "--config", path)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("er", [
+    {"step": 0}, {"step": math.nan}, {"step": -0.25}, {"half_width": math.nan},
+    {"half_width": -1}, {"step": 1e-300},
+])
+def test_bad_er_lattice_exit_one(tmp_path, capsys, er):
+    path = write_config(tmp_path, "bad.json", {"er": er})
+    code, out, err = run(capsys, "oracle", "er-residual", "--config", path)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("certify", "bogus", "--config", "{cfg}"),
     ("certify", "thm1"),

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tfcert import (FamilySpec, GridSpec, InputError, fourier, l2_norm,
+from tfcert import (FamilySpec, GridSpec, InputError, er_lattice, fourier, l2_norm,
                     make_edgar_rosenblatt, make_example1, make_example2,
                     make_gaussian, make_singular_cos)
 
@@ -29,6 +31,16 @@ def test_example1_rejects_nonpositive_scale():
         make_example1(0.0, 1.0)
     with pytest.raises(InputError):
         make_example1(-2.0, 1.0)
+
+
+@pytest.mark.parametrize("make, args", [
+    (make_example1, (math.nan, 1.0)), (make_example1, (math.inf, 1.0)),
+    (make_example1, (4.0, math.nan)), (make_example2, (math.nan,)),
+    (make_singular_cos, (-math.inf,)),
+])
+def test_families_reject_nonfinite_parameters(make, args):
+    with pytest.raises(InputError, match="finite"):
+        make(*args)
 
 
 def test_example2_branch_agreement_at_one():
@@ -95,6 +107,75 @@ def test_edgar_rosenblatt_deterministic():
     first = f(p)
     for _ in range(3):
         assert f(p) == first
+
+
+def scalar_er(a, b, tol):
+    """Reference: the per-point depth-first bisection (right half first) that
+    the batched quadrature must reproduce bit for bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+
+    def panel(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        tt = mid + half * nodes
+        return half * np.sum(weights * np.exp(1j * (a * np.arccos(tt) + b * np.arccos(1.0 - tt))))
+
+    total = 0.0 + 0.0j
+    stack = [(1.0 / 3.0, 2.0 / 3.0, tol, panel(1.0 / 3.0, 2.0 / 3.0))]
+    while stack:
+        lo, hi, share, whole = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = panel(lo, mid)
+        right = panel(mid, hi)
+        if abs(left + right - whole) < share or (hi - lo) < 1e-12:
+            total += left + right
+        else:
+            stack.append((lo, mid, 0.5 * share, left))
+            stack.append((mid, hi, 0.5 * share, right))
+    return complex(total)
+
+
+def assert_matches_scalar(pts, tol):
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    ref = np.array([scalar_er(a, b, tol) for a, b in pts], dtype=complex)
+    assert np.array_equal(make_edgar_rosenblatt(tol)(pts), ref)
+
+
+def er_stencil(lattice):
+    shifts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    flat = (lattice[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    return np.unique(np.round(flat, 12), axis=0)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_edgar_rosenblatt_batched_matches_scalar_on_stencil(tol):
+    # 1025 points: more than one block, so block boundaries are crossed
+    assert_matches_scalar(er_stencil(er_lattice(3.0, 0.25)), tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_edgar_rosenblatt_batched_matches_scalar_deep_bisection(tol):
+    rng = np.random.default_rng(3)
+    pts = rng.choice([-1.0, 1.0], (24, 2)) * rng.uniform(900.0, 1100.0, (24, 2))
+    assert_matches_scalar(pts, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(-1000, 1000), b=st.floats(-1000, 1000),
+       tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]))
+def test_edgar_rosenblatt_batched_matches_scalar_property(a, b, tol):
+    assert_matches_scalar([[a, b], [b, a], [0.0, 0.0]], tol)
+
+
+def test_edgar_rosenblatt_empty_batch():
+    assert make_edgar_rosenblatt(1e-9)(np.zeros((0, 2))).shape == (0,)
+
+
+def test_gaussian_two_dimensional_sum_of_squares_is_exact():
+    t = np.random.default_rng(5).uniform(-6.0, 6.0, (4096, 2))
+    g = make_gaussian(2)
+    ref = (2.0 ** 0.5 * np.exp(-np.pi * np.sum(t * t, axis=1))).astype(complex)
+    assert np.array_equal(g(t), ref)
 
 
 def test_edgar_rosenblatt_quad_tol_validation():
@@ -187,3 +268,14 @@ def test_family_spec_rejects_unknowns():
         FamilySpec.from_json({"family": "gaussian", "params": {"spread": 2}}).build()
     with pytest.raises(InputError):
         FamilySpec.from_json({"family": "example1", "params": {}}).build()
+
+
+@pytest.mark.parametrize("obj", [
+    {"family": "example1", "params": {"C": math.nan, "omega": 1}},
+    {"family": "example1", "params": {"C": 4, "omega": math.inf}},
+    {"family": "example2", "params": {"omega": math.nan}},
+    {"family": "singular_cos", "params": {"omega": "-inf"}},
+])
+def test_family_spec_rejects_nonfinite_parameters(obj):
+    with pytest.raises(InputError, match="must be finite"):
+        FamilySpec.from_json(obj).build()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     dependence_residual_er, er_lattice, gram_matrix,
                     make_example1, make_example2, make_gaussian,
                     make_singular_cos, metaplectic_residual, modulate,
-                    stft_grid, stft_identity_residual, translate)
+                    stft_grid, stft_identity_residual, tf_shift, translate)
+from tfcert.tfops import quadrature_points
 
 PI = math.pi
 
@@ -53,6 +55,41 @@ def test_gram_near_duplicate_points_read_dependent():
     report = gram_matrix(make_gaussian(1), lam)
     assert report.verdict == "Dependent"
     assert report.relative_gap < 1e-10
+
+
+def traced_peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+LAM_2D = PointSet.from_rows([[0, 0, 0, 0], [1.5, 0, 0, 0], [0, 1.5, 1, 0],
+                             [0.5, -0.5, 0, 1]], dim=2)
+
+
+@pytest.mark.parametrize("f, lam", [
+    (make_example1(6.0, 2.0), PointSet.from_rows([[0, 0], [0.7, -1.0], [1.9, 0.4]])),
+    (make_gaussian(2), LAM_2D),
+])
+def test_gram_matrix_is_weighted_product_bit_for_bit(f, lam):
+    grid = GridSpec(4.0, 64 if f.dim == 2 else 1024)
+    pts, w = quadrature_points(grid, f.dim)
+    phi = np.stack([tf_shift(f, p)(pts) for p in lam.points])
+    assert np.array_equal(gram_matrix(f, lam, grid).matrix, (phi * w) @ phi.conj().T)
+
+
+def test_gram_two_dimensional_peak_memory():
+    f = make_gaussian(2)
+    assert traced_peak_mib(lambda: gram_matrix(f, LAM_2D)) <= 40.0
+
+
+def test_er_residual_peak_memory():
+    lattice = er_lattice(3.0, 1.0 / 32.0)
+    dependence_residual_er(np.zeros((1, 2)), 1e-9)  # loads the quadrature rule
+    assert traced_peak_mib(lambda: dependence_residual_er(lattice, 1e-9)) <= 16.0
 
 
 def test_gram_refuses_non_square_integrable():
@@ -198,6 +235,15 @@ def test_er_residual_monotone_refinement():
     base = dependence_residual_er(np.array([[0.0, 0.0]]), 1e-7).max_abs_residual
     finer = dependence_residual_er(np.array([[0.0, 0.0]]), 5e-8).max_abs_residual
     assert finer <= base + 1e-12
+
+
+@pytest.mark.parametrize("half_width, step", [
+    (3.0, 0.0), (3.0, -0.25), (3.0, math.nan), (math.nan, 0.25), (-1.0, 0.25),
+    (0.0, 0.25), (math.inf, 0.25), (3.0, 1e-300), (3.0, 5e-324), (1000.0, 0.5),
+])
+def test_er_lattice_rejects_bad_parameters(half_width, step):
+    with pytest.raises(InputError):
+        er_lattice(half_width, step)
 
 
 def test_er_residual_rejects_loose_tolerance():
