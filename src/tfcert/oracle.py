@@ -29,6 +29,10 @@ EPS_INDEP = 1e-6
 EPS_DEP = 1e-10
 MAX_MATRIX = 64
 MAX_ER_LATTICE = 10**6
+# Quadrature nodes per block when filling the Gram matrix's shift rows: the
+# 2-D default grid has 512^2 nodes, and whole-grid temporaries of every row
+# evaluation made peak memory depend on the order of the matrix sizes.
+_SHIFT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,17 @@ def _classify(sigma_min: float, sigma_max: float) -> tuple[float, str]:
 
 
 def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.ndarray:
-    """Matrix of (pi(lambda_i) f)(t_k) values, rows indexed by i."""
+    """Matrix of (pi(lambda_i) f)(t_k) values, rows indexed by i.
+
+    Each row is evaluated in blocks of _SHIFT_BLOCK nodes. The values are
+    pointwise, so they do not depend on the blocking, and the temporaries of
+    an evaluation stay block-sized on any grid.
+    """
     out = np.empty((len(lam), pts.shape[0]), dtype=complex)
     for i, p in enumerate(lam.points):
-        out[i] = tf_shift(f, p)(pts)
+        shifted = tf_shift(f, p)
+        for s in range(0, pts.shape[0], _SHIFT_BLOCK):
+            out[i, s:s + _SHIFT_BLOCK] = shifted(pts[s:s + _SHIFT_BLOCK])
     return out
 
 

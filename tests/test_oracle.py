@@ -11,6 +11,7 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     make_example1, make_example2, make_gaussian,
                     make_singular_cos, metaplectic_residual, modulate,
                     stft_grid, stft_identity_residual, tf_shift, translate)
+from tfcert import oracle
 from tfcert.tfops import quadrature_points
 
 PI = math.pi
@@ -84,6 +85,25 @@ def test_gram_matrix_is_weighted_product_bit_for_bit(f, lam):
 def test_gram_two_dimensional_peak_memory():
     f = make_gaussian(2)
     assert traced_peak_mib(lambda: gram_matrix(f, LAM_2D)) <= 40.0
+
+
+@pytest.mark.parametrize("f, lam, grid", [
+    (make_gaussian(2), LAM_2D, GridSpec.default(2)),
+    (make_example1(6.0, 2.0), PointSet.from_rows([[0, 0], [0.7, -1.0], [1.9, 0.4]]),
+     GridSpec(8.0, 50001)),
+])
+def test_shift_rows_blocked_bit_for_bit(f, lam, grid):
+    # the grids span several evaluation blocks, the last one partial
+    pts, _ = quadrature_points(grid, f.dim)
+    whole = np.stack([tf_shift(f, p)(pts) for p in lam.points])
+    assert np.array_equal(oracle._shift_values(f, lam, pts), whole)
+
+
+def test_shift_rows_temporaries_stay_block_sized():
+    f = make_gaussian(2)
+    pts, _ = quadrature_points(GridSpec.default(2), 2)
+    rows_mib = len(LAM_2D) * pts.shape[0] * 16 / 2.0 ** 20
+    assert traced_peak_mib(lambda: oracle._shift_values(f, LAM_2D, pts)) <= rows_mib + 2.0
 
 
 def test_er_residual_peak_memory():
