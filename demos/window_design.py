@@ -16,7 +16,7 @@ from tfcert import (PointSet, WindowParams, check_theorem3, make_example1,
 f = make_gaussian(1)
 print("Tail ratio of the Gaussian against itself (closed form e^(-pi R^2/2)):")
 for R in (0.5, 1.0, 2.0):
-    ratio = tail_ratio(f, WindowParams(1.0, np.array([1.0])), R, N=2)
+    ratio = tail_ratio(f, WindowParams(1.0, np.array([1.0])), R)
     print(f"  R = {R}: ratio = {ratio:.6f}  target 1/2 -> "
           f"{'achieved' if ratio < 0.5 else 'not achieved'}")
 

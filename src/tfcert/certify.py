@@ -13,7 +13,7 @@ inequalities are strict, and ties resolve to NotCertified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ class SupEstimate:
 
     value: float
     method: str
-    grid: Optional[GridSpec] = None
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def sup_outside(f: FunctionEvaluator, radius: float, center=None, *,
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
         raise NumericalRefusal("no finite samples outside the ball")
-    return SupEstimate(float(vals.max()), SUP_DENSE, grid)
+    return SupEstimate(float(vals.max()), SUP_DENSE)
 
 
 def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
@@ -284,9 +283,7 @@ def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
 
 def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
                    grid: Optional[GridSpec] = None,
-                   require_envelope: bool = False,
-                   theorem: str = "Thm1",
-                   threshold_r: Optional[float] = None) -> Certificate:
+                   require_envelope: bool = False) -> Certificate:
     """Time-separation certificate: Certified when min_i!=j ||x_i - x_j|| > R.
 
     Only the time coordinates of the point set matter. Duplicate time
@@ -304,8 +301,8 @@ def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
         raise InputError("f vanishes at the anchor")
     sup_method = SUP_ENVELOPE if f.envelope is not None else SUP_DENSE
     if N == 1:
-        return Certificate(theorem, "Certified", 1, 0.0, math.inf, peak,
-                           math.inf, (), sup_method, threshold_r=threshold_r)
+        return Certificate("Thm1", "Certified", 1, 0.0, math.inf, peak,
+                           math.inf, (), sup_method)
 
     M, pair = _min_pairwise(lam.times())
     note = None
@@ -319,9 +316,8 @@ def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
     margins = tuple(float(d - R) for d in pair)
     if M == 0.0 and note is None:
         note = "duplicate time coordinates: min pairwise time separation is zero"
-    return Certificate(theorem, _verdict(margins), N, R, M, peak,
-                       peak / (N - 1), margins, sup_method,
-                       threshold_r=threshold_r, note=note)
+    return Certificate("Thm1", _verdict(margins), N, R, M, peak,
+                       peak / (N - 1), margins, sup_method, note=note)
 
 
 def best_translate(f: FunctionEvaluator, shifts: Sequence, *,
@@ -403,16 +399,12 @@ def check_corollary1(f: FunctionEvaluator, lam: PointSet, r: float = 1.0, *,
                      require_envelope: bool = False) -> Certificate:
     """Theorem-1 certificate for the r-stretched function, threshold attached."""
     thr = dilation_threshold(f, lam, grid=grid, require_envelope=require_envelope)
-    cert = check_theorem1(stretch(f, r), lam, grid=grid,
-                          require_envelope=require_envelope,
-                          theorem="Cor1", threshold_r=thr)
-    return cert
+    cert = check_theorem1(stretch(f, r), lam, grid=grid, require_envelope=require_envelope)
+    return replace(cert, theorem="Cor1", threshold_r=thr)
 
 
 def check_corollary2(f: FunctionEvaluator, lam: PointSet,
-                     grid: Optional[GridSpec] = None, *,
-                     theorem: str = "Cor2",
-                     threshold_r: Optional[float] = None) -> Certificate:
+                     grid: Optional[GridSpec] = None) -> Certificate:
     """Frequency-separation certificate via the Fourier-rotated point set.
 
     Forms fhat by quadrature, maps each (x, omega) to (omega, -x), and runs
@@ -423,8 +415,7 @@ def check_corollary2(f: FunctionEvaluator, lam: PointSet,
     fhat = fourier(f, grid)
     rotated = PointSet.from_rows(
         [np.concatenate([p.omega, -p.x]) for p in lam.points], dim=lam.dim)
-    return check_theorem1(fhat, rotated, grid=grid, theorem=theorem,
-                          threshold_r=threshold_r)
+    return replace(check_theorem1(fhat, rotated, grid=grid), theorem="Cor2")
 
 
 def dilation_threshold_freq(f: FunctionEvaluator, lam: PointSet,
@@ -450,7 +441,8 @@ def check_corollary3(f: FunctionEvaluator, lam: PointSet, r: float = 1.0,
                      grid: Optional[GridSpec] = None) -> Certificate:
     """Corollary-2 certificate for the r-stretched function, threshold attached."""
     thr = dilation_threshold_freq(f, lam, grid)
-    return check_corollary2(stretch(f, r), lam, grid, theorem="Cor3", threshold_r=thr)
+    cert = check_corollary2(stretch(f, r), lam, grid)
+    return replace(cert, theorem="Cor3", threshold_r=thr)
 
 
 def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
@@ -540,6 +532,8 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         raise InputError("dimension mismatch between point set and functions")
     grid = grid or GridSpec.default(f.dim)
     peak = abs(stft(f, g, (np.zeros(f.dim), np.zeros(f.dim)), grid))
+    if not math.isfinite(peak):
+        raise NumericalRefusal("<f, g> is not finite on this quadrature grid")
     if peak < 1e-12:
         raise NearOrthogonalError("<f, g> is numerically zero; certificate undefined")
     N = len(lam)
@@ -560,6 +554,8 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         xs = np.linspace(-lattice.half_width, lattice.half_width,
                          lattice.samples_per_axis)
         field = np.abs(stft_grid(f, g, xs, xs, grid))
+        if not np.isfinite(field).all():
+            raise NumericalRefusal("|V_g f| is not finite on the scanned lattice")
         if (field[[0, -1]] >= bound).any() or (field[:, [0, -1]] >= bound).any():
             raise NumericalRefusal(
                 "|V_g f| >= |<f, g>|/(N-1) on the edge of the scanned lattice, "

@@ -41,8 +41,6 @@ EXIT_INCONCLUSIVE = 4
 
 SCHEMA_VERSION = 1
 
-_GRID_FIELDS = {"half_width": float, "samples_per_axis": int, "exclusion_radius": float}
-
 _ALLOWED_KEYS = {
     ("certify", "lemma1"): {"dimension", "function", "grid", "shifts"},
     ("certify", "thm1"): {"dimension", "function", "grid", "lambda", "anchor"},
@@ -72,19 +70,33 @@ def _load_config(path: str, command: str, sub: str | None) -> dict:
     return cfg
 
 
-def _grid_from(cfg: dict, key: str = "grid", dim: int = 1,
-               fallback: GridSpec | None = None) -> GridSpec:
-    base = fallback or GridSpec.default(dim)
-    obj = cfg.get(key)
-    if obj is None:
-        return base
+def _section(cfg: dict, key: str, defaults: dict) -> dict:
+    """The JSON object `cfg[key]` as one value per key of `defaults`.
+
+    Each value is converted to the type of its default, which stands in for
+    an absent key or section. A section that is not an object, and unknown
+    keys, are input errors.
+    """
+    obj = cfg.get(key, {})
     if not isinstance(obj, dict):
         raise InputError(f"{key} must be a JSON object")
-    extra = set(obj).difference(_GRID_FIELDS)
+    extra = set(obj).difference(defaults)
     if extra:
         raise InputError(f"unknown {key} keys: {sorted(extra)}")
-    return GridSpec(**{name: convert(kind, obj.get(name, getattr(base, name)), f"{key}.{name}")
-                       for name, kind in _GRID_FIELDS.items()})
+    return {name: convert(type(d), obj.get(name, d), f"{key}.{name}")
+            for name, d in defaults.items()}
+
+
+def _grid_from(cfg: dict, dim: int) -> GridSpec:
+    base = GridSpec.default(dim)
+    return GridSpec(**_section(cfg, "grid", {
+        "half_width": base.half_width, "samples_per_axis": base.samples_per_axis,
+        "exclusion_radius": base.exclusion_radius}))
+
+
+def _lattice_from(cfg: dict, default: GridSpec) -> GridSpec:
+    return GridSpec(**_section(cfg, "lattice", {
+        "half_width": default.half_width, "samples_per_axis": default.samples_per_axis}))
 
 
 def _function_from(cfg: dict, key: str = "function", default: dict | None = None):
@@ -163,7 +175,7 @@ def _cmd_certify(args) -> tuple[dict, int, list | None]:
                 "config format cannot carry; use the library API")
         lam = _pointset_from(cfg, dim)
         g = _function_from(cfg, "window", default={"family": "gaussian"})
-        lattice = _grid_from(cfg, "lattice", dim, fallback=GridSpec(8.0, 128))
+        lattice = _lattice_from(cfg, GridSpec(8.0, 128))
         cert = check_theorem3(f, g, lam, grid, lattice)
 
     return {"report": cert.to_json()}, _verdict_exit(cert.verdict), None
@@ -190,13 +202,9 @@ def _cmd_oracle(args) -> tuple[dict, int, list | None]:
     cfg = _load_config(args.config, "oracle", args.test)
 
     if args.test == "er-residual":
-        er = cfg.get("er", {})
-        extra = set(er) - {"half_width", "step", "quad_tol"}
-        if extra:
-            raise InputError(f"unknown er keys: {sorted(extra)}")
-        quad_tol = convert(float, er.get("quad_tol", 1e-9), "er.quad_tol")
-        lattice = er_lattice(convert(float, er.get("half_width", 3.0), "er.half_width"),
-                             convert(float, er.get("step", 0.25), "er.step"))
+        er = _section(cfg, "er", {"half_width": 3.0, "step": 0.25, "quad_tol": 1e-9})
+        quad_tol = er["quad_tol"]
+        lattice = er_lattice(er["half_width"], er["step"])
         rep = dependence_residual_er(lattice, quad_tol)
         code = EXIT_OK if rep.max_abs_residual <= 6.0 * quad_tol else EXIT_NEGATIVE
         body = rep.to_json()
@@ -223,7 +231,7 @@ def _cmd_oracle(args) -> tuple[dict, int, list | None]:
             _matrix_csv(rep.matrix)
     if args.test == "stft-identity":
         g = _function_from(cfg, "window", default={"family": "gaussian"})
-        lattice = _grid_from(cfg, "lattice", dim, fallback=GridSpec(3.0, 33))
+        lattice = _lattice_from(cfg, GridSpec(3.0, 33))
         rep = stft_identity_residual(f, g, cfg.get("u", 0.0), cfg.get("eta", 0.0),
                                      lattice, grid)
         return {"report": rep.to_json()}, EXIT_OK, None
@@ -248,13 +256,12 @@ def _cmd_window_search(args) -> tuple[dict, int, list | None]:
     f = _function_from(cfg)
     dim = _dimension_of(cfg, f)
     grid = _grid_from(cfg, dim=dim)
-    lattice = _grid_from(cfg, "lattice", dim, fallback=GridSpec(8.0, 81))
-    seed = args.seed if args.seed is not None else convert(int, cfg.get("seed", 0), "seed")
+    lattice = _lattice_from(cfg, GridSpec(8.0, 81))
     result = window_search(
         f, R=convert(float, cfg.get("R"), "R"), N=convert(int, cfg.get("N"), "N"),
         d=convert(int, cfg.get("degree", 0), "degree"),
         budget=convert(int, cfg.get("budget", 200), "budget"),
-        seed=seed, lattice=lattice, grid=grid)
+        seed=convert(int, cfg.get("seed", 0), "seed"), lattice=lattice, grid=grid)
     rows = [["step", "width"]
             + [f"c{k}" for k in range(len(result.best_params.hermite_coeffs))]
             + ["ratio"]]
@@ -444,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("window-search", help="search for a window meeting the tail target")
-    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(handler=_cmd_window_search)
 
@@ -487,7 +493,10 @@ def _emit(payload: dict, args, csv_rows) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        payload, code, csv_rows = args.handler(args)
+        # Nonfinite results are refused or reported as null, so numpy's
+        # floating-point warnings would only add lines to stderr.
+        with np.errstate(all="ignore"):
+            payload, code, csv_rows = args.handler(args)
         _emit(payload, args, csv_rows)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -17,9 +17,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalRefusal, finite
-from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
-                    _check_points_clear, inverse_fourier_multiplier, modulate,
-                    quadrature_points, stft_grid, tf_shift, translate)
+from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet,
+                    _as_points, _check_points_clear, inverse_fourier_multiplier,
+                    modulate, quadrature_points, stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,10 +29,6 @@ EPS_INDEP = 1e-6
 EPS_DEP = 1e-10
 MAX_MATRIX = 64
 MAX_ER_LATTICE = 10**6
-# Quadrature nodes per block when filling the Gram matrix's shift rows: the
-# 2-D default grid has 512^2 nodes, and whole-grid temporaries of every row
-# evaluation made peak memory depend on the order of the matrix sizes.
-_SHIFT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -69,6 +65,12 @@ class ResidualReport:
     phase_optimized: bool
     best_phase: complex
 
+    def __post_init__(self):
+        if not math.isfinite(self.max_abs_residual):
+            raise NumericalRefusal(
+                f"nonfinite {self.identity_name} residual: an input is too large "
+                "for the sampled identity to be evaluated")
+
     def to_json(self) -> dict:
         return {
             "identity_name": self.identity_name,
@@ -92,15 +94,19 @@ def _classify(sigma_min: float, sigma_max: float) -> tuple[float, str]:
 def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.ndarray:
     """Matrix of (pi(lambda_i) f)(t_k) values, rows indexed by i.
 
-    Each row is evaluated in blocks of _SHIFT_BLOCK nodes. The values are
-    pointwise, so they do not depend on the blocking, and the temporaries of
-    an evaluation stay block-sized on any grid.
+    Each row is evaluated in blocks of _WINDOW_BLOCK nodes: the 2-D default
+    grid has 512^2 nodes, and whole-grid temporaries of every row evaluation
+    made peak memory depend on the order of the matrix sizes. The values are
+    pointwise, so they do not depend on the blocking. A nonfinite value (a
+    shift too large to evaluate) is refused before any linear algebra.
     """
     out = np.empty((len(lam), pts.shape[0]), dtype=complex)
     for i, p in enumerate(lam.points):
         shifted = tf_shift(f, p)
-        for s in range(0, pts.shape[0], _SHIFT_BLOCK):
-            out[i, s:s + _SHIFT_BLOCK] = shifted(pts[s:s + _SHIFT_BLOCK])
+        for s in range(0, pts.shape[0], _WINDOW_BLOCK):
+            out[i, s:s + _WINDOW_BLOCK] = shifted(pts[s:s + _WINDOW_BLOCK])
+    if not np.isfinite(out).all():
+        raise NumericalRefusal("nonfinite value of a shifted function")
     return out
 
 
@@ -314,8 +320,7 @@ METAPLECTIC_KINDS = ("dilation", "chirp", "fourier_multiplier")
 
 
 def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
-                         sample_points=None, grid: Optional[GridSpec] = None,
-                         extra_variants: Optional[dict] = None) -> dict:
+                         sample_points=None, grid: Optional[GridSpec] = None) -> dict:
     """Covariance residuals of a metaplectic transform against pi(lambda).
 
     For the requested transform (dilation, chirp multiplication, or the
@@ -324,7 +329,7 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
     c M_{omega'} T_{x'} U f on the sample grid, fitting the best global
     unimodular phase c per candidate. Returned mapping always contains the
     'printed' parameterization and a 'standard' alternative derived from the
-    operator definitions; callers may add further (omega', x') variants.
+    operator definitions.
     Residuals are reported as-is: the tester asserts correctness of neither
     convention.
     """
@@ -355,8 +360,6 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
         apply_u = lambda h: inverse_fourier_multiplier(h, mult, grid)
         variants = {"printed": (-omega, -x - r * omega),
                     "standard": (omega, x - 2.0 * r * omega)}
-    if extra_variants:
-        variants.update(extra_variants)
 
     lhs = apply_u(shifted)(pts)
     uf = apply_u(f)

@@ -54,11 +54,17 @@ from .errors import InputError, NumericalRefusal, SingularityHitError
 TWO_PI = 2.0 * np.pi
 
 # Chunk sizes keep the exp() phase matrices of quadrature-backed transforms
-# below a few tens of MB. Window rows g(t_k - x_i) are evaluated in blocks of
-# about _WINDOW_BLOCK values, so that their temporaries stay in cache.
+# below a few tens of MB. Window rows g(t_k - x_i), and the shift rows of the
+# oracle's Gram matrix, are evaluated in blocks of about _WINDOW_BLOCK values,
+# so that their temporaries stay in cache.
 _EVAL_CHUNK = 512
 _PHASE_BUDGET = 4_000_000
 _WINDOW_BLOCK = 16_384
+# Size limits, checked before anything is allocated: samples per grid axis
+# and nodes per quadrature grid, and the complex values an STFT scan holds
+# (its window rows, retained phases and lattice field, up to 256 MB).
+MAX_NODES = 1 << 22
+MAX_SCAN_VALUES = 1 << 24
 # A 1-D array is an arithmetic progression when it lies within this relative
 # distance of one. A chirp-z sum replaces the dense one when the m K dense
 # exps exceed _CHIRP_COST size log2(size) for the FFT length `size`; the two
@@ -87,8 +93,8 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.half_width < math.inf:
             raise InputError("half_width must be positive and finite")
-        if self.samples_per_axis < 2:
-            raise InputError("samples_per_axis must be at least 2")
+        if not 2 <= self.samples_per_axis <= MAX_NODES:
+            raise InputError(f"samples_per_axis must lie in [2, {MAX_NODES}]")
         if not 0.0 <= self.exclusion_radius < self.half_width:
             raise InputError("exclusion_radius must lie in [0, half_width)")
 
@@ -277,6 +283,8 @@ def quadrature_points(grid: GridSpec, dim: int, singularities: Sequence = ()):
     """
     if dim > 2:
         raise InputError("quadrature grids support dimensions 1 and 2 only")
+    if grid.samples_per_axis ** dim > MAX_NODES:
+        raise InputError(f"quadrature grids beyond {MAX_NODES} nodes are not supported")
     t, wt = axis_quadrature(grid)
     pts = np.stack([a.ravel() for a in np.meshgrid(*[t] * dim, indexing="ij")], axis=1)
     w = functools.reduce(np.multiply.outer, [wt] * dim).ravel()
@@ -298,11 +306,11 @@ def _exclusion(grid: GridSpec) -> float:
     return max(grid.exclusion_radius, 1e-12)
 
 
-def _check_points_clear(points, singularities, dim: int, tol: float = 1e-12):
-    """Raise when an evaluation point coincides with a singularity."""
+def _check_points_clear(points, singularities, dim: int):
+    """Raise when an evaluation point lies within 1e-12 of a singularity."""
     pts = _as_points(points, dim)[0]
     for s in singularities:
-        if np.any(_distance(pts, s) <= tol):
+        if np.any(_distance(pts, s) <= 1e-12):
             raise SingularityHitError(
                 f"evaluation point hits singularity at {np.ravel(s).tolist()}")
 
@@ -623,11 +631,15 @@ class _STFTScan:
             raise InputError("stft requires square-integrable inputs")
         self.dim = f.dim
         self.grid = grid or GridSpec.default(f.dim)
-        self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
-        self.fw = f(self.nodes) * w
         self.xs = _as_points(xs, f.dim)[0]
         self.omegas = _as_points(omegas, f.dim)[0]
         pts = _as_points(points, 2 * f.dim)[0]
+        m, p = self.xs.shape[0], self.omegas.shape[0]
+        rows = m + p + pts.shape[0]
+        if self.grid.samples_per_axis ** f.dim * rows + m * p > MAX_SCAN_VALUES:
+            raise InputError(f"STFT scans beyond {MAX_SCAN_VALUES} values are not supported")
+        self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
+        self.fw = f(self.nodes) * w
         self.point_xs, self.point_omegas = pts[:, :f.dim], pts[:, f.dim:]
         self.lattice_phase = self.point_phase = None
         if retain_phases:

@@ -23,7 +23,12 @@ WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
 RESTARTS = 3
+# Objective evaluations one search may spend; at about 30 ms each on the
+# default grid, that bounds a search to minutes.
+MAX_BUDGET = 10_000
 _RING_SAMPLES = 180
+# Nelder-Mead reflection, expansion, contraction and shrink coefficients.
+_REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 
 
 @dataclass(frozen=True)
@@ -84,17 +89,17 @@ class _TailScan:
         if f.dim != 1:
             raise InputError("window search is implemented for dimension 1")
         R = float(R)
-        if R <= 0:
-            raise InputError("R must be positive")
+        if not 0 < R < math.inf:
+            raise InputError("R must be positive and finite")
         lattice = lattice or GridSpec(8.0, 81)
         xs = np.linspace(-lattice.half_width, lattice.half_width,
                          lattice.samples_per_axis)
-        self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
         theta = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
         points = np.vstack([[0.0, 0.0],
                             np.column_stack([R * np.cos(theta), R * np.sin(theta)])])
         self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points,
                               retain_phases=True)
+        self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
 
     def ratio(self, g_params: WindowParams) -> float:
         """`tail_ratio` of one window, evaluated against this scan."""
@@ -109,7 +114,7 @@ class _TailScan:
         return max(best, float(np.abs(sums[1:]).max())) / denom
 
 
-def tail_ratio(f: FunctionEvaluator, g_params: WindowParams, R: float, N: int,
+def tail_ratio(f: FunctionEvaluator, g_params: WindowParams, R: float,
                lattice: Optional[GridSpec] = None,
                grid: Optional[GridSpec] = None) -> float:
     """max |V_g f| over {||lambda|| >= R} scan points, divided by |<f, g>|.
@@ -147,24 +152,10 @@ class SearchResult:
 
 
 def _fold(value: float, lo: float, hi: float) -> float:
-    """Reflect a coordinate back into [lo, hi]."""
+    """Reflect a coordinate back into [lo, hi] (lo < hi)."""
     span = hi - lo
-    if span <= 0:
-        return lo
     y = (value - lo) % (2.0 * span)
-    if y < 0:
-        y += 2.0 * span
     return lo + (y if y <= span else 2.0 * span - y)
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
 
 
 def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
@@ -181,25 +172,30 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
     part of the tail-ratio scan is built once per call, so each objective
     evaluation gives exactly `tail_ratio` of its window.
     """
-    if budget < 10:
-        raise InputError("budget must be at least 10")
-    d = int(d)
+    budget = int(budget)
+    if not 10 <= budget <= MAX_BUDGET:
+        raise InputError(f"budget must lie in [10, {MAX_BUDGET}]")
+    d, N, seed = int(d), int(N), int(seed)
     if not 0 <= d <= MAX_DEGREE:
         raise InputError(f"degree must lie in [0, {MAX_DEGREE}]")
-    target = 1.0 / int(N)
-    ndim = d + 2
+    if N < 1:
+        raise InputError("N must be at least 1")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
+    target = 1.0 / N
     lo = np.array([WIDTH_MIN] + [-1.0] * (d + 1))
     hi = np.array([WIDTH_MAX] + [1.0] * (d + 1))
     scan = _TailScan(f, R, lattice, grid)
-    budget_state = _Budget(int(budget))
+    used = 0
     incumbent = {"ratio": math.inf, "params": None, "trace": []}
     failures = []
 
     def objective(theta: np.ndarray) -> float:
-        if budget_state.exhausted:
+        nonlocal used
+        if used >= budget:
             return math.inf
         vec = np.array([_fold(v, l, h) for v, l, h in zip(theta, lo, hi)])
-        budget_state.used += 1
+        used += 1
         coeffs = vec[1:]
         if not np.any(np.abs(coeffs) > 1e-12):
             return math.inf
@@ -215,19 +211,20 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
             incumbent["trace"].append((params, ratio))
         return ratio
 
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     starts = [np.concatenate([[1.0], np.eye(1, d + 1, 0)[0]])]
     for _ in range(RESTARTS - 1):
         width0 = rng.uniform(0.5, 2.0)
         coeffs0 = rng.uniform(-1.0, 1.0, d + 1)
         starts.append(np.concatenate([[width0], coeffs0]))
 
-    share = max(1, int(budget) // len(starts))
+    # Each start but the last may spend `share` evaluations. No cap exceeds
+    # the budget, so a run below its cap has budget left.
+    share = max(1, budget // len(starts))
     for idx, start in enumerate(starts):
-        cap = budget_state.limit if idx == len(starts) - 1 else \
-            min(budget_state.limit, budget_state.used + share)
-        _nelder_mead(objective, start, ndim, budget_state, cap)
-        if budget_state.exhausted:
+        cap = budget if idx == len(starts) - 1 else min(budget, used + share)
+        _nelder_mead(objective, start, lambda: used >= cap)
+        if used >= budget:
             break
 
     if incumbent["params"] is None:
@@ -236,14 +233,12 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
     ratio = incumbent["ratio"]
     return SearchResult(best_params=incumbent["params"], ratio=ratio,
                         target=target, achieved=ratio < target,
-                        evaluations=budget_state.used,
-                        trace=tuple(incumbent["trace"]))
+                        evaluations=used, trace=tuple(incumbent["trace"]))
 
 
-def _nelder_mead(objective, start: np.ndarray, ndim: int, budget: _Budget,
-                 cap: int, alpha: float = 1.0, gamma: float = 2.0,
-                 rho: float = 0.5, sigma: float = 0.5) -> None:
-    """One bounded Nelder-Mead run; stops when its evaluation cap is hit."""
+def _nelder_mead(objective, start: np.ndarray, capped) -> None:
+    """One bounded Nelder-Mead run from `start`; stops once `capped()` holds."""
+    ndim = len(start)
     steps = np.full(ndim, 0.25)
     steps[0] = 0.2
     simplex = [np.asarray(start, dtype=float)]
@@ -252,35 +247,33 @@ def _nelder_mead(objective, start: np.ndarray, ndim: int, budget: _Budget,
         v[i] += steps[i]
         simplex.append(v)
     values = [objective(v) for v in simplex]
-    if budget.used >= cap:
-        return
 
-    while budget.used < cap and not budget.exhausted:
+    while not capped():
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
 
-        reflected = centroid + alpha * (centroid - worst)
+        reflected = centroid + _REFLECT * (centroid - worst)
         fr = objective(reflected)
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
-            expanded = centroid + gamma * (reflected - centroid)
+            expanded = centroid + _EXPAND * (reflected - centroid)
             fe = objective(expanded)
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
                 simplex[-1], values[-1] = reflected, fr
             continue
-        contracted = centroid + rho * (worst - centroid)
+        contracted = centroid + _CONTRACT * (worst - centroid)
         fc = objective(contracted)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         best = simplex[0]
         for i in range(1, len(simplex)):
-            simplex[i] = best + sigma * (simplex[i] - best)
+            simplex[i] = best + _SHRINK * (simplex[i] - best)
             values[i] = objective(simplex[i])

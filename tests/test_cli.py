@@ -1,8 +1,15 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfcert.cli import main
 
@@ -187,17 +194,6 @@ def test_window_search_json_and_csv(tmp_path, capsys):
     assert len(rows) >= 2
 
 
-def test_window_search_seed_flag_overrides_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, "ws2.json", {
-        "function": {"family": "gaussian"},
-        "R": 2.0, "N": 2, "degree": 1, "budget": 15, "seed": 0})
-    _, out_a, _ = run(capsys, "window-search", "--config", cfg, "--no-meta",
-                      "--seed", "5")
-    _, out_b, _ = run(capsys, "window-search", "--config", cfg, "--no-meta",
-                      "--seed", "5")
-    assert out_a == out_b  # flag-selected seed is reproducible
-
-
 def test_reproduce_recipes(capsys):
     for name in ("example1", "example2", "gaussian_stft", "dilation_scan"):
         code, out, _ = run(capsys, "reproduce", name, "--no-meta")
@@ -279,6 +275,30 @@ def test_bad_family_exit_one(tmp_path, capsys):
                            "lambda": [[0, 0], [1, 0]]}),
     (("certify", "thm1"), {"function": {"family": "gaussian"}, "lambda": [[0, "a"], [1, 0]]}),
     (("certify", "thm1"), {"function": {"family": "gaussian"}, "lambda": 7}),
+    # sizes and counts beyond what the library allocates or finishes
+    (("certify", "cor3"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 1]],
+                           "grid": {"samples_per_axis": 1e30}}),
+    (("certify", "thm3"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [2, 0]],
+                           "grid": {"samples_per_axis": 1e30}}),
+    (("oracle", "gram"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 0]],
+                          "grid": {"samples_per_axis": 1e30}}),
+    (("certify", "thm3"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [2, 0]],
+                           "lattice": {"samples_per_axis": 1e30}}),
+    (("oracle", "stft-identity"), {"function": {"family": "gaussian"},
+                                   "lattice": {"samples_per_axis": 1e30}}),
+    (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 2,
+                          "lattice": {"samples_per_axis": 1e30}}),
+    (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 0}),
+    (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 2, "seed": -1}),
+    (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 2,
+                          "budget": 1e308}),
+    (("certify", "thm1"), {"function": {"family": "gaussian", "params": {"n": 1e30}},
+                           "lambda": [[0, 0], [1, 0]]}),
+    (("oracle", "gram"), {"function": {"family": "edgar_rosenblatt", "quad_tol": 1e-18},
+                          "lambda": [[0, 0, 0, 0], [1, 0, 0, 0]]}),
+    # the lattice has no exclusion radius
+    (("certify", "thm3"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [2, 0]],
+                           "lattice": {"exclusion_radius": 3}}),
 ])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)
@@ -332,9 +352,25 @@ def test_nonfinite_family_parameter_exit_one(tmp_path, capsys, command, function
     assert "finite" in err
 
 
+@pytest.mark.parametrize("command, cfg", [
+    (("oracle", "stft-identity"), {"function": {"family": "gaussian"}, "u": 1e308}),
+    (("oracle", "metaplectic"), {"function": {"family": "gaussian"}, "kind": "dilation",
+                                 "r": 2.0, "omega": 1e308}),
+    (("oracle", "gram"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 1e308]]}),
+    (("oracle", "collocation"), {"function": {"family": "gaussian"},
+                                 "lambda": [[0, 0], [1, 1e308]]}),
+])
+def test_nonfinite_result_refused_exit_two(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, "huge.json", cfg)
+    code, out, err = run(capsys, *command, "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("er", [
     {"step": 0}, {"step": math.nan}, {"step": -0.25}, {"half_width": math.nan},
-    {"half_width": -1}, {"step": 1e-300},
+    {"half_width": -1}, {"step": 1e-300}, {"quad_tol": 1e-18}, {"quad_tol": 1e-320},
+    None, 3, True, [[1]], [],
 ])
 def test_bad_er_lattice_exit_one(tmp_path, capsys, er):
     path = write_config(tmp_path, "bad.json", {"er": er})
@@ -350,6 +386,7 @@ def test_bad_er_lattice_exit_one(tmp_path, capsys, er):
     ("oracle", "gram", "--config", "{cfg}", "--rigorous"),
     ("oracle", "gram", "--config", "{cfg}", "--seed", "3"),
     ("certify", "thm1", "--config", "{cfg}", "--seed", "3"),
+    ("window-search", "--config", "{cfg}", "--seed", "3"),
     ("reproduce", "example1", "--rigorous"),
 ])
 def test_usage_error_exit_one(thm1_config, capsys, argv):
@@ -396,3 +433,99 @@ def test_oracle_matrix_csv(tmp_path, capsys):
     rows = list(csv.reader(out.splitlines()))
     assert rows[0] == ["re_0", "im_0", "re_1", "im_1"]
     assert float(rows[1][0]) == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one-field config fuzz
+# ---------------------------------------------------------------------------
+
+_GRID = {"half_width": 8.0, "samples_per_axis": 256}
+_EXAMPLE1 = {"family": "example1", "params": {"C": 4, "omega": 1}}
+_FUZZ_BASES = [
+    (("certify", "lemma1"), {"dimension": 1, "function": _EXAMPLE1, "shifts": [0, 1, 2],
+                             "grid": _GRID}),
+    (("certify", "thm1"), {"dimension": 1, "function": _EXAMPLE1, "anchor": 0,
+                           "lambda": [[0, 0], [1, 1], [2, 0]], "grid": _GRID}),
+    (("certify", "cor1"), {"function": {"family": "gaussian", "params": {"n": 1}},
+                           "lambda": [[0, 0], [1, 0], [2, 0]], "r": 1.0, "grid": _GRID}),
+    (("certify", "cor2"), {"function": {"family": "gaussian"},
+                           "lambda": [[0, 0], [0, 1], [0, 2]], "grid": _GRID}),
+    (("certify", "cor3"), {"function": _EXAMPLE1, "lambda": [[0, 0], [1, 1], [2, 2]],
+                           "r": 1.5, "grid": _GRID}),
+    (("certify", "thm2"), {"function": {"family": "example2", "params": {"omega": 0}},
+                           "lambda": [[0, 0], [2, 0], [4, 0], [6, 1]], "grid": _GRID}),
+    (("certify", "thm3"), {"function": {"family": "gaussian"}, "window": {"family": "gaussian"},
+                           "lambda": [[0, 0], [1.5, 0], [0, 1.5]], "grid": _GRID,
+                           "lattice": {"half_width": 8.0, "samples_per_axis": 48}}),
+    (("oracle", "gram"), {"function": _EXAMPLE1, "lambda": [[0, 0], [1, 1]], "grid": _GRID}),
+    (("oracle", "collocation"), {"function": {"family": "singular_cos", "params": {"omega": 1}},
+                                 "lambda": [[0, 0], [3, 1]], "sample_points": [0.5, 1.5, 2.5],
+                                 "grid": _GRID}),
+    (("oracle", "er-residual"), {"er": {"half_width": 1.0, "step": 0.5, "quad_tol": 1e-9}}),
+    (("oracle", "stft-identity"), {"function": {"family": "gaussian"},
+                                   "window": {"family": "gaussian"}, "u": 1.0, "eta": 0.5,
+                                   "lattice": {"half_width": 3.0, "samples_per_axis": 17},
+                                   "grid": _GRID}),
+    (("oracle", "metaplectic"), {"function": {"family": "gaussian"}, "kind": "dilation",
+                                 "r": 2.0, "x": 1.0, "omega": 1.0,
+                                 "sample_points": [-1.0, 0.0, 0.5, 1.0], "grid": _GRID}),
+    (("oracle", "metaplectic"), {"function": _EXAMPLE1, "kind": "fourier_multiplier",
+                                 "r": 0.25, "x": 1.0, "omega": 0.5, "grid": _GRID}),
+    (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 2, "degree": 1,
+                          "budget": 10, "seed": 1, "grid": _GRID,
+                          "lattice": {"half_width": 8.0, "samples_per_axis": 21}}),
+]
+_DELETE = object()
+_MUTATIONS = ["x", None, True, [], {}, [[1]],              # malformed
+              1e30, 1e308, -1e308, 10 ** 30,               # huge
+              0, -1, 1e-18, 1e-320,                        # tiny
+              math.nan, math.inf, -math.inf,               # non-finite
+              _DELETE]
+
+
+def _field_paths(obj, prefix=()):
+    """Paths to every value of a config: object keys and the first two
+    entries of each list, at any depth."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj[:2]) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+_FUZZ_CASES = [(command, base, path) for command, base in _FUZZ_BASES
+               for path in _field_paths(base)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_MUTATIONS))
+def test_one_field_config_mutation_fuzz(case, value):
+    # Malformed input exits 1 with one `input error:` line; numbers too large
+    # to evaluate are refused; nothing escapes main, prints NaN or Infinity,
+    # or warns (a warning is one more stderr line of the console script), and
+    # no certificate rests on a peak that was not finite.
+    command, base, path = case
+    cfg = copy.deepcopy(base)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzz.json"
+        config.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([*command, "--config", str(config), "--no-meta"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3, 4)
+    assert not caught, [str(w.message) for w in caught]
+    if code == 1:
+        assert err.startswith("input error:") and err.count("\n") == 1, err
+    assert "NaN" not in out and "Infinity" not in out
+    if code in (0, 3, 4) and "peak" in json.loads(out)["report"]:
+        assert json.loads(out)["report"]["peak"] is not None  # a certificate's |f| or |<f, g>|

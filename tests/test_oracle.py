@@ -345,9 +345,6 @@ def test_metaplectic_fourier_multiplier():
 
 
 def test_metaplectic_extra_variant_and_errors():
-    reports = metaplectic_residual("dilation", (2.0, 1.0, 1.0), make_gaussian(1),
-                                   extra_variants={"identity_params": (1.0, 1.0)})
-    assert "identity_params" in reports
     with pytest.raises(InputError):
         metaplectic_residual("dilation", (0.0, 1.0, 1.0), make_gaussian(1))
     with pytest.raises(InputError):

@@ -45,14 +45,14 @@ def test_tail_ratio_at_target_boundary():
     # maximum lands a hair above the target and 'achieved' stays false
     f = make_gaussian(1)
     R = 0.66428
-    ratio = tail_ratio(f, gaussian_params(), R, 2)
+    ratio = tail_ratio(f, gaussian_params(), R)
     assert ratio == pytest.approx(math.exp(-PI * R * R / 2.0), abs=1e-9)
     assert not ratio < 0.5
 
 
 def test_tail_ratio_well_inside():
     f = make_gaussian(1)
-    ratio = tail_ratio(f, gaussian_params(), 2.0, 2)
+    ratio = tail_ratio(f, gaussian_params(), 2.0)
     assert ratio == pytest.approx(math.exp(-2 * PI), abs=1e-6)
     assert ratio < 0.5
 
@@ -61,15 +61,15 @@ def test_tail_ratio_orthogonal_window_refused():
     f = make_gaussian(1)
     odd = WindowParams(1.0, np.array([0.0, 1.0]))
     with pytest.raises(NearOrthogonalError):
-        tail_ratio(f, odd, 1.0, 2)
+        tail_ratio(f, odd, 1.0)
 
 
 def test_tail_ratio_scaling_invariance():
     f = make_example1(4.0, 1.0)
     base = WindowParams(1.0, np.array([0.8, 0.3, -0.2]))
     scaled = WindowParams(1.0, 2.5 * np.asarray(base.hermite_coeffs))
-    r1 = tail_ratio(f, base, 1.5, 3)
-    r2 = tail_ratio(f, scaled, 1.5, 3)
+    r1 = tail_ratio(f, base, 1.5)
+    r2 = tail_ratio(f, scaled, 1.5)
     assert r2 == pytest.approx(r1, rel=1e-12)
 
 
@@ -104,7 +104,7 @@ def test_search_trace_matches_fresh_tail_ratio():
     for f, R, N, d, budget, seed in runs:
         res = search(f, R=R, N=N, d=d, budget=budget, seed=seed)
         for params, ratio in res.trace:
-            assert ratio == tail_ratio(f, params, R, N)
+            assert ratio == tail_ratio(f, params, R)
     assert len(res.trace) >= 3
 
 
@@ -130,8 +130,8 @@ def test_achieved_config_upgrades_to_theorem3_certificate():
     f = make_gaussian(1)
     params = gaussian_params()
     R, N = 2.0, 2
-    coarse = tail_ratio(f, params, R, N, GridSpec(8.0, 81))
-    fine = tail_ratio(f, params, R, N, GridSpec(8.0, 161))
+    coarse = tail_ratio(f, params, R, GridSpec(8.0, 81))
+    fine = tail_ratio(f, params, R, GridSpec(8.0, 161))
     assert coarse < 1.0 / N and fine < 1.0 / N
     g = realize_window(params)
     lam = PointSet.from_rows([[0, 0], [2.5, 0]])  # pairwise distance > R
