@@ -10,8 +10,8 @@ all of them.
 
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal, SingularityHitError, TFCertError)
-from .tfops import (FunctionEvaluator, GridSpec, PointSet, TFPoint, chirp_mul,
-                    dilate, fourier, inner_product, l2_norm, modulate, stft,
+from .tfops import (FunctionEvaluator, GridSpec, PointSet, chirp_mul, dilate,
+                    fourier, inner_product, l2_norm, modulate, stft,
                     stft_grid, stft_points, tf_shift, translate)
 from .funcs import (FamilySpec, make_edgar_rosenblatt, make_example1,
                     make_example2, make_gaussian, make_singular_cos)
@@ -34,7 +34,7 @@ __all__ = [
     "IndependenceReport", "InputError", "NearOrthogonalError",
     "NotCertifiableError", "NumericalRefusal", "PointSet", "ResidualReport",
     "SearchResult", "SingularityHitError", "SupEstimate", "TFCertError",
-    "TFPoint", "WindowParams", "best_translate", "check_corollary1",
+    "WindowParams", "best_translate", "check_corollary1",
     "check_corollary2", "check_corollary3", "check_lemma1", "check_theorem1",
     "check_theorem2", "check_theorem3", "chirp_mul", "collocation_rank",
     "decay_radius", "default_collocation_points", "dependence_residual_er",

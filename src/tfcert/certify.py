@@ -414,7 +414,7 @@ def check_corollary2(f: FunctionEvaluator, lam: PointSet,
     grid = grid or GridSpec.default(f.dim)
     fhat = fourier(f, grid)
     rotated = PointSet.from_rows(
-        [np.concatenate([p.omega, -p.x]) for p in lam.points], dim=lam.dim)
+        np.concatenate([lam.freqs(), -lam.times()], axis=1), dim=lam.dim)
     return replace(check_theorem1(fhat, rotated, grid=grid), theorem="Cor2")
 
 
@@ -566,7 +566,7 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         R = R0 + lattice.step * math.sqrt(2.0)
         sup_method = SUP_DENSE
 
-    M, pair = _min_pairwise(lam.tf_array())
+    M, pair = _min_pairwise(lam.rows)
     margins = tuple(float(d - R) for d in pair)
     return Certificate("Thm3", _verdict(margins), N, R, M, peak, bound,
                        margins, sup_method)

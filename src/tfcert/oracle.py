@@ -29,6 +29,14 @@ EPS_INDEP = 1e-6
 EPS_DEP = 1e-10
 MAX_MATRIX = 64
 MAX_ER_LATTICE = 10**6
+# One Edgar-Rosenblatt evaluation at (a, b) costs about the same while |a| and
+# |b| stay below _ER_FLAT_REACH and grows linearly beyond it, so a lattice
+# point counts max(1, (half_width + 1) / _ER_FLAT_REACH) times against
+# MAX_ER_LATTICE. The quadrature's panels, and so its memory, grow with the
+# reach too: a block of points at half width MAX_ER_HALF_WIDTH peaks at about
+# 250 MB.
+_ER_FLAT_REACH = 25.0
+MAX_ER_HALF_WIDTH = 1e4
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,8 @@ def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.nd
     shift too large to evaluate) is refused before any linear algebra.
     """
     out = np.empty((len(lam), pts.shape[0]), dtype=complex)
-    for i, p in enumerate(lam.points):
-        shifted = tf_shift(f, p)
+    for i, lam_i in enumerate(zip(lam.times(), lam.freqs())):
+        shifted = tf_shift(f, lam_i)
         for s in range(0, pts.shape[0], _WINDOW_BLOCK):
             out[i, s:s + _WINDOW_BLOCK] = shifted(pts[s:s + _WINDOW_BLOCK])
     if not np.isfinite(out).all():
@@ -128,7 +136,7 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     if N > MAX_MATRIX:
         raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
     grid = grid or GridSpec.default(f.dim)
-    sings = tuple(s + p.x for s in f.singularities for p in lam.points)
+    sings = tuple(s + x for s in f.singularities for x in lam.times())
     pts, w = quadrature_points(grid, f.dim, sings)
     phi = _shift_values(f, lam, pts)
     phiw = phi * w
@@ -204,9 +212,8 @@ def collocation_rank(f: FunctionEvaluator, lam: PointSet,
     pts = _sample_points(sample_points, f.dim)
     if pts.shape[0] < N:
         raise InputError("need at least N sample points")
-    for p in lam.points:
-        shifted = tuple(s + p.x for s in f.singularities)
-        _check_points_clear(pts, shifted, f.dim)
+    for x in lam.times():
+        _check_points_clear(pts, tuple(s + x for s in f.singularities), f.dim)
     A = _shift_values(f, lam, pts).T
     sig = np.linalg.svd(A, compute_uv=False)
     sigma_min, sigma_max = float(sig[-1]), float(sig[0])
@@ -241,15 +248,21 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
 def er_lattice(half_width: float = 3.0, step: float = 0.25) -> np.ndarray:
     """Square lattice of (a, b) points used by the dependence residual.
 
-    Refuses a non-finite or non-positive half width or step, and lattices
-    of more than MAX_ER_LATTICE points.
+    Refuses a non-finite or non-positive half width or step, a half width
+    beyond MAX_ER_HALF_WIDTH, and lattices of more than MAX_ER_LATTICE
+    points, each weighted by the lattice's reach (see _ER_FLAT_REACH).
     """
     half_width, step = finite(half_width, "half_width"), finite(step, "step")
     if half_width <= 0.0 or step <= 0.0:
         raise InputError("half_width and step must be positive")
+    if half_width > MAX_ER_HALF_WIDTH:
+        raise InputError(f"er lattices beyond half_width {MAX_ER_HALF_WIDTH:g} are not supported")
     per_axis = np.ceil((half_width + 1e-12 + half_width) / step)  # np.arange's length
-    if per_axis > math.sqrt(MAX_ER_LATTICE):
-        raise InputError(f"er lattices beyond {MAX_ER_LATTICE} points are not supported")
+    reach = max(1.0, (half_width + 1.0) / _ER_FLAT_REACH)
+    if per_axis > math.sqrt(MAX_ER_LATTICE / reach):
+        raise InputError(f"er lattices beyond {MAX_ER_LATTICE} points, each counted "
+                         f"max(1, (half_width + 1) / {_ER_FLAT_REACH:g}) times, "
+                         "are not supported")
     axis = np.arange(-half_width, half_width + 1e-12, step)
     a, b = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([a.ravel(), b.ravel()])

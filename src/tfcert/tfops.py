@@ -10,7 +10,8 @@ Point layout: every point array has shape (k, n) internally, and evaluators
 read a trailing axis of length n as the coordinate axis (for n = 1 it may be
 omitted, so a plain array holds one point per entry). Only
 `FunctionEvaluator.__call__` adapts points to the `fn` contract, under which
-a 1-D `fn` takes shape (k,).
+a 1-D `fn` takes shape (k,). Time-frequency points are rows (x, omega) of
+an (N, 2n) array; `tf_shift` and `stft` take one point as an (x, omega) pair.
 
 The Fourier transforms and `stft_grid` share one phase-sum kernel;
 `stft_points` is its batch form over arbitrary (x, omega) rows and `stft` is
@@ -65,6 +66,9 @@ _WINDOW_BLOCK = 16_384
 # (its window rows, retained phases and lattice field, up to 256 MB).
 MAX_NODES = 1 << 22
 MAX_SCAN_VALUES = 1 << 24
+# The exps a dense Fourier sum may compute, m targets times K nodes. A sum at
+# the bound takes about 20 s on x86-64 with one BLAS thread.
+MAX_DENSE_PHASES = 1 << 29
 # A 1-D array is an arithmetic progression when it lies within this relative
 # distance of one. A chirp-z sum replaces the dense one when the m K dense
 # exps exceed _CHIRP_COST size log2(size) for the FFT length `size`; the two
@@ -157,97 +161,60 @@ class FunctionEvaluator:
 
 
 @dataclass(frozen=True)
-class TFPoint:
-    """A time-frequency point lambda = (x, omega) in R^{2n}."""
-
-    x: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        w = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if x.ndim != 1 or w.ndim != 1 or x.shape != w.shape:
-            raise InputError("x and omega must be real vectors of equal length")
-        if not (np.isfinite(x).all() and np.isfinite(w).all()):
-            raise InputError("time-frequency points must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "omega", w)
-
-    @property
-    def dim(self) -> int:
-        return self.x.size
-
-    @classmethod
-    def of(cls, obj) -> "TFPoint":
-        if isinstance(obj, TFPoint):
-            return obj
-        try:
-            x, omega = obj
-        except (TypeError, ValueError) as exc:
-            raise InputError("expected a TFPoint or an (x, omega) pair") from exc
-        return cls(x, omega)
-
-    @classmethod
-    def from_row(cls, row, dim: int) -> "TFPoint":
-        row = np.asarray(row, dtype=float).reshape(-1)
-        if row.size != 2 * dim:
-            raise InputError(f"lambda row must have length {2 * dim}")
-        return cls(row[:dim], row[dim:])
-
-    def as_row(self) -> np.ndarray:
-        return np.concatenate([self.x, self.omega])
-
-
-@dataclass(frozen=True)
 class PointSet:
-    """Finite ordered set of pairwise-distinct time-frequency points."""
+    """Finite ordered set of pairwise-distinct time-frequency points.
 
-    points: tuple
+    `rows` is a read-only (N, 2n) array whose row i is lambda_i = (x, omega),
+    the layout of the CLI's `lambda` lists and of `stft_points`. It must hold
+    N >= 1 finite, pairwise-distinct rows of one positive even width; rows
+    equal up to the sign of zero are duplicates.
+    """
+
+    rows: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(TFPoint.of(p) for p in self.points)
-        if len(pts) < 1:
+        try:
+            rows = np.array(self.rows, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError("lambda must be a list of numeric rows") from exc
+        if rows.ndim != 2 and rows.shape != (0,):
+            raise InputError("lambda must be a list of numeric rows")
+        if rows.shape[0] == 0:
             raise InputError("point set must contain at least one point")
-        dim = pts[0].dim
-        if any(p.dim != dim for p in pts):
-            raise InputError("all points must share one dimension")
+        width = rows.shape[1]
+        if width == 0 or width % 2:
+            raise InputError("lambda rows must have positive even length")
+        if not np.isfinite(rows).all():
+            raise InputError("time-frequency points must be finite")
         seen = set()
-        for p in pts:
-            key = (tuple(p.x.tolist()), tuple(p.omega.tolist()))
+        for key in map(tuple, rows.tolist()):
             if key in seen:
-                raise InputError(f"duplicate time-frequency point {key}")
+                half = width // 2
+                raise InputError(f"duplicate time-frequency point {(key[:half], key[half:])}")
             seen.add(key)
-        object.__setattr__(self, "points", pts)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows, dim: Optional[int] = None) -> "PointSet":
-        try:
-            rows = [np.asarray(r, dtype=float).reshape(-1) for r in rows]
-        except (TypeError, ValueError) as exc:
-            raise InputError("lambda must be a list of numeric rows") from exc
-        if not rows:
-            raise InputError("point set must contain at least one point")
-        if dim is None:
-            if rows[0].size % 2:
-                raise InputError("lambda rows must have even length")
-            dim = rows[0].size // 2
-        return cls(tuple(TFPoint.from_row(r, dim) for r in rows))
+        """The point set of `rows`, whose width must be 2 dim when `dim` is given."""
+        lam = cls(rows)
+        if dim is not None and lam.dim != dim:
+            raise InputError(f"lambda row must have length {2 * dim}")
+        return lam
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self.rows.shape[1] // 2
 
     def times(self) -> np.ndarray:
-        return np.stack([p.x for p in self.points])
+        return self.rows[:, :self.dim]
 
     def freqs(self) -> np.ndarray:
-        return np.stack([p.omega for p in self.points])
-
-    def tf_array(self) -> np.ndarray:
-        return np.stack([p.as_row() for p in self.points])
+        return self.rows[:, self.dim:]
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +331,28 @@ def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
     return replace(f, fn=fn)
 
 
-def tf_shift(f: FunctionEvaluator, lam) -> FunctionEvaluator:
-    """Time-frequency shift: modulation after translation."""
-    lam = TFPoint.of(lam)
-    if lam.dim != f.dim:
+def _tf_pair(lam, dim: int):
+    """The time-frequency point `lam` = (x, omega) as two finite vectors of
+    length dim."""
+    try:
+        x, omega = lam
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InputError("expected an (x, omega) pair of real vectors") from exc
+    if x.ndim != 1 or x.shape != omega.shape:
+        raise InputError("x and omega must be real vectors of equal length")
+    if x.size != dim:
         raise InputError("dimension mismatch between point and function")
-    return modulate(translate(f, lam.x), lam.omega)
+    if not (np.isfinite(x).all() and np.isfinite(omega).all()):
+        raise InputError("time-frequency points must be finite")
+    return x, omega
+
+
+def tf_shift(f: FunctionEvaluator, lam) -> FunctionEvaluator:
+    """Time-frequency shift by lam = (x, omega): modulation after translation."""
+    x, omega = _tf_pair(lam, f.dim)
+    return modulate(translate(f, x), omega)
 
 
 def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
@@ -502,7 +485,7 @@ def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     In 1-D, when targets and nodes are both arithmetic progressions and m is
     large enough that three FFTs cost less than the m K dense exps, the sum
     is a chirp-z transform (`_chirp_sum`) in O((K + m) log(K + m)). Otherwise
-    it is the dense phase-sum kernel.
+    it is the dense phase-sum kernel, refused beyond MAX_DENSE_PHASES exps.
     """
     m, K = targets.shape[0], nodes.shape[0]
     if targets.shape[1] == 1 and m >= 2:
@@ -512,6 +495,9 @@ def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
             axis = None if omega is None else _progression(nodes[:, 0])
             if axis is not None:
                 return _chirp_sum(omega, axis, m, weights, sign, size)
+    if m * K > MAX_DENSE_PHASES:
+        raise InputError(f"a dense Fourier sum of {m} x {K} phases exceeds the "
+                         f"{MAX_DENSE_PHASES} supported; use a coarser grid")
     return _phase_sum(_phase_blocks(targets, nodes, sign), weights)
 
 
@@ -676,7 +662,7 @@ def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
     Computed by quadrature of f(t) conj(e^{2 pi i omega.t} g(t - x)) over the
     truncation box; this is `stft_points` at the single point lambda.
     """
-    return complex(stft_points(f, g, TFPoint.of(lam).as_row(), grid)[0])
+    return complex(stft_points(f, g, np.concatenate(_tf_pair(lam, f.dim)), grid)[0])
 
 
 def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,

@@ -188,8 +188,7 @@ def test_theorem1_translation_invariance_exact():
     lam = lam_times([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, -2.0, 0.25])
     base = check_theorem1(f, lam)
     a = 0.5
-    shifted_lam = PointSet.from_rows(
-        [[p.x[0] + a, p.omega[0]] for p in lam.points])
+    shifted_lam = PointSet.from_rows([[x + a, w] for x, w in lam.rows])
     tf = translate(f, a).with_envelope(f.envelope)
     moved = check_theorem1(tf, shifted_lam, anchor=a)
     assert moved.verdict == base.verdict

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tfcert import cli, tfops
 from tfcert.cli import main
 
 
@@ -367,14 +368,58 @@ def test_nonfinite_result_refused_exit_two(tmp_path, capsys, command, cfg):
     assert err.startswith("refused:") and err.count("\n") == 1
 
 
+@pytest.fixture
+def first_point_residual(monkeypatch):
+    """Run the residual on the lattice's first point only, so that a lattice
+    that is not refused exits 0 at once instead of running for hours."""
+    residual = cli.dependence_residual_er
+    monkeypatch.setattr(cli, "dependence_residual_er",
+                        lambda points, quad_tol: residual(points[:1], quad_tol))
+
+
 @pytest.mark.parametrize("er", [
     {"step": 0}, {"step": math.nan}, {"step": -0.25}, {"half_width": math.nan},
     {"half_width": -1}, {"step": 1e-300}, {"quad_tol": 1e-18}, {"quad_tol": 1e-320},
     None, 3, True, [[1]], [],
+    # few points, but far out: each evaluation costs in proportion to |a|, |b|
+    {"half_width": 1e4, "step": 25}, {"half_width": 1e5, "step": 250},
 ])
-def test_bad_er_lattice_exit_one(tmp_path, capsys, er):
+def test_bad_er_lattice_exit_one(tmp_path, capsys, first_point_residual, er):
     path = write_config(tmp_path, "bad.json", {"er": er})
     code, out, err = run(capsys, "oracle", "er-residual", "--config", path)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.fixture
+def bounded_phase_blocks(monkeypatch):
+    """Fail at once, instead of running for minutes, if a dense phase sum
+    beyond 2^29 exps starts."""
+    blocks = tfops._phase_blocks
+
+    def bounded(targets, nodes, sign):
+        if targets.shape[0] * nodes.shape[0] > 1 << 29:
+            raise AssertionError("a dense phase sum beyond the bound started")
+        return blocks(targets, nodes, sign)
+    monkeypatch.setattr(tfops, "_phase_blocks", bounded)
+
+
+_GAUSSIAN_2D = {"dimension": 2, "function": {"family": "gaussian", "params": {"n": 2}},
+                "lambda": [[0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 2]]}
+
+
+@pytest.mark.parametrize("theorem, cfg", [
+    # the 2-D decay scan of fhat on the default 512^2 grid: 6.9e10 exps
+    ("cor2", _GAUSSIAN_2D),
+    ("cor3", dict(_GAUSSIAN_2D, r=1.5)),
+    # an odd grid puts a node on the singularity; dropping it loses the chirp-z path
+    ("cor2", {"function": {"family": "example2", "params": {"omega": 0.5}},
+              "lambda": [[0, 0], [2, 1], [4, 2]], "grid": {"samples_per_axis": 65537}}),
+])
+def test_dense_fourier_sum_beyond_bound_exit_one(tmp_path, capsys, bounded_phase_blocks,
+                                                 theorem, cfg):
+    path = write_config(tmp_path, "dense.json", cfg)
+    code, out, err = run(capsys, "certify", theorem, "--config", path)
     assert code == 1 and out == ""
     assert err.startswith("input error:") and err.count("\n") == 1
 

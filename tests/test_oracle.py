@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     PointSet, SingularityHitError, check_theorem1,
@@ -78,8 +79,25 @@ LAM_2D = PointSet.from_rows([[0, 0, 0, 0], [1.5, 0, 0, 0], [0, 1.5, 1, 0],
 def test_gram_matrix_is_weighted_product_bit_for_bit(f, lam):
     grid = GridSpec(4.0, 64 if f.dim == 2 else 1024)
     pts, w = quadrature_points(grid, f.dim)
-    phi = np.stack([tf_shift(f, p)(pts) for p in lam.points])
+    phi = np.stack([tf_shift(f, p)(pts) for p in zip(lam.times(), lam.freqs())])
     assert np.array_equal(gram_matrix(f, lam, grid).matrix, (phi * w) @ phi.conj().T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(family=st.one_of(st.just(("gaussian",)),
+                        st.tuples(st.just("example1"), st.floats(2.0, 10.0),
+                                  st.floats(0.0, 6.0))),
+       rows=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                     min_size=2, max_size=6, unique=True))
+def test_envelope_certified_set_is_never_gram_dependent(family, rows):
+    # the provable direction of the HRT conjecture: translates whose times
+    # are separated beyond the envelope's decay radius are independent
+    f = make_gaussian(1) if family[0] == "gaussian" else make_example1(*family[1:])
+    lam = PointSet.from_rows(rows)
+    cert = check_theorem1(f, lam, require_envelope=True)
+    if cert.certified:
+        assert cert.sup_method == "Envelope"
+        assert gram_matrix(f, lam).verdict != "Dependent"
 
 
 def test_gram_two_dimensional_peak_memory():
@@ -95,7 +113,7 @@ def test_gram_two_dimensional_peak_memory():
 def test_shift_rows_blocked_bit_for_bit(f, lam, grid):
     # the grids span several evaluation blocks, the last one partial
     pts, _ = quadrature_points(grid, f.dim)
-    whole = np.stack([tf_shift(f, p)(pts) for p in lam.points])
+    whole = np.stack([tf_shift(f, p)(pts) for p in zip(lam.times(), lam.freqs())])
     assert np.array_equal(oracle._shift_values(f, lam, pts), whole)
 
 
@@ -146,7 +164,7 @@ def test_gram_translation_invariance_gaussian():
     lam = PointSet.from_rows([[0, 0], [1, 1], [2.5, -0.5]])
     base = gram_matrix(make_gaussian(1), lam)
     a = 0.5
-    shifted = PointSet.from_rows([[p.x[0] + a, p.omega[0]] for p in lam.points])
+    shifted = PointSet.from_rows([[x + a, w] for x, w in lam.rows])
     moved = gram_matrix(translate(make_gaussian(1), a), shifted)
     np.testing.assert_allclose(np.abs(moved.matrix), np.abs(base.matrix), atol=1e-8)
 
@@ -161,7 +179,7 @@ def test_gram_translation_invariance_slow_decay_within_tail_bound():
     def defect(L, m):
         grid = GridSpec(L, m)
         base = gram_matrix(f, lam, grid)
-        shifted = PointSet.from_rows([[p.x[0] + a, p.omega[0]] for p in lam.points])
+        shifted = PointSet.from_rows([[x + a, w] for x, w in lam.rows])
         moved = gram_matrix(translate(f, a), shifted, grid)
         return float(np.max(np.abs(np.abs(moved.matrix) - np.abs(base.matrix))))
 
@@ -260,10 +278,19 @@ def test_er_residual_monotone_refinement():
 @pytest.mark.parametrize("half_width, step", [
     (3.0, 0.0), (3.0, -0.25), (3.0, math.nan), (math.nan, 0.25), (-1.0, 0.25),
     (0.0, 0.25), (math.inf, 0.25), (3.0, 1e-300), (3.0, 5e-324), (1000.0, 0.5),
+    (1e4, 25.0), (1e5, 250.0), (1000.0, 12.6), (2e4, 1e4),
 ])
 def test_er_lattice_rejects_bad_parameters(half_width, step):
     with pytest.raises(InputError):
         er_lattice(half_width, step)
+
+
+@pytest.mark.parametrize("half_width, step, per_axis", [
+    (24.0, 0.05, 961),      # reach 24: only the point count is bounded
+    (1000.0, 12.66, 158),   # 158^2 points, each counted 40.04 times
+])
+def test_er_lattice_accepts_work_within_bound(half_width, step, per_axis):
+    assert er_lattice(half_width, step).shape == (per_axis ** 2, 2)
 
 
 def test_er_residual_rejects_loose_tolerance():

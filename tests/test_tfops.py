@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
-                    PointSet, TFPoint, chirp_mul, dilate, fourier,
+                    PointSet, chirp_mul, dilate, fourier,
                     inner_product, l2_norm, make_example1, make_example2,
                     make_gaussian, modulate, stft, stft_grid, stft_points,
                     tf_shift, translate)
+from tfcert import tfops
 from tfcert.tfops import (_phase_blocks, _phase_sum, inverse_fourier_multiplier,
                           quadrature_points)
 
@@ -124,7 +125,7 @@ def test_tf_shift_preserves_l2_norm():
     base = l2_norm(g)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        lam = TFPoint(rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1))
+        lam = (rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1))
         assert l2_norm(tf_shift(g, lam)) == pytest.approx(base, rel=1e-8)
 
 
@@ -328,6 +329,17 @@ def test_fourier_dense_path_is_unchanged_off_progressions():
     assert np.array_equal(fourier(g2, small)(targets), dense)
 
 
+def test_dense_fourier_sum_bound(monkeypatch):
+    # the decay scan of a 2-D fhat on a 128^2 grid (2^28 exps) is accepted;
+    # a sum beyond MAX_DENSE_PHASES is refused before any exp is computed
+    monkeypatch.setattr(tfops, "_phase_blocks", lambda targets, nodes, sign: iter(()))
+    nodes, w = np.zeros((128 ** 2, 2)), np.ones(128 ** 2, dtype=complex)
+    tfops._fourier_sum(np.zeros((128 ** 2, 2)), nodes, w, -1.0)
+    with pytest.raises(InputError, match="dense Fourier sum"):
+        tfops._fourier_sum(np.zeros((tfops.MAX_DENSE_PHASES // 128 ** 2 + 1, 2)),
+                           nodes, w, -1.0)
+
+
 def test_fourier_gaussian_self_dual_on_all_nodes():
     g = plain_gaussian()
     nodes = quadrature_points(GridSpec.default(1), 1)[0][:, 0]
@@ -438,11 +450,20 @@ def test_stft_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_tfpoint_requires_matching_lengths():
+    # the (x, omega) pair of tf_shift and stft, and the rows of from_rows
+    g1, g2 = make_gaussian(1), make_gaussian(2)
+    for pair in (([1.0, 2.0], [0.0]), ([0.0], [1.0, 2.0])):
+        with pytest.raises(InputError):
+            tf_shift(g2, pair)
+        with pytest.raises(InputError):
+            stft(g2, g2, pair)
     with pytest.raises(InputError):
-        TFPoint([1.0, 2.0], [0.0])
+        PointSet.from_rows([[1.0, 2.0, 0.0]])
     for bad in (math.nan, math.inf):
         with pytest.raises(InputError):
-            TFPoint(bad, 0.0)
+            tf_shift(g1, (bad, 0.0))
+        with pytest.raises(InputError):
+            stft(g1, g1, (0.0, bad))
         with pytest.raises(InputError):
             PointSet.from_rows([[bad, 0], [1, 0]])
         with pytest.raises(InputError):
@@ -456,7 +477,43 @@ def test_pointset_rejects_duplicates():
 
 def test_pointset_rejects_mixed_dimensions():
     with pytest.raises(InputError):
-        PointSet((TFPoint(0.0, 0.0), TFPoint([0.0, 1.0], [0.0, 0.0])))
+        PointSet.from_rows([[0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("rows, dim", [
+    ([[0, 0], [1, 0, 0]], None),            # ragged
+    ([[0, 0], [[1], [0]]], None),           # a nested row
+    ([[[0], [0]], [[1], [0]]], None),       # three axes
+    ([0.0, 1.0], None),                     # one flat row
+    ([[]], None),                           # zero width
+    ([[]], 1),
+    ([[0, 0, 0]], None),                    # odd width
+    ([[0, 0]], 2),                          # width is not 2 dim
+    ([], None),
+    ([[0, math.nan]], None),
+    ([[-math.inf, 0]], None),
+    ([[0.0, 1.0], [-0.0, 1.0]], None),      # duplicate up to the sign of zero
+    ([["a", 0]], None),
+    ("rows", None),
+])
+def test_from_rows_refuses_malformed_rows(rows, dim):
+    with pytest.raises(InputError):
+        PointSet.from_rows(rows, dim)
+    if dim is None:  # a set built directly is validated the same way
+        with pytest.raises(InputError):
+            PointSet(rows)
+
+
+def test_pointset_rows_are_read_only_columns():
+    src = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
+    ps = PointSet.from_rows(src, dim=2)
+    src[0, 0] = 9.0  # the set holds its own copy
+    assert ps.rows.shape == (2, 4) and ps.rows[0, 0] == 0.0
+    for view in (ps.rows, ps.times(), ps.freqs()):
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+    np.testing.assert_array_equal(ps.times(), ps.rows[:, :2])
+    np.testing.assert_array_equal(ps.freqs(), ps.rows[:, 2:])
 
 
 def test_pointset_accessors():
