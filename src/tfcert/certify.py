@@ -29,7 +29,8 @@ BISECT_TOL = 1e-9
 # bisected radius is flat at its peak to float64 resolution, so the radius is 0.
 FLAT_PEAK_RTOL = 8 * np.finfo(float).eps
 ENVELOPE_HORIZON = 1e9
-MAX_TRANSLATE_CANDIDATES = 4096
+# The (x, omega) lattice `check_theorem3` scans when none is given.
+THM3_LATTICE = GridSpec(8.0, 128)
 
 SUP_ENVELOPE = "Envelope"
 SUP_DENSE = "DenseSample"
@@ -139,23 +140,27 @@ def _min_pairwise(vecs: np.ndarray) -> tuple[float, np.ndarray]:
 def _radius_from_envelope(envelope: Callable[[float], float], bound: float) -> float:
     """Smallest radius where the monotone envelope drops strictly below bound.
 
-    Bisection to BISECT_TOL; returns 0 when the strict bound already holds at
-    every positive radius. For an envelope whose peak equals the bound that
-    shows as an envelope within float64 resolution of the bound on all of
-    [0, 2 hi]: the crossing lies below the resolution of the data. An envelope
-    that decays past hi (a real crossing, however far out) keeps its radius.
+    Bisection to BISECT_TOL, or to adjacent floats where their spacing
+    exceeds it; a crossing beyond ENVELOPE_HORIZON is refused. Returns 0 when
+    the strict bound already holds at every positive radius. For an envelope
+    whose peak equals the bound that shows as an envelope within float64
+    resolution of the bound on all of [0, 2 hi]: the crossing lies below the
+    resolution of the data. An envelope that decays past hi (a real crossing,
+    however far out) keeps its radius.
     """
     if envelope(0.0) < bound:
         return 0.0
     hi = 1.0
     while not envelope(hi) < bound:
-        hi *= 2.0
-        if hi > ENVELOPE_HORIZON:
+        if hi >= ENVELOPE_HORIZON:
             raise NotCertifiableError(
                 "envelope never drops below the required bound within the search horizon")
+        hi = min(2.0 * hi, ENVELOPE_HORIZON)
     lo = 0.0
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: above 2^23 they lie > BISECT_TOL apart
+            break
         if envelope(mid) < bound:
             hi = mid
         else:
@@ -269,7 +274,7 @@ def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
     origin = np.zeros(f.dim)
     peak = float(_eval_abs(f, origin)[0])
     if peak == 0.0:
-        raise InputError("f(0) = 0: translate first (see best_translate)")
+        raise InputError("f(0) = 0: translate first")
     M, _ = _min_pairwise(S)
     if N == 1:
         return Certificate("Lemma1", "Certified", 1, 0.0, M, peak, math.inf,
@@ -318,44 +323,6 @@ def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
         note = "duplicate time coordinates: min pairwise time separation is zero"
     return Certificate("Thm1", _verdict(margins), N, R, M, peak,
                        peak / (N - 1), margins, sup_method, note=note)
-
-
-def best_translate(f: FunctionEvaluator, shifts: Sequence, *,
-                   grid: Optional[GridSpec] = None):
-    """Search for an anchor that makes the Lemma-1 check pass after re-anchoring.
-
-    Candidates are the origin followed by truncation-box grid points where
-    |f| reaches at least half of its sampled maximum (only large anchors can
-    certify), scanned in order of decreasing |f|. Returns the first anchor
-    certifying T_{-a} f on the given shifts, or None. At most
-    MAX_TRANSLATE_CANDIDATES grid points are scanned.
-    """
-    S = _as_shift_array(shifts, f.dim)
-    grid = grid or GridSpec.default(f.dim)
-
-    pts, _ = quadrature_points(grid, f.dim, f.singularities)
-    with np.errstate(all="ignore"):
-        mag = np.abs(np.atleast_1d(f(pts)))
-    mag[~np.isfinite(mag)] = 0.0
-    keep = mag >= 0.5 * mag.max()
-    cand = pts[keep]
-    cand_mag = mag[keep]
-    order = np.argsort(-cand_mag, kind="stable")[:MAX_TRANSLATE_CANDIDATES]
-    cand = np.vstack([np.zeros((1, f.dim)), cand[order]])
-
-    diffs = _pair_differences(S)
-
-    # T_{-a} f evaluated at d is f(d + a); the peak after re-anchoring is f(a).
-    # Nonfinite values fail the strict comparison.
-    with np.errstate(all="ignore"):
-        peaks = np.abs(f(cand))
-        vals = np.abs(f(cand[:, None, :] + diffs[None, :, :]))
-    ok = np.isfinite(peaks) & (peaks > 0) & \
-        np.all(vals * (len(S) - 1) < peaks[:, None], axis=1)
-    if not ok.any():
-        return None
-    idx = int(np.argmax(ok))
-    return cand[idx].copy()
 
 
 def dilation_threshold(f: FunctionEvaluator, lam: PointSet, *,
@@ -550,7 +517,7 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         if f.dim != 1:
             raise NumericalRefusal(
                 "lattice scan is implemented for dimension 1; supply stft_envelope")
-        lattice = lattice or GridSpec(8.0, 128)
+        lattice = lattice or THM3_LATTICE
         xs = np.linspace(-lattice.half_width, lattice.half_width,
                          lattice.samples_per_axis)
         field = np.abs(stft_grid(f, g, xs, xs, grid))

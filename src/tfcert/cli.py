@@ -22,16 +22,18 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .certify import (check_corollary1, check_corollary2, check_corollary3,
-                      check_lemma1, check_theorem1, check_theorem2,
-                      check_theorem3, dilation_threshold, stretch)
+from .certify import (THM3_LATTICE, check_corollary1, check_corollary2,
+                      check_corollary3, check_lemma1, check_theorem1,
+                      check_theorem2, check_theorem3, dilation_threshold,
+                      stretch)
 from .errors import InputError, NumericalRefusal, convert
 from .funcs import FamilySpec, make_example1, make_example2, make_gaussian
-from .oracle import (collocation_rank, default_collocation_points,
-                     dependence_residual_er, er_lattice, gram_matrix,
-                     metaplectic_residual, stft_identity_residual)
+from .oracle import (STFT_IDENTITY_LATTICE, collocation_rank,
+                     default_collocation_points, dependence_residual_er,
+                     er_lattice, gram_matrix, metaplectic_residual,
+                     stft_identity_residual)
 from .tfops import GridSpec, PointSet, stft
-from .windowsearch import search as window_search
+from .windowsearch import SEARCH_LATTICE, search as window_search
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,7 +89,11 @@ def _section(cfg: dict, key: str, defaults: dict) -> dict:
             for name, d in defaults.items()}
 
 
-def _grid_from(cfg: dict, dim: int) -> GridSpec:
+def _grid_from(cfg: dict, dim: int) -> GridSpec | None:
+    """The config's `grid`, its absent keys taken from the default grid of
+    `dim`; None without a `grid` section, so the library picks its default."""
+    if "grid" not in cfg:
+        return None
     base = GridSpec.default(dim)
     return GridSpec(**_section(cfg, "grid", {
         "half_width": base.half_width, "samples_per_axis": base.samples_per_axis,
@@ -175,7 +181,7 @@ def _cmd_certify(args) -> tuple[dict, int, list | None]:
                 "config format cannot carry; use the library API")
         lam = _pointset_from(cfg, dim)
         g = _function_from(cfg, "window", default={"family": "gaussian"})
-        lattice = _lattice_from(cfg, GridSpec(8.0, 128))
+        lattice = _lattice_from(cfg, THM3_LATTICE)
         cert = check_theorem3(f, g, lam, grid, lattice)
 
     return {"report": cert.to_json()}, _verdict_exit(cert.verdict), None
@@ -231,7 +237,7 @@ def _cmd_oracle(args) -> tuple[dict, int, list | None]:
             _matrix_csv(rep.matrix)
     if args.test == "stft-identity":
         g = _function_from(cfg, "window", default={"family": "gaussian"})
-        lattice = _lattice_from(cfg, GridSpec(3.0, 33))
+        lattice = _lattice_from(cfg, STFT_IDENTITY_LATTICE)
         rep = stft_identity_residual(f, g, cfg.get("u", 0.0), cfg.get("eta", 0.0),
                                      lattice, grid)
         return {"report": rep.to_json()}, EXIT_OK, None
@@ -256,7 +262,7 @@ def _cmd_window_search(args) -> tuple[dict, int, list | None]:
     f = _function_from(cfg)
     dim = _dimension_of(cfg, f)
     grid = _grid_from(cfg, dim=dim)
-    lattice = _lattice_from(cfg, GridSpec(8.0, 81))
+    lattice = _lattice_from(cfg, SEARCH_LATTICE)
     result = window_search(
         f, R=convert(float, cfg.get("R"), "R"), N=convert(int, cfg.get("N"), "N"),
         d=convert(int, cfg.get("degree", 0), "degree"),

@@ -37,6 +37,8 @@ MAX_ER_LATTICE = 10**6
 # 250 MB.
 _ER_FLAT_REACH = 25.0
 MAX_ER_HALF_WIDTH = 1e4
+# The (x, omega) lattice `stft_identity_residual` scans when none is given.
+STFT_IDENTITY_LATTICE = GridSpec(3.0, 33)
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,7 @@ def stft_identity_residual(f: FunctionEvaluator, g: FunctionEvaluator,
     if f.dim != 1 or g.dim != 1:
         raise InputError("identity residual scan is implemented for dimension 1")
     u, eta = finite(u, "u"), finite(eta, "eta")
-    lattice = lattice or GridSpec(3.0, 33)
+    lattice = lattice or STFT_IDENTITY_LATTICE
     xs = np.linspace(-lattice.half_width, lattice.half_width, lattice.samples_per_axis)
     shifted_f = translate(modulate(f, eta), u)
     lhs = stft_grid(shifted_f, g, xs, xs, grid)

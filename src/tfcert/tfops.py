@@ -13,26 +13,34 @@ omitted, so a plain array holds one point per entry). Only
 a 1-D `fn` takes shape (k,). Time-frequency points are rows (x, omega) of
 an (N, 2n) array; `tf_shift` and `stft` take one point as an (x, omega) pair.
 
-The Fourier transforms and `stft_grid` share one phase-sum kernel;
-`stft_points` is its batch form over arbitrary (x, omega) rows and `stft` is
-`stft_points` on one row. `fourier` and `inverse_fourier_multiplier` sum
-through `_fourier_sum`: in 1-D, when the targets and the nodes are both
-arithmetic progressions (every a[j] within 8 eps max|a| of a[0] + j step)
-and there are enough targets, the sum is a Bluestein chirp-z transform on
-`numpy.fft` in O((K + m) log(K + m)) instead of m K exps. Evaluating at the
-ideal progressions moves each phase 2 pi omega t by at most
-16 eps 2 pi max|omega| max|t|, a small multiple of the rounding the dense
-kernel makes when it forms and exponentiates phases of that size. Short,
-non-uniform or 2-D target sets, and nodes with an interior singular
-neighborhood dropped, keep the dense kernel. STFT lattices stay dense: their
-sums have one weight column per window shift, which BLAS handles well.
+`fourier` and `inverse_fourier_multiplier` sum through `_fourier_sum`: in
+1-D, when the targets and the nodes are both arithmetic progressions (every
+a[j] within 8 eps max|a| of a[0] + j step) and there are enough targets, the
+sum is a Bluestein chirp-z transform on `numpy.fft` in O((K + m) log(K + m))
+instead of m K exps. Evaluating at the ideal progressions moves each phase
+2 pi omega t by at most 16 eps 2 pi max|omega| max|t|, a small multiple of
+the rounding the dense kernel makes when it forms and exponentiates phases of
+that size. Short, non-uniform or 2-D target sets, and nodes with an interior
+singular neighborhood dropped, keep the dense kernel. STFT lattices stay
+dense: their sums have one weight column per window shift, which BLAS
+handles well.
 
-The STFT entry points work in any dimension the quadrature grid supports. Quadrature nodes within the exclusion radius of a
-singularity of f are dropped; nodes within it of a shifted window
-singularity get weight zero. Window rows g(t_k - x_i) are evaluated in
-cache-sized row blocks; blocking changes no arithmetic. `stft_grid` and
-`stft_points` are one-window uses of `_STFTScan`, which holds everything of
-an STFT lattice that does not depend on the window.
+The STFT entry points work in any dimension the quadrature grid supports,
+and all of them read V_g f through one `_STFTScan`: `stft_grid` and
+`stft_points` build a scan and evaluate one window against it, `stft` is
+`stft_points` on one row, and a window search evaluates every window it
+tries against one scan. A scan holds what does not depend on the window,
+each exp() computed once when it is built: the quadrature nodes and f(t) w,
+the lattice phase blocks exp(-2 pi i omega_j.t_k) of `_phase_blocks` (the
+dense Fourier kernel), and the point modulation rows exp(2 pi i omega_i.t_k).
+A lattice value is the phase sum whose weights are the window rows
+f(t_k) w_k conj(g(t_k - x_i)); a point value is
+sum_k conj(exp(2 pi i omega_i.t_k) g(t_k - x_i)) f(t_k) w_k. The two formulas
+round differently, so the lattice and the points agree to round-off.
+Quadrature nodes within the exclusion radius of a singularity of f are
+dropped; nodes within it of a shifted window singularity get weight zero.
+Window rows g(t_k - x_i) are evaluated in cache-sized row blocks; blocking
+changes no arithmetic.
 
 A decay envelope bounds |f| outside balls about `envelope_center`; every
 exact operator keeps it valid, moving that centre with the function.
@@ -63,7 +71,7 @@ _PHASE_BUDGET = 4_000_000
 _WINDOW_BLOCK = 16_384
 # Size limits, checked before anything is allocated: samples per grid axis
 # and nodes per quadrature grid, and the complex values an STFT scan holds
-# (its window rows, retained phases and lattice field, up to 256 MB).
+# (its window rows, phases and lattice field, up to 256 MB).
 MAX_NODES = 1 << 22
 MAX_SCAN_VALUES = 1 << 24
 # The exps a dense Fourier sum may compute, m targets times K nodes. A sum at
@@ -568,30 +576,6 @@ def _window_rows(g: FunctionEvaluator, nodes: np.ndarray, fw: np.ndarray,
     return out
 
 
-def _modulation(omegas: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """exp(2 pi i omega_i.t_k) as an (i, k) matrix."""
-    kernel = _outer_dot(TWO_PI * 1j * omegas, nodes)
-    np.exp(kernel, out=kernel)
-    return kernel
-
-
-def _point_sums(g: FunctionEvaluator, nodes: np.ndarray, fw: np.ndarray,
-                xs: np.ndarray, phase, grid: GridSpec) -> np.ndarray:
-    """sum_k conj(phase[i, k] g(t_k - x_i)) fw[k] for each shift x_i.
-
-    `phase(lo, hi)` returns rows lo:hi of the (i, k) modulation matrix; each
-    window block is multiplied, conjugated and summed while it is in cache.
-    """
-    out = np.empty(xs.shape[0], dtype=complex)
-    for lo, rows in _window_blocks(g, nodes, xs, grid):
-        hi = lo + rows.shape[0]
-        kernel = phase(lo, hi) * rows
-        np.conj(kernel, out=kernel)
-        kernel *= fw
-        out[lo:hi] = np.sum(kernel, axis=1)
-    return out
-
-
 def _check_window(dim: int, g: FunctionEvaluator) -> None:
     """Refuse a window that cannot serve in the STFT of a dim-dimensional f."""
     if g.dim != dim:
@@ -603,34 +587,30 @@ def _check_window(dim: int, g: FunctionEvaluator) -> None:
 class _STFTScan:
     """V_g f of one f on a fixed lattice and point set, for any window g.
 
-    Holds what does not depend on the window: the quadrature nodes, f(t) w,
-    the lattice shifts xs with the phase blocks of the lattice frequencies,
-    and the shifts and modulation rows of the (x, omega) points. `stft_grid`
-    and `stft_points` build a scan and evaluate one window against it; a
-    window search builds one with `retain_phases` and evaluates every window
-    it tries, so its exp() values are computed once.
+    Holds everything that does not depend on the window, each exp() computed
+    once: the quadrature nodes and f(t) w, the lattice shifts with their
+    phase blocks, and the point shifts with their modulation rows.
     """
 
     def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
-                 xs=(), omegas=(), points=(), retain_phases: bool = False):
+                 xs=(), omegas=(), points=()):
         if not f.square_integrable:
             raise InputError("stft requires square-integrable inputs")
         self.dim = f.dim
         self.grid = grid or GridSpec.default(f.dim)
         self.xs = _as_points(xs, f.dim)[0]
-        self.omegas = _as_points(omegas, f.dim)[0]
+        omegas = _as_points(omegas, f.dim)[0]
         pts = _as_points(points, 2 * f.dim)[0]
-        m, p = self.xs.shape[0], self.omegas.shape[0]
+        m, p = self.xs.shape[0], omegas.shape[0]
         rows = m + p + pts.shape[0]
         if self.grid.samples_per_axis ** f.dim * rows + m * p > MAX_SCAN_VALUES:
             raise InputError(f"STFT scans beyond {MAX_SCAN_VALUES} values are not supported")
         self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
         self.fw = f(self.nodes) * w
-        self.point_xs, self.point_omegas = pts[:, :f.dim], pts[:, f.dim:]
-        self.lattice_phase = self.point_phase = None
-        if retain_phases:
-            self.lattice_phase = list(_phase_blocks(self.omegas, self.nodes, -1.0))
-            self.point_phase = _modulation(self.point_omegas, self.nodes)
+        self.lattice_phase = list(_phase_blocks(omegas, self.nodes, -1.0))
+        self.point_xs = pts[:, :f.dim]
+        self.point_phase = _outer_dot(TWO_PI * 1j * pts[:, f.dim:], self.nodes)
+        np.exp(self.point_phase, out=self.point_phase)
 
     def lattice(self, g: FunctionEvaluator) -> np.ndarray:
         """V[i, j] = V_g f(xs[i], omegas[j]).
@@ -639,20 +619,24 @@ class _STFTScan:
         sum over the shared quadrature grid.
         """
         _check_window(self.dim, g)
-        phases = self.lattice_phase
-        if phases is None:
-            phases = _phase_blocks(self.omegas, self.nodes, -1.0)
         rows = _window_rows(g, self.nodes, self.fw, self.xs, self.grid)
-        return _phase_sum(phases, rows.T).T
+        return _phase_sum(self.lattice_phase, rows.T).T
 
     def at_points(self, g: FunctionEvaluator) -> np.ndarray:
-        """V_g f at each (x, omega) point of the scan."""
+        """V_g f at each (x, omega) point: sum_k conj(phase[i, k] g(t_k - x_i)) fw[k].
+
+        Each window block is multiplied, conjugated and summed while it is in
+        cache.
+        """
         _check_window(self.dim, g)
-        if self.point_phase is None:
-            phase = lambda lo, hi: _modulation(self.point_omegas[lo:hi], self.nodes)
-        else:
-            phase = lambda lo, hi: self.point_phase[lo:hi]
-        return _point_sums(g, self.nodes, self.fw, self.point_xs, phase, self.grid)
+        out = np.empty(self.point_xs.shape[0], dtype=complex)
+        for lo, rows in _window_blocks(g, self.nodes, self.point_xs, self.grid):
+            hi = lo + rows.shape[0]
+            kernel = self.point_phase[lo:hi] * rows
+            np.conj(kernel, out=kernel)
+            kernel *= self.fw
+            out[lo:hi] = np.sum(kernel, axis=1)
+        return out
 
 
 def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
@@ -671,12 +655,10 @@ def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,
 
     The lattice costs one exp() per (omega, node) pair.
     """
-    _check_window(f.dim, g)
     return _STFTScan(f, grid, xs=xs, omegas=omegas).lattice(g)
 
 
 def stft_points(f: FunctionEvaluator, g: FunctionEvaluator, lattice_pts,
                 grid: Optional[GridSpec] = None) -> np.ndarray:
     """V_g f at arbitrary time-frequency points; rows are (x, omega) in R^{2n}."""
-    _check_window(f.dim, g)
     return _STFTScan(f, grid, points=lattice_pts).at_points(g)

@@ -27,6 +27,8 @@ RESTARTS = 3
 # default grid, that bounds a search to minutes.
 MAX_BUDGET = 10_000
 _RING_SAMPLES = 180
+# The (x, omega) lattice of the tail-ratio scan when none is given.
+SEARCH_LATTICE = GridSpec(8.0, 81)
 # Nelder-Mead reflection, expansion, contraction and shrink coefficients.
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 
@@ -55,11 +57,6 @@ class WindowParams:
                 "hermite_coeffs": [float(v) for v in self.hermite_coeffs]}
 
 
-def hermite_function(k: int) -> FunctionEvaluator:
-    """k-th L2-orthonormal Hermite function (h_0 is the unit Gaussian)."""
-    return realize_window(WindowParams(1.0, np.eye(1, k + 1, k)[0]))
-
-
 def realize_window(params: WindowParams) -> FunctionEvaluator:
     """Build the window evaluator g(t) = sum_k c_k w^{-1/2} h_k(t/w)."""
     w = params.width
@@ -79,9 +76,9 @@ def realize_window(params: WindowParams) -> FunctionEvaluator:
 class _TailScan:
     """The tail ratio of any window for one (f, R, lattice, grid).
 
-    Holds the `||lambda|| > R` lattice mask and an STFT scan of f, with
-    retained phases, over the lattice and over the origin followed by the
-    boundary ring; `ratio` evaluates one window against them.
+    Holds the `||lambda|| > R` lattice mask and an STFT scan of f over the
+    lattice and over the origin followed by the boundary ring; `ratio`
+    evaluates one window against them.
     """
 
     def __init__(self, f: FunctionEvaluator, R: float,
@@ -91,14 +88,13 @@ class _TailScan:
         R = float(R)
         if not 0 < R < math.inf:
             raise InputError("R must be positive and finite")
-        lattice = lattice or GridSpec(8.0, 81)
+        lattice = lattice or SEARCH_LATTICE
         xs = np.linspace(-lattice.half_width, lattice.half_width,
                          lattice.samples_per_axis)
         theta = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
         points = np.vstack([[0.0, 0.0],
                             np.column_stack([R * np.cos(theta), R * np.sin(theta)])])
-        self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points,
-                              retain_phases=True)
+        self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points)
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
 
     def ratio(self, g_params: WindowParams) -> float:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError,
                     NearOrthogonalError, NotCertifiableError, NumericalRefusal,
-                    PointSet, best_translate, check_corollary1,
+                    PointSet, WindowParams, check_corollary1,
                     check_corollary2, check_corollary3, check_lemma1,
                     check_theorem1, check_theorem2, check_theorem3,
                     decay_radius, dilation_threshold, dilation_threshold_freq,
-                    gram_matrix, hermite_function, make_example1,
-                    make_example2, make_gaussian, make_singular_cos, stretch,
-                    sup_outside, translate)
+                    gram_matrix, make_example1, make_example2, make_gaussian,
+                    make_singular_cos, realize_window, stretch, sup_outside,
+                    translate)
 
 PI = math.pi
 GAUSS_R3 = math.sqrt(math.log(2.0) / PI)          # envelope = peak/2
@@ -50,6 +51,53 @@ def test_decay_radius_monotone_in_n():
         radii = [decay_radius(f, n) for n in range(2, 9)]
         for lo, hi in zip(radii[:-1], radii[1:]):
             assert hi >= lo
+
+
+def counted(envelope, limit=10_000):
+    """`envelope`, raising once it has been called `limit` times, so that a
+    bisection which never ends fails in seconds instead of hanging."""
+    calls = 0
+
+    def wrapped(r):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise RuntimeError(f"envelope called more than {limit} times")
+        return envelope(r)
+    return wrapped
+
+
+def test_theorem1_far_crossing_bisection_ends():
+    # min(C, 1/r) with C = 1e-7 crosses C/2 at 2e7, beyond 2^23, where
+    # adjacent floats lie more than BISECT_TOL apart.
+    f = make_example1(1e-7, 1.0)
+    cert = check_theorem1(f.with_envelope(counted(f.envelope)),
+                          lam_times([0.0, 1.0, 2.0]), require_envelope=True)
+    assert cert.verdict == "NotCertified"
+    assert Fraction(cert.R) * Fraction(1e-7) > 2
+    assert cert.R == pytest.approx(2e7, rel=1e-15)
+
+
+def test_corollary1_far_stretch_bisection_ends():
+    # Stretching by r = 1e8 moves the Gaussian's crossing to 1e8 GAUSS_R3.
+    g = make_gaussian(1)
+    cert = check_corollary1(g.with_envelope(counted(g.envelope)),
+                            lam_times([0.0, 1.0, 2.0]), r=1e8, require_envelope=True)
+    assert cert.verdict == "NotCertified"
+    assert cert.R == pytest.approx(1e8 * GAUSS_R3, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(N=st.integers(2, 12), log_radius=st.floats(-3.0, 8.99))
+def test_decay_radius_example1_lies_beyond_the_exact_crossing(N, log_radius):
+    # The envelope min(C, 1/r) drops below C/(N-1) exactly beyond (N-1)/C, so
+    # a rigorous R satisfies R C > N - 1 in exact arithmetic, at every scale
+    # up to ENVELOPE_HORIZON.
+    C = (N - 1) / 10.0 ** log_radius
+    f = make_example1(C, 0.0)
+    R = decay_radius(f.with_envelope(counted(f.envelope)), N)
+    assert Fraction(R) * Fraction(C) > N - 1
+    assert R <= (N - 1) / C * (1.0 + 1e-15) + 1e-9
 
 
 def test_decay_radius_vanishing_anchor_rejected():
@@ -231,31 +279,6 @@ def test_theorem1_translation_invariance_dense():
     moved = check_theorem1(translate(g, a), shifted_lam, anchor=a)
     assert moved.verdict == base.verdict
     assert abs(moved.R - base.R) <= GridSpec.default(1).step
-
-
-# ---------------------------------------------------------------------------
-# best_translate
-# ---------------------------------------------------------------------------
-
-def test_best_translate_returns_origin_when_certified():
-    f = make_example1(8.0, 0.0)
-    a = best_translate(f, [0.0, 1.0, 2.0, 3.0])
-    assert a is not None
-    assert a[0] == 0.0
-
-
-def test_best_translate_recovers_shift():
-    f = translate(make_example1(8.0, 0.0), 5.0)
-    a = best_translate(f, [0.0, 1.0, 2.0, 3.0])
-    assert a is not None
-    # anywhere on the flat inner branch (width 1/8 around the moved peak) works
-    assert abs(a[0] - 5.0) <= 0.125 + GridSpec.default(1).step
-    # the re-anchored check must actually pass
-    assert check_lemma1(translate(f, -a), [0.0, 1.0, 2.0, 3.0]).certified
-
-
-def test_best_translate_hopeless_spacing():
-    assert best_translate(make_gaussian(1), [0.0, 0.1, 0.2]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +497,7 @@ def test_theorem3_single_point():
 
 def test_theorem3_near_orthogonal_refused():
     g = make_gaussian(1)
-    odd = hermite_function(1)
+    odd = realize_window(WindowParams(1.0, [0.0, 1.0]))
     with pytest.raises(NearOrthogonalError):
         check_theorem3(odd, g, PointSet.from_rows([[0, 0], [2, 0]]))
 

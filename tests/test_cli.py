@@ -454,6 +454,20 @@ def test_rigorous_mode_refusals_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_rigorous_thm1_without_grid_certifies_a_3d_gaussian(tmp_path, capsys):
+    # Envelope mode needs no quadrature grid, so a config without a `grid`
+    # section must not ask for a default grid in dimensions beyond 2.
+    cfg = write_config(tmp_path, "g3.json", {
+        "dimension": 3, "function": {"family": "gaussian", "params": {"n": 3}},
+        "lambda": [[0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]})
+    code, out, _ = run(capsys, "certify", "thm1", "--config", cfg, "--rigorous", "--no-meta")
+    report = json.loads(out)["report"]
+    assert code == 0
+    assert report["verdict"] == "Certified"
+    assert report["sup_method"] == "Envelope"
+    assert report["R"] == pytest.approx(math.sqrt(math.log(2.0) / math.pi), abs=1e-8)
+
+
 def test_csv_rejected_for_certificates(thm1_config, capsys):
     code, _, err = run(capsys, "certify", "thm1", "--config", thm1_config,
                        "--format", "csv")
@@ -522,6 +536,7 @@ _FUZZ_BASES = [
 ]
 _DELETE = object()
 _MUTATIONS = ["x", None, True, [], {}, [[1]],              # malformed
+              1e8,                                         # far: above 2^23, below horizons
               1e30, 1e308, -1e308, 10 ** 30,               # huge
               0, -1, 1e-18, 1e-320,                        # tiny
               math.nan, math.inf, -math.inf,               # non-finite

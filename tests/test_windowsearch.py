@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tfcert import (GridSpec, InputError, NearOrthogonalError, PointSet,
-                    WindowParams, check_theorem3, hermite_function, l2_norm,
+                    WindowParams, check_theorem3, l2_norm,
                     make_example1, make_gaussian, realize_window, search,
                     tail_ratio)
 
@@ -26,7 +26,7 @@ def test_window_params_validation():
 
 def test_realized_hermite_functions_are_orthonormal():
     from tfcert import inner_product
-    hs = [hermite_function(k) for k in range(4)]
+    hs = [realize_window(WindowParams(1.0, np.eye(4)[k])) for k in range(4)]
     for i, hi in enumerate(hs):
         for j, hj in enumerate(hs):
             want = 1.0 if i == j else 0.0
