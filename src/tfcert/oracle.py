@@ -127,6 +127,12 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     G is Hermitian positive semidefinite up to quadrature error; the verdict
     compares the extremal eigenvalues of its Hermitian part. Refuses inputs
     not flagged square-integrable (use collocation_rank for those).
+
+    `quad_error_estimate` is the Hermitian defect max|G - G^*| plus the
+    negative part of the smallest eigenvalue: a symptom, not a bound on the
+    quadrature error. With nonnegative weights, G = Phi W Phi^* is Hermitian
+    positive semidefinite however coarse or truncated the quadrature is, so
+    the estimate mostly reads the rounding of the matrix product.
     """
     if not f.square_integrable:
         raise NumericalRefusal(

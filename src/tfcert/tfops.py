@@ -21,26 +21,38 @@ instead of m K exps. Evaluating at the ideal progressions moves each phase
 2 pi omega t by at most 16 eps 2 pi max|omega| max|t|, a small multiple of
 the rounding the dense kernel makes when it forms and exponentiates phases of
 that size. Short, non-uniform or 2-D target sets, and nodes with an interior
-singular neighborhood dropped, keep the dense kernel. STFT lattices stay
-dense: their sums have one weight column per window shift, which BLAS
-handles well.
+singular neighborhood dropped, keep the dense kernel.
 
 The STFT entry points work in any dimension the quadrature grid supports,
 and all of them read V_g f through one `_STFTScan`: `stft_grid` and
 `stft_points` build a scan and evaluate one window against it, `stft` is
 `stft_points` on one row, and a window search evaluates every window it
 tries against one scan. A scan holds what does not depend on the window,
-each exp() computed once when it is built: the quadrature nodes and f(t) w,
-the lattice phase blocks exp(-2 pi i omega_j.t_k) of `_phase_blocks` (the
-dense Fourier kernel), and the point modulation rows exp(2 pi i omega_i.t_k).
-A lattice value is the phase sum whose weights are the window rows
-f(t_k) w_k conj(g(t_k - x_i)); a point value is
-sum_k conj(exp(2 pi i omega_i.t_k) g(t_k - x_i)) f(t_k) w_k. The two formulas
-round differently, so the lattice and the points agree to round-off.
-Quadrature nodes within the exclusion radius of a singularity of f are
-dropped; nodes within it of a shifted window singularity get weight zero.
-Window rows g(t_k - x_i) are evaluated in cache-sized row blocks; blocking
-changes no arithmetic.
+each phase's cos and sin computed once when it is built:
+- the quadrature nodes;
+- the folded kernels exp(-2 pi i omega.t_k) f(t_k) w_k of the lattice
+  frequencies and of the point frequencies, each row a real and an
+  imaginary plane;
+- the distinct window shifts: the lattice xs, then each point x not seen
+  before (rows equal up to the sign of zero are one), so distinct lattice
+  xs are a slice of them.
+`fields(g)` evaluates conj(g(t_k - x)) once on each shift, as a real plane
+plus an imaginary plane that exists only when some value is not real. The
+lattice is one real matrix product of its window rows with the stacked
+kernel, and a second one for a complex window; each point value is the dot
+product of its kernel row with its window row. Both give
+sum_k exp(-2 pi i omega.t_k) f(t_k) w_k conj(g(t_k - x)), summed in
+different orders, so lattice and point values agree to round-off, and a
+point's value does not depend on the other points of its scan. Window
+parts of magnitude below the smallest normal float, tiny = 2.2e-308, are
+set to zero: Hermite windows narrower than about 1.1-1.2 have such values
+on the default search scan, and they put BLAS on its slow subnormal path. That
+moves each value of V by at most K tiny max|f w| for K nodes (sqrt 2 times
+that for a complex window). Quadrature nodes within the exclusion radius of
+a singularity of f are dropped; nodes within it of a shifted window
+singularity get weight zero. Kernel rows, window shifts and point values
+are handled in blocks of about `_WINDOW_BLOCK` values; blocking changes no
+arithmetic.
 
 A decay envelope bounds |f| outside balls about `envelope_center`; every
 exact operator keeps it valid, moving that centre with the function.
@@ -63,15 +75,17 @@ from .errors import InputError, NumericalRefusal, SingularityHitError
 TWO_PI = 2.0 * np.pi
 
 # Chunk sizes keep the exp() phase matrices of quadrature-backed transforms
-# below a few tens of MB. Window rows g(t_k - x_i), and the shift rows of the
-# oracle's Gram matrix, are evaluated in blocks of about _WINDOW_BLOCK values,
-# so that their temporaries stay in cache.
+# below a few tens of MB. STFT kernel rows, window rows g(t_k - x_i) and the
+# shift rows of the oracle's Gram matrix are built in blocks of about
+# _WINDOW_BLOCK values, so that their temporaries stay in cache.
 _EVAL_CHUNK = 512
 _PHASE_BUDGET = 4_000_000
 _WINDOW_BLOCK = 16_384
+# Window values below the smallest normal float are flushed to zero.
+_TINY = np.finfo(float).tiny
 # Size limits, checked before anything is allocated: samples per grid axis
-# and nodes per quadrature grid, and the complex values an STFT scan holds
-# (its window rows, phases and lattice field, up to 256 MB).
+# and nodes per quadrature grid, and the values an STFT scan holds, counted
+# as complex (its kernel and window planes and lattice field, up to 256 MB).
 MAX_NODES = 1 << 22
 MAX_SCAN_VALUES = 1 << 24
 # The exps a dense Fourier sum may compute, m targets times K nodes. A sum at
@@ -429,12 +443,11 @@ def _phase_blocks(targets: np.ndarray, nodes: np.ndarray, sign: float):
 def _phase_sum(phases, weights: np.ndarray) -> np.ndarray:
     """sum_k phase[i, k] weights[k] over the row blocks of a phase matrix.
 
-    `phases` iterates over `_phase_blocks`; weights of shape (K,) give an
-    (m,) result and weights of shape (K, p) an (m, p) one.
+    `phases` iterates over `_phase_blocks`; weights have shape (K,).
     """
     sums = [block @ weights for block in phases]
     if not sums:
-        return np.empty((0,) + weights.shape[1:], dtype=complex)
+        return np.empty(0, dtype=complex)
     return np.concatenate(sums)
 
 
@@ -548,32 +561,82 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
                              square_integrable=f.square_integrable)
 
 
-def _window_blocks(g: FunctionEvaluator, nodes: np.ndarray, xs: np.ndarray,
-                   grid: GridSpec):
-    """g(t_k - x_i) for (m, n) shifts xs, as (lo, block) pairs of rows lo.. of
-    the (i, k) matrix with about `_WINDOW_BLOCK` values per block. Entries
-    where t_k lies within the exclusion radius of a singularity of the
-    shifted window are zero."""
-    step = max(1, _WINDOW_BLOCK // max(nodes.shape[0], 1))
-    for lo in range(0, xs.shape[0], step):
-        shifted = nodes - xs[lo:lo + step, None, :]
-        with np.errstate(all="ignore"):
-            rows = g(shifted)
-        for s in g.singularities:
-            rows = np.where(_distance(shifted, s) <= _exclusion(grid), 0.0, rows)
-        yield lo, rows
+def _block_rows(k: int) -> int:
+    """Rows per block of a (rows, k) array with about `_WINDOW_BLOCK` values."""
+    return max(1, _WINDOW_BLOCK // max(k, 1))
 
 
-def _window_rows(g: FunctionEvaluator, nodes: np.ndarray, fw: np.ndarray,
-                 xs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The (i, k) phase-sum weights conj(g(t_k - x_i)) fw[k] of an STFT
-    lattice, filled one window block at a time."""
-    out = np.empty((xs.shape[0], nodes.shape[0]), dtype=complex)
-    for lo, rows in _window_blocks(g, nodes, xs, grid):
-        block = out[lo:lo + rows.shape[0]]
-        np.conj(rows, out=block)
+def _folded_planes(freqs: np.ndarray, nodes: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i omega_j.t_k) fw[k] for (r, n) frequencies omega and (K, n)
+    nodes t, as an (r, 2, K) real array: row j holds the real plane and then
+    the imaginary plane of frequency j.
+
+    Built in row blocks, so the complex temporaries stay in cache;
+    exp(-i theta) is cos(theta) - i sin(theta) of theta = 2 pi (omega.t).
+    """
+    r = freqs.shape[0]
+    out = np.empty((r, 2, nodes.shape[0]))
+    step = _block_rows(nodes.shape[0])
+    for lo in range(0, r, step):
+        theta = -TWO_PI * _outer_dot(freqs[lo:lo + step], nodes)
+        block = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=block.real)
+        np.sin(theta, out=block.imag)
         block *= fw
+        out[lo:lo + step, 0] = block.real
+        out[lo:lo + step, 1] = block.imag
     return out
+
+
+def _distinct_rows(a: np.ndarray):
+    """The distinct rows of a 2-D array in first-appearance order, and the
+    index of each row of `a` among them. Rows equal up to the sign of zero
+    are one row."""
+    first: dict = {}
+    inverse = np.array([first.setdefault(row, len(first)) for row in map(tuple, a.tolist())],
+                       dtype=np.intp)
+    return np.array(list(first), dtype=float).reshape(len(first), a.shape[1]), inverse
+
+
+def _flush(plane: np.ndarray) -> None:
+    """Set the entries of magnitude below the smallest normal float to zero."""
+    plane[np.abs(plane) < _TINY] = 0.0
+
+
+def _window_planes(g: FunctionEvaluator, nodes: np.ndarray, shifts: np.ndarray,
+                   grid: GridSpec):
+    """conj(g(t_k - x_i)) for (s, n) shifts x, as an (s, K) real plane and an
+    imaginary plane that is None when every value is real.
+
+    Rows are evaluated in blocks of about `_WINDOW_BLOCK` values. Entries
+    where t_k lies within the exclusion radius of a singularity of the
+    shifted window are zero, and so are subnormal parts (`_flush`).
+    """
+    re = np.empty((shifts.shape[0], nodes.shape[0]))
+    im = None
+    step = _block_rows(nodes.shape[0])
+    for lo in range(0, shifts.shape[0], step):
+        shifted = nodes - shifts[lo:lo + step, None, :]
+        with np.errstate(all="ignore"):
+            vals = g(shifted)
+        for s in g.singularities:
+            vals = np.where(_distance(shifted, s) <= _exclusion(grid), 0.0, vals)
+        hi = lo + vals.shape[0]
+        re[lo:hi] = vals.real
+        _flush(re[lo:hi])
+        if vals.imag.any():
+            if im is None:
+                im = np.zeros_like(re)
+            np.negative(vals.imag, out=im[lo:hi])
+            _flush(im[lo:hi])
+    return re, im
+
+
+def _kernel_dots(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k kernel[i, :, k] rows[i, k] as one complex value per i, for a
+    (b, 2, K) folded kernel and (b, K) real rows. Each value depends on its
+    own kernel and row only."""
+    return np.matmul(kernel, rows[:, :, None]).reshape(-1, 2).view(complex)[:, 0]
 
 
 def _check_window(dim: int, g: FunctionEvaluator) -> None:
@@ -587,9 +650,11 @@ def _check_window(dim: int, g: FunctionEvaluator) -> None:
 class _STFTScan:
     """V_g f of one f on a fixed lattice and point set, for any window g.
 
-    Holds everything that does not depend on the window, each exp() computed
-    once: the quadrature nodes and f(t) w, the lattice shifts with their
-    phase blocks, and the point shifts with their modulation rows.
+    Holds everything that does not depend on the window, each phase's cos and
+    sin computed once: the quadrature nodes, the folded kernels
+    exp(-2 pi i omega.t) f(t) w of the lattice frequencies and of the point
+    frequencies (`_folded_planes`), and the distinct shifts that the lattice
+    xs and the point xs name.
     """
 
     def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
@@ -598,45 +663,53 @@ class _STFTScan:
             raise InputError("stft requires square-integrable inputs")
         self.dim = f.dim
         self.grid = grid or GridSpec.default(f.dim)
-        self.xs = _as_points(xs, f.dim)[0]
+        xs = _as_points(xs, f.dim)[0]
         omegas = _as_points(omegas, f.dim)[0]
         pts = _as_points(points, 2 * f.dim)[0]
-        m, p = self.xs.shape[0], omegas.shape[0]
+        m, p = xs.shape[0], omegas.shape[0]
         rows = m + p + pts.shape[0]
         if self.grid.samples_per_axis ** f.dim * rows + m * p > MAX_SCAN_VALUES:
             raise InputError(f"STFT scans beyond {MAX_SCAN_VALUES} values are not supported")
         self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
-        self.fw = f(self.nodes) * w
-        self.lattice_phase = list(_phase_blocks(omegas, self.nodes, -1.0))
-        self.point_xs = pts[:, :f.dim]
-        self.point_phase = _outer_dot(TWO_PI * 1j * pts[:, f.dim:], self.nodes)
-        np.exp(self.point_phase, out=self.point_phase)
+        fw = f(self.nodes) * w
+        # Rows 2j and 2j + 1 are the real and imaginary planes of omegas[j].
+        self.lattice_kernel = _folded_planes(omegas, self.nodes, fw).reshape(
+            -1, self.nodes.shape[0])
+        self.point_kernel = _folded_planes(pts[:, f.dim:], self.nodes, fw)
+        self.shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :f.dim]]))
+        # Distinct lattice xs come first, so their window rows are a slice.
+        # Indices count up in order of first appearance, so the first m rows
+        # are distinct exactly when row m - 1 has index m - 1.
+        self.lattice_rows = slice(0, m) if m == 0 or inverse[m - 1] == m - 1 \
+            else inverse[:m]
+        self.point_rows = inverse[m:]
 
-    def lattice(self, g: FunctionEvaluator) -> np.ndarray:
-        """V[i, j] = V_g f(xs[i], omegas[j]).
+    def fields(self, g: FunctionEvaluator):
+        """(V, v): V[i, j] = V_g f(xs[i], omegas[j]) on the lattice and
+        v[i] = V_g f(points[i]), each sum_k exp(-2 pi i omega.t_k) f(t_k) w_k
+        conj(g(t_k - x)).
 
-        The window rows f(t) w conj(g(t - x_i)) are the weights of one phase
-        sum over the shared quadrature grid.
+        The window is evaluated once on each distinct shift. The lattice is
+        one real matrix product of its window rows with the stacked kernel,
+        plus a second one for a complex window; the points are real row dot
+        products taken in blocks.
         """
         _check_window(self.dim, g)
-        rows = _window_rows(g, self.nodes, self.fw, self.xs, self.grid)
-        return _phase_sum(self.lattice_phase, rows.T).T
+        re, im = _window_planes(g, self.nodes, self.shifts, self.grid)
+        kernel = self.lattice_kernel.T
+        lattice = (re[self.lattice_rows] @ kernel).view(complex)
+        if im is not None:
+            lattice = lattice + 1j * (im[self.lattice_rows] @ kernel).view(complex)
 
-    def at_points(self, g: FunctionEvaluator) -> np.ndarray:
-        """V_g f at each (x, omega) point: sum_k conj(phase[i, k] g(t_k - x_i)) fw[k].
-
-        Each window block is multiplied, conjugated and summed while it is in
-        cache.
-        """
-        _check_window(self.dim, g)
-        out = np.empty(self.point_xs.shape[0], dtype=complex)
-        for lo, rows in _window_blocks(g, self.nodes, self.point_xs, self.grid):
-            hi = lo + rows.shape[0]
-            kernel = self.point_phase[lo:hi] * rows
-            np.conj(kernel, out=kernel)
-            kernel *= self.fw
-            out[lo:hi] = np.sum(kernel, axis=1)
-        return out
+        points = np.empty(self.point_rows.shape[0], dtype=complex)
+        step = _block_rows(self.nodes.shape[0])
+        for lo in range(0, points.shape[0], step):
+            blk = slice(lo, lo + step)
+            rows = self.point_rows[blk]
+            points[blk] = _kernel_dots(self.point_kernel[blk], re[rows])
+            if im is not None:
+                points[blk] += 1j * _kernel_dots(self.point_kernel[blk], im[rows])
+        return lattice, points
 
 
 def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
@@ -653,12 +726,12 @@ def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,
               grid: Optional[GridSpec] = None) -> np.ndarray:
     """V_g f on a separable lattice: V[i, j] = V_g f(xs[i], omegas[j]).
 
-    The lattice costs one exp() per (omega, node) pair.
+    The lattice costs one cos and one sin per (omega, node) pair.
     """
-    return _STFTScan(f, grid, xs=xs, omegas=omegas).lattice(g)
+    return _STFTScan(f, grid, xs=xs, omegas=omegas).fields(g)[0]
 
 
 def stft_points(f: FunctionEvaluator, g: FunctionEvaluator, lattice_pts,
                 grid: Optional[GridSpec] = None) -> np.ndarray:
     """V_g f at arbitrary time-frequency points; rows are (x, omega) in R^{2n}."""
-    return _STFTScan(f, grid, points=lattice_pts).at_points(g)
+    return _STFTScan(f, grid, points=lattice_pts).fields(g)[1]

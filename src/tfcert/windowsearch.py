@@ -23,9 +23,10 @@ WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
 RESTARTS = 3
-# Objective evaluations one search may spend; at about 30 ms each on the
+# Objective evaluations one search may spend; at about 20 ms each on the
 # default grid, that bounds a search to minutes.
 MAX_BUDGET = 10_000
+# Boundary-ring samples of the tail-ratio scan; even, so the ring mirrors.
 _RING_SAMPLES = 180
 # The (x, omega) lattice of the tail-ratio scan when none is given.
 SEARCH_LATTICE = GridSpec(8.0, 81)
@@ -73,6 +74,18 @@ def realize_window(params: WindowParams) -> FunctionEvaluator:
                              square_integrable=True)
 
 
+def _ring(R: float) -> np.ndarray:
+    """The (_RING_SAMPLES, 2) samples R (cos theta_j, sin theta_j), theta_j =
+    2 pi j / _RING_SAMPLES. Sample _RING_SAMPLES - j is sample j mirrored,
+    (x, -y) with the same float x, so the ring has _RING_SAMPLES / 2 + 1
+    distinct x."""
+    half = _RING_SAMPLES // 2
+    theta = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)[:half + 1]
+    x, y = R * np.cos(theta), R * np.sin(theta)
+    return np.column_stack([np.concatenate([x, x[half - 1:0:-1]]),
+                            np.concatenate([y, -y[half - 1:0:-1]])])
+
+
 class _TailScan:
     """The tail ratio of any window for one (f, R, lattice, grid).
 
@@ -91,21 +104,18 @@ class _TailScan:
         lattice = lattice or SEARCH_LATTICE
         xs = np.linspace(-lattice.half_width, lattice.half_width,
                          lattice.samples_per_axis)
-        theta = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
-        points = np.vstack([[0.0, 0.0],
-                            np.column_stack([R * np.cos(theta), R * np.sin(theta)])])
+        points = np.vstack([[0.0, 0.0], _ring(R)])
         self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points)
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
 
     def ratio(self, g_params: WindowParams) -> float:
         """`tail_ratio` of one window, evaluated against this scan."""
-        g = realize_window(g_params)
-        sums = self.scan.at_points(g)
+        field, sums = self.scan.fields(realize_window(g_params))
         denom = abs(complex(sums[0]))
         if denom <= DENOM_FLOOR:
             raise NearOrthogonalError(
                 "|<f, g>| underflows; the tail ratio is undefined for this window")
-        outside = np.abs(self.scan.lattice(g))[self.outside]
+        outside = np.abs(field)[self.outside]
         best = float(outside.max()) if outside.size else 0.0
         return max(best, float(np.abs(sums[1:]).max())) / denom
 

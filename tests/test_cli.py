@@ -557,13 +557,14 @@ _FUZZ_CASES = [(command, base, path) for command, base in _FUZZ_BASES
                for path in _field_paths(base)]
 
 
-@settings(derandomize=True, deadline=None, max_examples=400, database=None)
-@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_MUTATIONS))
-def test_one_field_config_mutation_fuzz(case, value):
-    # Malformed input exits 1 with one `input error:` line; numbers too large
-    # to evaluate are refused; nothing escapes main, prints NaN or Infinity,
-    # or warns (a warning is one more stderr line of the console script), and
-    # no certificate rests on a peak that was not finite.
+def _check_one_field_mutation(case, value):
+    """Run `case` with one field set to `value` (or deleted) in-process.
+
+    Malformed input exits 1 with one `input error:` line; numbers too large
+    to evaluate are refused; nothing escapes main, prints NaN or Infinity,
+    or warns (a warning is one more stderr line of the console script), and
+    no certificate rests on a peak that was not finite.
+    """
     command, base, path = case
     cfg = copy.deepcopy(base)
     parent = cfg
@@ -589,3 +590,19 @@ def test_one_field_config_mutation_fuzz(case, value):
     assert "NaN" not in out and "Infinity" not in out
     if code in (0, 3, 4) and "peak" in json.loads(out)["report"]:
         assert json.loads(out)["report"]["peak"] is not None  # a certificate's |f| or |<f, g>|
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_MUTATIONS))
+def test_one_field_config_mutation_fuzz(case, value):
+    _check_one_field_mutation(case, value)
+
+
+def test_one_field_far_band_values_in_every_field():
+    # The fuzz draws 400 of its (case, value) pairs, and its draws of 1e8
+    # miss some cases. Values above 2^23, where adjacent floats lie further
+    # apart than an absolute bisection tolerance, once hung the envelope
+    # bisection, so every field takes both signs of one such value here.
+    for case in _FUZZ_CASES:
+        for value in (1e8, -1e8):
+            _check_one_field_mutation(case, value)

@@ -434,6 +434,97 @@ def test_stft_two_dimensional_gaussian_closed_form():
                                rtol=0, atol=1e-10)
 
 
+def _direct_stft(f, g, rows, grid):
+    """V_g f at (x, omega) rows by direct quadrature: sum_k f(t_k) w_k
+    conj(e^{2 pi i omega t_k} g(t_k - x)), with g zero within the exclusion
+    radius of its shifted singularities."""
+    nodes, w = quadrature_points(grid, 1, f.singularities)
+    t = nodes[:, 0]
+    out = []
+    for x, omega in rows:
+        with np.errstate(all="ignore"):
+            gv = g(t - x)
+        for s in g.singularities:
+            gv = np.where(np.abs(t - x - s[0]) <= max(grid.exclusion_radius, 1e-12), 0.0, gv)
+        out.append(np.sum(f(t) * w * np.conj(np.exp(2j * PI * omega * t) * gv)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("window", ["hermite", "complex", "singular"])
+def test_scan_fields_match_direct_quadrature(window):
+    # A real Hermite window, a complex one (second matrix product and the
+    # imaginary plane), and one whose singularity lands on a node at x = 0.5.
+    # The lattice repeats x = 0.5, so its window rows are gathered; the
+    # points repeat lattice xs and a +-omega pair.
+    from tfcert.windowsearch import WindowParams, realize_window
+    g = {"hermite": lambda: realize_window(WindowParams(0.8, np.array([0.5, -0.3, 0.2]))),
+         "complex": lambda: modulate(make_gaussian(1), 0.7),
+         "singular": lambda: make_example2(0.7)}[window]()
+    f = make_example1(4.0, 1.0)
+    grid = GridSpec(8.0, 1025)
+    xs = np.array([0.0, 0.5, -2.001, 1.25, 0.5])
+    omegas = np.array([0.0, -1.3, 0.4])
+    points = np.array([[0.5, 0.3], [0.5, -0.3], [3.0, 1.1], [-2.001, 0.0]])
+    scan = tfops._STFTScan(f, grid, xs, omegas, points)
+    lattice, at_points = scan.fields(g)
+    want = _direct_stft(f, g, [(x, w) for x in xs for w in omegas], grid).reshape(5, 3)
+    assert np.max(np.abs(lattice - want)) <= 1e-13 * np.max(np.abs(want))
+    want = _direct_stft(f, g, points, grid)
+    assert np.max(np.abs(at_points - want)) <= 1e-13 * np.max(np.abs(want))
+    assert scan.shifts.shape == (5, 1)  # 0, 0.5, -2.001, 1.25 and 3
+
+
+def test_scan_repeated_shifts_give_bit_identical_values():
+    # Points that repeat lattice xs and +-omega pairs share window rows; the
+    # values of the other points and of the lattice must not move by a bit,
+    # wherever the points sit in the set (K = 1025 puts them at rows of
+    # different alignment).
+    from tfcert.windowsearch import WindowParams, realize_window
+    f = make_example1(4.0, 1.0)
+    grid = GridSpec(8.0, 1025)
+    xs = np.linspace(-3.0, 3.0, 13)
+    omegas = np.array([-1.0, 0.0, 0.4, 1.3])
+    base = np.array([[0.35, 0.4], [-1.7, -0.9], [2.2, 1.3]])
+    extra = np.array([[xs[3], 0.7], [0.35, -0.4], [-1.7, 0.9], [xs[0], -0.2]])
+    mixed = np.vstack([extra[:2], base[:1], extra[2:], base[1:]])
+    for g in (realize_window(WindowParams(1.3, np.array([0.6, 0.0, -0.4]))),
+              modulate(make_gaussian(1), 0.7)):
+        scan = tfops._STFTScan(f, grid, xs, omegas, base)
+        lattice, at_points = scan.fields(g)
+        repeated = tfops._STFTScan(f, grid, xs, omegas, mixed)
+        assert repeated.shifts.shape == scan.shifts.shape == (16, 1)
+        lattice2, at_points2 = repeated.fields(g)
+        np.testing.assert_array_equal(lattice2, lattice)
+        np.testing.assert_array_equal(at_points2[[2, 5, 6]], at_points)
+        np.testing.assert_array_equal(stft_grid(f, g, xs, omegas, grid), lattice)
+        np.testing.assert_array_equal(stft_points(f, g, base, grid), at_points)
+
+
+def test_window_flush_moves_fields_within_the_stated_bound():
+    # At width 0.5 the window has subnormal values on the default grid. They
+    # are flushed to zero, which moves each value by at most K tiny max|f w|
+    # against the same products of the unflushed window plane.
+    from tfcert.windowsearch import SEARCH_LATTICE, WindowParams, realize_window
+    f = make_gaussian(1)
+    g = realize_window(WindowParams(0.5, np.array([1.0])))
+    grid = GridSpec.default(1)
+    xs = np.linspace(-8.0, 8.0, SEARCH_LATTICE.samples_per_axis)
+    scan = tfops._STFTScan(f, grid, xs, xs, [[0.0, 0.0], [7.9, -3.0], [-6.5, 1.0]])
+    lattice, at_points = scan.fields(g)
+    unflushed = g(scan.nodes - scan.shifts[:, None, :]).real
+    tiny = np.finfo(float).tiny
+    subnormal = lambda a: (a != 0) & (np.abs(a) < tiny)
+    assert subnormal(unflushed).any()
+    plane, imag = tfops._window_planes(g, scan.nodes, scan.shifts, grid)
+    assert imag is None and not subnormal(plane).any()
+    nodes, w = quadrature_points(grid, 1)
+    bound = nodes.shape[0] * tiny * np.max(np.abs(f(nodes) * w))
+    want = np.dot(unflushed[:xs.size], scan.lattice_kernel.T).view(complex)
+    assert np.max(np.abs(lattice - want)) <= bound
+    want = tfops._kernel_dots(scan.point_kernel, unflushed[scan.point_rows])
+    assert np.max(np.abs(at_points - want)) <= bound
+
+
 def test_stft_rejects_non_square_integrable():
     from tfcert import make_singular_cos
     with pytest.raises(InputError):

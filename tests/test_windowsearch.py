@@ -73,6 +73,22 @@ def test_tail_ratio_scaling_invariance():
     assert r2 == pytest.approx(r1, rel=1e-12)
 
 
+def test_default_tail_scan_shares_mirrored_ring_shifts():
+    # Ring samples j and 180 - j are (x, +-y) with the same float x, and the
+    # origin shares the lattice's x = 0: 81 lattice xs plus 91 ring xs.
+    from tfcert.windowsearch import _ring, _TailScan
+    ring = _ring(1.7)
+    j = np.arange(1, 90)
+    assert ring.shape == (180, 2)
+    np.testing.assert_array_equal(ring[180 - j, 0], ring[j, 0])
+    np.testing.assert_array_equal(ring[180 - j, 1], -ring[j, 1])
+    scan = _TailScan(make_gaussian(1), 1.7, None, None).scan
+    assert scan.shifts.shape == (172, 1)
+    assert scan.lattice_rows == slice(0, 81)
+    assert scan.point_rows[0] == 40 and scan.shifts[40, 0] == 0.0
+    np.testing.assert_array_equal(scan.point_rows[1 + 180 - j], scan.point_rows[1 + j])
+
+
 def test_search_gaussian_easy_target():
     res = search(make_gaussian(1), R=2.0, N=2, d=0, budget=50, seed=0)
     assert res.achieved
