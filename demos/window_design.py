@@ -22,7 +22,7 @@ for R in (0.5, 1.0, 2.0):
 
 print("\nSimplex search over dilated Gaussian-Hermite windows, f = slow-decay family:")
 target_f = make_example1(4.0, 2.0)
-result = search(target_f, R=1.5, N=3, d=3, budget=90, seed=0)
+result = search(target_f, R=1.5, N=3, d=3, budget=90)
 print(f"  target 1/N = {result.target:.4f}, best ratio = {result.ratio:.4f}, "
       f"achieved = {result.achieved}, evaluations = {result.evaluations}")
 print("  incumbent trace (nonincreasing):")

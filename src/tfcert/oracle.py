@@ -246,8 +246,11 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     shifts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     flat = (pts[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-    uniq, inverse = np.unique(np.round(flat, 12, out=flat), axis=0, return_inverse=True)
-    vals = f(uniq)[inverse].reshape(5, -1)
+    # Each (a, b) row read as one complex a + ib: a 1-D sort, in the same
+    # lexicographic order as a row sort and far cheaper.
+    uniq, inverse = np.unique(np.round(flat, 12, out=flat).view(complex)[:, 0],
+                              return_inverse=True)
+    vals = f(uniq.view(float).reshape(-1, 2))[inverse].reshape(5, -1)
     residual = np.abs(2.0 * vals[0] - vals[1] - vals[2] - vals[3] - vals[4])
     return ResidualReport("edgar_rosenblatt_five_term", float(residual.max()),
                           phase_optimized=False, best_phase=1.0 + 0.0j)

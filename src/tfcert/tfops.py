@@ -74,12 +74,10 @@ from .errors import InputError, NumericalRefusal, SingularityHitError
 
 TWO_PI = 2.0 * np.pi
 
-# Chunk sizes keep the exp() phase matrices of quadrature-backed transforms
-# below a few tens of MB. STFT kernel rows, window rows g(t_k - x_i) and the
-# shift rows of the oracle's Gram matrix are built in blocks of about
-# _WINDOW_BLOCK values, so that their temporaries stay in cache.
-_EVAL_CHUNK = 512
-_PHASE_BUDGET = 4_000_000
+# Phase rows exp(+-2 pi i omega.t) of dense Fourier sums and STFT kernels,
+# window rows g(t_k - x_i) and the shift rows of the oracle's Gram matrix are
+# built in blocks of about _WINDOW_BLOCK values, so that their temporaries
+# stay in cache.
 _WINDOW_BLOCK = 16_384
 # Window values below the smallest normal float are flushed to zero.
 _TINY = np.finfo(float).tiny
@@ -410,11 +408,6 @@ def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
 # Quadrature-backed transforms
 # ---------------------------------------------------------------------------
 
-def _chunk_rows(k: int) -> int:
-    """Rows per block of a (rows, k) exp() matrix within the phase budget."""
-    return max(1, min(_EVAL_CHUNK, _PHASE_BUDGET // max(k, 1)))
-
-
 def _outer_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(m, K) matrix of dot products of (m, n) rows a with (K, n) rows b.
 
@@ -427,28 +420,23 @@ def _outer_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phase_blocks(targets: np.ndarray, nodes: np.ndarray, sign: float):
-    """Row blocks of the (m, K) matrix exp(sign 2 pi i targets.nodes).
+def _block_rows(k: int) -> int:
+    """Rows per block of a (rows, k) array with about `_WINDOW_BLOCK` values."""
+    return max(1, _WINDOW_BLOCK // max(k, 1))
 
-    `targets` is (m, n) and `nodes` (K, n); each block has at most
-    `_chunk_rows(K)` rows.
-    """
-    chunk = _chunk_rows(nodes.shape[0])
-    for lo in range(0, targets.shape[0], chunk):
-        block = sign * TWO_PI * 1j * _outer_dot(targets[lo:lo + chunk], nodes)
-        np.exp(block, out=block)
+
+def _phase_rows(freqs: np.ndarray, nodes: np.ndarray, sign: float):
+    """Row blocks of the (r, K) matrix exp(sign 2 pi i omega_j.t_k) for (r, n)
+    frequencies omega and (K, n) nodes t, each of about `_WINDOW_BLOCK`
+    values: cos(theta) + i sin(theta) of theta = sign 2 pi (omega.t). The
+    caller may overwrite a block."""
+    step = _block_rows(nodes.shape[0])
+    for lo in range(0, freqs.shape[0], step):
+        theta = sign * TWO_PI * _outer_dot(freqs[lo:lo + step], nodes)
+        block = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=block.real)
+        np.sin(theta, out=block.imag)
         yield block
-
-
-def _phase_sum(phases, weights: np.ndarray) -> np.ndarray:
-    """sum_k phase[i, k] weights[k] over the row blocks of a phase matrix.
-
-    `phases` iterates over `_phase_blocks`; weights have shape (K,).
-    """
-    sums = [block @ weights for block in phases]
-    if not sums:
-        return np.empty(0, dtype=complex)
-    return np.concatenate(sums)
 
 
 def _progression(a: np.ndarray):
@@ -519,7 +507,8 @@ def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     if m * K > MAX_DENSE_PHASES:
         raise InputError(f"a dense Fourier sum of {m} x {K} phases exceeds the "
                          f"{MAX_DENSE_PHASES} supported; use a coarser grid")
-    return _phase_sum(_phase_blocks(targets, nodes, sign), weights)
+    sums = [block @ weights for block in _phase_rows(targets, nodes, sign)]
+    return np.concatenate(sums) if sums else np.empty(0, dtype=complex)
 
 
 def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEvaluator:
@@ -561,30 +550,18 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
                              square_integrable=f.square_integrable)
 
 
-def _block_rows(k: int) -> int:
-    """Rows per block of a (rows, k) array with about `_WINDOW_BLOCK` values."""
-    return max(1, _WINDOW_BLOCK // max(k, 1))
-
-
 def _folded_planes(freqs: np.ndarray, nodes: np.ndarray, fw: np.ndarray) -> np.ndarray:
     """exp(-2 pi i omega_j.t_k) fw[k] for (r, n) frequencies omega and (K, n)
     nodes t, as an (r, 2, K) real array: row j holds the real plane and then
-    the imaginary plane of frequency j.
-
-    Built in row blocks, so the complex temporaries stay in cache;
-    exp(-i theta) is cos(theta) - i sin(theta) of theta = 2 pi (omega.t).
-    """
-    r = freqs.shape[0]
-    out = np.empty((r, 2, nodes.shape[0]))
-    step = _block_rows(nodes.shape[0])
-    for lo in range(0, r, step):
-        theta = -TWO_PI * _outer_dot(freqs[lo:lo + step], nodes)
-        block = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=block.real)
-        np.sin(theta, out=block.imag)
+    the imaginary plane of frequency j."""
+    out = np.empty((freqs.shape[0], 2, nodes.shape[0]))
+    lo = 0
+    for block in _phase_rows(freqs, nodes, -1.0):
         block *= fw
-        out[lo:lo + step, 0] = block.real
-        out[lo:lo + step, 1] = block.imag
+        hi = lo + block.shape[0]
+        out[lo:hi, 0] = block.real
+        out[lo:hi, 1] = block.imag
+        lo = hi
     return out
 
 

@@ -5,7 +5,9 @@ with closed-form decay, keeping the search space compact). The tail ratio is
 a lattice scan and therefore a heuristic lower bound of the true sup; the
 scan covers lattice points strictly outside the ball plus a deterministic
 ring of samples on its boundary, because the sup over the open exterior
-equals the boundary maximum for continuous fields.
+equals the boundary maximum for continuous fields. `search` is one
+deterministic Nelder-Mead run from the unit Gaussian that spends its whole
+budget.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .tfops import FunctionEvaluator, GridSpec, _STFTScan
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
-RESTARTS = 3
 # Objective evaluations one search may spend; at about 20 ms each on the
 # default grid, that bounds a search to minutes.
 MAX_BUDGET = 10_000
@@ -165,29 +166,27 @@ def _fold(value: float, lo: float, hi: float) -> float:
 
 
 def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
-           seed: int = 0, lattice: Optional[GridSpec] = None,
+           lattice: Optional[GridSpec] = None,
            grid: Optional[GridSpec] = None) -> SearchResult:
     """Derivative-free simplex search minimizing the tail ratio.
 
-    Runs reflect/expand/contract iterations over the (d+2)-dimensional
-    parameter box (width plus d+1 coefficients) from a fixed Gaussian start
-    and RESTARTS - 1 seeded random ones, reflecting out-of-box proposals back
-    inside. Deterministic for fixed inputs; restarts merge by lowest ratio with
-    ties resolved in start order. The trace records every improvement of the
-    incumbent, so it is nonincreasing by construction. The window-independent
-    part of the tail-ratio scan is built once per call, so each objective
-    evaluation gives exactly `tail_ratio` of its window.
+    Runs one reflect/expand/contract simplex over the (d+2)-dimensional
+    parameter box (width plus d+1 coefficients) from the unit Gaussian
+    (width 1, c = e_0) until the budget is spent, reflecting out-of-box
+    proposals back inside. Deterministic for fixed inputs. The trace records
+    every improvement of the incumbent, so it is nonincreasing by
+    construction. The window-independent part of the tail-ratio scan is
+    built once per call, so each objective evaluation gives exactly
+    `tail_ratio` of its window.
     """
     budget = int(budget)
     if not 10 <= budget <= MAX_BUDGET:
         raise InputError(f"budget must lie in [10, {MAX_BUDGET}]")
-    d, N, seed = int(d), int(N), int(seed)
+    d, N = int(d), int(N)
     if not 0 <= d <= MAX_DEGREE:
         raise InputError(f"degree must lie in [0, {MAX_DEGREE}]")
     if N < 1:
         raise InputError("N must be at least 1")
-    if seed < 0:
-        raise InputError("seed must be nonnegative")
     target = 1.0 / N
     lo = np.array([WIDTH_MIN] + [-1.0] * (d + 1))
     hi = np.array([WIDTH_MAX] + [1.0] * (d + 1))
@@ -217,33 +216,20 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
             incumbent["trace"].append((params, ratio))
         return ratio
 
-    rng = np.random.default_rng(seed)
-    starts = [np.concatenate([[1.0], np.eye(1, d + 1, 0)[0]])]
-    for _ in range(RESTARTS - 1):
-        width0 = rng.uniform(0.5, 2.0)
-        coeffs0 = rng.uniform(-1.0, 1.0, d + 1)
-        starts.append(np.concatenate([[width0], coeffs0]))
-
-    # Each start but the last may spend `share` evaluations. No cap exceeds
-    # the budget, so a run below its cap has budget left.
-    share = max(1, budget // len(starts))
-    for idx, start in enumerate(starts):
-        cap = budget if idx == len(starts) - 1 else min(budget, used + share)
-        _nelder_mead(objective, start, lambda: used >= cap)
-        if used >= budget:
-            break
+    start = np.concatenate([[1.0], np.eye(1, d + 1, 0)[0]])
+    _nelder_mead(objective, start, lambda: used >= budget)
 
     if incumbent["params"] is None:
         detail = failures[-1] if failures else "no finite objective value found"
-        raise NumericalRefusal(f"window search failed on every start: {detail}")
+        raise NumericalRefusal(f"window search found no usable window: {detail}")
     ratio = incumbent["ratio"]
     return SearchResult(best_params=incumbent["params"], ratio=ratio,
                         target=target, achieved=ratio < target,
                         evaluations=used, trace=tuple(incumbent["trace"]))
 
 
-def _nelder_mead(objective, start: np.ndarray, capped) -> None:
-    """One bounded Nelder-Mead run from `start`; stops once `capped()` holds."""
+def _nelder_mead(objective, start: np.ndarray, spent) -> None:
+    """One bounded Nelder-Mead run from `start`; stops once `spent()` holds."""
     ndim = len(start)
     steps = np.full(ndim, 0.25)
     steps[0] = 0.2
@@ -254,7 +240,7 @@ def _nelder_mead(objective, start: np.ndarray, capped) -> None:
         simplex.append(v)
     values = [objective(v) for v in simplex]
 
-    while not capped():
+    while not spent():
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]

@@ -195,6 +195,24 @@ def test_window_search_json_and_csv(tmp_path, capsys):
     assert len(rows) >= 2
 
 
+def test_window_search_accepts_and_ignores_seed(tmp_path, capsys):
+    # the search is deterministic; configs written for the seeded search
+    # still carry a seed, which must not change the exit code or a byte
+    # (with seeded restarts, seeds 0, 7 and 2^31 - 1 found three windows here)
+    base = {"function": {"family": "example1", "params": {"C": 4, "omega": 1}},
+            "R": 1.5, "N": 3, "degree": 0, "budget": 20,
+            "grid": {"half_width": 8.0, "samples_per_axis": 256},
+            "lattice": {"half_width": 8.0, "samples_per_axis": 21}}
+    results = set()
+    for seed in (None, 0, 7, 2 ** 31 - 1, -1):
+        cfg = base if seed is None else dict(base, seed=seed)
+        code, out, err = run(capsys, "window-search", "--no-meta",
+                             "--config", write_config(tmp_path, "ws.json", cfg))
+        results.add((code, out, err))
+    assert len(results) == 1
+    assert results.pop()[0] in (0, 3)
+
+
 def test_reproduce_recipes(capsys):
     for name in ("example1", "example2", "gaussian_stft", "dilation_scan"):
         code, out, _ = run(capsys, "reproduce", name, "--no-meta")
@@ -290,7 +308,6 @@ def test_bad_family_exit_one(tmp_path, capsys):
     (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 2,
                           "lattice": {"samples_per_axis": 1e30}}),
     (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 0}),
-    (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 2, "seed": -1}),
     (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": 2,
                           "budget": 1e308}),
     (("certify", "thm1"), {"function": {"family": "gaussian", "params": {"n": 1e30}},
@@ -392,16 +409,16 @@ def test_bad_er_lattice_exit_one(tmp_path, capsys, first_point_residual, er):
 
 
 @pytest.fixture
-def bounded_phase_blocks(monkeypatch):
+def bounded_phase_rows(monkeypatch):
     """Fail at once, instead of running for minutes, if a dense phase sum
     beyond 2^29 exps starts."""
-    blocks = tfops._phase_blocks
+    rows = tfops._phase_rows
 
     def bounded(targets, nodes, sign):
         if targets.shape[0] * nodes.shape[0] > 1 << 29:
             raise AssertionError("a dense phase sum beyond the bound started")
-        return blocks(targets, nodes, sign)
-    monkeypatch.setattr(tfops, "_phase_blocks", bounded)
+        return rows(targets, nodes, sign)
+    monkeypatch.setattr(tfops, "_phase_rows", bounded)
 
 
 _GAUSSIAN_2D = {"dimension": 2, "function": {"family": "gaussian", "params": {"n": 2}},
@@ -416,7 +433,7 @@ _GAUSSIAN_2D = {"dimension": 2, "function": {"family": "gaussian", "params": {"n
     ("cor2", {"function": {"family": "example2", "params": {"omega": 0.5}},
               "lambda": [[0, 0], [2, 1], [4, 2]], "grid": {"samples_per_axis": 65537}}),
 ])
-def test_dense_fourier_sum_beyond_bound_exit_one(tmp_path, capsys, bounded_phase_blocks,
+def test_dense_fourier_sum_beyond_bound_exit_one(tmp_path, capsys, bounded_phase_rows,
                                                  theorem, cfg):
     path = write_config(tmp_path, "dense.json", cfg)
     code, out, err = run(capsys, "certify", theorem, "--config", path)

@@ -260,6 +260,30 @@ def test_er_residual_single_point():
     assert rep.max_abs_residual < 1e-8
 
 
+def _row_sort_er_residuals(points, quad_tol):
+    """The five-term residuals with the stencil points deduplicated by a
+    sort of (a, b) rows: the reference for the complex-view sort."""
+    from tfcert import make_edgar_rosenblatt
+    f = make_edgar_rosenblatt(quad_tol)
+    shifts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    flat = np.round((points[None, :, :] + shifts[:, None, :]).reshape(-1, 2), 12)
+    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    vals = f(uniq)[inverse].reshape(5, -1)
+    return np.abs(2.0 * vals[0] - vals[1] - vals[2] - vals[3] - vals[4])
+
+
+def test_er_residual_matches_row_sort_dedupe():
+    # The residuals sit at round-off, so equal maxima mean the same values
+    # were evaluated. +-1e-13 rounds to +-0.0, so the second lattice's
+    # stencil holds both signs of zero.
+    axis = np.array([-0.5, -1e-13, 0.0, 1e-13, 0.5])
+    signed_zeros = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert np.signbit(np.round(signed_zeros, 12)[:, 0]).any()
+    for points in (er_lattice(3.0, 0.25), signed_zeros):
+        want = _row_sort_er_residuals(points, 1e-9).max()
+        assert dependence_residual_er(points, 1e-9).max_abs_residual == want
+
+
 def test_er_residual_negative_control():
     # the dependence is exact with coefficient 2; 2.1 must visibly fail
     from tfcert import make_edgar_rosenblatt

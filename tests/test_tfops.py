@@ -10,8 +10,7 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     make_gaussian, modulate, stft, stft_grid, stft_points,
                     tf_shift, translate)
 from tfcert import tfops
-from tfcert.tfops import (_phase_blocks, _phase_sum, inverse_fourier_multiplier,
-                          quadrature_points)
+from tfcert.tfops import _phase_rows, inverse_fourier_multiplier, quadrature_points
 
 PI = math.pi
 
@@ -260,8 +259,10 @@ def test_fourier_matches_independent_high_resolution_quadrature():
 
 
 def dense_sum(targets, nodes, weights, sign):
-    """The dense phase-sum kernel at 1-D targets: the chirp-z path's reference."""
-    return _phase_sum(_phase_blocks(np.reshape(targets, (-1, 1)), nodes, sign), weights)
+    """The dense phase-sum kernel, the chirp-z path's reference; 1-D targets
+    may be a plain array."""
+    rows = _phase_rows(np.reshape(targets, (-1, nodes.shape[1])), nodes, sign)
+    return np.concatenate([block @ weights for block in rows])
 
 
 def quadrature(f, grid):
@@ -325,14 +326,14 @@ def test_fourier_dense_path_is_unchanged_off_progressions():
     g2, small = make_gaussian(2), GridSpec(4.0, 32)
     nodes, w = quadrature_points(small, 2)
     targets = np.stack([np.linspace(-2.0, 2.0, 300)] * 2, axis=1)
-    dense = _phase_sum(_phase_blocks(targets, nodes, -1.0), g2(nodes) * w)
+    dense = dense_sum(targets, nodes, g2(nodes) * w, -1.0)
     assert np.array_equal(fourier(g2, small)(targets), dense)
 
 
 def test_dense_fourier_sum_bound(monkeypatch):
     # the decay scan of a 2-D fhat on a 128^2 grid (2^28 exps) is accepted;
     # a sum beyond MAX_DENSE_PHASES is refused before any exp is computed
-    monkeypatch.setattr(tfops, "_phase_blocks", lambda targets, nodes, sign: iter(()))
+    monkeypatch.setattr(tfops, "_phase_rows", lambda targets, nodes, sign: iter(()))
     nodes, w = np.zeros((128 ** 2, 2)), np.ones(128 ** 2, dtype=complex)
     tfops._fourier_sum(np.zeros((128 ** 2, 2)), nodes, w, -1.0)
     with pytest.raises(InputError, match="dense Fourier sum"):
