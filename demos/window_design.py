@@ -20,7 +20,8 @@ for R in (0.5, 1.0, 2.0):
     print(f"  R = {R}: ratio = {ratio:.6f}  target 1/2 -> "
           f"{'achieved' if ratio < 0.5 else 'not achieved'}")
 
-print("\nSimplex search over dilated Gaussian-Hermite windows, f = slow-decay family:")
+print("\nWidth search over dilated Gaussian-Hermite windows, c solved per width,"
+      " f = slow-decay family:")
 target_f = make_example1(4.0, 2.0)
 result = search(target_f, R=1.5, N=3, d=3, budget=90)
 print(f"  target 1/N = {result.target:.4f}, best ratio = {result.ratio:.4f}, "

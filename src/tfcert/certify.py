@@ -106,8 +106,8 @@ def _verdict(margins) -> str:
 
 def _as_shift_array(shifts, dim: int) -> np.ndarray:
     S = _as_points(shifts, dim)[0]
-    if S.shape[0] == 0:
-        raise InputError("shift set must be nonempty")
+    if S.shape[0] == 0 or not np.isfinite(S).all():
+        raise InputError("shifts must be a nonempty list of finite points")
     return S
 
 

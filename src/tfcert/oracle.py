@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalRefusal, finite
-from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet,
+from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _block_rows,
                     _as_points, _check_points_clear, inverse_fourier_multiplier,
                     modulate, quadrature_points, stft_grid, tf_shift, translate)
 
@@ -313,10 +313,13 @@ def _best_unimodular_phase(lhs: np.ndarray, rhs: np.ndarray) -> complex:
     objective = lambda th: float(np.max(np.abs(lhs - np.exp(1j * th) * rhs)))
 
     best_th, best_val = center, objective(center)
-    for th in center + np.linspace(-np.pi, np.pi, 512, endpoint=False):
-        v = objective(th)
-        if v < best_val:
-            best_th, best_val = float(th), v
+    thetas = center + np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    step = _block_rows(np.size(lhs))  # angles per block of about _WINDOW_BLOCK values
+    scan = np.concatenate([np.abs(lhs - np.exp(1j * th[:, None]) * rhs).max(axis=1)
+                           for th in np.split(thetas, range(step, thetas.size, step))])
+    j = int(np.argmin(np.where(np.isnan(scan), np.inf, scan)))  # the first least non-NaN
+    if scan[j] < best_val:
+        best_th, best_val = float(thetas[j]), float(scan[j])
 
     span = 2.0 * np.pi / 512.0
     a, b = best_th - span, best_th + span

@@ -5,9 +5,9 @@ with closed-form decay, keeping the search space compact). The tail ratio is
 a lattice scan and therefore a heuristic lower bound of the true sup; the
 scan covers lattice points strictly outside the ball plus a deterministic
 ring of samples on its boundary, because the sup over the open exterior
-equals the boundary maximum for continuous fields. `search` is one
-deterministic Nelder-Mead run from the unit Gaussian that spends its whole
-budget.
+equals the boundary maximum for continuous fields.
+`V_g f` is linear in the Hermite coefficients c and the ratio does not see
+their scale, so `search` walks only the width and solves for c per width.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ from .tfops import FunctionEvaluator, GridSpec, _STFTScan
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
-# Objective evaluations one search may spend; at about 20 ms each on the
-# default grid, that bounds a search to minutes.
+# Window evaluations (STFT scans of one window) one search may spend; at
+# about 20 ms each on the default grid, that bounds a search to minutes.
 MAX_BUDGET = 10_000
 # Boundary-ring samples of the tail-ratio scan; even, so the ring mirrors.
 _RING_SAMPLES = 180
 # The (x, omega) lattice of the tail-ratio scan when none is given.
 SEARCH_LATTICE = GridSpec(8.0, 81)
-# Nelder-Mead reflection, expansion, contraction and shrink coefficients.
-_REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
+# Lawson steps per width; the ten cost about a fifth of one window evaluation.
+_LAWSON_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class _TailScan:
     """The tail ratio of any window for one (f, R, lattice, grid).
 
     Holds the `||lambda|| > R` lattice mask and an STFT scan of f over the
-    lattice and over the origin followed by the boundary ring; `ratio`
-    evaluates one window against them.
+    lattice and over the origin followed by the boundary ring; `rows` and
+    `ratio` evaluate one window against them.
     """
 
     def __init__(self, f: FunctionEvaluator, R: float,
@@ -109,16 +109,20 @@ class _TailScan:
         self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points)
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
 
+    def rows(self, g: FunctionEvaluator) -> tuple[np.ndarray, complex]:
+        """(tail, origin): V_g f at the exterior points (the lattice points
+        outside the ball, then the ring) and at the origin, <f, g>."""
+        field, sums = self.scan.fields(g)
+        return np.concatenate([field[self.outside], sums[1:]]), complex(sums[0])
+
     def ratio(self, g_params: WindowParams) -> float:
         """`tail_ratio` of one window, evaluated against this scan."""
-        field, sums = self.scan.fields(realize_window(g_params))
-        denom = abs(complex(sums[0]))
+        tail, origin = self.rows(realize_window(g_params))
+        denom = abs(origin)
         if denom <= DENOM_FLOOR:
             raise NearOrthogonalError(
                 "|<f, g>| underflows; the tail ratio is undefined for this window")
-        outside = np.abs(field)[self.outside]
-        best = float(outside.max()) if outside.size else 0.0
-        return max(best, float(np.abs(sums[1:]).max())) / denom
+        return float(np.abs(tail).max()) / denom
 
 
 def tail_ratio(f: FunctionEvaluator, g_params: WindowParams, R: float,
@@ -158,26 +162,57 @@ class SearchResult:
         }
 
 
-def _fold(value: float, lo: float, hi: float) -> float:
-    """Reflect a coordinate back into [lo, hi] (lo < hi)."""
-    span = hi - lo
-    y = (value - lo) % (2.0 * span)
-    return lo + (y if y <= span else 2.0 * span - y)
+def _row_ratio(tail: np.ndarray, origin: np.ndarray, c: np.ndarray) -> float:
+    """The tail ratio of sum_k c_k g_k from the rows of the basis windows g_k."""
+    denom = abs(origin @ c)
+    return float(np.abs(tail @ c).max()) / denom if denom > 0 else math.inf
+
+
+def _lawson(tail: np.ndarray, origin: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Real c, largest entry 1, with a `_row_ratio` no worse than the given c's.
+
+    Lawson's iteration (Lawson 1961) from uniform weights u: each step solves
+    the KKT system of min sum_i u_i |tail_i . c|^2 subject to a . c = 1, with
+    a = Re(conj(origin . c) origin) of the last iterate, then multiplies u_i by
+    |tail_i . c|. Returns the best iterate, the given c included."""
+    best = c / c[np.abs(c).argmax()]
+    scale = np.maximum(np.abs(tail).max(), np.abs(origin).max())  # tiny and huge solve alike
+    if not 0 < scale < math.inf:
+        return best  # a zero or non-finite field: no solve
+    best_ratio = _row_ratio(tail, origin, best)
+    real = np.concatenate([tail.real, tail.imag]) / scale
+    parts = np.stack([origin.real, origin.imag]) / scale
+    u = np.ones(tail.shape[0])
+    for _ in range(_LAWSON_STEPS):
+        a = (parts @ c) @ parts
+        if not (u.any() and a.any()):
+            break  # a zero tail is optimal, and a = 0 fixes no hyperplane
+        a = a / np.abs(a).max()
+        gram = (real * np.tile(u / u.max(), 2)[:, None]).T @ real
+        try:
+            c = np.linalg.solve(np.block([[gram, a[:, None]], [a, 0.0]]), np.eye(c.size + 1)[-1])
+        except np.linalg.LinAlgError:
+            break  # the weighted rows leave c undetermined on the hyperplane
+        c = c[:-1] / c[np.abs(c[:-1]).argmax()]
+        ratio = _row_ratio(tail, origin, c)
+        if ratio < best_ratio:
+            best, best_ratio = c, ratio
+        u = u * np.abs(tail @ c)
+    return best
 
 
 def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
            lattice: Optional[GridSpec] = None,
            grid: Optional[GridSpec] = None) -> SearchResult:
-    """Derivative-free simplex search minimizing the tail ratio.
+    """Compass search on x = log2 w from the unit Gaussian (width 1, c = e_0).
 
-    Runs one reflect/expand/contract simplex over the (d+2)-dimensional
-    parameter box (width plus d+1 coefficients) from the unit Gaussian
-    (width 1, c = e_0) until the budget is spent, reflecting out-of-box
-    proposals back inside. Deterministic for fixed inputs. The trace records
-    every improvement of the incumbent, so it is nonincreasing by
-    construction. The window-independent part of the tail-ratio scan is
-    built once per call, so each objective evaluation gives exactly
-    `tail_ratio` of its window.
+    From a step of 1/2, it tries x + step, then x - step, moves on a strict
+    improvement and halves the step otherwise, skipping widths outside [WIDTH_MIN,
+    WIDTH_MAX] or tried before. At each width the basis windows (w, e_k) are
+    evaluated, `_lawson` solves for c from the incumbent's, and that window is
+    evaluated: d + 1 + (d > 0) of the `budget` evaluations. It stops when the
+    next width does not fit or the step no longer moves x. Deterministic; the
+    trace records every improvement, each ratio exactly `tail_ratio` of its window.
     """
     budget = int(budget)
     if not 10 <= budget <= MAX_BUDGET:
@@ -187,85 +222,46 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
         raise InputError(f"degree must lie in [0, {MAX_DEGREE}]")
     if N < 1:
         raise InputError("N must be at least 1")
-    target = 1.0 / N
-    lo = np.array([WIDTH_MIN] + [-1.0] * (d + 1))
-    hi = np.array([WIDTH_MAX] + [1.0] * (d + 1))
     scan = _TailScan(f, R, lattice, grid)
-    used = 0
-    incumbent = {"ratio": math.inf, "params": None, "trace": []}
-    failures = []
+    cost = d + 1 + (d > 0)
+    used, best_ratio, best_params = 0, math.inf, None
+    trace, seen, failure = [], set(), "no finite objective value found"
 
-    def objective(theta: np.ndarray) -> float:
-        nonlocal used
-        if used >= budget:
-            return math.inf
-        vec = np.array([_fold(v, l, h) for v, l, h in zip(theta, lo, hi)])
-        used += 1
-        coeffs = vec[1:]
-        if not np.any(np.abs(coeffs) > 1e-12):
-            return math.inf
-        params = WindowParams(vec[0], coeffs)
+    def improves(x: float) -> bool:
+        """Evaluate the window solved at width 2^x; True if it is the new incumbent."""
+        nonlocal used, best_ratio, best_params, failure
+        if not WIDTH_MIN <= 2.0 ** x <= WIDTH_MAX or x in seen:
+            return False
+        seen.add(x)
+        used += cost
+        c = np.eye(1, d + 1)[0] if best_params is None else best_params.hermite_coeffs
+        if d > 0:
+            rows = [scan.rows(realize_window(WindowParams(2.0 ** x, e))) for e in np.eye(d + 1)]
+            c = _lawson(np.column_stack([t for t, _ in rows]), np.array([o for _, o in rows]), c)
+            del rows  # before the scan of the chosen window, the peak of memory
+        params = WindowParams(2.0 ** x, c)
         try:
             ratio = scan.ratio(params)
         except NearOrthogonalError as exc:
-            failures.append(str(exc))
-            return math.inf
-        if ratio < incumbent["ratio"]:
-            incumbent["ratio"] = ratio
-            incumbent["params"] = params
-            incumbent["trace"].append((params, ratio))
-        return ratio
+            failure = str(exc)
+            return False
+        if not ratio < best_ratio:
+            return False
+        best_ratio, best_params = ratio, params
+        trace.append((params, ratio))
+        return True
 
-    start = np.concatenate([[1.0], np.eye(1, d + 1, 0)[0]])
-    _nelder_mead(objective, start, lambda: used >= budget)
+    x, step = 0.0, 0.5
+    improves(x)
+    while used + cost <= budget and x + step != x:
+        if improves(x + step):
+            x += step
+        elif used + cost <= budget and improves(x - step):
+            x -= step
+        else:
+            step /= 2.0
 
-    if incumbent["params"] is None:
-        detail = failures[-1] if failures else "no finite objective value found"
-        raise NumericalRefusal(f"window search found no usable window: {detail}")
-    ratio = incumbent["ratio"]
-    return SearchResult(best_params=incumbent["params"], ratio=ratio,
-                        target=target, achieved=ratio < target,
-                        evaluations=used, trace=tuple(incumbent["trace"]))
-
-
-def _nelder_mead(objective, start: np.ndarray, spent) -> None:
-    """One bounded Nelder-Mead run from `start`; stops once `spent()` holds."""
-    ndim = len(start)
-    steps = np.full(ndim, 0.25)
-    steps[0] = 0.2
-    simplex = [np.asarray(start, dtype=float)]
-    for i in range(ndim):
-        v = simplex[0].copy()
-        v[i] += steps[i]
-        simplex.append(v)
-    values = [objective(v) for v in simplex]
-
-    while not spent():
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-
-        reflected = centroid + _REFLECT * (centroid - worst)
-        fr = objective(reflected)
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[0]:
-            expanded = centroid + _EXPAND * (reflected - centroid)
-            fe = objective(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-            continue
-        contracted = centroid + _CONTRACT * (worst - centroid)
-        fc = objective(contracted)
-        if fc < values[-1]:
-            simplex[-1], values[-1] = contracted, fc
-            continue
-        best = simplex[0]
-        for i in range(1, len(simplex)):
-            simplex[i] = best + _SHRINK * (simplex[i] - best)
-            values[i] = objective(simplex[i])
+    if best_params is None:
+        raise NumericalRefusal(f"window search found no usable window: {failure}")
+    return SearchResult(best_params=best_params, ratio=best_ratio, target=1.0 / N,
+                        achieved=best_ratio < 1.0 / N, evaluations=used, trace=tuple(trace))

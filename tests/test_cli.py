@@ -317,6 +317,9 @@ def test_bad_family_exit_one(tmp_path, capsys):
     # the lattice has no exclusion radius
     (("certify", "thm3"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [2, 0]],
                            "lattice": {"exclusion_radius": 3}}),
+    # non-finite shifts, refused like a non-finite anchor or sample point
+    (("certify", "lemma1"), {"function": {"family": "gaussian"}, "shifts": [0, math.nan]}),
+    (("certify", "lemma1"), {"function": {"family": "gaussian"}, "shifts": [0, math.inf]}),
 ])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)

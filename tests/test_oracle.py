@@ -395,6 +395,62 @@ def test_metaplectic_fourier_multiplier():
     assert abs(reports["standard"].best_phase - expected_phase) < 1e-6
 
 
+def _loop_unimodular_phase(lhs, rhs):
+    """Reference: `oracle._best_unimodular_phase` with its coarse scan as a loop."""
+    s = np.vdot(rhs, lhs)
+    center = float(np.angle(s)) if abs(s) > 0 else 0.0
+    objective = lambda th: float(np.max(np.abs(lhs - np.exp(1j * th) * rhs)))
+    best_th, best_val = center, objective(center)
+    for th in center + np.linspace(-np.pi, np.pi, 512, endpoint=False):
+        v = objective(th)
+        if v < best_val:
+            best_th, best_val = float(th), v
+    span = 2.0 * np.pi / 512.0
+    a, b = best_th - span, best_th + span
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = objective(c1), objective(c2)
+    for _ in range(60):
+        if f1 < best_val:
+            best_th, best_val = c1, f1
+        if f2 < best_val:
+            best_th, best_val = c2, f2
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - invphi * (b - a)
+            f1 = objective(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + invphi * (b - a)
+            f2 = objective(c2)
+    return complex(np.exp(1j * best_th))
+
+
+def test_best_unimodular_phase_matches_loop_scan(monkeypatch):
+    # The coarse scan runs in blocks of angles; each value and the first
+    # strict minimum must be those of the one-angle-at-a-time loop.
+    pairs = []
+    fit = oracle._best_unimodular_phase
+    monkeypatch.setattr(oracle, "_best_unimodular_phase",
+                        lambda lhs, rhs: pairs.append((lhs, rhs)) or fit(lhs, rhs))
+    for kind, params in (("dilation", (2.0, 1.0, 1.0)), ("chirp", (0.5, 1.0, 1.0)),
+                         ("fourier_multiplier", (0.25, 0.5, 0.5))):
+        for f in (make_gaussian(1), make_example1(4.0, 1.0)):
+            metaplectic_residual(kind, params, f)
+    rng = np.random.default_rng(5)
+    for k in (1, 100, 9000):  # one block, several, one angle per block
+        lhs = rng.normal(size=k) + 1j * rng.normal(size=k)
+        pairs += [(lhs, rng.normal(size=k) + 1j * rng.normal(size=k)),
+                  (lhs, lhs * np.exp(0.3j))]
+    nan_rhs = pairs[-1][0].copy()
+    nan_rhs[7] = np.nan
+    pairs.append((pairs[-1][0], nan_rhs))
+    assert len(pairs) == 19
+    for lhs, rhs in pairs:
+        got, want = fit(lhs, rhs), _loop_unimodular_phase(lhs, rhs)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
 def test_metaplectic_extra_variant_and_errors():
     with pytest.raises(InputError):
         metaplectic_residual("dilation", (0.0, 1.0, 1.0), make_gaussian(1))

@@ -136,6 +136,42 @@ def test_search_deterministic():
         assert np.array_equal(pa.hermite_coeffs, pb.hermite_coeffs)
 
 
+def test_search_trace_has_unit_max_norm_and_distinct_widths():
+    # The tail ratio does not see the scale of c, so every window is kept at
+    # unit max norm, and the width search never evaluates a width twice.
+    for d, budget in ((0, 30), (2, 40)):
+        res = search(make_example1(4.0, 2.0), R=1.5, N=3, d=d, budget=budget)
+        widths = [p.width for p, _ in res.trace]
+        assert len(widths) >= 5 and len(set(widths)) == len(widths)
+        for params, _ in res.trace:
+            assert np.abs(params.hermite_coeffs).max() == 1.0
+
+
+@pytest.mark.parametrize("f, width", [(make_example1(4.0, 2.0), 1.3), (make_gaussian(1), 0.7)])
+def test_lawson_never_worse_than_its_start(f, width):
+    from tfcert.windowsearch import _lawson, _row_ratio, _TailScan
+    scan = _TailScan(f, 1.5, None, None)
+    basis = [scan.rows(realize_window(WindowParams(width, e))) for e in np.eye(5)]
+    tail = np.column_stack([t for t, _ in basis])
+    origin = np.array([o for _, o in basis])
+    for d in range(1, 5):
+        rows = tail[:, :d + 1], origin[:d + 1]
+        for start in (np.eye(1, d + 1)[0], np.array([1.0, -0.5, 0.25, -0.125, 0.0625])[:d + 1]):
+            c = _lawson(*rows, start)
+            assert np.abs(c).max() == 1.0
+            assert _row_ratio(*rows, c) <= _row_ratio(*rows, start)
+    # from e_0 at degree 2 the solve finds a better window on both
+    rows = tail[:, :3], origin[:3]
+    assert _row_ratio(*rows, _lawson(*rows, np.eye(1, 3)[0])) < _row_ratio(*rows, np.eye(1, 3)[0])
+
+
+def test_search_demo_config_ratio():
+    # The demo's search; a simplex over width and coefficients reached 0.17960.
+    res = search(make_example1(4, 2), R=1.5, N=3, d=3, budget=90)
+    assert res.ratio < 0.1790
+    assert res.evaluations <= 90
+
+
 def test_search_rejects_tiny_budget():
     with pytest.raises(InputError):
         search(make_gaussian(1), R=1.0, N=2, d=0, budget=5)
