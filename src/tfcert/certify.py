@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
-                    _check_points_clear, dilate, fourier,
+                    _check_points_clear, dilate, finite_points, fourier,
                     quadrature_points, stft, stft_grid, translate)
 
 BISECT_TOL = 1e-9
@@ -104,13 +104,6 @@ def _verdict(margins) -> str:
     return "Certified" if all(m > 0 for m in margins) else "NotCertified"
 
 
-def _as_shift_array(shifts, dim: int) -> np.ndarray:
-    S = _as_points(shifts, dim)[0]
-    if S.shape[0] == 0 or not np.isfinite(S).all():
-        raise InputError("shifts must be a nonempty list of finite points")
-    return S
-
-
 def _pair_differences(S: np.ndarray) -> np.ndarray:
     """Rows x_i - x_j over the ordered pairs i != j."""
     return (S[:, None, :] - S[None, :, :])[~np.eye(S.shape[0], dtype=bool)]
@@ -171,17 +164,18 @@ def _radius_from_envelope(envelope: Callable[[float], float], bound: float) -> f
 
 
 def _radius_from_samples(radii: np.ndarray, values: np.ndarray, bound: float) -> float:
-    """Smallest sampled radius outside which every sampled value is < bound."""
-    order = np.argsort(radii, kind="stable")
-    r_sorted = radii[order]
-    v_sorted = values[order]
-    suffix_max = np.maximum.accumulate(v_sorted[::-1])[::-1]
-    ok = suffix_max < bound
-    if not ok.any():
+    """Smallest sampled radius strictly beyond every sample whose value
+    reaches bound, so that no sample at that radius or beyond reaches it; 0
+    when no sample does. Samples tied in radius count alike, whatever their
+    order. Refused when no sample lies beyond the last one reaching bound."""
+    reach = values >= bound
+    if not reach.any():
+        return 0.0
+    beyond = radii[radii > radii[reach].max()]
+    if beyond.size == 0:
         raise NotCertifiableError(
             "sampled values never drop below the required bound inside the grid")
-    idx = int(np.argmax(ok))
-    return 0.0 if idx == 0 else float(r_sorted[idx])
+    return float(beyond.min())
 
 
 def _anchor(anchor, dim: int) -> np.ndarray:
@@ -216,7 +210,6 @@ def sup_outside(f: FunctionEvaluator, radius: float, center=None, *,
     center = _anchor(center, f.dim)
     if f.envelope is not None:
         return SupEstimate(float(_envelope_about(f, center)(radius)), SUP_ENVELOPE)
-    grid = grid or GridSpec.default(f.dim)
     pts, _ = quadrature_points(grid, f.dim, f.singularities)
     radii = np.linalg.norm(pts - center, axis=1)
     outside = radii >= radius
@@ -254,7 +247,6 @@ def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
     if require_envelope:
         raise NumericalRefusal("rigorous mode requires a decay envelope")
 
-    grid = grid or GridSpec.default(f.dim)
     shifted_sings = tuple(s - anchor for s in f.singularities)
     pts, _ = quadrature_points(grid, f.dim, shifted_sings)
     values = _eval_abs(f, pts + anchor)
@@ -269,7 +261,7 @@ def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
     distinct shifts; the margins carry the slack of each inequality. A single
     nonzero function is vacuously certified.
     """
-    S = _as_shift_array(shifts, f.dim)
+    S = finite_points(shifts, f.dim, "shifts")
     N = S.shape[0]
     origin = np.zeros(f.dim)
     peak = float(_eval_abs(f, origin)[0])
@@ -378,7 +370,6 @@ def check_corollary2(f: FunctionEvaluator, lam: PointSet,
     the time-separation check on the transformed data. Because fhat comes
     from quadrature, its peak and sup estimates are dense-sample heuristics.
     """
-    grid = grid or GridSpec.default(f.dim)
     fhat = fourier(f, grid)
     rotated = PointSet.from_rows(
         np.concatenate([lam.freqs(), -lam.times()], axis=1), dim=lam.dim)
@@ -399,7 +390,6 @@ def dilation_threshold_freq(f: FunctionEvaluator, lam: PointSet,
     M_omega, _ = _min_pairwise(lam.freqs())
     if M_omega == 0.0:
         raise InputError("min pairwise frequency separation is zero")
-    grid = grid or GridSpec.default(f.dim)
     R_hat = decay_radius(fourier(f, grid), N, grid=grid)
     return R_hat / M_omega
 
@@ -465,7 +455,7 @@ def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
             continue
         # Consistency: the re-anchored pointwise inequalities must pass.
         try:
-            inner = check_lemma1(translate(f, -x), [row for row in times])
+            inner = check_lemma1(translate(f, -x), times)
         except NumericalRefusal:
             continue
         if inner.certified:
@@ -497,8 +487,7 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         raise InputError("dimension mismatch")
     if lam.dim != f.dim:
         raise InputError("dimension mismatch between point set and functions")
-    grid = grid or GridSpec.default(f.dim)
-    peak = abs(stft(f, g, (np.zeros(f.dim), np.zeros(f.dim)), grid))
+    peak = abs(stft(f, g, np.zeros(2 * f.dim), grid))
     if not math.isfinite(peak):
         raise NumericalRefusal("<f, g> is not finite on this quadrature grid")
     if peak < 1e-12:

@@ -5,21 +5,24 @@ Exit codes: 0 success (Certified / Independent / achieved / reproduction
 passed / residual within bound), 1 input error, 2 numerical refusal,
 3 negative verdict, 4 inconclusive. Reports are JSON documents with a
 `schema` field; CSV output is available only for flat reports (search
-traces, scan tables, oracle matrices). Runs are reproducible: an identical
-config gives byte-identical output under --no-meta. A `window-search` config
-may carry a `seed`, which is accepted and not read: the search is
-deterministic.
+traces, scan tables, oracle matrices), whose rows a handler returns as a
+function, called only under `--format csv`. Runs are reproducible: an
+identical config gives byte-identical output under --no-meta. A
+`window-search` config may carry a `seed`, which is accepted and not read:
+the search is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -140,7 +143,7 @@ def _verdict_exit(verdict: str) -> int:
 # certify
 # ---------------------------------------------------------------------------
 
-def _cmd_certify(args) -> tuple[dict, int, list | None]:
+def _cmd_certify(args) -> tuple[dict, int, Callable[[], list] | None]:
     cfg = _load_config(args.config, "certify", args.theorem)
     f = _function_from(cfg)
     dim = _dimension_of(cfg, f)
@@ -207,7 +210,7 @@ def _matrix_csv(matrix: np.ndarray) -> list:
     return rows
 
 
-def _cmd_oracle(args) -> tuple[dict, int, list | None]:
+def _cmd_oracle(args) -> tuple[dict, int, Callable[[], list] | None]:
     cfg = _load_config(args.config, "oracle", args.test)
 
     if args.test == "er-residual":
@@ -229,7 +232,7 @@ def _cmd_oracle(args) -> tuple[dict, int, list | None]:
         lam = _pointset_from(cfg, dim)
         rep = gram_matrix(f, lam, grid)
         return {"report": rep.to_json()}, _verdict_exit(rep.verdict), \
-            _matrix_csv(rep.matrix)
+            lambda: _matrix_csv(rep.matrix)
     if args.test == "collocation":
         lam = _pointset_from(cfg, dim)
         pts = cfg.get("sample_points")
@@ -237,7 +240,7 @@ def _cmd_oracle(args) -> tuple[dict, int, list | None]:
             pts = default_collocation_points(f, lam, grid)
         rep = collocation_rank(f, lam, pts)
         return {"report": rep.to_json()}, _verdict_exit(rep.verdict), \
-            _matrix_csv(rep.matrix)
+            lambda: _matrix_csv(rep.matrix)
     if args.test == "stft-identity":
         g = _function_from(cfg, "window", default={"family": "gaussian"})
         lattice = _lattice_from(cfg, STFT_IDENTITY_LATTICE)
@@ -260,7 +263,7 @@ def _cmd_oracle(args) -> tuple[dict, int, list | None]:
 # window-search
 # ---------------------------------------------------------------------------
 
-def _cmd_window_search(args) -> tuple[dict, int, list | None]:
+def _cmd_window_search(args) -> tuple[dict, int, Callable[[], list] | None]:
     cfg = _load_config(args.config, "window-search", None)
     f = _function_from(cfg)
     dim = _dimension_of(cfg, f)
@@ -271,11 +274,9 @@ def _cmd_window_search(args) -> tuple[dict, int, list | None]:
         d=convert(int, cfg.get("degree", 0), "degree"),
         budget=convert(int, cfg.get("budget", 200), "budget"),
         lattice=lattice, grid=grid)
-    rows = [["step", "width"]
-            + [f"c{k}" for k in range(len(result.best_params.hermite_coeffs))]
-            + ["ratio"]]
-    for i, (p, r) in enumerate(result.trace):
-        rows.append([i, p.width] + [float(v) for v in p.hermite_coeffs] + [r])
+    coeffs = [f"c{k}" for k in range(len(result.best_params.hermite_coeffs))]
+    rows = lambda: [["step", "width", *coeffs, "ratio"]] + [
+        [i, p.width, *map(float, p.hermite_coeffs), r] for i, (p, r) in enumerate(result.trace)]
     code = EXIT_OK if result.achieved else EXIT_NEGATIVE
     return {"report": result.to_json()}, code, rows
 
@@ -402,8 +403,8 @@ def _reproduce_dilation_scan() -> tuple[list, list]:
     return items, rows
 
 
-def _cmd_reproduce(args) -> tuple[dict, int, list | None]:
-    rows = None
+def _cmd_reproduce(args) -> tuple[dict, int, Callable[[], list] | None]:
+    csv_rows = None
     if args.name == "example1":
         items = _reproduce_example1()
     elif args.name == "example2":
@@ -414,9 +415,10 @@ def _cmd_reproduce(args) -> tuple[dict, int, list | None]:
         items = _reproduce_gaussian_stft()
     else:
         items, rows = _reproduce_dilation_scan()
+        csv_rows = lambda: rows
     all_pass = all(it["pass"] for it in items)
     payload = {"report": {"name": args.name, "items": items, "all_pass": all_pass}}
-    return payload, EXIT_OK if all_pass else EXIT_NEGATIVE, rows
+    return payload, EXIT_OK if all_pass else EXIT_NEGATIVE, csv_rows
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +432,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = _Parser(
         prog="tfcert",
         description="Numerical independence certificates for time-frequency translates")
@@ -477,7 +481,7 @@ def _emit(payload: dict, args, csv_rows) -> None:
                              "(search traces, scans, oracle matrices)")
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerows(csv_rows)
+        writer.writerows(csv_rows())
         text = buf.getvalue()
     else:
         payload = dict(payload)

@@ -2,7 +2,8 @@
 
 Each factory returns a `FunctionEvaluator` carrying the analytic radial
 envelope (where one exists) and singularity metadata, so the certificate
-checkers can run in rigorous envelope mode.
+checkers can run in rigorous envelope mode. The real families return real
+values; only the Edgar-Rosenblatt integral is complex.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def make_example1(C: float, omega: float) -> FunctionEvaluator:
         outer_branch = at >= cut
         safe = np.where(outer_branch, at, 1.0)
         osc = np.cos(omega * t)
-        return np.where(outer_branch, osc / safe, C * osc).astype(complex)
+        return np.where(outer_branch, osc / safe, C * osc)
 
     def envelope(r):
         return C if r <= cut else 1.0 / r
@@ -67,8 +68,7 @@ def make_example2(omega: float) -> FunctionEvaluator:
         inner_branch = at < 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             denom = np.where(inner_branch, at ** 0.25, at)
-            out = np.cos(omega * t) / denom
-        return out.astype(complex)
+            return np.cos(omega * t) / denom
 
     def envelope(r):
         if r <= 0:
@@ -86,8 +86,7 @@ def make_singular_cos(omega: float) -> FunctionEvaluator:
 
     def fn(t):
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.cos(omega * t) / np.abs(t)
-        return out.astype(complex)
+            return np.cos(omega * t) / np.abs(t)
 
     def envelope(r):
         return np.inf if r <= 0 else 1.0 / r
@@ -108,9 +107,9 @@ def make_gaussian(n: int = 1) -> FunctionEvaluator:
         raise InputError(f"n must be an integer in [1, {MAX_GAUSSIAN_DIM}]")
     amp = 2.0 ** (n / 4.0)
     if n == 1:
-        fn = lambda t: (amp * np.exp(-np.pi * t * t)).astype(complex)
+        fn = lambda t: amp * np.exp(-np.pi * t * t)
     else:
-        fn = lambda t: (amp * np.exp(-np.pi * _sum_of_squares(t))).astype(complex)
+        fn = lambda t: amp * np.exp(-np.pi * _sum_of_squares(t))
     envelope = lambda r: amp * np.exp(-np.pi * r * r)
     return FunctionEvaluator(dim=n, fn=fn, envelope=envelope,
                              singularities=(), square_integrable=True)

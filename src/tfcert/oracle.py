@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, NumericalRefusal, finite
 from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _block_rows,
-                    _as_points, _check_points_clear, inverse_fourier_multiplier,
+                    _check_points_clear, finite_points, inverse_fourier_multiplier,
                     modulate, quadrature_points, stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
@@ -111,8 +111,8 @@ def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.nd
     shift too large to evaluate) is refused before any linear algebra.
     """
     out = np.empty((len(lam), pts.shape[0]), dtype=complex)
-    for i, lam_i in enumerate(zip(lam.times(), lam.freqs())):
-        shifted = tf_shift(f, lam_i)
+    for i, row in enumerate(lam.rows):
+        shifted = tf_shift(f, row)
         for s in range(0, pts.shape[0], _WINDOW_BLOCK):
             out[i, s:s + _WINDOW_BLOCK] = shifted(pts[s:s + _WINDOW_BLOCK])
     if not np.isfinite(out).all():
@@ -143,7 +143,6 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     N = len(lam)
     if N > MAX_MATRIX:
         raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
-    grid = grid or GridSpec.default(f.dim)
     sings = tuple(s + x for s in f.singularities for x in lam.times())
     pts, w = quadrature_points(grid, f.dim, sings)
     phi = _shift_values(f, lam, pts)
@@ -194,14 +193,6 @@ def default_collocation_points(f: FunctionEvaluator, lam: PointSet,
     return cand
 
 
-def _sample_points(points, dim: int) -> np.ndarray:
-    """Caller-supplied sample points as a nonempty finite (k, dim) array."""
-    pts = _as_points(points, dim)[0]
-    if pts.shape[0] == 0 or not np.isfinite(pts).all():
-        raise InputError("sample_points must be a nonempty list of finite points")
-    return pts
-
-
 def collocation_rank(f: FunctionEvaluator, lam: PointSet,
                      sample_points: Sequence) -> IndependenceReport:
     """Rank test on the matrix A_ki = (pi(lambda_i) f)(t_k).
@@ -217,7 +208,7 @@ def collocation_rank(f: FunctionEvaluator, lam: PointSet,
     N = len(lam)
     if N > MAX_MATRIX:
         raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
-    pts = _sample_points(sample_points, f.dim)
+    pts = finite_points(sample_points, f.dim, "sample_points")
     if pts.shape[0] < N:
         raise InputError("need at least N sample points")
     for x in lam.times():
@@ -372,7 +363,7 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
     if sample_points is None:
         pts = np.linspace(-4.0, 4.0, 201)
     else:
-        pts = _sample_points(sample_points, 1)[:, 0]
+        pts = finite_points(sample_points, 1, "sample_points")[:, 0]
 
     shifted = modulate(translate(f, x), omega)
     if kind == "dilation":
@@ -382,7 +373,6 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
         apply_u = lambda h: chirp_mul(h, r)
         variants = {"printed": (omega - x * r, x), "standard": (omega + 2.0 * r * x, x)}
     else:
-        grid = grid or GridSpec.default(1)
         mult = lambda xi: np.exp(TWO_PI * 1j * r * xi * xi)
         apply_u = lambda h: inverse_fourier_multiplier(h, mult, grid)
         variants = {"printed": (-omega, -x - r * omega),

@@ -6,12 +6,15 @@ happens only inside quadrature (Fourier transform, STFT, norms) and sup
 estimation. All quadrature is tensor-product trapezoid on [-L, L]^n, which is
 spectrally accurate for smooth integrands that have decayed at the box edge.
 
-Point layout: every point array has shape (k, n) internally, and evaluators
-read a trailing axis of length n as the coordinate axis (for n = 1 it may be
-omitted, so a plain array holds one point per entry). Only
+The package's input conventions live here. Point layout: every point array
+has shape (k, n) internally, and evaluators read a trailing axis of length n
+as the coordinate axis (for n = 1 it may be omitted, so a plain array holds
+one point per entry); `finite_points` validates a caller's list. Only
 `FunctionEvaluator.__call__` adapts points to the `fn` contract, under which
-a 1-D `fn` takes shape (k,). Time-frequency points are rows (x, omega) of
-an (N, 2n) array; `tf_shift` and `stft` take one point as an (x, omega) pair.
+a 1-D `fn` takes shape (k,), and it returns float64 values for a real `fn`
+and complex128 for a complex one. A time-frequency point is a row (x, omega)
+of length 2n (`PointSet`), to which an (x, omega) pair flattens. A `grid` of
+None is the default grid, resolved where the quadrature runs.
 
 `fourier` and `inverse_fourier_multiplier` sum through `_fourier_sum`: in
 1-D, when the targets and the nodes are both arithmetic progressions (every
@@ -137,12 +140,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FunctionEvaluator:
-    """Pointwise complex-valued function on R^n with decay metadata.
+    """Pointwise real- or complex-valued function on R^n with decay metadata.
 
     `fn` is the vectorized kernel: for dim 1 it maps a float array of shape
-    (k,) to complex (k,); for dim >= 2 it maps points of shape (k, n) to
-    complex (k,). Calling the evaluator accepts scalars, single points and
-    batches under the module's point layout and reshapes accordingly.
+    (k,) to values of shape (k,); for dim >= 2 it maps points of shape (k, n)
+    to values of shape (k,). Calling the evaluator accepts scalars, single
+    points and batches under the module's point layout and reshapes
+    accordingly. Values are complex128 when `fn` returns complex values and
+    float64 otherwise; a single point's value is a Python complex.
 
     `envelope`, when present, maps a radius r >= 0 to a monotone nonincreasing
     upper bound on sup_{||t - c|| >= r} |f(t)|, where c is `envelope_center`
@@ -172,8 +177,8 @@ class FunctionEvaluator:
 
     def __call__(self, t):
         pts, batch = _as_points(t, self.dim)
-        out = np.asarray(self.fn(pts[:, 0] if self.dim == 1 else pts), dtype=complex)
-        out = out.reshape(batch)
+        out = self.fn(pts[:, 0] if self.dim == 1 else pts)
+        out = np.asarray(out, dtype=complex if np.iscomplexobj(out) else float).reshape(batch)
         return complex(out) if out.ndim == 0 else out
 
     def with_envelope(self, envelope: Callable[[float], float]) -> "FunctionEvaluator":
@@ -261,13 +266,23 @@ def _as_points(t, dim: int):
     return a.reshape(-1, dim), batch
 
 
-def quadrature_points(grid: GridSpec, dim: int, singularities: Sequence = ()):
+def finite_points(points, dim: int, what: str) -> np.ndarray:
+    """Caller-supplied `points` as a nonempty finite (k, dim) array; `what`
+    names them in the error."""
+    pts = _as_points(points, dim)[0]
+    if pts.shape[0] == 0 or not np.isfinite(pts).all():
+        raise InputError(f"{what} must be a nonempty list of finite points")
+    return pts
+
+
+def quadrature_points(grid: Optional[GridSpec], dim: int, singularities: Sequence = ()):
     """Tensor-product trapezoid nodes/weights, singular neighborhoods removed.
 
-    Returns `(pts, w)` with pts of shape (K, dim). Nodes within
-    `grid.exclusion_radius` of a singularity (or exactly on one, when the
-    radius is 0) are dropped.
+    Returns `(pts, w)` with pts of shape (K, dim); a `grid` of None is the
+    default grid of `dim`. Nodes within `grid.exclusion_radius` of a
+    singularity (or exactly on one, when the radius is 0) are dropped.
     """
+    grid = grid or GridSpec.default(dim)
     if dim > 2:
         raise InputError("quadrature grids support dimensions 1 and 2 only")
     if grid.samples_per_axis ** dim > MAX_NODES:
@@ -304,7 +319,6 @@ def _check_points_clear(points, singularities, dim: int):
 
 def l2_norm(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> float:
     """Quadrature L2 norm of f over the truncation box."""
-    grid = grid or GridSpec.default(f.dim)
     pts, w = quadrature_points(grid, f.dim, f.singularities)
     vals = f(pts)
     return float(np.sqrt(np.sum(w * np.abs(vals) ** 2)))
@@ -315,7 +329,6 @@ def inner_product(f: FunctionEvaluator, g: FunctionEvaluator,
     """Quadrature <f, g> = integral of f conj(g) over the truncation box."""
     if f.dim != g.dim:
         raise InputError("dimension mismatch")
-    grid = grid or GridSpec.default(f.dim)
     sings = tuple(f.singularities) + tuple(g.singularities)
     pts, w = quadrature_points(grid, f.dim, sings)
     return complex(np.sum(w * f(pts) * np.conj(g(pts))))
@@ -351,27 +364,19 @@ def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
     return replace(f, fn=fn)
 
 
-def _tf_pair(lam, dim: int):
-    """The time-frequency point `lam` = (x, omega) as two finite vectors of
-    length dim."""
+def _tf_row(lam, dim: int) -> np.ndarray:
+    """The row (x, omega) of length 2 dim that `lam` flattens to, validated."""
     try:
-        x, omega = lam
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        row = np.hstack(lam)
     except (TypeError, ValueError) as exc:
-        raise InputError("expected an (x, omega) pair of real vectors") from exc
-    if x.ndim != 1 or x.shape != omega.shape:
-        raise InputError("x and omega must be real vectors of equal length")
-    if x.size != dim:
-        raise InputError("dimension mismatch between point and function")
-    if not (np.isfinite(x).all() and np.isfinite(omega).all()):
-        raise InputError("time-frequency points must be finite")
-    return x, omega
+        raise InputError("a time-frequency point must be a row or an (x, omega) pair") from exc
+    return PointSet.from_rows([row], dim).rows[0]
 
 
 def tf_shift(f: FunctionEvaluator, lam) -> FunctionEvaluator:
-    """Time-frequency shift by lam = (x, omega): modulation after translation."""
-    x, omega = _tf_pair(lam, f.dim)
+    """Time-frequency shift by the row lam = (x, omega): modulation after
+    translation. An (x, omega) pair flattens to the same row."""
+    x, omega = np.split(_tf_row(lam, f.dim), 2)
     return modulate(translate(f, x), omega)
 
 
@@ -524,7 +529,6 @@ def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEv
         raise NumericalRefusal(
             "cannot bound the truncation error: no decay envelope and the "
             "input is not flagged square-integrable")
-    grid = grid or GridSpec.default(f.dim)
     nodes, w = quadrature_points(grid, f.dim, f.singularities)
     weighted = f(nodes) * w
     fn = lambda om: _fourier_sum(np.reshape(om, (-1, f.dim)), nodes, weighted, -1.0)
@@ -541,7 +545,6 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
     multipliers, where the frequency-domain form is far better conditioned
     than a literal chirp convolution.
     """
-    grid = grid or GridSpec.default(f.dim)
     fhat = fourier(f, grid)
     nodes, w = quadrature_points(grid, f.dim)
     weighted = fhat(nodes) * FunctionEvaluator(f.dim, multiplier)(nodes) * w
@@ -601,7 +604,7 @@ def _window_planes(g: FunctionEvaluator, nodes: np.ndarray, shifts: np.ndarray,
         hi = lo + vals.shape[0]
         re[lo:hi] = vals.real
         _flush(re[lo:hi])
-        if vals.imag.any():
+        if np.iscomplexobj(vals) and vals.imag.any():
             if im is None:
                 im = np.zeros_like(re)
             np.negative(vals.imag, out=im[lo:hi])
@@ -694,9 +697,10 @@ def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
     """Short-time Fourier transform value V_g f(lambda) = <f, pi(lambda) g>.
 
     Computed by quadrature of f(t) conj(e^{2 pi i omega.t} g(t - x)) over the
-    truncation box; this is `stft_points` at the single point lambda.
+    truncation box; this is `stft_points` at the single row lambda = (x,
+    omega), to which an (x, omega) pair flattens.
     """
-    return complex(stft_points(f, g, np.concatenate(_tf_pair(lam, f.dim)), grid)[0])
+    return complex(stft_points(f, g, _tf_row(lam, f.dim), grid)[0])
 
 
 def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,

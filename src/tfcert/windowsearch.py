@@ -33,6 +33,9 @@ _RING_SAMPLES = 180
 SEARCH_LATTICE = GridSpec(8.0, 81)
 # Lawson steps per width; the ten cost about a fifth of one window evaluation.
 _LAWSON_STEPS = 10
+# The search stops once its step in log2 w falls below this, a relative width
+# change of 6.6e-7: below it the ratio moves at round-off level only.
+_MIN_STEP = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ def realize_window(params: WindowParams) -> FunctionEvaluator:
     def fn(t):
         s = t / w
         poly = np.polynomial.hermite.hermval(math.sqrt(2.0 * math.pi) * s, scaled)
-        return (w ** -0.5 * poly * np.exp(-np.pi * s * s)).astype(complex)
+        return w ** -0.5 * poly * np.exp(-np.pi * s * s)
 
     return FunctionEvaluator(dim=1, fn=fn, envelope=None, singularities=(),
                              square_integrable=True)
@@ -211,8 +214,9 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
     WIDTH_MAX] or tried before. At each width the basis windows (w, e_k) are
     evaluated, `_lawson` solves for c from the incumbent's, and that window is
     evaluated: d + 1 + (d > 0) of the `budget` evaluations. It stops when the
-    next width does not fit or the step no longer moves x. Deterministic; the
-    trace records every improvement, each ratio exactly `tail_ratio` of its window.
+    next width does not fit the budget or the step falls below `_MIN_STEP`.
+    Deterministic; the trace records every improvement, each ratio exactly
+    `tail_ratio` of its window.
     """
     budget = int(budget)
     if not 10 <= budget <= MAX_BUDGET:
@@ -253,7 +257,7 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
 
     x, step = 0.0, 0.5
     improves(x)
-    while used + cost <= budget and x + step != x:
+    while used + cost <= budget and step >= _MIN_STEP:
         if improves(x + step):
             x += step
         elif used + cost <= budget and improves(x - step):

@@ -16,6 +16,7 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError,
                     gram_matrix, make_example1, make_example2, make_gaussian,
                     make_singular_cos, realize_window, stretch, sup_outside,
                     translate)
+from tfcert.tfops import quadrature_points
 
 PI = math.pi
 GAUSS_R3 = math.sqrt(math.log(2.0) / PI)          # envelope = peak/2
@@ -125,6 +126,39 @@ def test_decay_radius_requires_envelope_in_rigorous_mode():
     dense = replace(make_gaussian(1), envelope=None)
     with pytest.raises(NumericalRefusal):
         decay_radius(dense, 3, require_envelope=True)
+
+
+def gaussian_with_bump(centre):
+    """The Gaussian plus a narrow bump of height 1.2 at `centre`, no envelope."""
+    return FunctionEvaluator(dim=1, fn=lambda t: 2.0 ** 0.25 * np.exp(-PI * t * t)
+                             + 1.2 * np.exp(-10.0 * PI * (t - centre) ** 2))
+
+
+@pytest.mark.parametrize("centre", [3.0, 5.5, 8.0])
+def test_sampled_decay_radius_clears_every_reaching_sample(centre):
+    # The default grid holds many radii twice, at t and -t, and the bump
+    # reaches the bound |f(0)| at one of them; the order of tied samples must
+    # not matter, so a function and its mirror image get the same radius.
+    pts, _ = quadrature_points(GridSpec.default(1), 1)
+    radii = []
+    for c in (centre, -centre):
+        f = gaussian_with_bump(c)
+        try:
+            R = decay_radius(f, 2)
+        except NotCertifiableError:  # no sample lies beyond the bump
+            radii.append(None)
+            continue
+        reach = np.abs(f(pts)) >= abs(f(0.0))
+        assert not reach[np.abs(pts[:, 0]) >= R].any()
+        radii.append(R)
+    assert radii[0] == radii[1]
+
+
+def test_theorem1_dense_scan_refuses_a_bump_on_the_grid_edge():
+    # |f(-8)| = 1.2 reaches the bound |f(0)| on the last sampled radius, so
+    # no sampled radius certifies {(0, 0), (9, 0)}.
+    with pytest.raises(NotCertifiableError):
+        check_theorem1(gaussian_with_bump(-8.0), lam_times([0.0, 9.0]))
 
 
 # ---------------------------------------------------------------------------

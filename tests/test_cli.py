@@ -514,6 +514,30 @@ def test_oracle_matrix_csv(tmp_path, capsys):
     assert float(rows[1][0]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_json_report_builds_no_csv_rows(tmp_path, capsys, monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("CSV rows built for a JSON report")
+    monkeypatch.setattr(cli, "_matrix_csv", refuse)
+    cfg = write_config(tmp_path, "g.json", {
+        "function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 0]]})
+    code, out, _ = run(capsys, "oracle", "gram", "--config", cfg, "--no-meta")
+    assert code == 0
+    assert json.loads(out)["report"]["verdict"] == "Independent"
+
+
+def test_main_calls_share_one_parser(thm1_config, capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    for _ in range(2):
+        assert run(capsys, "certify", "thm1", "--config", thm1_config, "--no-meta")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 # ---------------------------------------------------------------------------
 # one-field config fuzz
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
-                    PointSet, chirp_mul, dilate, fourier,
-                    inner_product, l2_norm, make_example1, make_example2,
-                    make_gaussian, modulate, stft, stft_grid, stft_points,
-                    tf_shift, translate)
+                    PointSet, WindowParams, chirp_mul, dilate, fourier,
+                    inner_product, l2_norm, make_edgar_rosenblatt, make_example1,
+                    make_example2, make_gaussian, make_singular_cos, modulate,
+                    realize_window, stft, stft_grid, stft_points, tf_shift,
+                    translate)
 from tfcert import tfops
 from tfcert.tfops import _phase_rows, inverse_fourier_multiplier, quadrature_points
 
@@ -639,3 +640,72 @@ def test_evaluator_batch_shapes():
     assert batch.shape == (5,)
     grid_shaped = g2(np.zeros((3, 4, 2)))
     assert grid_shaped.shape == (3, 4)
+
+
+# ---------------------------------------------------------------------------
+# input conventions: value types, one point row, finite point lists
+# ---------------------------------------------------------------------------
+
+def test_real_families_evaluate_to_float64():
+    ts = np.linspace(-3.0, 3.0, 7)  # includes the singular point 0
+    with np.errstate(divide="ignore"):
+        for f in (make_example1(2.0, 1.5), make_example2(1.0), make_singular_cos(2.0),
+                  make_gaussian(1), realize_window(WindowParams(1.3, [1.0, 0.5, -0.25]))):
+            assert f(ts).dtype == np.float64
+    assert make_gaussian(2)(np.zeros((3, 2))).dtype == np.float64
+    assert dilate(make_gaussian(1), 2.0)(ts).dtype == np.float64
+    assert translate(make_example1(2.0, 0.0), 1.0)(ts).dtype == np.float64
+    assert isinstance(make_gaussian(1)(0.0), complex)  # a scalar call stays complex
+
+
+def test_complex_operators_evaluate_to_complex128():
+    g, ts = make_gaussian(1), np.linspace(-3.0, 3.0, 7)
+    for h in (modulate(g, 0.5), tf_shift(g, (1.0, 0.5)), chirp_mul(g, 0.3),
+              fourier(g, GridSpec(6.0, 256))):
+        assert h(ts).dtype == np.complex128
+    assert make_edgar_rosenblatt()(np.array([[0.5, 1.0]])).dtype == np.complex128
+
+
+@pytest.mark.parametrize("x, omega", [(0.7, -1.3), ([0.7, -0.2], [1.1, 0.4])])
+def test_pair_and_row_name_one_time_frequency_point(x, omega):
+    # an (x, omega) pair of length-n vectors flattens to its row (x..., omega...)
+    n = np.size(x)
+    f, g = make_gaussian(n), modulate(make_gaussian(n), np.full(n, 0.3))
+    row = np.hstack([x, omega])
+    ts = np.random.default_rng(3).uniform(-2.0, 2.0, (9, n))
+    grid = GridSpec(5.0, 128 if n == 1 else 48)
+    assert np.array_equal(tf_shift(f, (x, omega))(ts), tf_shift(f, row)(ts))
+    assert stft(f, g, (x, omega), grid) == stft(f, g, row, grid)
+    assert stft(f, g, row, grid) == stft_points(f, g, row[None], grid)[0]
+
+
+@pytest.mark.parametrize("points, dim", [
+    ([[0.0, 1.0], [2.0]], 2),       # ragged
+    ([[0.0, math.nan]], 2),
+    ([math.inf, 0.0], 1),
+    ([[0.0, 1.0, 2.0]], 2),          # wrong length
+    ([], 1),
+    ("ab", 1),
+])
+def test_malformed_points_are_input_errors(points, dim):
+    # as a point list, and as one time-frequency point of tf_shift and stft
+    g = make_gaussian(dim)
+    for call in (lambda: tfops.finite_points(points, dim, "sample_points"),
+                 lambda: tf_shift(g, points), lambda: stft(g, g, points)):
+        with pytest.raises(InputError):
+            call()
+
+
+def test_finite_points_reads_the_point_layout():
+    np.testing.assert_array_equal(tfops.finite_points([0.5, 1.0], 1, "shifts"), [[0.5], [1.0]])
+    np.testing.assert_array_equal(tfops.finite_points([[0, 1], [2, 3]], 2, "shifts"),
+                                  [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(InputError, match="shifts must be a nonempty list of finite points"):
+        tfops.finite_points([0.0, math.nan], 1, "shifts")
+
+
+def test_default_grid_resolves_where_the_quadrature_runs():
+    for dim in (1, 2):
+        got, want = quadrature_points(None, dim), quadrature_points(GridSpec.default(dim), dim)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert l2_norm(make_gaussian(1)) == l2_norm(make_gaussian(1), GridSpec.default(1))
