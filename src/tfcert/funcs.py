@@ -26,6 +26,16 @@ _ER_BLOCK = 512
 # count explodes. With |a|, |b| <= 50 on x86-64, 1e-15 took 3.7 ms per point
 # and 1e-14 15 us; 3e-17 did not finish 200 points in 20 s.
 _ER_TOL_RANGE = (1e-14, 1e-3)
+# One ER evaluation at (a, b) costs about the same while |a| and |b| stay below
+# _ER_FLAT_REACH and grows linearly beyond it, and so do its panels and memory:
+# a block of points at reach 1e4 peaks at about 250 MB. So a point of a call
+# counts er_weight(reach) times, reach being the call's largest finite |a| or
+# |b|, and one call evaluates at most MAX_ER_WORK counted points. That admits
+# the five-term stencil of every lattice `oracle.er_lattice` accepts (at most
+# 5 MAX_ER_LATTICE counted points) and the default 512^2 dense scan within
+# reach 572.
+_ER_FLAT_REACH = 25.0
+MAX_ER_WORK = 6 * 10**6
 _GL_RULE = None  # 10-point Gauss-Legendre (nodes, weights), built on first use
 
 
@@ -99,8 +109,10 @@ def make_singular_cos(omega: float) -> FunctionEvaluator:
 def make_gaussian(n: int = 1) -> FunctionEvaluator:
     """Unit-norm Gaussian 2^{n/4} e^{-pi ||t||^2} (the reference test function).
 
-    Dimensions above 2 serve the envelope checks only (quadrature grids stop
-    at 2), so n is capped at MAX_GAUSSIAN_DIM.
+    For n >= 2 it carries its n 1-D Gaussian factors, so its Gram matrix,
+    norm and inner products take the per-axis quadrature in any dimension;
+    dense n-D quadrature stops at MAX_NODES nodes. n is capped at
+    MAX_GAUSSIAN_DIM.
     """
     n = int(n)
     if not 1 <= n <= MAX_GAUSSIAN_DIM:
@@ -108,11 +120,13 @@ def make_gaussian(n: int = 1) -> FunctionEvaluator:
     amp = 2.0 ** (n / 4.0)
     if n == 1:
         fn = lambda t: amp * np.exp(-np.pi * t * t)
+        factors = None
     else:
         fn = lambda t: amp * np.exp(-np.pi * _sum_of_squares(t))
+        factors = (make_gaussian(1),) * n
     envelope = lambda r: amp * np.exp(-np.pi * r * r)
     return FunctionEvaluator(dim=n, fn=fn, envelope=envelope,
-                             singularities=(), square_integrable=True)
+                             singularities=(), square_integrable=True, factors=factors)
 
 
 def _sum_of_squares(t: np.ndarray) -> np.ndarray:
@@ -184,6 +198,11 @@ def _er_block(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return total
 
 
+def er_weight(reach: float) -> float:
+    """How many times an ER point counts against a work bound at this reach."""
+    return max(1.0, reach / _ER_FLAT_REACH)
+
+
 def _quad_tol(value: float) -> float:
     """`value` as an ER quadrature tolerance, refused outside _ER_TOL_RANGE."""
     lo, hi = _ER_TOL_RANGE
@@ -200,13 +219,22 @@ def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
     computed by adaptive Gauss-Legendre to absolute tolerance `quad_tol` at
     every point. The points are bisected together, level by level, in blocks
     of `_ER_BLOCK`; each value is bit-identical to a per-point depth-first
-    bisection. The square-integrable flag is left False: the function is
-    only p-integrable for large p, so Gram quadrature is not certified.
+    bisection. A call whose points, each counted er_weight(reach) times,
+    exceed MAX_ER_WORK is refused before any is evaluated. The
+    square-integrable flag is left False: the function is only p-integrable
+    for large p, so Gram quadrature is not certified.
     """
     quad_tol = _quad_tol(quad_tol)
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        finite = np.abs(pts[np.isfinite(pts)])
+        reach = float(finite.max()) if finite.size else 0.0
+        if pts.shape[0] * er_weight(reach) > MAX_ER_WORK:
+            raise InputError(
+                f"Edgar-Rosenblatt evaluations beyond {MAX_ER_WORK} points per call, each "
+                f"counted max(1, reach / {_ER_FLAT_REACH:g}) times for the largest |a|, |b|, "
+                "are not supported")
         out = np.empty(pts.shape[0], dtype=complex)
         for s in range(0, pts.shape[0], _ER_BLOCK):
             block = pts[s:s + _ER_BLOCK]

@@ -17,9 +17,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalRefusal, finite
+from .funcs import _ER_FLAT_REACH, er_weight
 from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _block_rows,
-                    _check_points_clear, finite_points, inverse_fourier_multiplier,
-                    modulate, quadrature_points, stft_grid, tf_shift, translate)
+                    _check_points_clear, _distinct_rows, finite_points,
+                    inverse_fourier_multiplier, modulate, per_axis, quadrature_points,
+                    stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,14 +30,9 @@ TWO_PI = 2.0 * np.pi
 EPS_INDEP = 1e-6
 EPS_DEP = 1e-10
 MAX_MATRIX = 64
+# A lattice point counts er_weight(half_width + 1) times against
+# MAX_ER_LATTICE, by the rule the ER evaluator applies to each call.
 MAX_ER_LATTICE = 10**6
-# One Edgar-Rosenblatt evaluation at (a, b) costs about the same while |a| and
-# |b| stay below _ER_FLAT_REACH and grows linearly beyond it, so a lattice
-# point counts max(1, (half_width + 1) / _ER_FLAT_REACH) times against
-# MAX_ER_LATTICE. The quadrature's panels, and so its memory, grow with the
-# reach too: a block of points at half width MAX_ER_HALF_WIDTH peaks at about
-# 250 MB.
-_ER_FLAT_REACH = 25.0
 MAX_ER_HALF_WIDTH = 1e4
 # The (x, omega) lattice `stft_identity_residual` scans when none is given.
 STFT_IDENTITY_LATTICE = GridSpec(3.0, 33)
@@ -120,6 +117,28 @@ def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.nd
     return out
 
 
+def _dense_gram(f: FunctionEvaluator, lam: PointSet,
+                grid: Optional[GridSpec]) -> np.ndarray:
+    """G = Phi W Phi^* from the shift rows Phi on the n-D quadrature grid."""
+    sings = tuple(s + x for s in f.singularities for x in lam.times())
+    pts, w = quadrature_points(grid, f.dim, sings)
+    phi = _shift_values(f, lam, pts)
+    phiw = phi * w
+    return phiw @ np.conj(phi, out=phi).T
+
+
+def _axis_gram(k: int, axis_grid: GridSpec, h: FunctionEvaluator,
+               lam: PointSet) -> np.ndarray:
+    """The 1-D Gram matrix of the factor h on axis k, indexed like `lam`.
+
+    Its rows are the axis rows (x_k, omega_k), which repeat when points
+    share coordinates on axis k: each distinct one is shifted once, and the
+    matrix is expanded through the index of each point among them.
+    """
+    rows, inverse = _distinct_rows(lam.rows[:, [k, k + lam.dim]])
+    return _dense_gram(h, PointSet(rows), axis_grid)[np.ix_(inverse, inverse)]
+
+
 def gram_matrix(f: FunctionEvaluator, lam: PointSet,
                 grid: Optional[GridSpec] = None) -> IndependenceReport:
     """Gram matrix G_ij = <pi(lambda_i) f, pi(lambda_j) f> by quadrature.
@@ -127,6 +146,12 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     G is Hermitian positive semidefinite up to quadrature error; the verdict
     compares the extremal eigenvalues of its Hermitian part. Refuses inputs
     not flagged square-integrable (use collocation_rank for those).
+
+    When f carries per-axis factors, pi(lambda) f is the product of the
+    factors' 1-D shifts, and G is the entrywise product of the factors' 1-D
+    Gram matrices on the grid's axis (`per_axis`): the same tensor-grid
+    quadrature, summed axis by axis, in any dimension. Otherwise the shifts
+    are evaluated on every node of the n-D grid.
 
     `quad_error_estimate` is the Hermitian defect max|G - G^*| plus the
     negative part of the smallest eigenvalue: a symptom, not a bound on the
@@ -143,11 +168,9 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     N = len(lam)
     if N > MAX_MATRIX:
         raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
-    sings = tuple(s + x for s in f.singularities for x in lam.times())
-    pts, w = quadrature_points(grid, f.dim, sings)
-    phi = _shift_values(f, lam, pts)
-    phiw = phi * w
-    G = phiw @ np.conj(phi, out=phi).T
+    G = per_axis(lambda k, axis_grid, h: _axis_gram(k, axis_grid, h, lam), grid, f)
+    if G is None:
+        G = _dense_gram(f, lam, grid)
     herm = 0.5 * (G + G.conj().T)
     eigs = np.linalg.eigvalsh(herm)
     herm_defect = float(np.max(np.abs(G - G.conj().T)))
@@ -252,16 +275,15 @@ def er_lattice(half_width: float = 3.0, step: float = 0.25) -> np.ndarray:
 
     Refuses a non-finite or non-positive half width or step, a half width
     beyond MAX_ER_HALF_WIDTH, and lattices of more than MAX_ER_LATTICE
-    points, each weighted by the lattice's reach (see _ER_FLAT_REACH).
+    points, each counted er_weight(half_width + 1) times.
     """
     half_width, step = finite(half_width, "half_width"), finite(step, "step")
     if half_width <= 0.0 or step <= 0.0:
         raise InputError("half_width and step must be positive")
     if half_width > MAX_ER_HALF_WIDTH:
         raise InputError(f"er lattices beyond half_width {MAX_ER_HALF_WIDTH:g} are not supported")
-    per_axis = np.ceil((half_width + 1e-12 + half_width) / step)  # np.arange's length
-    reach = max(1.0, (half_width + 1.0) / _ER_FLAT_REACH)
-    if per_axis > math.sqrt(MAX_ER_LATTICE / reach):
+    side = np.ceil((half_width + 1e-12 + half_width) / step)  # np.arange's length
+    if side > math.sqrt(MAX_ER_LATTICE / er_weight(half_width + 1.0)):
         raise InputError(f"er lattices beyond {MAX_ER_LATTICE} points, each counted "
                          f"max(1, (half_width + 1) / {_ER_FLAT_REACH:g}) times, "
                          "are not supported")

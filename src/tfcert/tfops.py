@@ -16,6 +16,13 @@ and complex128 for a complex one. A time-frequency point is a row (x, omega)
 of length 2n (`PointSet`), to which an (x, omega) pair flattens. A `grid` of
 None is the default grid, resolved where the quadrature runs.
 
+An evaluator may carry per-axis `factors`, 1-D evaluators whose product it
+is (`make_gaussian` in dimension 2 and up). On a tensor trapezoid grid the
+quadrature of a product of per-axis factors is the product of 1-D sums on
+the grid's axis, so `per_axis` takes `l2_norm`, `inner_product` and the
+oracle's Gram matrix axis by axis, at 1-D cost in any dimension; functions
+without factors keep the dense n-D quadrature.
+
 `fourier` and `inverse_fourier_multiplier` sum through `_fourier_sum`: in
 1-D, when the targets and the nodes are both arithmetic progressions (every
 a[j] within 8 eps max|a| of a[0] + j step) and there are enough targets, the
@@ -127,11 +134,9 @@ class GridSpec:
 
     @staticmethod
     def default(dim: int) -> "GridSpec":
-        if dim == 1:
-            return GridSpec(8.0, 4096)
-        if dim == 2:
-            return GridSpec(6.0, 512)
-        raise InputError("default grids cover dimensions 1 and 2 only")
+        """The default grid of dimension `dim`; above 1 it is the 2-D grid,
+        whose axis the per-axis quadrature reads in any dimension."""
+        return GridSpec(8.0, 4096) if dim == 1 else GridSpec(6.0, 512)
 
     @property
     def step(self) -> float:
@@ -154,6 +159,12 @@ class FunctionEvaluator:
     (the origin by default). The exact operators carry the envelope and move
     its centre with the function; the quadrature transforms drop it.
     `with_envelope` supplies one about the current centre.
+
+    `factors`, when present, are `dim` 1-D evaluators whose product is f:
+    f(t) = factors[0](t_0) ... factors[n-1](t_{n-1}). A function with
+    singularities carries none. Translation, modulation and dilation act on
+    each factor; the quadrature transforms and `chirp_mul` drop them, and
+    `per_axis` reads them.
     """
 
     dim: int
@@ -162,6 +173,7 @@ class FunctionEvaluator:
     singularities: tuple = ()
     square_integrable: bool = True
     envelope_center: Optional[np.ndarray] = None
+    factors: Optional[tuple] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -174,6 +186,14 @@ class FunctionEvaluator:
                 raise InputError("singularities and the envelope centre must be points in R^dim")
         object.__setattr__(self, "singularities", sings)
         object.__setattr__(self, "envelope_center", center)
+        if self.factors is not None:
+            factors = tuple(self.factors)
+            if len(factors) != self.dim or not all(
+                    isinstance(h, FunctionEvaluator) and h.dim == 1 for h in factors):
+                raise InputError("factors must be dim one-dimensional evaluators")
+            if sings:
+                raise InputError("a function with singularities carries no factors")
+            object.__setattr__(self, "factors", factors)
 
     def __call__(self, t):
         pts, batch = _as_points(t, self.dim)
@@ -283,8 +303,6 @@ def quadrature_points(grid: Optional[GridSpec], dim: int, singularities: Sequenc
     singularity (or exactly on one, when the radius is 0) are dropped.
     """
     grid = grid or GridSpec.default(dim)
-    if dim > 2:
-        raise InputError("quadrature grids support dimensions 1 and 2 only")
     if grid.samples_per_axis ** dim > MAX_NODES:
         raise InputError(f"quadrature grids beyond {MAX_NODES} nodes are not supported")
     t, wt = axis_quadrature(grid)
@@ -317,8 +335,32 @@ def _check_points_clear(points, singularities, dim: int):
                 f"evaluation point hits singularity at {np.ravel(s).tolist()}")
 
 
+def per_axis(rule: Callable, grid: Optional[GridSpec], *fs: FunctionEvaluator):
+    """A quadrature of a product integrand taken axis by axis, or None.
+
+    When every f in `fs` carries factors, the integrand is a product of
+    per-axis factors, and on the tensor trapezoid grid with product weights
+    its quadrature is the product of 1-D quadratures on the grid's axis. So
+    this returns the product over axes k of rule(k, axis_grid, h_1, ...),
+    the h being the k-th factors of `fs` and `axis_grid` the grid (the
+    default grid of their dimension when None) read as 1-D. It returns None
+    when some f has no factors; the caller then takes the dense quadrature.
+    """
+    if any(f.factors is None for f in fs):
+        return None
+    grid = grid or GridSpec.default(fs[0].dim)
+    out = 1.0
+    for k, hs in enumerate(zip(*(f.factors for f in fs))):
+        out = out * rule(k, grid, *hs)
+    return out
+
+
 def l2_norm(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> float:
-    """Quadrature L2 norm of f over the truncation box."""
+    """Quadrature L2 norm of f over the truncation box (per axis when f
+    carries factors)."""
+    norm = per_axis(lambda k, axis_grid, h: l2_norm(h, axis_grid), grid, f)
+    if norm is not None:
+        return float(norm)
     pts, w = quadrature_points(grid, f.dim, f.singularities)
     vals = f(pts)
     return float(np.sqrt(np.sum(w * np.abs(vals) ** 2)))
@@ -326,9 +368,13 @@ def l2_norm(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> float:
 
 def inner_product(f: FunctionEvaluator, g: FunctionEvaluator,
                   grid: Optional[GridSpec] = None) -> complex:
-    """Quadrature <f, g> = integral of f conj(g) over the truncation box."""
+    """Quadrature <f, g> = integral of f conj(g) over the truncation box (per
+    axis when both carry factors)."""
     if f.dim != g.dim:
         raise InputError("dimension mismatch")
+    value = per_axis(lambda k, axis_grid, h, q: inner_product(h, q, axis_grid), grid, f, g)
+    if value is not None:
+        return complex(value)
     sings = tuple(f.singularities) + tuple(g.singularities)
     pts, w = quadrature_points(grid, f.dim, sings)
     return complex(np.sum(w * f(pts) * np.conj(g(pts))))
@@ -350,7 +396,8 @@ def translate(f: FunctionEvaluator, x) -> FunctionEvaluator:
     inner = f.fn
     return replace(f, fn=lambda t: inner(t - x),
                    singularities=tuple(s + x for s in f.singularities),
-                   envelope_center=f.envelope_center + x)
+                   envelope_center=f.envelope_center + x,
+                   factors=_factors_by(f, translate, x))
 
 
 def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
@@ -361,7 +408,14 @@ def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
     inner = f.fn
     freq = TWO_PI * omega
     fn = lambda t: np.exp(1j * np.dot(np.reshape(t, (-1, f.dim)), freq)) * inner(t)
-    return replace(f, fn=fn)
+    return replace(f, fn=fn, factors=_factors_by(f, modulate, omega))
+
+
+def _factors_by(f: FunctionEvaluator, op: Callable, params) -> Optional[tuple]:
+    """f's factors with op(factors[k], params[k]) applied, or None."""
+    if f.factors is None:
+        return None
+    return tuple(op(h, p) for h, p in zip(f.factors, params))
 
 
 def _tf_row(lam, dim: int) -> np.ndarray:
@@ -384,7 +438,8 @@ def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     """Unitary dilation: result(t) = |r|^{n/2} f(r t).
 
     Large |r| compresses the function toward the origin. The envelope
-    transforms exactly: env'(rho) = |r|^{n/2} env(|r| rho) about c / r.
+    transforms exactly: env'(rho) = |r|^{n/2} env(|r| rho) about c / r, and
+    each 1-D factor is dilated by r, with the scale |r|^{1/2}.
     """
     r = float(r)
     if not math.isfinite(r) or r == 0.0:
@@ -397,7 +452,8 @@ def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
         env = lambda rho: scale * base(abs(r) * rho)
     return replace(f, fn=lambda t: scale * inner(r * t), envelope=env,
                    singularities=tuple(s / r for s in f.singularities),
-                   envelope_center=f.envelope_center / r)
+                   envelope_center=f.envelope_center / r,
+                   factors=_factors_by(f, dilate, [r] * f.dim))
 
 
 def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
@@ -406,7 +462,7 @@ def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
         raise InputError("chirp multiplication is defined for dimension 1 only")
     r = float(r)
     inner = f.fn
-    return replace(f, fn=lambda t: np.exp(TWO_PI * 1j * r * t * t) * inner(t))
+    return replace(f, fn=lambda t: np.exp(TWO_PI * 1j * r * t * t) * inner(t), factors=None)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ import io
 import json
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfcert import cli, tfops
+from tfcert import cli, funcs, tfops
 from tfcert.cli import main
 
 
@@ -486,6 +488,44 @@ def test_rigorous_thm1_without_grid_certifies_a_3d_gaussian(tmp_path, capsys):
     assert report["verdict"] == "Certified"
     assert report["sup_method"] == "Envelope"
     assert report["R"] == pytest.approx(math.sqrt(math.log(2.0) / math.pi), abs=1e-8)
+
+
+def test_three_dimensional_gaussian_gram_is_independent(tmp_path, capsys):
+    # the Gram matrix of a factored function is taken per axis, so a 3-D
+    # Gaussian needs no 3-D quadrature grid
+    cfg = write_config(tmp_path, "g3.json", {
+        "dimension": 3, "function": {"family": "gaussian", "params": {"n": 3}},
+        "lambda": [[0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0],
+                   [0.5, -0.5, 1, 0, 0, 0.5]]})
+    code, out, _ = run(capsys, "oracle", "gram", "--config", cfg, "--no-meta")
+    report = json.loads(out)["report"]
+    assert code == 0
+    assert report["verdict"] == "Independent"
+    assert report["matrix_dim"] == [4, 4]
+
+
+def test_far_anchor_er_scan_is_refused_at_once(tmp_path, capsys, monkeypatch):
+    # The dense 512^2 scan about this anchor runs at reach 1.4e4, about a
+    # minute of ER quadrature. The patched block gives up after 6e6 points
+    # counted max(1, reach / 25) times, the evaluator's bound, so that a scan
+    # that is not refused fails here in seconds instead of running.
+    block, counted = funcs._er_block, [0.0]
+
+    def bounded(a, b, tol):
+        counted[0] += a.size * max(1.0, max(np.abs(a).max(), np.abs(b).max()) / 25.0)
+        if counted[0] > 6e6:
+            raise AssertionError("ER evaluation ran past the work bound")
+        return block(a, b, tol)
+
+    monkeypatch.setattr(funcs, "_er_block", bounded)
+    cfg = write_config(tmp_path, "far.json", {
+        "function": {"family": "edgar_rosenblatt"},
+        "lambda": [[0, 0, 0, 0], [1, 0, 0, 0]], "anchor": [1e4, 1e4]})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "certify", "thm1", "--config", cfg)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def test_csv_rejected_for_certificates(thm1_config, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -74,7 +75,8 @@ LAM_2D = PointSet.from_rows([[0, 0, 0, 0], [1.5, 0, 0, 0], [0, 1.5, 1, 0],
 
 @pytest.mark.parametrize("f, lam", [
     (make_example1(6.0, 2.0), PointSet.from_rows([[0, 0], [0.7, -1.0], [1.9, 0.4]])),
-    (make_gaussian(2), LAM_2D),
+    # without its factors the 2-D Gaussian takes the dense n-D quadrature
+    (dataclasses.replace(make_gaussian(2), factors=None), LAM_2D),
 ])
 def test_gram_matrix_is_weighted_product_bit_for_bit(f, lam):
     grid = GridSpec(4.0, 64 if f.dim == 2 else 1024)
@@ -98,6 +100,59 @@ def test_envelope_certified_set_is_never_gram_dependent(family, rows):
     if cert.certified:
         assert cert.sup_method == "Envelope"
         assert gram_matrix(f, lam).verdict != "Dependent"
+
+
+def closed_form_gaussian_gram(lam: PointSet) -> np.ndarray:
+    """<pi(lambda_i) g, pi(lambda_j) g> for the unit Gaussian g:
+    e^{-pi |lambda_i - lambda_j|^2 / 2} e^{pi i (omega_i - omega_j).(x_i + x_j)}."""
+    x, omega = lam.times(), lam.freqs()
+    d = lam.rows[:, None, :] - lam.rows[None, :, :]
+    phase = ((omega[:, None, :] - omega[None, :, :]) * (x[:, None, :] + x[None, :, :])).sum(-1)
+    return np.exp(-PI * (d * d).sum(-1) / 2.0) * np.exp(1j * PI * phase)
+
+
+# Point sets whose points share coordinates (x_k, omega_k) on some axis k, so
+# that the per-axis Gram matrices of n = 2 and 3 see repeated axis rows.
+GRAM_SETS = {
+    1: [[0, 0], [1.5, 0], [0, 1], [-0.5, -1.25], [2, 0.75], [1.5, 1]],
+    2: [[0, 0, 0, 0], [1.5, 0, 0, 0], [0, 1.5, 1, 0], [0.5, -0.5, 0, 1],
+        [1.5, 1.5, 1, 0], [0, -0.5, 0, 0.5]],
+    3: [[0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0],
+        [1, 1, -1, 0.5, 0, 0], [0, 0, 1, 1, 0, -0.5], [1, 0, 1, 0.5, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_matches_the_closed_form_gaussian_gram(n):
+    lam = PointSet.from_rows(GRAM_SETS[n], dim=n)
+    if n > 1:
+        axis_rows = [lam.rows[:, [k, k + n]] for k in range(n)]
+        assert any(len(np.unique(rows, axis=0)) < len(lam) for rows in axis_rows)
+    report = gram_matrix(make_gaussian(n), lam)
+    assert np.max(np.abs(report.matrix - closed_form_gaussian_gram(lam))) < 1e-13
+    assert report.verdict == "Independent"
+
+
+def test_factored_gram_agrees_with_the_dense_gram():
+    g = make_gaussian(2)
+    lam = PointSet.from_rows(GRAM_SETS[2], dim=2)
+    factored = gram_matrix(g, lam)
+    dense = gram_matrix(dataclasses.replace(g, factors=None), lam)
+    assert np.max(np.abs(factored.matrix - dense.matrix)) < 1e-14
+    assert abs(factored.sigma_min - dense.sigma_min) < 1e-14
+    assert abs(factored.sigma_max - dense.sigma_max) < 1e-14
+    assert factored.verdict == dense.verdict
+
+
+def test_factored_gram_evaluates_on_the_grid_axis_only(monkeypatch):
+    # one 1-D Gram per axis on the 512 nodes of the default axis; the 512^3
+    # nodes of a dense 3-D grid are beyond MAX_NODES
+    seen = []
+    shift_values = oracle._shift_values
+    monkeypatch.setattr(oracle, "_shift_values",
+                        lambda f, lam, pts: seen.append(pts.shape) or shift_values(f, lam, pts))
+    gram_matrix(make_gaussian(3), PointSet.from_rows(GRAM_SETS[3], dim=3))
+    assert seen == [(512, 1)] * 3
 
 
 def test_gram_two_dimensional_peak_memory():
@@ -315,6 +370,33 @@ def test_er_lattice_rejects_bad_parameters(half_width, step):
 ])
 def test_er_lattice_accepts_work_within_bound(half_width, step, per_axis):
     assert er_lattice(half_width, step).shape == (per_axis ** 2, 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(half_width=st.floats(0.05, 2e4), step=st.floats(1e-3, 1e3))
+def test_er_work_bound_admits_the_stencil_of_every_accepted_lattice(half_width, step):
+    # The five-term stencil evaluates at most five points per lattice point,
+    # one unit beyond the lattice's reach, in one evaluator call.
+    from tfcert import funcs
+    try:
+        lattice = er_lattice(half_width, step)
+    except InputError:
+        return
+    reach = float(np.abs(lattice).max()) + 1.0
+    assert 5 * lattice.shape[0] * funcs.er_weight(reach) <= funcs.MAX_ER_WORK
+
+
+def test_er_work_bound_admits_residuals_and_the_default_scan(monkeypatch):
+    from tfcert import funcs, make_edgar_rosenblatt
+    monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: np.zeros(a.size, dtype=complex))
+    # 158^2 points at reach 1001, each counted 40.04 times
+    rep = dependence_residual_er(er_lattice(1000.0, 12.66), 1e-9)
+    assert rep.max_abs_residual == 0.0
+    # the default Theorem 1 scan about the farthest anchor within reach 8.5
+    pts, _ = quadrature_points(None, 2)
+    assert make_edgar_rosenblatt()(pts + 2.5).shape == (512 ** 2,)
+    with pytest.raises(InputError, match="Edgar-Rosenblatt evaluations beyond"):
+        make_edgar_rosenblatt()(pts + 1e4)
 
 
 def test_er_residual_rejects_loose_tolerance():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     PointSet, WindowParams, chirp_mul, dilate, fourier,
@@ -628,8 +629,8 @@ def test_gridspec_validation():
         GridSpec(2.0, 1)
     with pytest.raises(InputError):
         GridSpec(2.0, 16, exclusion_radius=2.0)
-    with pytest.raises(InputError):
-        GridSpec.default(3)
+    # above dimension 1 the default grid is the 2-D one, read per axis
+    assert GridSpec.default(3) == GridSpec.default(2) == GridSpec(6.0, 512)
 
 
 def test_evaluator_batch_shapes():
@@ -709,3 +710,74 @@ def test_default_grid_resolves_where_the_quadrature_runs():
         got, want = quadrature_points(None, dim), quadrature_points(GridSpec.default(dim), dim)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert l2_norm(make_gaussian(1)) == l2_norm(make_gaussian(1), GridSpec.default(1))
+
+
+# ---------------------------------------------------------------------------
+# Per-axis factors
+# ---------------------------------------------------------------------------
+
+def _apply(f, step):
+    """One exact operator of a random chain; params hold 6 values in [-0.5, 0.5]."""
+    name, params, r = step
+    n = f.dim
+    if name == "translate":
+        return translate(f, params[:n])
+    if name == "modulate":
+        return modulate(f, params[:n])
+    if name == "tf_shift":
+        return tf_shift(f, params[:2 * n])
+    return dilate(f, r)
+
+
+_SMALL = st.floats(-0.5, 0.5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(n=st.sampled_from([2, 3]),
+       chain=st.lists(st.tuples(st.sampled_from(["translate", "modulate", "tf_shift", "dilate"]),
+                                st.lists(_SMALL, min_size=6, max_size=6),
+                                st.one_of(st.floats(0.8, 1.25), st.floats(-1.25, -0.8))),
+                      max_size=4),
+       points=st.lists(st.lists(_SMALL, min_size=3, max_size=3), min_size=1, max_size=4))
+def test_operators_carry_the_factors(n, chain, points):
+    f = make_gaussian(n)
+    for step in chain:
+        f = _apply(f, step)
+    t = np.array(points)[:, :n]
+    product = np.prod([h(t[:, k]) for k, h in enumerate(f.factors)], axis=0)
+    np.testing.assert_allclose(f(t), product, rtol=1e-14, atol=0.0)
+
+
+def test_malformed_factors_are_input_errors():
+    g1, g2 = make_gaussian(1), make_gaussian(2)
+    for factors in [(g1,), (g1, g1, g1), (g1, g2), (g1, "gaussian")]:
+        with pytest.raises(InputError, match="factors must be"):
+            FunctionEvaluator(2, g2.fn, factors=factors)
+    with pytest.raises(InputError, match="singularities"):
+        FunctionEvaluator(2, g2.fn, singularities=([0.0, 0.0],), factors=(g1, g1))
+    with pytest.raises(InputError, match="singularities"):
+        replace(make_example2(1.0), factors=(g1,))
+
+
+def test_transforms_and_chirps_drop_the_factors():
+    g1 = make_gaussian(1)
+    factored = FunctionEvaluator(1, g1.fn, factors=(g1,))
+    assert chirp_mul(factored, 0.5).factors is None
+    assert fourier(make_gaussian(2), GridSpec(4.0, 32)).factors is None
+    assert make_gaussian(1).factors is None
+    assert len(make_gaussian(3).factors) == 3
+
+
+def test_per_axis_norm_and_inner_product_match_the_dense_quadrature():
+    g = make_gaussian(2)
+    f = tf_shift(dilate(g, 1.3), [0.3, -0.2, 1.0, 0.5])
+    dense = lambda h: replace(h, factors=None)
+    assert abs(l2_norm(f) - l2_norm(dense(f))) < 1e-14
+    assert abs(inner_product(f, g) - inner_product(dense(f), dense(g))) < 1e-14
+    # one input without factors keeps the dense quadrature
+    assert inner_product(f, dense(g)) == inner_product(dense(f), dense(g))
+    # <g, pi(lambda) g> = e^{-pi |lambda|^2 / 2} e^{-pi i omega.x} in 3-D, per axis
+    lam = np.array([0.4, -0.3, 0.2, 0.5, 0.1, -0.6])
+    want = math.exp(-PI * lam @ lam / 2.0) * np.exp(-1j * PI * lam[3:] @ lam[:3])
+    assert abs(inner_product(make_gaussian(3), tf_shift(make_gaussian(3), lam)) - want) < 1e-14
+    assert l2_norm(tf_shift(make_gaussian(3), lam)) == pytest.approx(1.0, abs=1e-14)
