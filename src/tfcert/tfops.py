@@ -36,9 +36,10 @@ singular neighborhood dropped, keep the dense kernel.
 The STFT entry points work in any dimension the quadrature grid supports,
 and all of them read V_g f through one `_STFTScan`: `stft_grid` and
 `stft_points` build a scan and evaluate one window against it, `stft` is
-`stft_points` on one row, and a window search evaluates every window it
-tries against one scan. A scan holds what does not depend on the window,
-each phase's cos and sin computed once when it is built:
+`stft_points` on one row, and a window search sums the Hermite basis
+windows of each width it tries against one scan. A scan holds what does
+not depend on the window, each phase's cos and sin computed once when it is
+built:
 - the quadrature nodes;
 - the folded kernels exp(-2 pi i omega.t_k) f(t_k) w_k of the lattice
   frequencies and of the point frequencies, each row a real and an
@@ -46,22 +47,25 @@ each phase's cos and sin computed once when it is built:
 - the distinct window shifts: the lattice xs, then each point x not seen
   before (rows equal up to the sign of zero are one), so distinct lattice
   xs are a slice of them.
-`fields(g)` evaluates conj(g(t_k - x)) once on each shift, as a real plane
-plus an imaginary plane that exists only when some value is not real. The
-lattice is one real matrix product of its window rows with the stacked
-kernel, and a second one for a complex window; each point value is the dot
-product of its kernel row with its window row. Both give
+`products` sums a stack of q real window planes on the shifts against the
+kernels, node block by node block: within a block of `_node_block(K)`
+nodes, each plane's lattice rows are one real matrix product with the
+stacked kernel, and each point value is the dot product of its kernel row
+with its window row. The blocks depend on K alone, so a value does not
+depend on q or on the other rows of the call. `fields(g)` evaluates
+conj(g(t_k - x)) once on each shift, as a real plane plus an imaginary
+plane that exists only when some value is not real, and passes those one
+or two planes to `products`. Lattice and point values are both
 sum_k exp(-2 pi i omega.t_k) f(t_k) w_k conj(g(t_k - x)), summed in
-different orders, so lattice and point values agree to round-off, and a
-point's value does not depend on the other points of its scan. Window
-parts of magnitude below the smallest normal float, tiny = 2.2e-308, are
-set to zero: Hermite windows narrower than about 1.1-1.2 have such values
-on the default search scan, and they put BLAS on its slow subnormal path. That
-moves each value of V by at most K tiny max|f w| for K nodes (sqrt 2 times
-that for a complex window). Quadrature nodes within the exclusion radius of
-a singularity of f are dropped; nodes within it of a shifted window
-singularity get weight zero. Kernel rows, window shifts and point values
-are handled in blocks of about `_WINDOW_BLOCK` values; blocking changes no
+different orders, so they agree to round-off. Window parts of magnitude
+below the smallest normal float, tiny = 2.2e-308, are set to zero: Hermite
+windows narrower than about 1.1-1.2 have such values on the default search
+scan, and they put BLAS on its slow subnormal path. That moves each value
+of V by at most K tiny max|f w| for K nodes (sqrt 2 times that for a
+complex window). Quadrature nodes within the exclusion radius of a
+singularity of f are dropped; nodes within it of a shifted window
+singularity get weight zero. Kernel rows and window shifts are built in
+blocks of about `_WINDOW_BLOCK` values; that blocking changes no
 arithmetic.
 
 A decay envelope bounds |f| outside balls about `envelope_center`; every
@@ -91,6 +95,11 @@ TWO_PI = 2.0 * np.pi
 _WINDOW_BLOCK = 16_384
 # Window values below the smallest normal float are flushed to zero.
 _TINY = np.finfo(float).tiny
+# Quadrature nodes per block of the sums of an STFT scan (`_node_block`). On
+# the default search scan (172 shifts), a block of 256 holds the nine
+# Hermite planes of a degree-8 basis pass in 3.2 MB, and the pass peaks at
+# 5 MB; blocks of 512 doubled both.
+_NODE_BLOCK = 256
 # Size limits, checked before anything is allocated: samples per grid axis
 # and nodes per quadrature grid, and the values an STFT scan holds, counted
 # as complex (its kernel and window planes and lattice field, up to 256 MB).
@@ -640,16 +649,16 @@ def _flush(plane: np.ndarray) -> None:
 
 
 def _window_planes(g: FunctionEvaluator, nodes: np.ndarray, shifts: np.ndarray,
-                   grid: GridSpec):
-    """conj(g(t_k - x_i)) for (s, n) shifts x, as an (s, K) real plane and an
-    imaginary plane that is None when every value is real.
+                   grid: GridSpec) -> np.ndarray:
+    """conj(g(t_k - x_i)) for (s, n) shifts x, as a (q, s, K) real array: the
+    real plane, then the imaginary plane only when some value is not real
+    (q = 2).
 
     Rows are evaluated in blocks of about `_WINDOW_BLOCK` values. Entries
     where t_k lies within the exclusion radius of a singularity of the
     shifted window are zero, and so are subnormal parts (`_flush`).
     """
-    re = np.empty((shifts.shape[0], nodes.shape[0]))
-    im = None
+    planes = np.empty((1, shifts.shape[0], nodes.shape[0]))
     step = _block_rows(nodes.shape[0])
     for lo in range(0, shifts.shape[0], step):
         shifted = nodes - shifts[lo:lo + step, None, :]
@@ -658,21 +667,13 @@ def _window_planes(g: FunctionEvaluator, nodes: np.ndarray, shifts: np.ndarray,
         for s in g.singularities:
             vals = np.where(_distance(shifted, s) <= _exclusion(grid), 0.0, vals)
         hi = lo + vals.shape[0]
-        re[lo:hi] = vals.real
-        _flush(re[lo:hi])
+        planes[0, lo:hi] = vals.real
         if np.iscomplexobj(vals) and vals.imag.any():
-            if im is None:
-                im = np.zeros_like(re)
-            np.negative(vals.imag, out=im[lo:hi])
-            _flush(im[lo:hi])
-    return re, im
-
-
-def _kernel_dots(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_k kernel[i, :, k] rows[i, k] as one complex value per i, for a
-    (b, 2, K) folded kernel and (b, K) real rows. Each value depends on its
-    own kernel and row only."""
-    return np.matmul(kernel, rows[:, :, None]).reshape(-1, 2).view(complex)[:, 0]
+            if planes.shape[0] == 1:
+                planes = np.concatenate([planes, np.zeros_like(planes)])
+            np.negative(vals.imag, out=planes[1, lo:hi])
+        _flush(planes[:, lo:hi])
+    return planes
 
 
 def _check_window(dim: int, g: FunctionEvaluator) -> None:
@@ -683,6 +684,12 @@ def _check_window(dim: int, g: FunctionEvaluator) -> None:
         raise InputError("stft requires square-integrable inputs")
 
 
+def _node_block(k: int) -> int:
+    """Nodes per block of an STFT scan's sums over k nodes: `_NODE_BLOCK`,
+    or a 64th of the nodes when that is more."""
+    return max(_NODE_BLOCK, k // 64)
+
+
 class _STFTScan:
     """V_g f of one f on a fixed lattice and point set, for any window g.
 
@@ -690,7 +697,8 @@ class _STFTScan:
     sin computed once: the quadrature nodes, the folded kernels
     exp(-2 pi i omega.t) f(t) w of the lattice frequencies and of the point
     frequencies (`_folded_planes`), and the distinct shifts that the lattice
-    xs and the point xs name.
+    xs and the point xs name. `products` sums any stack of real window
+    planes against the kernels; `fields` is that sum for one window.
     """
 
     def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
@@ -719,33 +727,51 @@ class _STFTScan:
         self.lattice_rows = slice(0, m) if m == 0 or inverse[m - 1] == m - 1 \
             else inverse[:m]
         self.point_rows = inverse[m:]
+        self.lattice_shape = (m, p)
+
+    def products(self, planes: Callable[[slice], np.ndarray], q: int):
+        """(L, v) for q real window planes: L[j, i, l] = sum_k
+        exp(-2 pi i omegas[l].t_k) f(t_k) w_k P_j(xs[i], t_k) on the lattice
+        and v[j, i] the same sum at points[i], where planes(nodes) gives the
+        (q, shifts, len) planes P at the node slice `nodes`.
+
+        The sums run over node blocks of `_node_block(K)` nodes, in order.
+        Within a block each plane's lattice rows are one real matrix product
+        with the stacked lattice kernel, and each point is the dot product
+        of its kernel row with its window row, so no value depends on q or
+        on the other rows of the call.
+        """
+        m, p = self.lattice_shape
+        lattice = np.zeros((q, m, 2 * p))
+        points = np.zeros((q, self.point_rows.shape[0], 2))
+        k = self.nodes.shape[0]
+        step = _node_block(k)
+        for lo in range(0, k, step):
+            nodes = slice(lo, lo + step)
+            block = planes(nodes)
+            lattice_kernel = self.lattice_kernel[:, nodes].T
+            point_kernel = self.point_kernel[:, :, nodes]
+            for j in range(q):
+                lattice[j] += block[j, self.lattice_rows] @ lattice_kernel
+                points[j] += (point_kernel @ block[j, self.point_rows, :, None])[..., 0]
+            del block  # before the next block is built, the peak of memory
+        return lattice.view(complex), points.view(complex)[..., 0]
 
     def fields(self, g: FunctionEvaluator):
         """(V, v): V[i, j] = V_g f(xs[i], omegas[j]) on the lattice and
         v[i] = V_g f(points[i]), each sum_k exp(-2 pi i omega.t_k) f(t_k) w_k
         conj(g(t_k - x)).
 
-        The window is evaluated once on each distinct shift. The lattice is
-        one real matrix product of its window rows with the stacked kernel,
-        plus a second one for a complex window; the points are real row dot
-        products taken in blocks.
+        The window is evaluated once on each distinct shift, and its real
+        plane, plus its imaginary plane for a complex window, go through
+        `products`.
         """
         _check_window(self.dim, g)
-        re, im = _window_planes(g, self.nodes, self.shifts, self.grid)
-        kernel = self.lattice_kernel.T
-        lattice = (re[self.lattice_rows] @ kernel).view(complex)
-        if im is not None:
-            lattice = lattice + 1j * (im[self.lattice_rows] @ kernel).view(complex)
-
-        points = np.empty(self.point_rows.shape[0], dtype=complex)
-        step = _block_rows(self.nodes.shape[0])
-        for lo in range(0, points.shape[0], step):
-            blk = slice(lo, lo + step)
-            rows = self.point_rows[blk]
-            points[blk] = _kernel_dots(self.point_kernel[blk], re[rows])
-            if im is not None:
-                points[blk] += 1j * _kernel_dots(self.point_kernel[blk], im[rows])
-        return lattice, points
+        planes = _window_planes(g, self.nodes, self.shifts, self.grid)
+        lattice, points = self.products(lambda nodes: planes[:, :, nodes], planes.shape[0])
+        if planes.shape[0] == 2:
+            return lattice[0] + 1j * lattice[1], points[0] + 1j * points[1]
+        return lattice[0], points[0]
 
 
 def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,

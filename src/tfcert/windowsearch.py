@@ -6,8 +6,12 @@ a lattice scan and therefore a heuristic lower bound of the true sup; the
 scan covers lattice points strictly outside the ball plus a deterministic
 ring of samples on its boundary, because the sup over the open exterior
 equals the boundary maximum for continuous fields.
-`V_g f` is linear in the Hermite coefficients c and the ratio does not see
-their scale, so `search` walks only the width and solves for c per width.
+`V_g f` is linear in g, so the field of the window sum_k c_k g_k is
+sum_k c_k V_{g_k} f of the fields of the basis windows g_k = (w, e_k): one
+pass over the scan sums all d + 1 basis windows of a width, and every ratio,
+of a searched window or of `tail_ratio`, is read from their rows. The ratio
+does not see the scale of c, so `search` walks only the width and solves for
+c per width.
 """
 
 from __future__ import annotations
@@ -19,19 +23,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NearOrthogonalError, NumericalRefusal
-from .tfops import FunctionEvaluator, GridSpec, _STFTScan
+from .tfops import FunctionEvaluator, GridSpec, _flush, _STFTScan
 
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
-# Window evaluations (STFT scans of one window) one search may spend; at
-# about 20 ms each on the default grid, that bounds a search to minutes.
+# Window evaluations one search may spend, a width costing d + 1 + (d > 0)
+# of them. The basis pass of one width takes about 12 ms at d = 0 and 35 ms
+# at d = 3 on the default grid (x86-64, one BLAS thread), 7-12 ms per
+# evaluation, so the budget bounds a search to about two minutes.
 MAX_BUDGET = 10_000
 # Boundary-ring samples of the tail-ratio scan; even, so the ring mirrors.
 _RING_SAMPLES = 180
 # The (x, omega) lattice of the tail-ratio scan when none is given.
 SEARCH_LATTICE = GridSpec(8.0, 81)
-# Lawson steps per width; the ten cost about a fifth of one window evaluation.
+# Lawson steps per width; the ten cost about a tenth of the width's basis pass.
 _LAWSON_STEPS = 10
 # The search stops once its step in log2 w falls below this, a relative width
 # change of 6.6e-7: below it the ratio moves at round-off level only.
@@ -62,20 +68,33 @@ class WindowParams:
                 "hermite_coeffs": [float(v) for v in self.hermite_coeffs]}
 
 
+def _hermite_functions(s: np.ndarray, d: int, width: float) -> np.ndarray:
+    """w^{-1/2} h_k(s) for k = 0..d, as a (d + 1,) + s.shape array, for the
+    Hermite functions h_k(s) = 2^{1/4} (2^k k!)^{-1/2} H_k(y) e^{-pi s^2},
+    y = sqrt(2 pi) s, of unit L2 norm; s = t / w gives the window of width w.
+
+    One Gaussian factor and the recurrence h_{k+1} = sqrt(2 / (k + 1)) y h_k
+    - sqrt(k / (k + 1)) h_{k-1}, which needs no factorial.
+    """
+    h = np.empty((d + 1,) + np.shape(s))
+    np.multiply(s, s, out=h[0])
+    h[0] *= -np.pi
+    np.exp(h[0], out=h[0])
+    h[0] *= 2.0 ** 0.25 / math.sqrt(width)
+    y = math.sqrt(2.0 * math.pi) * s
+    for k in range(d):
+        np.multiply(y, h[k], out=h[k + 1])
+        h[k + 1] *= math.sqrt(2.0 / (k + 1))
+        if k:
+            h[k + 1] -= math.sqrt(k / (k + 1)) * h[k - 1]
+    return h
+
+
 def realize_window(params: WindowParams) -> FunctionEvaluator:
     """Build the window evaluator g(t) = sum_k c_k w^{-1/2} h_k(t/w)."""
-    w = params.width
-    c = params.hermite_coeffs
-    scaled = np.array([ck * 2.0 ** 0.25 / math.sqrt(2.0 ** k * math.factorial(k))
-                       for k, ck in enumerate(c)])
-
-    def fn(t):
-        s = t / w
-        poly = np.polynomial.hermite.hermval(math.sqrt(2.0 * math.pi) * s, scaled)
-        return w ** -0.5 * poly * np.exp(-np.pi * s * s)
-
-    return FunctionEvaluator(dim=1, fn=fn, envelope=None, singularities=(),
-                             square_integrable=True)
+    w, c = params.width, params.hermite_coeffs
+    return FunctionEvaluator(dim=1, fn=lambda t: c @ _hermite_functions(t / w, c.size - 1, w),
+                             envelope=None, singularities=(), square_integrable=True)
 
 
 def _ring(R: float) -> np.ndarray:
@@ -94,8 +113,8 @@ class _TailScan:
     """The tail ratio of any window for one (f, R, lattice, grid).
 
     Holds the `||lambda|| > R` lattice mask and an STFT scan of f over the
-    lattice and over the origin followed by the boundary ring; `rows` and
-    `ratio` evaluate one window against them.
+    lattice and over the origin followed by the boundary ring; `basis` scans
+    the basis windows of one width against them.
     """
 
     def __init__(self, f: FunctionEvaluator, R: float,
@@ -112,20 +131,29 @@ class _TailScan:
         self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points)
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
 
-    def rows(self, g: FunctionEvaluator) -> tuple[np.ndarray, complex]:
-        """(tail, origin): V_g f at the exterior points (the lattice points
-        outside the ball, then the ring) and at the origin, <f, g>."""
-        field, sums = self.scan.fields(g)
-        return np.concatenate([field[self.outside], sums[1:]]), complex(sums[0])
+    def basis(self, width: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """(tail, origin) of the basis windows (width, e_k), k = 0..d: column
+        k of the (exterior points, d + 1) tail holds V_{g_k} f at the lattice
+        points outside the ball, then at the ring, and origin[k] = <f, g_k>.
 
-    def ratio(self, g_params: WindowParams) -> float:
-        """`tail_ratio` of one window, evaluated against this scan."""
-        tail, origin = self.rows(realize_window(g_params))
-        denom = abs(origin)
-        if denom <= DENOM_FLOOR:
-            raise NearOrthogonalError(
-                "|<f, g>| underflows; the tail ratio is undefined for this window")
-        return float(np.abs(tail).max()) / denom
+        One pass over the scan's node blocks: each block evaluates the
+        Gaussian factor once and the d + 1 planes by the recurrence
+        (`_hermite_functions`, the values `realize_window` gives), flushes
+        them as the scan flushes a window, and sums all of them at once
+        (`_STFTScan.products`).
+        """
+        scan = self.scan
+
+        def planes(nodes: slice) -> np.ndarray:
+            s = scan.nodes[nodes, 0] - scan.shifts
+            s /= width
+            h = _hermite_functions(s, d, width)
+            for plane in h:  # one at a time, so the flush's temporaries stay small
+                _flush(plane)
+            return h
+
+        lattice, points = scan.products(planes, d + 1)
+        return np.concatenate([lattice[:, self.outside], points[:, 1:]], axis=1).T, points[:, 0]
 
 
 def tail_ratio(f: FunctionEvaluator, g_params: WindowParams, R: float,
@@ -134,12 +162,15 @@ def tail_ratio(f: FunctionEvaluator, g_params: WindowParams, R: float,
     """max |V_g f| over {||lambda|| >= R} scan points, divided by |<f, g>|.
 
     Scans lattice points with ||lambda|| > R plus a ring on the boundary
-    circle itself; a heuristic lower bound of the true exterior sup. Raises
-    NearOrthogonalError when the denominator underflows (distinct from an
-    infinite ratio). `search` builds the scan once and reuses it for every
-    window it tries.
+    circle itself; a heuristic lower bound of the true exterior sup. The
+    field of g = sum_k c_k g_k is sum_k c_k V_{g_k} f, read from the basis
+    pass of its width and degree (`_TailScan.basis`), the rows `search` reads
+    its ratios from. Raises NearOrthogonalError when the denominator
+    underflows (distinct from an infinite ratio). `search` builds the scan
+    once and reuses it for every width it tries.
     """
-    return _TailScan(f, R, lattice, grid).ratio(g_params)
+    c = g_params.hermite_coeffs
+    return _window_ratio(*_TailScan(f, R, lattice, grid).basis(g_params.width, c.size - 1), c)
 
 
 @dataclass(frozen=True)
@@ -168,7 +199,15 @@ class SearchResult:
 def _row_ratio(tail: np.ndarray, origin: np.ndarray, c: np.ndarray) -> float:
     """The tail ratio of sum_k c_k g_k from the rows of the basis windows g_k."""
     denom = abs(origin @ c)
-    return float(np.abs(tail @ c).max()) / denom if denom > 0 else math.inf
+    return float(np.abs(tail @ c).max() / denom) if denom > 0 else math.inf
+
+
+def _window_ratio(tail: np.ndarray, origin: np.ndarray, c: np.ndarray) -> float:
+    """`_row_ratio`, refusing a window whose |<f, g>| is at most DENOM_FLOOR."""
+    if abs(origin @ c) <= DENOM_FLOOR:
+        raise NearOrthogonalError(
+            "|<f, g>| underflows; the tail ratio is undefined for this window")
+    return _row_ratio(tail, origin, c)
 
 
 def _lawson(tail: np.ndarray, origin: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -211,10 +250,13 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
 
     From a step of 1/2, it tries x + step, then x - step, moves on a strict
     improvement and halves the step otherwise, skipping widths outside [WIDTH_MIN,
-    WIDTH_MAX] or tried before. At each width the basis windows (w, e_k) are
-    evaluated, `_lawson` solves for c from the incumbent's, and that window is
-    evaluated: d + 1 + (d > 0) of the `budget` evaluations. It stops when the
-    next width does not fit the budget or the step falls below `_MIN_STEP`.
+    WIDTH_MAX] or tried before. At each width one pass sums the basis windows
+    (w, e_k) (`_TailScan.basis`), `_lawson` solves for c from the
+    incumbent's on their rows, and the solved window's ratio is read from the
+    same rows, its field being sum_k c_k V_{g_k} f. A width is charged
+    d + 1 + (d > 0) of the `budget` evaluations, the scans of the basis
+    windows and of the solved window taken one by one. It stops when the next
+    width does not fit the budget or the step falls below `_MIN_STEP`.
     Deterministic; the trace records every improvement, each ratio exactly
     `tail_ratio` of its window.
     """
@@ -239,13 +281,12 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
         seen.add(x)
         used += cost
         c = np.eye(1, d + 1)[0] if best_params is None else best_params.hermite_coeffs
+        tail, origin = scan.basis(2.0 ** x, d)
         if d > 0:
-            rows = [scan.rows(realize_window(WindowParams(2.0 ** x, e))) for e in np.eye(d + 1)]
-            c = _lawson(np.column_stack([t for t, _ in rows]), np.array([o for _, o in rows]), c)
-            del rows  # before the scan of the chosen window, the peak of memory
+            c = _lawson(tail, origin, c)
         params = WindowParams(2.0 ** x, c)
         try:
-            ratio = scan.ratio(params)
+            ratio = _window_ratio(tail, origin, params.hermite_coeffs)
         except NearOrthogonalError as exc:
             failure = str(exc)
             return False

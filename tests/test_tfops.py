@@ -455,8 +455,8 @@ def _direct_stft(f, g, rows, grid):
 
 @pytest.mark.parametrize("window", ["hermite", "complex", "singular"])
 def test_scan_fields_match_direct_quadrature(window):
-    # A real Hermite window, a complex one (second matrix product and the
-    # imaginary plane), and one whose singularity lands on a node at x = 0.5.
+    # A real Hermite window, a complex one (a second, imaginary plane), and
+    # one whose singularity lands on a node at x = 0.5.
     # The lattice repeats x = 0.5, so its window rows are gathered; the
     # points repeat lattice xs and a +-omega pair.
     from tfcert.windowsearch import WindowParams, realize_window
@@ -506,7 +506,7 @@ def test_scan_repeated_shifts_give_bit_identical_values():
 def test_window_flush_moves_fields_within_the_stated_bound():
     # At width 0.5 the window has subnormal values on the default grid. They
     # are flushed to zero, which moves each value by at most K tiny max|f w|
-    # against the same products of the unflushed window plane.
+    # against the same sums (`products`) of the unflushed window plane.
     from tfcert.windowsearch import SEARCH_LATTICE, WindowParams, realize_window
     f = make_gaussian(1)
     g = realize_window(WindowParams(0.5, np.array([1.0])))
@@ -518,14 +518,13 @@ def test_window_flush_moves_fields_within_the_stated_bound():
     tiny = np.finfo(float).tiny
     subnormal = lambda a: (a != 0) & (np.abs(a) < tiny)
     assert subnormal(unflushed).any()
-    plane, imag = tfops._window_planes(g, scan.nodes, scan.shifts, grid)
-    assert imag is None and not subnormal(plane).any()
+    planes = tfops._window_planes(g, scan.nodes, scan.shifts, grid)
+    assert planes.shape[0] == 1 and not subnormal(planes).any()
     nodes, w = quadrature_points(grid, 1)
     bound = nodes.shape[0] * tiny * np.max(np.abs(f(nodes) * w))
-    want = np.dot(unflushed[:xs.size], scan.lattice_kernel.T).view(complex)
-    assert np.max(np.abs(lattice - want)) <= bound
-    want = tfops._kernel_dots(scan.point_kernel, unflushed[scan.point_rows])
-    assert np.max(np.abs(at_points - want)) <= bound
+    want_lattice, want_points = scan.products(lambda block: unflushed[None, :, block], 1)
+    assert np.max(np.abs(lattice - want_lattice[0])) <= bound
+    assert np.max(np.abs(at_points - want_points[0])) <= bound
 
 
 def test_stft_rejects_non_square_integrable():

@@ -150,10 +150,7 @@ def test_search_trace_has_unit_max_norm_and_distinct_widths():
 @pytest.mark.parametrize("f, width", [(make_example1(4.0, 2.0), 1.3), (make_gaussian(1), 0.7)])
 def test_lawson_never_worse_than_its_start(f, width):
     from tfcert.windowsearch import _lawson, _row_ratio, _TailScan
-    scan = _TailScan(f, 1.5, None, None)
-    basis = [scan.rows(realize_window(WindowParams(width, e))) for e in np.eye(5)]
-    tail = np.column_stack([t for t, _ in basis])
-    origin = np.array([o for _, o in basis])
+    tail, origin = _TailScan(f, 1.5, None, None).basis(width, 4)
     for d in range(1, 5):
         rows = tail[:, :d + 1], origin[:d + 1]
         for start in (np.eye(1, d + 1)[0], np.array([1.0, -0.5, 0.25, -0.125, 0.0625])[:d + 1]):
@@ -163,6 +160,40 @@ def test_lawson_never_worse_than_its_start(f, width):
     # from e_0 at degree 2 the solve finds a better window on both
     rows = tail[:, :3], origin[:3]
     assert _row_ratio(*rows, _lawson(*rows, np.eye(1, 3)[0])) < _row_ratio(*rows, np.eye(1, 3)[0])
+
+
+@pytest.mark.parametrize("width", [1.0 / 16.0, 1.3, 16.0])
+def test_basis_pass_columns_match_single_window_scans(width):
+    # Column k of the basis pass at every degree d >= k is the field of the
+    # window (width, e_k) scanned on its own.
+    from tfcert.windowsearch import MAX_DEGREE, _TailScan
+    scan = _TailScan(make_example1(4.0, 2.0), 1.5, None, None)
+    single = []
+    for e in np.eye(MAX_DEGREE + 1):
+        field, sums = scan.scan.fields(realize_window(WindowParams(width, e)))
+        single.append(np.concatenate([field[scan.outside], sums[1:], sums[:1]]))
+    for d in range(MAX_DEGREE + 1):
+        tail, origin = scan.basis(width, d)
+        assert tail.shape == (single[0].size - 1, d + 1)
+        for k in range(d + 1):
+            column = np.append(tail[:, k], origin[k])
+            assert np.max(np.abs(column - single[k])) <= 1e-13 * np.max(np.abs(single[k]))
+
+
+def test_basis_pass_memory_stays_within_8_mb():
+    # The (d + 1) Hermite planes are built one node block at a time, never
+    # as a full (d + 1) x shifts x nodes stack (9 x 172 x 4096 doubles, 51 MB).
+    import tracemalloc
+    from tfcert.windowsearch import MAX_DEGREE, _TailScan
+    scan = _TailScan(make_example1(4.0, 2.0), 1.5, None, None)
+    for d in range(MAX_DEGREE + 1):
+        tracemalloc.start()
+        try:
+            scan.basis(1.3, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, (d, peak)
 
 
 def test_search_demo_config_ratio():
