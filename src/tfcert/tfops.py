@@ -47,16 +47,16 @@ built:
 - the distinct window shifts: the lattice xs, then each point x not seen
   before (rows equal up to the sign of zero are one), so distinct lattice
   xs are a slice of them.
-`products` sums a stack of q real window planes on the shifts against the
-kernels, node block by node block: within a block of `_node_block(K)`
-nodes, each plane's lattice rows are one real matrix product with the
-stacked kernel, and each point value is the dot product of its kernel row
-with its window row. The blocks depend on K alone, so a value does not
-depend on q or on the other rows of the call. `fields(g)` evaluates
-conj(g(t_k - x)) once on each shift, as a real plane plus an imaginary
-plane that exists only when some value is not real, and passes those one
-or two planes to `products`. Lattice and point values are both
-sum_k exp(-2 pi i omega.t_k) f(t_k) w_k conj(g(t_k - x)), summed in
+`products` sums a stack of q real window planes against the kernels, block
+by block of `_NODE_BLOCK` nodes. For each block a window function gives the
+q planes at the offsets t_k - x of the block's nodes from every shift;
+`products` sets their subnormal parts to zero (below), then adds each
+plane's lattice rows as one real matrix product with the stacked kernel
+and each point value as the dot product of its kernel row with its window
+row. The blocks are fixed, so a value does not depend on q or on the other
+rows of the call. `fields(g)` is `products` on conj(g(t_k - x)), as a real plane
+plus an imaginary plane when g is complex-valued. Lattice and point values
+are both sum_k exp(-2 pi i omega.t_k) f(t_k) w_k conj(g(t_k - x)), summed in
 different orders, so they agree to round-off. Window parts of magnitude
 below the smallest normal float, tiny = 2.2e-308, are set to zero: Hermite
 windows narrower than about 1.1-1.2 have such values on the default search
@@ -64,9 +64,8 @@ scan, and they put BLAS on its slow subnormal path. That moves each value
 of V by at most K tiny max|f w| for K nodes (sqrt 2 times that for a
 complex window). Quadrature nodes within the exclusion radius of a
 singularity of f are dropped; nodes within it of a shifted window
-singularity get weight zero. Kernel rows and window shifts are built in
-blocks of about `_WINDOW_BLOCK` values; that blocking changes no
-arithmetic.
+singularity get weight zero. Kernel rows are built in blocks of about
+`_WINDOW_BLOCK` values; that blocking changes no arithmetic.
 
 A decay envelope bounds |f| outside balls about `envelope_center`; every
 exact operator keeps it valid, moving that centre with the function.
@@ -88,21 +87,21 @@ from .errors import InputError, NumericalRefusal, SingularityHitError
 
 TWO_PI = 2.0 * np.pi
 
-# Phase rows exp(+-2 pi i omega.t) of dense Fourier sums and STFT kernels,
-# window rows g(t_k - x_i) and the shift rows of the oracle's Gram matrix are
-# built in blocks of about _WINDOW_BLOCK values, so that their temporaries
-# stay in cache.
+# Phase rows exp(+-2 pi i omega.t) of dense Fourier sums and STFT kernels and
+# the shift rows of the oracle's Gram matrix are built in blocks of about
+# _WINDOW_BLOCK values, so that their temporaries stay in cache.
 _WINDOW_BLOCK = 16_384
 # Window values below the smallest normal float are flushed to zero.
 _TINY = np.finfo(float).tiny
-# Quadrature nodes per block of the sums of an STFT scan (`_node_block`). On
-# the default search scan (172 shifts), a block of 256 holds the nine
-# Hermite planes of a degree-8 basis pass in 3.2 MB, and the pass peaks at
-# 5 MB; blocks of 512 doubled both.
+# Quadrature nodes per block of the sums of an STFT scan. On the default
+# search scan (172 shifts), a block of 256 holds the nine Hermite planes of a
+# degree-8 basis pass in 3.2 MB, and the pass peaks at 5.3 MB; blocks of 512
+# doubled both.
 _NODE_BLOCK = 256
 # Size limits, checked before anything is allocated: samples per grid axis
-# and nodes per quadrature grid, and the values an STFT scan holds, counted
-# as complex (its kernel and window planes and lattice field, up to 256 MB).
+# and nodes per quadrature grid, and the values of an STFT scan, counted as
+# complex: K nodes times its xs, omegas and points, plus its lattice field
+# (up to 256 MB).
 MAX_NODES = 1 << 22
 MAX_SCAN_VALUES = 1 << 24
 # The exps a dense Fourier sum may compute, m targets times K nodes. A sum at
@@ -648,46 +647,12 @@ def _flush(plane: np.ndarray) -> None:
     plane[np.abs(plane) < _TINY] = 0.0
 
 
-def _window_planes(g: FunctionEvaluator, nodes: np.ndarray, shifts: np.ndarray,
-                   grid: GridSpec) -> np.ndarray:
-    """conj(g(t_k - x_i)) for (s, n) shifts x, as a (q, s, K) real array: the
-    real plane, then the imaginary plane only when some value is not real
-    (q = 2).
-
-    Rows are evaluated in blocks of about `_WINDOW_BLOCK` values. Entries
-    where t_k lies within the exclusion radius of a singularity of the
-    shifted window are zero, and so are subnormal parts (`_flush`).
-    """
-    planes = np.empty((1, shifts.shape[0], nodes.shape[0]))
-    step = _block_rows(nodes.shape[0])
-    for lo in range(0, shifts.shape[0], step):
-        shifted = nodes - shifts[lo:lo + step, None, :]
-        with np.errstate(all="ignore"):
-            vals = g(shifted)
-        for s in g.singularities:
-            vals = np.where(_distance(shifted, s) <= _exclusion(grid), 0.0, vals)
-        hi = lo + vals.shape[0]
-        planes[0, lo:hi] = vals.real
-        if np.iscomplexobj(vals) and vals.imag.any():
-            if planes.shape[0] == 1:
-                planes = np.concatenate([planes, np.zeros_like(planes)])
-            np.negative(vals.imag, out=planes[1, lo:hi])
-        _flush(planes[:, lo:hi])
-    return planes
-
-
 def _check_window(dim: int, g: FunctionEvaluator) -> None:
     """Refuse a window that cannot serve in the STFT of a dim-dimensional f."""
     if g.dim != dim:
         raise InputError("dimension mismatch")
     if not g.square_integrable:
         raise InputError("stft requires square-integrable inputs")
-
-
-def _node_block(k: int) -> int:
-    """Nodes per block of an STFT scan's sums over k nodes: `_NODE_BLOCK`,
-    or a 64th of the nodes when that is more."""
-    return max(_NODE_BLOCK, k // 64)
 
 
 class _STFTScan:
@@ -729,32 +694,33 @@ class _STFTScan:
         self.point_rows = inverse[m:]
         self.lattice_shape = (m, p)
 
-    def products(self, planes: Callable[[slice], np.ndarray], q: int):
+    def products(self, window: Callable[[np.ndarray], np.ndarray], q: int):
         """(L, v) for q real window planes: L[j, i, l] = sum_k
-        exp(-2 pi i omegas[l].t_k) f(t_k) w_k P_j(xs[i], t_k) on the lattice
-        and v[j, i] the same sum at points[i], where planes(nodes) gives the
-        (q, shifts, len) planes P at the node slice `nodes`.
+        exp(-2 pi i omegas[l].t_k) f(t_k) w_k P_j(t_k - xs[i]) on the lattice
+        and v[j, i] the same sum at points[i], where window(t) gives the
+        (q, shifts, b) planes P at the (shifts, b, n) offsets t_k - x of a
+        block of b nodes from the scan's distinct shifts x.
 
-        The sums run over node blocks of `_node_block(K)` nodes, in order.
-        Within a block each plane's lattice rows are one real matrix product
-        with the stacked lattice kernel, and each point is the dot product
-        of its kernel row with its window row, so no value depends on q or
-        on the other rows of the call.
+        The sums run over blocks of `_NODE_BLOCK` nodes, in order. Each
+        block's planes have their subnormal parts set to zero (`_flush`);
+        then each plane's lattice rows are one real matrix product with the
+        stacked lattice kernel, and each point is the dot product of its
+        kernel row with its window row, so no value depends on q or on the
+        other rows of the call.
         """
         m, p = self.lattice_shape
         lattice = np.zeros((q, m, 2 * p))
         points = np.zeros((q, self.point_rows.shape[0], 2))
-        k = self.nodes.shape[0]
-        step = _node_block(k)
-        for lo in range(0, k, step):
-            nodes = slice(lo, lo + step)
-            block = planes(nodes)
+        for lo in range(0, self.nodes.shape[0], _NODE_BLOCK):
+            nodes = slice(lo, lo + _NODE_BLOCK)
+            planes = window(self.nodes[nodes] - self.shifts[:, None, :])
             lattice_kernel = self.lattice_kernel[:, nodes].T
             point_kernel = self.point_kernel[:, :, nodes]
             for j in range(q):
-                lattice[j] += block[j, self.lattice_rows] @ lattice_kernel
-                points[j] += (point_kernel @ block[j, self.point_rows, :, None])[..., 0]
-            del block  # before the next block is built, the peak of memory
+                _flush(planes[j])
+                lattice[j] += planes[j, self.lattice_rows] @ lattice_kernel
+                points[j] += (point_kernel @ planes[j, self.point_rows, :, None])[..., 0]
+            del planes  # before the next block is built, the peak of memory
         return lattice.view(complex), points.view(complex)[..., 0]
 
     def fields(self, g: FunctionEvaluator):
@@ -762,14 +728,24 @@ class _STFTScan:
         v[i] = V_g f(points[i]), each sum_k exp(-2 pi i omega.t_k) f(t_k) w_k
         conj(g(t_k - x)).
 
-        The window is evaluated once on each distinct shift, and its real
-        plane, plus its imaginary plane for a complex window, go through
-        `products`.
+        The window is evaluated once on each distinct shift, block by block
+        of `products`, as its real plane plus, for a complex-valued g, the
+        plane of -Im g. Entries where t_k lies within the exclusion radius of
+        a singularity of the shifted window are zero.
         """
         _check_window(self.dim, g)
-        planes = _window_planes(g, self.nodes, self.shifts, self.grid)
-        lattice, points = self.products(lambda nodes: planes[:, :, nodes], planes.shape[0])
-        if planes.shape[0] == 2:
+        # A complex-valued g adds a plane; its value type is read from an empty batch.
+        q = 2 if np.iscomplexobj(g(np.empty((0, self.dim)))) else 1
+
+        def window(t: np.ndarray) -> np.ndarray:
+            with np.errstate(all="ignore"):
+                vals = g(t)
+            for s in g.singularities:
+                vals = np.where(_distance(t, s) <= _exclusion(self.grid), 0.0, vals)
+            return np.stack([vals.real, -vals.imag]) if q == 2 else vals.real[None]
+
+        lattice, points = self.products(window, q)
+        if q == 2:
             return lattice[0] + 1j * lattice[1], points[0] + 1j * points[1]
         return lattice[0], points[0]
 

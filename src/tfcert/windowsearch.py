@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NearOrthogonalError, NumericalRefusal
-from .tfops import FunctionEvaluator, GridSpec, _flush, _STFTScan
+from .tfops import FunctionEvaluator, GridSpec, _STFTScan
 
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
@@ -136,23 +136,12 @@ class _TailScan:
         k of the (exterior points, d + 1) tail holds V_{g_k} f at the lattice
         points outside the ball, then at the ring, and origin[k] = <f, g_k>.
 
-        One pass over the scan's node blocks: each block evaluates the
-        Gaussian factor once and the d + 1 planes by the recurrence
-        (`_hermite_functions`, the values `realize_window` gives), flushes
-        them as the scan flushes a window, and sums all of them at once
-        (`_STFTScan.products`).
+        One pass over the scan's node blocks (`_STFTScan.products`): each
+        block evaluates the Gaussian factor once and the d + 1 planes by the
+        recurrence (`_hermite_functions`, the values `realize_window` gives).
         """
-        scan = self.scan
-
-        def planes(nodes: slice) -> np.ndarray:
-            s = scan.nodes[nodes, 0] - scan.shifts
-            s /= width
-            h = _hermite_functions(s, d, width)
-            for plane in h:  # one at a time, so the flush's temporaries stay small
-                _flush(plane)
-            return h
-
-        lattice, points = scan.products(planes, d + 1)
+        lattice, points = self.scan.products(
+            lambda t: _hermite_functions(t[..., 0] / width, d, width), d + 1)
         return np.concatenate([lattice[:, self.outside], points[:, 1:]], axis=1).T, points[:, 0]
 
 

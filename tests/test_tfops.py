@@ -503,10 +503,10 @@ def test_scan_repeated_shifts_give_bit_identical_values():
         np.testing.assert_array_equal(stft_points(f, g, base, grid), at_points)
 
 
-def test_window_flush_moves_fields_within_the_stated_bound():
+def test_window_flush_moves_fields_within_the_stated_bound(monkeypatch):
     # At width 0.5 the window has subnormal values on the default grid. They
     # are flushed to zero, which moves each value by at most K tiny max|f w|
-    # against the same sums (`products`) of the unflushed window plane.
+    # against the same sums (`products`) with the flush turned off.
     from tfcert.windowsearch import SEARCH_LATTICE, WindowParams, realize_window
     f = make_gaussian(1)
     g = realize_window(WindowParams(0.5, np.array([1.0])))
@@ -514,17 +514,18 @@ def test_window_flush_moves_fields_within_the_stated_bound():
     xs = np.linspace(-8.0, 8.0, SEARCH_LATTICE.samples_per_axis)
     scan = tfops._STFTScan(f, grid, xs, xs, [[0.0, 0.0], [7.9, -3.0], [-6.5, 1.0]])
     lattice, at_points = scan.fields(g)
-    unflushed = g(scan.nodes - scan.shifts[:, None, :]).real
     tiny = np.finfo(float).tiny
     subnormal = lambda a: (a != 0) & (np.abs(a) < tiny)
-    assert subnormal(unflushed).any()
-    planes = tfops._window_planes(g, scan.nodes, scan.shifts, grid)
-    assert planes.shape[0] == 1 and not subnormal(planes).any()
+    assert subnormal(g(scan.nodes - scan.shifts[:, None, :])).any()
+    planes = []
+    scan.products(lambda t: planes.append(g(t)[None]) or planes[-1], 1)
+    assert not any(subnormal(plane).any() for plane in planes)
     nodes, w = quadrature_points(grid, 1)
     bound = nodes.shape[0] * tiny * np.max(np.abs(f(nodes) * w))
-    want_lattice, want_points = scan.products(lambda block: unflushed[None, :, block], 1)
-    assert np.max(np.abs(lattice - want_lattice[0])) <= bound
-    assert np.max(np.abs(at_points - want_points[0])) <= bound
+    monkeypatch.setattr(tfops, "_flush", lambda plane: None)
+    want_lattice, want_points = scan.fields(g)
+    assert np.max(np.abs(lattice - want_lattice)) <= bound
+    assert np.max(np.abs(at_points - want_points)) <= bound
 
 
 def test_stft_rejects_non_square_integrable():
