@@ -22,7 +22,7 @@ from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
                     _check_points_clear, dilate, finite_points, fourier,
-                    quadrature_points, stft, stft_grid, translate)
+                    lattice_axis, quadrature_points, stft, stft_grid, translate)
 
 BISECT_TOL = 1e-9
 # An envelope within this relative distance of the bound from 0 to twice the
@@ -507,8 +507,7 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
             raise NumericalRefusal(
                 "lattice scan is implemented for dimension 1; supply stft_envelope")
         lattice = lattice or THM3_LATTICE
-        xs = np.linspace(-lattice.half_width, lattice.half_width,
-                         lattice.samples_per_axis)
+        xs = lattice_axis(lattice)
         field = np.abs(stft_grid(f, g, xs, xs, grid))
         if not np.isfinite(field).all():
             raise NumericalRefusal("|V_g f| is not finite on the scanned lattice")

@@ -20,8 +20,8 @@ from .errors import InputError, NumericalRefusal, finite
 from .funcs import _ER_FLAT_REACH, er_weight
 from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _block_rows,
                     _check_points_clear, _distinct_rows, finite_points,
-                    inverse_fourier_multiplier, modulate, per_axis, quadrature_points,
-                    stft_grid, tf_shift, translate)
+                    inverse_fourier_multiplier, lattice_axis, modulate, per_axis,
+                    quadrature_points, stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -304,7 +304,7 @@ def stft_identity_residual(f: FunctionEvaluator, g: FunctionEvaluator,
         raise InputError("identity residual scan is implemented for dimension 1")
     u, eta = finite(u, "u"), finite(eta, "eta")
     lattice = lattice or STFT_IDENTITY_LATTICE
-    xs = np.linspace(-lattice.half_width, lattice.half_width, lattice.samples_per_axis)
+    xs = lattice_axis(lattice)
     shifted_f = translate(modulate(f, eta), u)
     lhs = stft_grid(shifted_f, g, xs, xs, grid)
     rhs = stft_grid(f, g, xs - u, xs - eta, grid)

@@ -47,6 +47,16 @@ built:
 - the distinct window shifts: the lattice xs, then each point x not seen
   before (rows equal up to the sign of zero are one), so distinct lattice
   xs are a slice of them.
+For a real f every real window plane P has sum_k exp(2 pi i omega.t_k)
+f(t_k) w_k P(t_k - x) = conj of the sum at omega (Groechenig, Foundations of
+Time-Frequency Analysis, 2001), so a scan of a real f sums each mirrored
+pair of frequencies once. When the lattice omegas are exactly antisymmetric
+(omegas[::-1] == -omegas bit for bit, as `lattice_axis` builds them), only
+the last ceil(p/2) of the p omegas get kernel rows, and the first p // 2
+columns are the conjugates of their mirrors. A point whose first nonzero
+frequency coordinate is negative reads the conjugate of (x, -omega), and
+equal points are one row. A complex f, or omegas that are not
+antisymmetric, keep a kernel row per lattice omega.
 `products` sums a stack of q real window planes against the kernels, block
 by block of `_NODE_BLOCK` nodes. For each block a window function gives the
 q planes at the offsets t_k - x of the block's nodes from every shift;
@@ -95,8 +105,8 @@ _WINDOW_BLOCK = 16_384
 _TINY = np.finfo(float).tiny
 # Quadrature nodes per block of the sums of an STFT scan. On the default
 # search scan (172 shifts), a block of 256 holds the nine Hermite planes of a
-# degree-8 basis pass in 3.2 MB, and the pass peaks at 5.3 MB; blocks of 512
-# doubled both.
+# degree-8 basis pass in 3.2 MB, and the pass peaks at 5.1 MB with the
+# lattice sums of its 41 folded omegas; blocks of 512 doubled both.
 _NODE_BLOCK = 256
 # Size limits, checked before anything is allocated: samples per grid axis
 # and nodes per quadrature grid, and the values of an STFT scan, counted as
@@ -280,6 +290,16 @@ def axis_quadrature(grid: GridSpec):
     w = np.full(grid.samples_per_axis, grid.step)
     w[0] = w[-1] = 0.5 * grid.step
     return t, w
+
+
+def lattice_axis(grid: GridSpec) -> np.ndarray:
+    """The samples of a scan lattice axis on [-L, L]: `np.linspace` made
+    exactly antisymmetric, a[m - 1 - k] == -a[k] bit for bit, so that a real
+    f's STFT scan sums each mirrored frequency pair once. Each sample moves
+    by at most two ulps of L, and an axis that is already antisymmetric is
+    unchanged."""
+    a = np.linspace(-grid.half_width, grid.half_width, grid.samples_per_axis)
+    return 0.5 * (a - a[::-1])
 
 
 def _as_points(t, dim: int):
@@ -576,7 +596,15 @@ def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     if m * K > MAX_DENSE_PHASES:
         raise InputError(f"a dense Fourier sum of {m} x {K} phases exceeds the "
                          f"{MAX_DENSE_PHASES} supported; use a coarser grid")
-    sums = [block @ weights for block in _phase_rows(targets, nodes, sign)]
+    sums = []
+    for block in _phase_rows(targets, nodes, sign):
+        rows = block.shape[0]
+        if rows == 1:
+            # BLAS sums a lone row with its dot kernel, which rounds unlike
+            # the matrix-vector kernel of every other block; a zero row
+            # sends it through the same kernel.
+            block = np.concatenate([block, np.zeros_like(block)])
+        sums.append((block @ weights)[:rows])
     return np.concatenate(sums) if sums else np.empty(0, dtype=complex)
 
 
@@ -664,6 +692,11 @@ class _STFTScan:
     frequencies (`_folded_planes`), and the distinct shifts that the lattice
     xs and the point xs name. `products` sums any stack of real window
     planes against the kernels; `fields` is that sum for one window.
+
+    For a real f, mirrored frequencies share a kernel row (module notes):
+    the first `mirrored` lattice omegas have none, and point i reads folded
+    row `point_index[i]`, conjugated where `point_conj[i]`. `point_rows`
+    gives each folded row's shift.
     """
 
     def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
@@ -681,11 +714,22 @@ class _STFTScan:
             raise InputError(f"STFT scans beyond {MAX_SCAN_VALUES} values are not supported")
         self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
         fw = f(self.nodes) * w
-        # Rows 2j and 2j + 1 are the real and imaginary planes of omegas[j].
-        self.lattice_kernel = _folded_planes(omegas, self.nodes, fw).reshape(
+        # For a real f, V(x, -omega) = conj V(x, omega) on each real window
+        # plane, so a mirrored pair of frequencies needs one kernel row.
+        real = not np.iscomplexobj(fw)
+        self.mirrored = p // 2 if real and np.array_equal(omegas[::-1], -omegas) else 0
+        # Rows 2j and 2j + 1 are the real and imaginary planes of omegas[mirrored + j].
+        self.lattice_kernel = _folded_planes(omegas[self.mirrored:], self.nodes, fw).reshape(
             -1, self.nodes.shape[0])
-        self.point_kernel = _folded_planes(pts[:, f.dim:], self.nodes, fw)
-        self.shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :f.dim]]))
+        # A point whose first nonzero frequency coordinate is negative reads
+        # the conjugate of its mirror (x, -omega); equal folded rows are one.
+        freqs = pts[:, f.dim:]
+        first = freqs[np.arange(pts.shape[0]), np.argmax(freqs != 0, axis=1)]
+        self.point_conj = real & (first < 0)
+        folded, self.point_index = _distinct_rows(
+            np.where(self.point_conj[:, None], pts * np.repeat([1.0, -1.0], f.dim), pts))
+        self.point_kernel = _folded_planes(folded[:, f.dim:], self.nodes, fw)
+        self.shifts, inverse = _distinct_rows(np.concatenate([xs, folded[:, :f.dim]]))
         # Distinct lattice xs come first, so their window rows are a slice.
         # Indices count up in order of first appearance, so the first m rows
         # are distinct exactly when row m - 1 has index m - 1.
@@ -704,12 +748,15 @@ class _STFTScan:
         The sums run over blocks of `_NODE_BLOCK` nodes, in order. Each
         block's planes have their subnormal parts set to zero (`_flush`);
         then each plane's lattice rows are one real matrix product with the
-        stacked lattice kernel, and each point is the dot product of its
-        kernel row with its window row, so no value depends on q or on the
-        other rows of the call.
+        stacked lattice kernel, and each folded point is the dot product of
+        its kernel row with its window row, so no value depends on q or on
+        the other rows of the call. The first `mirrored` lattice columns and
+        the points with a negative first frequency are then filled in as the
+        exact conjugates of their mirrors' sums.
         """
         m, p = self.lattice_shape
-        lattice = np.zeros((q, m, 2 * p))
+        h = self.mirrored
+        lattice = np.zeros((q, m, 2 * (p - h)))
         points = np.zeros((q, self.point_rows.shape[0], 2))
         for lo in range(0, self.nodes.shape[0], _NODE_BLOCK):
             nodes = slice(lo, lo + _NODE_BLOCK)
@@ -721,7 +768,12 @@ class _STFTScan:
                 lattice[j] += planes[j, self.lattice_rows] @ lattice_kernel
                 points[j] += (point_kernel @ planes[j, self.point_rows, :, None])[..., 0]
             del planes  # before the next block is built, the peak of memory
-        return lattice.view(complex), points.view(complex)[..., 0]
+        lattice = lattice.view(complex)
+        if h:
+            # Column l < h is the mirror of omegas[p - 1 - l], summed as column p - 1 - l - h.
+            lattice = np.concatenate([lattice[..., p - 2 * h:][..., ::-1].conj(), lattice], axis=-1)
+        points = points.view(complex)[..., 0][:, self.point_index]
+        return lattice, np.where(self.point_conj, points.conj(), points)
 
     def fields(self, g: FunctionEvaluator):
         """(V, v): V[i, j] = V_g f(xs[i], omegas[j]) on the lattice and
@@ -765,7 +817,9 @@ def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,
               grid: Optional[GridSpec] = None) -> np.ndarray:
     """V_g f on a separable lattice: V[i, j] = V_g f(xs[i], omegas[j]).
 
-    The lattice costs one cos and one sin per (omega, node) pair.
+    The lattice costs one cos and one sin per (omega, node) pair, and for a
+    real f and exactly antisymmetric omegas (`lattice_axis`) one per
+    (omega >= 0, node) pair: V(x, -omega) = conj V(x, omega).
     """
     return _STFTScan(f, grid, xs=xs, omegas=omegas).fields(g)[0]
 

@@ -23,15 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NearOrthogonalError, NumericalRefusal
-from .tfops import FunctionEvaluator, GridSpec, _STFTScan
+from .tfops import FunctionEvaluator, GridSpec, _STFTScan, lattice_axis
 
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
 # Window evaluations one search may spend, a width costing d + 1 + (d > 0)
-# of them. The basis pass of one width takes about 12 ms at d = 0 and 35 ms
-# at d = 3 on the default grid (x86-64, one BLAS thread), 7-12 ms per
-# evaluation, so the budget bounds a search to about two minutes.
+# of them. The basis pass of one width takes about 8 ms at d = 0 and 24 ms
+# at d = 3 on the default grid of a real f (x86-64, one BLAS thread), 5-8 ms
+# per evaluation, so the budget bounds a search to about 80 s.
 MAX_BUDGET = 10_000
 # Boundary-ring samples of the tail-ratio scan; even, so the ring mirrors.
 _RING_SAMPLES = 180
@@ -125,8 +125,7 @@ class _TailScan:
         if not 0 < R < math.inf:
             raise InputError("R must be positive and finite")
         lattice = lattice or SEARCH_LATTICE
-        xs = np.linspace(-lattice.half_width, lattice.half_width,
-                         lattice.samples_per_axis)
+        xs = lattice_axis(lattice)
         points = np.vstack([[0.0, 0.0], _ring(R)])
         self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points)
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R

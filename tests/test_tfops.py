@@ -261,10 +261,13 @@ def test_fourier_matches_independent_high_resolution_quadrature():
 
 
 def dense_sum(targets, nodes, weights, sign):
-    """The dense phase-sum kernel, the chirp-z path's reference; 1-D targets
-    may be a plain array."""
+    """The dense phase-sum kernel, the chirp-z path's reference: each block of
+    phase rows summed by one matrix-vector product, with a zero row below it
+    so that a lone row takes the same BLAS kernel; 1-D targets may be a plain
+    array."""
     rows = _phase_rows(np.reshape(targets, (-1, nodes.shape[1])), nodes, sign)
-    return np.concatenate([block @ weights for block in rows])
+    return np.concatenate([(np.concatenate([block, 0 * block[:1]]) @ weights)[:-1]
+                           for block in rows])
 
 
 def quadrature(f, grid):
@@ -330,6 +333,24 @@ def test_fourier_dense_path_is_unchanged_off_progressions():
     targets = np.stack([np.linspace(-2.0, 2.0, 300)] * 2, axis=1)
     dense = dense_sum(targets, nodes, g2(nodes) * w, -1.0)
     assert np.array_equal(fourier(g2, small)(targets), dense)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(picks=st.lists(st.integers(0, 7), min_size=1, max_size=9),
+       block=st.sampled_from([4096, 8192, 16_384, 40_000]))
+def test_dense_fourier_value_depends_only_on_its_target(picks, block):
+    # On 64^2 nodes a block holds `block` // 4096 target rows, so a target may
+    # share its block with others or sit alone in it; its value must not move.
+    g2, grid = make_gaussian(2), GridSpec(6.0, 64)
+    targets = np.random.default_rng(5).uniform(-2.0, 2.0, (8, 2))
+    alone = [complex(fourier(g2, grid)(t)) for t in targets]
+    original = tfops._WINDOW_BLOCK
+    tfops._WINDOW_BLOCK = block
+    try:
+        values = fourier(g2, grid)(targets[picks])
+    finally:
+        tfops._WINDOW_BLOCK = original
+    assert [complex(v) for v in values] == [alone[i] for i in picks]
 
 
 def test_dense_fourier_sum_bound(monkeypatch):
@@ -526,6 +547,105 @@ def test_window_flush_moves_fields_within_the_stated_bound(monkeypatch):
     want_lattice, want_points = scan.fields(g)
     assert np.max(np.abs(lattice - want_lattice)) <= bound
     assert np.max(np.abs(at_points - want_points)) <= bound
+
+
+def as_complex(f):
+    """f with complex128 values, which keeps its STFT scans off the mirrored path."""
+    inner = f.fn
+    return replace(f, fn=lambda t: inner(t) + 0j)
+
+
+def count_kernel_rows(monkeypatch):
+    """The frequency rows each `_folded_planes` call of a scan builds, in order."""
+    rows, inner = [], tfops._folded_planes
+    monkeypatch.setattr(tfops, "_folded_planes",
+                        lambda freqs, nodes, fw: rows.append(freqs.shape[0]) or inner(freqs, nodes, fw))
+    return rows
+
+
+def close_to(got, want):
+    """Within 1e-14 of the largest magnitude of `want`."""
+    return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [0, 3, 8])
+def test_default_search_scan_folds_mirrored_frequencies(d, monkeypatch):
+    # The default search scan of a real f: 81 antisymmetric lattice omegas
+    # need 41 kernel rows, and the origin plus the 180-sample ring 92 point
+    # rows. Its basis fields match the full path of the same f made complex.
+    from tfcert.windowsearch import _TailScan
+    f = make_example1(4.0, 2.0)
+    rows = count_kernel_rows(monkeypatch)
+    scan = _TailScan(f, 1.5, None, None)
+    assert rows == [41, 92]
+    full = _TailScan(as_complex(f), 1.5, None, None)
+    assert rows[2:] == [81, 181]
+    for got, want in zip(scan.basis(1.3, d), full.basis(1.3, d)):
+        assert close_to(got, want)
+
+
+def test_thm3_lattice_folds_mirrored_frequencies(monkeypatch):
+    from tfcert.certify import THM3_LATTICE
+    f, g = make_example1(4.0, 1.0), make_gaussian(1)
+    xs = tfops.lattice_axis(THM3_LATTICE)
+    rows = count_kernel_rows(monkeypatch)
+    field = stft_grid(f, g, xs, xs)
+    assert rows[0] == 64
+    assert close_to(field, stft_grid(as_complex(f), g, xs, xs))
+    assert rows[2] == 128
+
+
+def test_folded_points_read_their_mirror_in_two_dimensions(monkeypatch):
+    # A point's mirror flips the sign of its frequency; the canonical sign is
+    # that of the first nonzero coordinate. A complex window is two planes.
+    f = translate(make_gaussian(2), [0.3, -0.2])
+    g = modulate(make_gaussian(2), [0.5, 0.2])
+    grid = GridSpec(4.0, 32)
+    omegas = np.array([[-1.0, 0.5], [0.0, 0.0], [1.0, -0.5]])
+    xs = np.array([[0.0, 0.0], [0.4, -0.7]])
+    points = np.array([[0.4, -0.7, 0.0, -1.2], [0.4, -0.7, 0.0, 1.2], [0.4, -0.7, -1.0, 1.0],
+                       [0.1, 0.0, 0.5, 0.3], [0.4, -0.7, 1.0, -1.0], [0.1, 0.0, -0.5, -0.3]])
+    rows = count_kernel_rows(monkeypatch)
+    scan = tfops._STFTScan(f, grid, xs, omegas, points)
+    assert rows == [2, 3]
+    np.testing.assert_array_equal(scan.point_index, [0, 0, 1, 2, 1, 2])
+    np.testing.assert_array_equal(scan.point_conj, [True, False, True, False, False, True])
+    lattice, at_points = scan.fields(g)
+    full_lattice, full_points = tfops._STFTScan(as_complex(f), grid, xs, omegas, points).fields(g)
+    assert rows[2:] == [3, 6]
+    assert close_to(lattice, full_lattice) and close_to(at_points, full_points)
+
+
+def test_complex_f_and_asymmetric_omegas_keep_the_full_path(monkeypatch):
+    # Without both a real f and exactly antisymmetric omegas every lattice
+    # frequency has its own kernel row; a real f off the mirrored path sums
+    # the same values as that f made complex, bit for bit.
+    f, g = make_example1(4.0, 1.0), make_gaussian(1)
+    xs = np.linspace(-8.0, 8.0, 81)
+    assert not np.array_equal(xs[::-1], -xs)
+    rows = count_kernel_rows(monkeypatch)
+    for h in (f, as_complex(f)):
+        scan = tfops._STFTScan(h, None, xs, xs)
+        assert scan.mirrored == 0
+        np.testing.assert_array_equal(scan.fields(g)[0], stft_grid(as_complex(f), g, xs, xs))
+    symmetric = tfops.lattice_axis(GridSpec(8.0, 81))
+    assert tfops._STFTScan(as_complex(f), None, symmetric, symmetric).mirrored == 0
+    assert rows == [81, 0] * 5
+
+
+@pytest.mark.parametrize("half_width", [0.5, 1.0, 3.0, 8.0, 6.25, 1e3 / 3])
+def test_lattice_axis_is_exactly_antisymmetric(half_width):
+    for m in range(2, 201):
+        grid = GridSpec(half_width, m)
+        a = tfops.lattice_axis(grid)
+        plain = np.linspace(-half_width, half_width, m)
+        np.testing.assert_array_equal(a[::-1], -a)
+        assert a[0] == -half_width and a[-1] == half_width
+        assert np.max(np.abs(a - plain)) <= 2 * np.spacing(half_width)
+        if m % 2:
+            assert a[m // 2] == 0.0
+        if np.array_equal(plain[::-1], -plain):
+            np.testing.assert_array_equal(a, plain)
 
 
 def test_stft_rejects_non_square_integrable():
