@@ -50,13 +50,13 @@ built:
 For a real f every real window plane P has sum_k exp(2 pi i omega.t_k)
 f(t_k) w_k P(t_k - x) = conj of the sum at omega (Groechenig, Foundations of
 Time-Frequency Analysis, 2001), so a scan of a real f sums each mirrored
-pair of frequencies once. When the lattice omegas are exactly antisymmetric
-(omegas[::-1] == -omegas bit for bit, as `lattice_axis` builds them), only
-the last ceil(p/2) of the p omegas get kernel rows, and the first p // 2
-columns are the conjugates of their mirrors. A point whose first nonzero
-frequency coordinate is negative reads the conjugate of (x, -omega), and
-equal points are one row. A complex f, or omegas that are not
-antisymmetric, keep a kernel row per lattice omega.
+pair of frequencies once. One rule (`_fold`) serves the lattice omegas and
+the points: a frequency whose first nonzero coordinate is negative is
+replaced by its mirror -omega and reads the conjugate of the mirror's sum,
+and equal folded rows share one kernel row. A lattice on an exactly
+antisymmetric axis (`lattice_axis`) so needs ceil(p/2) of its p omegas,
+and any other lattice folds whatever exact mirror pairs it holds. A complex
+f folds nothing.
 `products` sums a stack of q real window planes against the kernels, block
 by block of `_NODE_BLOCK` nodes. For each block a window function gives the
 q planes at the offsets t_k - x of the block's nodes from every shift;
@@ -670,6 +670,26 @@ def _distinct_rows(a: np.ndarray):
     return np.array(list(first), dtype=float).reshape(len(first), a.shape[1]), inverse
 
 
+def _fold(rows: np.ndarray, dim: int, real: bool):
+    """(distinct folded rows, index, conj) of (r, w) rows whose last `dim`
+    columns are a frequency. For a real f, a row whose first nonzero
+    frequency coordinate is negative folds to its mirror, the frequency
+    negated, and reads the conjugate of its value (`conj`); row i of `rows`
+    reads distinct row index[i]. A complex f folds nothing."""
+    freqs = rows[:, rows.shape[1] - dim:]
+    first = freqs[np.arange(rows.shape[0]), np.argmax(freqs != 0, axis=1)]
+    conj = real & (first < 0)
+    mirror = np.repeat([1.0, -1.0], [rows.shape[1] - dim, dim])
+    return (*_distinct_rows(np.where(conj[:, None], rows * mirror, rows)), conj)
+
+
+def _unfold(values: np.ndarray, index: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """The values of the rows `_fold` folded, from those of its distinct
+    rows along the last axis of `values`."""
+    values = values[..., index]
+    return np.where(conj, values.conj(), values)
+
+
 def _flush(plane: np.ndarray) -> None:
     """Set the entries of magnitude below the smallest normal float to zero."""
     plane[np.abs(plane) < _TINY] = 0.0
@@ -694,9 +714,9 @@ class _STFTScan:
     planes against the kernels; `fields` is that sum for one window.
 
     For a real f, mirrored frequencies share a kernel row (module notes):
-    the first `mirrored` lattice omegas have none, and point i reads folded
-    row `point_index[i]`, conjugated where `point_conj[i]`. `point_rows`
-    gives each folded row's shift.
+    the lattice omegas and the points are folded by `_fold`, whose index and
+    conjugation flags (`lattice_fold`, `point_fold`) `_unfold` reads back.
+    `point_rows` gives each folded point's shift.
     """
 
     def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
@@ -717,26 +737,20 @@ class _STFTScan:
         # For a real f, V(x, -omega) = conj V(x, omega) on each real window
         # plane, so a mirrored pair of frequencies needs one kernel row.
         real = not np.iscomplexobj(fw)
-        self.mirrored = p // 2 if real and np.array_equal(omegas[::-1], -omegas) else 0
-        # Rows 2j and 2j + 1 are the real and imaginary planes of omegas[mirrored + j].
-        self.lattice_kernel = _folded_planes(omegas[self.mirrored:], self.nodes, fw).reshape(
+        omegas, *self.lattice_fold = _fold(omegas, f.dim, real)
+        pts, *self.point_fold = _fold(pts, f.dim, real)
+        # Rows 2j and 2j + 1 are the real and imaginary planes of folded omega j.
+        self.lattice_kernel = _folded_planes(omegas, self.nodes, fw).reshape(
             -1, self.nodes.shape[0])
-        # A point whose first nonzero frequency coordinate is negative reads
-        # the conjugate of its mirror (x, -omega); equal folded rows are one.
-        freqs = pts[:, f.dim:]
-        first = freqs[np.arange(pts.shape[0]), np.argmax(freqs != 0, axis=1)]
-        self.point_conj = real & (first < 0)
-        folded, self.point_index = _distinct_rows(
-            np.where(self.point_conj[:, None], pts * np.repeat([1.0, -1.0], f.dim), pts))
-        self.point_kernel = _folded_planes(folded[:, f.dim:], self.nodes, fw)
-        self.shifts, inverse = _distinct_rows(np.concatenate([xs, folded[:, :f.dim]]))
+        self.point_kernel = _folded_planes(pts[:, f.dim:], self.nodes, fw)
+        self.shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :f.dim]]))
         # Distinct lattice xs come first, so their window rows are a slice.
         # Indices count up in order of first appearance, so the first m rows
         # are distinct exactly when row m - 1 has index m - 1.
         self.lattice_rows = slice(0, m) if m == 0 or inverse[m - 1] == m - 1 \
             else inverse[:m]
         self.point_rows = inverse[m:]
-        self.lattice_shape = (m, p)
+        self.lattice_shape = (m, omegas.shape[0])
 
     def products(self, window: Callable[[np.ndarray], np.ndarray], q: int):
         """(L, v) for q real window planes: L[j, i, l] = sum_k
@@ -750,13 +764,11 @@ class _STFTScan:
         then each plane's lattice rows are one real matrix product with the
         stacked lattice kernel, and each folded point is the dot product of
         its kernel row with its window row, so no value depends on q or on
-        the other rows of the call. The first `mirrored` lattice columns and
-        the points with a negative first frequency are then filled in as the
-        exact conjugates of their mirrors' sums.
+        the other rows of the call. Lattice columns and points folded onto
+        a mirror then read the exact conjugate of its sum (`_unfold`).
         """
         m, p = self.lattice_shape
-        h = self.mirrored
-        lattice = np.zeros((q, m, 2 * (p - h)))
+        lattice = np.zeros((q, m, 2 * p))
         points = np.zeros((q, self.point_rows.shape[0], 2))
         for lo in range(0, self.nodes.shape[0], _NODE_BLOCK):
             nodes = slice(lo, lo + _NODE_BLOCK)
@@ -768,12 +780,8 @@ class _STFTScan:
                 lattice[j] += planes[j, self.lattice_rows] @ lattice_kernel
                 points[j] += (point_kernel @ planes[j, self.point_rows, :, None])[..., 0]
             del planes  # before the next block is built, the peak of memory
-        lattice = lattice.view(complex)
-        if h:
-            # Column l < h is the mirror of omegas[p - 1 - l], summed as column p - 1 - l - h.
-            lattice = np.concatenate([lattice[..., p - 2 * h:][..., ::-1].conj(), lattice], axis=-1)
-        points = points.view(complex)[..., 0][:, self.point_index]
-        return lattice, np.where(self.point_conj, points.conj(), points)
+        return (_unfold(lattice.view(complex), *self.lattice_fold),
+                _unfold(points.view(complex)[..., 0], *self.point_fold))
 
     def fields(self, g: FunctionEvaluator):
         """(V, v): V[i, j] = V_g f(xs[i], omegas[j]) on the lattice and
@@ -818,8 +826,9 @@ def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,
     """V_g f on a separable lattice: V[i, j] = V_g f(xs[i], omegas[j]).
 
     The lattice costs one cos and one sin per (omega, node) pair, and for a
-    real f and exactly antisymmetric omegas (`lattice_axis`) one per
-    (omega >= 0, node) pair: V(x, -omega) = conj V(x, omega).
+    real f one per (folded omega, node) pair: -omega reads the conjugate of
+    omega's sum on each real window plane, so the omegas of an exactly
+    antisymmetric axis cost half.
     """
     return _STFTScan(f, grid, xs=xs, omegas=omegas).fields(g)[0]
 

@@ -550,7 +550,7 @@ def test_window_flush_moves_fields_within_the_stated_bound(monkeypatch):
 
 
 def as_complex(f):
-    """f with complex128 values, which keeps its STFT scans off the mirrored path."""
+    """f with complex128 values, whose STFT scans fold no frequency."""
     inner = f.fn
     return replace(f, fn=lambda t: inner(t) + 0j)
 
@@ -597,9 +597,11 @@ def test_thm3_lattice_folds_mirrored_frequencies(monkeypatch):
 
 def test_folded_points_read_their_mirror_in_two_dimensions(monkeypatch):
     # A point's mirror flips the sign of its frequency; the canonical sign is
-    # that of the first nonzero coordinate. A complex window is two planes.
+    # that of the first nonzero coordinate, so (0, -1.2) folds onto (0, 1.2)
+    # and the six points need three kernel rows. With a real window a folded
+    # value is the exact conjugate of its mirror's; a complex window is two
+    # real planes, each folded so.
     f = translate(make_gaussian(2), [0.3, -0.2])
-    g = modulate(make_gaussian(2), [0.5, 0.2])
     grid = GridSpec(4.0, 32)
     omegas = np.array([[-1.0, 0.5], [0.0, 0.0], [1.0, -0.5]])
     xs = np.array([[0.0, 0.0], [0.4, -0.7]])
@@ -607,30 +609,52 @@ def test_folded_points_read_their_mirror_in_two_dimensions(monkeypatch):
                        [0.1, 0.0, 0.5, 0.3], [0.4, -0.7, 1.0, -1.0], [0.1, 0.0, -0.5, -0.3]])
     rows = count_kernel_rows(monkeypatch)
     scan = tfops._STFTScan(f, grid, xs, omegas, points)
-    assert rows == [2, 3]
-    np.testing.assert_array_equal(scan.point_index, [0, 0, 1, 2, 1, 2])
-    np.testing.assert_array_equal(scan.point_conj, [True, False, True, False, False, True])
-    lattice, at_points = scan.fields(g)
-    full_lattice, full_points = tfops._STFTScan(as_complex(f), grid, xs, omegas, points).fields(g)
-    assert rows[2:] == [3, 6]
-    assert close_to(lattice, full_lattice) and close_to(at_points, full_points)
+    full = tfops._STFTScan(as_complex(f), grid, xs, omegas, points)
+    assert rows == [2, 3, 3, 6]
+    real_g = translate(make_gaussian(2), [0.1, 0.2])
+    lattice, at_points = scan.fields(real_g)
+    np.testing.assert_array_equal(lattice[:, 0], np.conj(lattice[:, 2]))
+    np.testing.assert_array_equal(at_points[[0, 2, 5]], np.conj(at_points[[1, 4, 3]]))
+    for g in (real_g, modulate(make_gaussian(2), [0.5, 0.2])):
+        (lattice, at_points), (full_lattice, full_points) = scan.fields(g), full.fields(g)
+        assert close_to(lattice, full_lattice) and close_to(at_points, full_points)
 
 
-def test_complex_f_and_asymmetric_omegas_keep_the_full_path(monkeypatch):
-    # Without both a real f and exactly antisymmetric omegas every lattice
-    # frequency has its own kernel row; a real f off the mirrored path sums
-    # the same values as that f made complex, bit for bit.
-    f, g = make_example1(4.0, 1.0), make_gaussian(1)
-    xs = np.linspace(-8.0, 8.0, 81)
-    assert not np.array_equal(xs[::-1], -xs)
+def test_complex_f_keeps_a_kernel_row_per_omega(monkeypatch):
+    # A complex f folds nothing, on an antisymmetric lattice axis too.
+    f, g = as_complex(make_example1(4.0, 1.0)), make_gaussian(1)
+    symmetric = np.linspace(-8.0, 8.0, 81)
+    symmetric = 0.5 * (symmetric - symmetric[::-1])
     rows = count_kernel_rows(monkeypatch)
-    for h in (f, as_complex(f)):
-        scan = tfops._STFTScan(h, None, xs, xs)
-        assert scan.mirrored == 0
-        np.testing.assert_array_equal(scan.fields(g)[0], stft_grid(as_complex(f), g, xs, xs))
-    symmetric = tfops.lattice_axis(GridSpec(8.0, 81))
-    assert tfops._STFTScan(as_complex(f), None, symmetric, symmetric).mirrored == 0
-    assert rows == [81, 0] * 5
+    for xs in (np.linspace(-8.0, 8.0, 81), symmetric):
+        lattice, _ = tfops._STFTScan(f, None, xs, xs).fields(g)
+        assert lattice.shape == (81, 81)
+    assert rows == [81, 0] * 2
+
+
+def test_real_f_folds_the_exact_mirror_pairs_of_any_lattice(monkeypatch):
+    # np.linspace(-8, 8, 81) is not antisymmetric: 13 of its 40 negative
+    # omegas have an exact mirror and 27 do not. A real f folds every
+    # negative omega, so it builds one kernel row per distinct |omega|, 41
+    # nonnegative plus the 27 unmirrored, and a mirrored column is the exact
+    # conjugate of its mirror's for a real window. The field matches that f
+    # made complex to round-off: BLAS may round a column by its place in the
+    # product.
+    f = make_example1(4.0, 1.0)
+    xs = np.linspace(-8.0, 8.0, 81)
+    negative = np.flatnonzero(xs < 0)
+    mirror = {v: j for j, v in enumerate(xs.tolist())}
+    pairs = [(i, mirror[-xs[i]]) for i in negative if -xs[i] in mirror]
+    assert len(pairs) == 13 and negative.size == 40
+    rows = count_kernel_rows(monkeypatch)
+    for g, real in ((make_gaussian(1), True), (modulate(make_gaussian(1), [0.7]), False)):
+        field = stft_grid(f, g, xs, xs)
+        assert rows[-2:] == [68, 0]
+        if real:
+            for i, j in pairs:
+                np.testing.assert_array_equal(field[:, i], np.conj(field[:, j]))
+        assert close_to(field, stft_grid(as_complex(f), g, xs, xs))
+        assert rows[-2:] == [81, 0]
 
 
 @pytest.mark.parametrize("half_width", [0.5, 1.0, 3.0, 8.0, 6.25, 1e3 / 3])

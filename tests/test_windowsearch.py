@@ -76,20 +76,23 @@ def test_tail_ratio_scaling_invariance():
 def test_default_tail_scan_shares_mirrored_ring_shifts():
     # Ring samples j and 180 - j are (x, +-y) with the same float x, and the
     # origin shares the lattice's x = 0: 81 lattice xs plus 91 ring xs. For a
-    # real f sample 180 - j is the mirror of sample j: it reads the same
-    # folded row, and its value is the exact conjugate.
+    # real f sample 180 - j is the mirror of sample j: the origin and the
+    # ring need 92 kernel rows, and a mirrored value is the exact conjugate.
+    from tfcert import tfops
     from tfcert.windowsearch import _ring, _TailScan
     ring = _ring(1.7)
     j = np.arange(1, 90)
     assert ring.shape == (180, 2)
     np.testing.assert_array_equal(ring[180 - j, 0], ring[j, 0])
     np.testing.assert_array_equal(ring[180 - j, 1], -ring[j, 1])
-    scan = _TailScan(make_gaussian(1), 1.7, None, None).scan
+    rows, inner = [], tfops._folded_planes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tfops, "_folded_planes",
+                   lambda freqs, nodes, fw: rows.append(freqs.shape[0]) or inner(freqs, nodes, fw))
+        scan = _TailScan(make_gaussian(1), 1.7, None, None).scan
+    assert rows == [41, 92]
     assert scan.shifts.shape == (172, 1)
     assert scan.lattice_rows == slice(0, 81)
-    assert scan.point_index[0] == 0 and scan.point_rows[0] == 40 and scan.shifts[40, 0] == 0.0
-    np.testing.assert_array_equal(scan.point_index[1 + 180 - j], scan.point_index[1 + j])
-    assert scan.point_conj[1 + 180 - j].all() and not scan.point_conj[:92].any()
     at_points = scan.fields(realize_window(WindowParams(1.3, np.array([0.6, 0.0, -0.4]))))[1]
     np.testing.assert_array_equal(at_points[1 + 180 - j], np.conj(at_points[1 + j]))
 
