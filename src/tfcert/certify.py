@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
-                    _check_points_clear, dilate, finite_points, fourier,
-                    lattice_axis, quadrature_points, stft, stft_grid, translate)
+                    _check_points_clear, axis_quadrature, dilate, finite_points, fourier,
+                    quadrature_points, stft, stft_grid, translate)
 
 BISECT_TOL = 1e-9
 # An envelope within this relative distance of the bound from 0 to twice the
@@ -507,7 +507,7 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
             raise NumericalRefusal(
                 "lattice scan is implemented for dimension 1; supply stft_envelope")
         lattice = lattice or THM3_LATTICE
-        xs = lattice_axis(lattice)
+        xs = axis_quadrature(lattice)[0]
         field = np.abs(stft_grid(f, g, xs, xs, grid))
         if not np.isfinite(field).all():
             raise NumericalRefusal("|V_g f| is not finite on the scanned lattice")

@@ -53,10 +53,10 @@ Time-Frequency Analysis, 2001), so a scan of a real f sums each mirrored
 pair of frequencies once. One rule (`_fold`) serves the lattice omegas and
 the points: a frequency whose first nonzero coordinate is negative is
 replaced by its mirror -omega and reads the conjugate of the mirror's sum,
-and equal folded rows share one kernel row. A lattice on an exactly
-antisymmetric axis (`lattice_axis`) so needs ceil(p/2) of its p omegas,
-and any other lattice folds whatever exact mirror pairs it holds. A complex
-f folds nothing.
+and equal folded rows share one kernel row. A lattice on the grid axis
+(`axis_quadrature`, exactly antisymmetric) so needs ceil(p/2) of its p
+omegas, and any other lattice folds whatever exact mirror pairs it holds.
+A complex f folds nothing.
 `products` sums a stack of q real window planes against the kernels, block
 by block of `_NODE_BLOCK` nodes. For each block a window function gives the
 q planes at the offsets t_k - x of the block's nodes from every shift;
@@ -285,21 +285,16 @@ class PointSet:
 # ---------------------------------------------------------------------------
 
 def axis_quadrature(grid: GridSpec):
-    """Trapezoid nodes and weights on [-L, L]."""
-    t = np.linspace(-grid.half_width, grid.half_width, grid.samples_per_axis)
+    """Trapezoid nodes and weights on [-L, L]. The nodes are `np.linspace`
+    made exactly antisymmetric, t[m - 1 - k] == -t[k] bit for bit, so that
+    mirrored functions sample the same values and a real f's STFT scan on
+    this axis sums each mirrored frequency pair once. Each node moves by at
+    most two ulps of L, the ends stay -L and L, and an axis that is already
+    antisymmetric is unchanged."""
+    a = np.linspace(-grid.half_width, grid.half_width, grid.samples_per_axis)
     w = np.full(grid.samples_per_axis, grid.step)
     w[0] = w[-1] = 0.5 * grid.step
-    return t, w
-
-
-def lattice_axis(grid: GridSpec) -> np.ndarray:
-    """The samples of a scan lattice axis on [-L, L]: `np.linspace` made
-    exactly antisymmetric, a[m - 1 - k] == -a[k] bit for bit, so that a real
-    f's STFT scan sums each mirrored frequency pair once. Each sample moves
-    by at most two ulps of L, and an axis that is already antisymmetric is
-    unchanged."""
-    a = np.linspace(-grid.half_width, grid.half_width, grid.samples_per_axis)
-    return 0.5 * (a - a[::-1])
+    return 0.5 * (a - a[::-1]), w
 
 
 def _as_points(t, dim: int):

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NearOrthogonalError, NumericalRefusal
-from .tfops import FunctionEvaluator, GridSpec, _STFTScan, lattice_axis
+from .tfops import FunctionEvaluator, GridSpec, _STFTScan, axis_quadrature
 
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
@@ -125,7 +125,7 @@ class _TailScan:
         if not 0 < R < math.inf:
             raise InputError("R must be positive and finite")
         lattice = lattice or SEARCH_LATTICE
-        xs = lattice_axis(lattice)
+        xs = axis_quadrature(lattice)[0]
         points = np.vstack([[0.0, 0.0], _ring(R)])
         self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points)
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R

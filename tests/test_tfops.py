@@ -587,7 +587,7 @@ def test_default_search_scan_folds_mirrored_frequencies(d, monkeypatch):
 def test_thm3_lattice_folds_mirrored_frequencies(monkeypatch):
     from tfcert.certify import THM3_LATTICE
     f, g = make_example1(4.0, 1.0), make_gaussian(1)
-    xs = tfops.lattice_axis(THM3_LATTICE)
+    xs = tfops.axis_quadrature(THM3_LATTICE)[0]
     rows = count_kernel_rows(monkeypatch)
     field = stft_grid(f, g, xs, xs)
     assert rows[0] == 64
@@ -623,8 +623,7 @@ def test_folded_points_read_their_mirror_in_two_dimensions(monkeypatch):
 def test_complex_f_keeps_a_kernel_row_per_omega(monkeypatch):
     # A complex f folds nothing, on an antisymmetric lattice axis too.
     f, g = as_complex(make_example1(4.0, 1.0)), make_gaussian(1)
-    symmetric = np.linspace(-8.0, 8.0, 81)
-    symmetric = 0.5 * (symmetric - symmetric[::-1])
+    symmetric = tfops.axis_quadrature(GridSpec(8.0, 81))[0]
     rows = count_kernel_rows(monkeypatch)
     for xs in (np.linspace(-8.0, 8.0, 81), symmetric):
         lattice, _ = tfops._STFTScan(f, None, xs, xs).fields(g)
@@ -659,9 +658,10 @@ def test_real_f_folds_the_exact_mirror_pairs_of_any_lattice(monkeypatch):
 
 @pytest.mark.parametrize("half_width", [0.5, 1.0, 3.0, 8.0, 6.25, 1e3 / 3])
 def test_lattice_axis_is_exactly_antisymmetric(half_width):
+    # The scan lattices and the quadrature nodes share one axis.
     for m in range(2, 201):
         grid = GridSpec(half_width, m)
-        a = tfops.lattice_axis(grid)
+        a = tfops.axis_quadrature(grid)[0]
         plain = np.linspace(-half_width, half_width, m)
         np.testing.assert_array_equal(a[::-1], -a)
         assert a[0] == -half_width and a[-1] == half_width
