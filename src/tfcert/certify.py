@@ -324,7 +324,8 @@ def dilation_threshold(f: FunctionEvaluator, lam: PointSet, *,
 
     Contract: for every r in (0, M/R), the r-stretched function (realized as
     dilate(f, 1/r), which spreads f out while compressing its decay radius
-    proportionally to r) passes check_theorem1 on the same point set.
+    proportionally to r) passes check_theorem1 on the same point set. Two
+    points with one time (M = 0) leave no such r, and the threshold is 0.
     """
     if f.singularities:
         raise InputError("dilation threshold requires a continuous function")
@@ -333,7 +334,7 @@ def dilation_threshold(f: FunctionEvaluator, lam: PointSet, *,
         return math.inf
     M, _ = _min_pairwise(lam.times())
     if M == 0.0:
-        raise InputError("min pairwise time separation is zero")
+        return 0.0
     R = decay_radius(f, N, grid=grid, require_envelope=require_envelope)
     if R == 0.0:
         return math.inf
@@ -382,14 +383,15 @@ def dilation_threshold_freq(f: FunctionEvaluator, lam: PointSet,
 
     Contract: for every r above the returned value, the r-stretched function
     (time spread by r, hence frequency support compressed by 1/r) passes
-    check_corollary2 on the same point set.
+    check_corollary2 on the same point set. Two points with one frequency
+    (M_omega = 0) leave no such r, and the threshold is +inf.
     """
     N = len(lam)
     if N == 1:
         return 0.0
     M_omega, _ = _min_pairwise(lam.freqs())
     if M_omega == 0.0:
-        raise InputError("min pairwise frequency separation is zero")
+        return math.inf
     R_hat = decay_radius(fourier(f, grid), N, grid=grid)
     return R_hat / M_omega
 

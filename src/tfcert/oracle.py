@@ -34,6 +34,11 @@ MAX_MATRIX = 64
 # MAX_ER_LATTICE, by the rule the ER evaluator applies to each call.
 MAX_ER_LATTICE = 10**6
 MAX_ER_HALF_WIDTH = 1e4
+# Lattice points per block of the five-term stencil of `dependence_residual_er`.
+# Every lattice of the benchmark's `oracle_sweep` (about 2,500 points) is one
+# block. On the largest lattice `er_lattice` accepts (998,001 points), blocks
+# of 65,536 peaked at 91 MB RSS against 473 MB for one block (2-core x86-64).
+_ER_STENCIL_BLOCK = 1 << 16
 # The (x, omega) lattice `stft_identity_residual` scans when none is given.
 STFT_IDENTITY_LATTICE = GridSpec(3.0, 33)
 
@@ -249,8 +254,10 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
 
     Evaluates |2 f(a,b) - f(a+1,b) - f(a-1,b) - f(a,b+1) - f(a,b-1)| at every
     given (a, b); with per-point quadrature tolerance quad_tol the residual
-    is bounded by 6 quad_tol. Evaluations are cached across the five shifted
-    stencils, which overlap heavily on regular lattices.
+    is bounded by 6 quad_tol. The points are taken in blocks of
+    `_ER_STENCIL_BLOCK`; within a block, evaluations are shared across the
+    five shifted stencils, which overlap heavily on regular lattices. Each
+    value depends on its point alone, so the blocks change no residual.
     """
     from .funcs import make_edgar_rosenblatt
     quad_tol = float(quad_tol)
@@ -259,14 +266,16 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
     f = make_edgar_rosenblatt(quad_tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     shifts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    flat = (pts[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-    # Each (a, b) row read as one complex a + ib: a 1-D sort, in the same
-    # lexicographic order as a row sort and far cheaper.
-    uniq, inverse = np.unique(np.round(flat, 12, out=flat).view(complex)[:, 0],
-                              return_inverse=True)
-    vals = f(uniq.view(float).reshape(-1, 2))[inverse].reshape(5, -1)
-    residual = np.abs(2.0 * vals[0] - vals[1] - vals[2] - vals[3] - vals[4])
-    return ResidualReport("edgar_rosenblatt_five_term", float(residual.max()),
+    peaks = []
+    for lo in range(0, pts.shape[0], _ER_STENCIL_BLOCK):
+        flat = (pts[None, lo:lo + _ER_STENCIL_BLOCK] + shifts[:, None, :]).reshape(-1, 2)
+        # Each (a, b) row read as one complex a + ib: a 1-D sort, in the same
+        # lexicographic order as a row sort and far cheaper.
+        uniq, inverse = np.unique(np.round(flat, 12, out=flat).view(complex)[:, 0],
+                                  return_inverse=True)
+        vals = f(uniq.view(float).reshape(-1, 2))[inverse].reshape(5, -1)
+        peaks.append(np.abs(2.0 * vals[0] - vals[1] - vals[2] - vals[3] - vals[4]).max())
+    return ResidualReport("edgar_rosenblatt_five_term", float(np.max(peaks)),
                           phase_optimized=False, best_phase=1.0 + 0.0j)
 
 

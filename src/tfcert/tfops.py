@@ -5,6 +5,9 @@ modulation, dilation and chirp multiplication are exact operations; sampling
 happens only inside quadrature (Fourier transform, STFT, norms) and sup
 estimation. All quadrature is tensor-product trapezoid on [-L, L]^n, which is
 spectrally accurate for smooth integrands that have decayed at the box edge.
+Its axis (`axis_quadrature`) is exactly antisymmetric, so a function and its
+mirror f(-t) are sampled at the same values, and the STFT scan lattices are
+the same axis.
 
 The package's input conventions live here. Point layout: every point array
 has shape (k, n) internally, and evaluators read a trailing axis of length n
@@ -672,8 +675,7 @@ def _fold(rows: np.ndarray, dim: int, real: bool):
     negated, and reads the conjugate of its value (`conj`); row i of `rows`
     reads distinct row index[i]. A complex f folds nothing."""
     freqs = rows[:, rows.shape[1] - dim:]
-    first = freqs[np.arange(rows.shape[0]), np.argmax(freqs != 0, axis=1)]
-    conj = real & (first < 0)
+    conj = real & (freqs[np.arange(rows.shape[0]), np.argmax(freqs != 0, axis=1)] < 0)
     mirror = np.repeat([1.0, -1.0], [rows.shape[1] - dim, dim])
     return (*_distinct_rows(np.where(conj[:, None], rows * mirror, rows)), conj)
 
@@ -682,7 +684,8 @@ def _unfold(values: np.ndarray, index: np.ndarray, conj: np.ndarray) -> np.ndarr
     """The values of the rows `_fold` folded, from those of its distinct
     rows along the last axis of `values`."""
     values = values[..., index]
-    return np.where(conj, values.conj(), values)
+    np.negative(values.imag, out=values.imag, where=conj)
+    return values
 
 
 def _flush(plane: np.ndarray) -> None:
@@ -735,15 +738,13 @@ class _STFTScan:
         omegas, *self.lattice_fold = _fold(omegas, f.dim, real)
         pts, *self.point_fold = _fold(pts, f.dim, real)
         # Rows 2j and 2j + 1 are the real and imaginary planes of folded omega j.
-        self.lattice_kernel = _folded_planes(omegas, self.nodes, fw).reshape(
-            -1, self.nodes.shape[0])
+        self.lattice_kernel = _folded_planes(omegas, self.nodes, fw).reshape(-1, fw.size)
         self.point_kernel = _folded_planes(pts[:, f.dim:], self.nodes, fw)
         self.shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :f.dim]]))
         # Distinct lattice xs come first, so their window rows are a slice.
         # Indices count up in order of first appearance, so the first m rows
         # are distinct exactly when row m - 1 has index m - 1.
-        self.lattice_rows = slice(0, m) if m == 0 or inverse[m - 1] == m - 1 \
-            else inverse[:m]
+        self.lattice_rows = slice(0, m) if m == 0 or inverse[m - 1] == m - 1 else inverse[:m]
         self.point_rows = inverse[m:]
         self.lattice_shape = (m, omegas.shape[0])
 

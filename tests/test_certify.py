@@ -359,10 +359,14 @@ def test_dilation_threshold_example1_scan_points():
     assert not check_theorem1(stretch(f, 0.34), lam).certified
 
 
-def test_dilation_threshold_zero_separation_rejected():
+def test_dilation_threshold_zero_separation_is_zero():
+    # Two points with one time are never time-separated, so no stretch
+    # r in (0, M/R) passes Theorem 1: the threshold is 0, and Corollary 1
+    # reads NotCertified.
     lam = PointSet.from_rows([[0, 0], [0, 1]])
-    with pytest.raises(InputError):
-        dilation_threshold(make_gaussian(1), lam)
+    assert dilation_threshold(make_gaussian(1), lam) == 0.0
+    cert = check_corollary1(make_gaussian(1), lam, r=0.5)
+    assert cert.threshold_r == 0.0 and cert.verdict == "NotCertified"
 
 
 def test_corollary1_contract_scan():
@@ -415,9 +419,13 @@ def test_dilation_threshold_freq_gaussian():
 
 
 def test_dilation_threshold_freq_zero_separation():
+    # Two points with one frequency leave no stretch r above the threshold
+    # that passes Corollary 2: the threshold is +inf, and Corollary 3 reads
+    # NotCertified.
     lam = PointSet.from_rows([[0, 1], [2, 1]])
-    with pytest.raises(InputError):
-        dilation_threshold_freq(make_gaussian(1), lam)
+    assert dilation_threshold_freq(make_gaussian(1), lam) == math.inf
+    cert = check_corollary3(make_gaussian(1), lam, r=2.0)
+    assert cert.threshold_r == math.inf and cert.verdict == "NotCertified"
 
 
 def test_check_corollary3_records_threshold():

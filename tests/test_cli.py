@@ -68,6 +68,21 @@ def test_certify_single_point_exit_zero(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("theorem, lam, threshold", [
+    ("cor1", [[0, 0], [0, 1]], 0.0),    # one time: no stretch r in (0, M/R)
+    ("cor3", [[0, 0], [1, 0]], None),   # one frequency: no r above +inf (null)
+])
+def test_certify_zero_separation_dilation_exit_three(tmp_path, capsys, theorem, lam, threshold):
+    # Like thm1 and cor2 on the same sets, the corollary is not certified
+    # and exits 3; its threshold admits no stretch factor.
+    cfg = write_config(tmp_path, "zero.json", {"function": {"family": "gaussian"}, "lambda": lam})
+    code, out, err = run(capsys, "certify", theorem, "--config", cfg, "--no-meta")
+    assert code == 3 and err == ""
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "NotCertified"
+    assert report["threshold_r"] == threshold
+
+
 def test_certify_duplicate_times_exit_three(tmp_path, capsys):
     s2 = math.sqrt(2.0)
     cfg = write_config(tmp_path, "lp.json", {

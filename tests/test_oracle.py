@@ -193,6 +193,24 @@ def test_er_residual_peak_memory():
     assert traced_peak_mib(lambda: dependence_residual_er(lattice, 1e-9)) <= 16.0
 
 
+def test_er_residual_blocks_bound_memory_and_change_no_value(monkeypatch):
+    # The stencil is built block by block of lattice points. Each value
+    # depends on its point alone, so any block size gives the same residual,
+    # and blocks of a few thousand points keep the peak near 3 MiB, against
+    # about 14 MiB for the lattice in one block.
+    lattice = er_lattice(3.0, 1.0 / 32.0)  # 37,249 points, one default block
+    dependence_residual_er(np.zeros((1, 2)), 1e-9)  # loads the quadrature rule
+    want = dependence_residual_er(lattice, 1e-9).max_abs_residual
+    for block in (1024, 5000):
+        monkeypatch.setattr(oracle, "_ER_STENCIL_BLOCK", block)
+        assert traced_peak_mib(lambda: dependence_residual_er(lattice, 1e-9)) <= 4.0
+        assert dependence_residual_er(lattice, 1e-9).max_abs_residual == want
+    monkeypatch.setattr(oracle, "_ER_STENCIL_BLOCK", 1)
+    points = er_lattice(1.0, 0.25)
+    assert dependence_residual_er(points, 1e-9).max_abs_residual == \
+        _row_sort_er_residuals(points, 1e-9).max()
+
+
 def test_gram_refuses_non_square_integrable():
     with pytest.raises(NumericalRefusal, match="collocation"):
         gram_matrix(make_singular_cos(1.0), PointSet.from_rows([[0, 0], [3, 0]]))
