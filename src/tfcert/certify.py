@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
-                    _check_points_clear, axis_quadrature, dilate, finite_points, fourier,
-                    quadrature_points, stft, stft_grid, translate)
+                    _check_points_clear, _STFTScan, axis_quadrature, dilate, finite_points,
+                    fourier, quadrature_points, translate)
 
 BISECT_TOL = 1e-9
 # An envelope within this relative distance of the bound from 0 to twice the
@@ -224,8 +224,7 @@ def sup_outside(f: FunctionEvaluator, radius: float, center=None, *,
 
 
 def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
-                 grid: Optional[GridSpec] = None,
-                 require_envelope: bool = False) -> float:
+                 grid: Optional[GridSpec] = None) -> float:
     """Smallest R with sup_{||t - anchor|| >= R} |f(t)| < |f(anchor)|/(N-1).
 
     In envelope mode the envelope is read about the anchor by the rule of
@@ -244,8 +243,6 @@ def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
 
     if f.envelope is not None:
         return _radius_from_envelope(_envelope_about(f, anchor), bound)
-    if require_envelope:
-        raise NumericalRefusal("rigorous mode requires a decay envelope")
 
     shifted_sings = tuple(s - anchor for s in f.singularities)
     pts, _ = quadrature_points(grid, f.dim, shifted_sings)
@@ -278,48 +275,66 @@ def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
                        margins, SUP_POINTWISE)
 
 
+def _separation(theorem: str, peak: float, rows: np.ndarray,
+                radius: Callable[[float], float], sup_method: str,
+                axis: str) -> Certificate:
+    """Certified when every two rows lie farther apart than radius(bound),
+    the radius outside which the function the theorem reads stays below
+    bound = peak/(N-1); the margins are the pairwise distances less it.
+
+    A single row is vacuously Certified. Two coinciding rows (M = 0) fail
+    whatever the radius, so a radius that cannot be certified then reads 0
+    instead of refusing; `axis` names the coordinates in the note saying so.
+    """
+    N = rows.shape[0]
+    if N == 1:
+        return Certificate(theorem, "Certified", 1, 0.0, math.inf, peak,
+                           math.inf, (), sup_method)
+    M, pair = _min_pairwise(rows)
+    bound = peak / (N - 1)
+    note = None
+    try:
+        R = radius(bound)
+    except NumericalRefusal:
+        if M > 0:
+            raise
+        R, note = 0.0, f"decay radius not certifiable and min {axis} separation is zero"
+    if M == 0.0 and note is None:
+        note = f"duplicate {axis} coordinates: min pairwise {axis} separation is zero"
+    margins = tuple(float(d - R) for d in pair)
+    return Certificate(theorem, _verdict(margins), N, R, M, peak, bound,
+                       margins, sup_method, note=note)
+
+
+def _decay_separation(theorem: str, f: FunctionEvaluator, rows: np.ndarray, axis: str,
+                      anchor=None, grid: Optional[GridSpec] = None) -> Certificate:
+    """`_separation` of the rows against the decay radius of f about the anchor."""
+    if f.singularities:
+        raise InputError("this check requires a continuous function; "
+                         "use check_theorem2 for singular inputs")
+    if rows.shape[1] != f.dim:
+        raise InputError("dimension mismatch between point set and function")
+    anchor = _anchor(anchor, f.dim)
+    peak = float(_eval_abs(f, anchor)[0])
+    if peak == 0.0:
+        raise InputError("f vanishes at the anchor")
+    return _separation(theorem, peak, rows,
+                       lambda bound: decay_radius(f, rows.shape[0], anchor, grid=grid),
+                       SUP_ENVELOPE if f.envelope is not None else SUP_DENSE, axis)
+
+
 def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
-                   grid: Optional[GridSpec] = None,
-                   require_envelope: bool = False) -> Certificate:
+                   grid: Optional[GridSpec] = None) -> Certificate:
     """Time-separation certificate: Certified when min_i!=j ||x_i - x_j|| > R.
 
     Only the time coordinates of the point set matter. Duplicate time
     coordinates give M = 0 and a NotCertified verdict, never an exception.
     """
-    if f.singularities:
-        raise InputError("this check requires a continuous function; "
-                         "use check_theorem2 for singular inputs")
-    N = len(lam)
-    if lam.dim != f.dim:
-        raise InputError("dimension mismatch between point set and function")
-    anchor_arr = _anchor(anchor, f.dim)
-    peak = float(_eval_abs(f, anchor_arr)[0])
-    if peak == 0.0:
-        raise InputError("f vanishes at the anchor")
-    sup_method = SUP_ENVELOPE if f.envelope is not None else SUP_DENSE
-    if N == 1:
-        return Certificate("Thm1", "Certified", 1, 0.0, math.inf, peak,
-                           math.inf, (), sup_method)
-
-    M, pair = _min_pairwise(lam.times())
-    note = None
-    try:
-        R = decay_radius(f, N, anchor_arr, grid=grid,
-                         require_envelope=require_envelope)
-    except NumericalRefusal:
-        if M > 0:
-            raise
-        R, note = 0.0, "decay radius not certifiable and min time separation is zero"
-    margins = tuple(float(d - R) for d in pair)
-    if M == 0.0 and note is None:
-        note = "duplicate time coordinates: min pairwise time separation is zero"
-    return Certificate("Thm1", _verdict(margins), N, R, M, peak,
-                       peak / (N - 1), margins, sup_method, note=note)
+    return _decay_separation("Thm1", f, lam.times(), "time", anchor, grid)
 
 
 def dilation_threshold(f: FunctionEvaluator, lam: PointSet, *,
-                       grid: Optional[GridSpec] = None,
-                       require_envelope: bool = False) -> float:
+                       grid: Optional[GridSpec] = None) -> float:
     """Largest stretch budget M/R for the time-side dilation family.
 
     Contract: for every r in (0, M/R), the r-stretched function (realized as
@@ -335,7 +350,7 @@ def dilation_threshold(f: FunctionEvaluator, lam: PointSet, *,
     M, _ = _min_pairwise(lam.times())
     if M == 0.0:
         return 0.0
-    R = decay_radius(f, N, grid=grid, require_envelope=require_envelope)
+    R = decay_radius(f, N, grid=grid)
     if R == 0.0:
         return math.inf
     return M / R
@@ -355,26 +370,23 @@ def stretch(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
 
 
 def check_corollary1(f: FunctionEvaluator, lam: PointSet, r: float = 1.0, *,
-                     grid: Optional[GridSpec] = None,
-                     require_envelope: bool = False) -> Certificate:
+                     grid: Optional[GridSpec] = None) -> Certificate:
     """Theorem-1 certificate for the r-stretched function, threshold attached."""
-    thr = dilation_threshold(f, lam, grid=grid, require_envelope=require_envelope)
-    cert = check_theorem1(stretch(f, r), lam, grid=grid, require_envelope=require_envelope)
+    thr = dilation_threshold(f, lam, grid=grid)
+    cert = check_theorem1(stretch(f, r), lam, grid=grid)
     return replace(cert, theorem="Cor1", threshold_r=thr)
 
 
 def check_corollary2(f: FunctionEvaluator, lam: PointSet,
                      grid: Optional[GridSpec] = None) -> Certificate:
-    """Frequency-separation certificate via the Fourier-rotated point set.
+    """Frequency-separation certificate: Theorem 1 for fhat on the
+    frequencies, the time coordinates of the Fourier-rotated point set
+    (omega, -x).
 
-    Forms fhat by quadrature, maps each (x, omega) to (omega, -x), and runs
-    the time-separation check on the transformed data. Because fhat comes
-    from quadrature, its peak and sup estimates are dense-sample heuristics.
+    Because fhat comes from quadrature, its peak and sup estimates are
+    dense-sample heuristics.
     """
-    fhat = fourier(f, grid)
-    rotated = PointSet.from_rows(
-        np.concatenate([lam.freqs(), -lam.times()], axis=1), dim=lam.dim)
-    return replace(check_theorem1(fhat, rotated, grid=grid), theorem="Cor2")
+    return _decay_separation("Cor2", fourier(f, grid), lam.freqs(), "frequency", grid=grid)
 
 
 def dilation_threshold_freq(f: FunctionEvaluator, lam: PointSet,
@@ -489,28 +501,23 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         raise InputError("dimension mismatch")
     if lam.dim != f.dim:
         raise InputError("dimension mismatch between point set and functions")
-    peak = abs(stft(f, g, np.zeros(2 * f.dim), grid))
+    lattice = lattice or THM3_LATTICE
+    scanned = stft_envelope is None and f.dim == 1 and len(lam) > 1
+    xs = axis_quadrature(lattice)[0] if scanned else ()
+    # One scan gives the lattice and, as its one point, <f, g> = V_g f(0).
+    values, origin = _STFTScan(f, grid, xs, xs, np.zeros((1, 2 * f.dim))).fields(g)
+    field, peak = np.abs(values), abs(complex(origin[0]))
     if not math.isfinite(peak):
         raise NumericalRefusal("<f, g> is not finite on this quadrature grid")
     if peak < 1e-12:
         raise NearOrthogonalError("<f, g> is numerically zero; certificate undefined")
-    N = len(lam)
-    if N == 1:
-        method = SUP_ENVELOPE if stft_envelope is not None else SUP_DENSE
-        return Certificate("Thm3", "Certified", 1, 0.0, math.inf, peak,
-                           math.inf, (), method)
-    bound = peak / (N - 1)
 
-    if stft_envelope is not None:
-        R = _radius_from_envelope(stft_envelope, bound)
-        sup_method = SUP_ENVELOPE
-    else:
-        if f.dim != 1:
+    def radius(bound: float) -> float:
+        if stft_envelope is not None:
+            return _radius_from_envelope(stft_envelope, bound)
+        if not scanned:
             raise NumericalRefusal(
                 "lattice scan is implemented for dimension 1; supply stft_envelope")
-        lattice = lattice or THM3_LATTICE
-        xs = axis_quadrature(lattice)[0]
-        field = np.abs(stft_grid(f, g, xs, xs, grid))
         if not np.isfinite(field).all():
             raise NumericalRefusal("|V_g f| is not finite on the scanned lattice")
         if (field[[0, -1]] >= bound).any() or (field[:, [0, -1]] >= bound).any():
@@ -520,10 +527,8 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         radii = np.hypot(*np.meshgrid(xs, xs, indexing="ij"))
         violating = radii[field >= bound]
         R0 = float(violating.max()) if violating.size else 0.0
-        R = R0 + lattice.step * math.sqrt(2.0)
-        sup_method = SUP_DENSE
+        return R0 + lattice.step * math.sqrt(2.0)
 
-    M, pair = _min_pairwise(lam.rows)
-    margins = tuple(float(d - R) for d in pair)
-    return Certificate("Thm3", _verdict(margins), N, R, M, peak, bound,
-                       margins, sup_method)
+    return _separation("Thm3", peak, lam.rows, radius,
+                       SUP_ENVELOPE if stft_envelope is not None else SUP_DENSE,
+                       "time-frequency")

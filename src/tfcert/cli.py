@@ -148,47 +148,34 @@ def _cmd_certify(args) -> tuple[dict, int, Callable[[], list] | None]:
     f = _function_from(cfg)
     dim = _dimension_of(cfg, f)
     grid = _grid_from(cfg, dim=dim)
-    rigorous = args.rigorous
+    # Under --rigorous every sup must come from an analytic envelope. lemma1
+    # needs none, as it reads f pointwise; thm1, cor1 and thm2 read f's; a
+    # config can carry none for the fhat of cor2/cor3 or the V_g f of thm3.
+    if args.rigorous and not (args.theorem == "lemma1" or (
+            args.theorem in ("thm1", "cor1", "thm2") and f.envelope is not None)):
+        raise NumericalRefusal(
+            f"{args.theorem} has no rigorous mode here: its sup would come from "
+            "dense sampling, not an analytic envelope")
 
+    lam = None if args.theorem == "lemma1" else _pointset_from(cfg, dim)
     if args.theorem == "lemma1":
         shifts = cfg.get("shifts")
         if shifts is None:
             raise InputError("lemma1 config requires a 'shifts' list")
         cert = check_lemma1(f, shifts)
     elif args.theorem == "thm1":
-        lam = _pointset_from(cfg, dim)
-        cert = check_theorem1(f, lam, anchor=cfg.get("anchor"), grid=grid,
-                              require_envelope=rigorous)
+        cert = check_theorem1(f, lam, anchor=cfg.get("anchor"), grid=grid)
     elif args.theorem == "cor1":
-        lam = _pointset_from(cfg, dim)
-        cert = check_corollary1(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid,
-                                require_envelope=rigorous)
+        cert = check_corollary1(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid)
     elif args.theorem == "cor2":
-        if rigorous:
-            raise NumericalRefusal(
-                "cor2 sup estimates come from quadrature sampling; no rigorous mode")
-        lam = _pointset_from(cfg, dim)
         cert = check_corollary2(f, lam, grid)
     elif args.theorem == "cor3":
-        if rigorous:
-            raise NumericalRefusal(
-                "cor3 sup estimates come from quadrature sampling; no rigorous mode")
-        lam = _pointset_from(cfg, dim)
         cert = check_corollary3(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid)
     elif args.theorem == "thm2":
-        if rigorous and f.envelope is None:
-            raise NumericalRefusal("rigorous mode requires a decay envelope")
-        lam = _pointset_from(cfg, dim)
         cert = check_theorem2(f, lam, grid=grid)
     else:  # thm3
-        if rigorous:
-            raise NumericalRefusal(
-                "thm3 rigorous mode needs an analytic STFT envelope, which the "
-                "config format cannot carry; use the library API")
-        lam = _pointset_from(cfg, dim)
         g = _function_from(cfg, "window", default={"family": "gaussian"})
-        lattice = _lattice_from(cfg, THM3_LATTICE)
-        cert = check_theorem3(f, g, lam, grid, lattice)
+        cert = check_theorem3(f, g, lam, grid, _lattice_from(cfg, THM3_LATTICE))
 
     return {"report": cert.to_json()}, _verdict_exit(cert.verdict), None
 

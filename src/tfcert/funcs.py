@@ -203,6 +203,11 @@ def er_weight(reach: float) -> float:
     return max(1.0, reach / _ER_FLAT_REACH)
 
 
+def er_reach(pts: np.ndarray) -> float:
+    """The largest finite |a| or |b| of (k, 2) ER points, 0 when none is finite."""
+    return float(np.abs(pts[np.isfinite(pts)]).max(initial=0.0))
+
+
 def _quad_tol(value: float) -> float:
     """`value` as an ER quadrature tolerance, refused outside _ER_TOL_RANGE."""
     lo, hi = _ER_TOL_RANGE
@@ -228,9 +233,7 @@ def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        finite = np.abs(pts[np.isfinite(pts)])
-        reach = float(finite.max()) if finite.size else 0.0
-        if pts.shape[0] * er_weight(reach) > MAX_ER_WORK:
+        if pts.shape[0] * er_weight(er_reach(pts)) > MAX_ER_WORK:
             raise InputError(
                 f"Edgar-Rosenblatt evaluations beyond {MAX_ER_WORK} points per call, each "
                 f"counted max(1, reach / {_ER_FLAT_REACH:g}) times for the largest |a|, |b|, "

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalRefusal, finite
-from .funcs import _ER_FLAT_REACH, er_weight
+from . import funcs
+from .funcs import _ER_FLAT_REACH, er_reach, er_weight
 from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _block_rows,
                     _check_points_clear, _distinct_rows, axis_quadrature, finite_points,
                     inverse_fourier_multiplier, modulate, per_axis,
@@ -258,13 +259,18 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
     `_ER_STENCIL_BLOCK`; within a block, evaluations are shared across the
     five shifted stencils, which overlap heavily on regular lattices. Each
     value depends on its point alone, so the blocks change no residual.
+    The whole stencil, five points per given point one unit beyond their
+    reach, is held to the evaluator's MAX_ER_WORK before any block runs.
     """
-    from .funcs import make_edgar_rosenblatt
     quad_tol = float(quad_tol)
     if quad_tol > 1e-6:
         raise InputError("quad_tol must be at most 1e-6 for the residual test")
-    f = make_edgar_rosenblatt(quad_tol)
+    f = funcs.make_edgar_rosenblatt(quad_tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if 5 * pts.shape[0] * er_weight(er_reach(pts) + 1.0) > funcs.MAX_ER_WORK:
+        raise InputError(
+            f"five-term stencils beyond {funcs.MAX_ER_WORK} Edgar-Rosenblatt points, each "
+            f"counted max(1, reach / {_ER_FLAT_REACH:g}) times, are not supported")
     shifts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     peaks = []
     for lo in range(0, pts.shape[0], _ER_STENCIL_BLOCK):

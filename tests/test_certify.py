@@ -73,7 +73,8 @@ def test_theorem1_far_crossing_bisection_ends():
     # adjacent floats lie more than BISECT_TOL apart.
     f = make_example1(1e-7, 1.0)
     cert = check_theorem1(f.with_envelope(counted(f.envelope)),
-                          lam_times([0.0, 1.0, 2.0]), require_envelope=True)
+                          lam_times([0.0, 1.0, 2.0]))
+    assert cert.sup_method == "Envelope"
     assert cert.verdict == "NotCertified"
     assert Fraction(cert.R) * Fraction(1e-7) > 2
     assert cert.R == pytest.approx(2e7, rel=1e-15)
@@ -83,7 +84,8 @@ def test_corollary1_far_stretch_bisection_ends():
     # Stretching by r = 1e8 moves the Gaussian's crossing to 1e8 GAUSS_R3.
     g = make_gaussian(1)
     cert = check_corollary1(g.with_envelope(counted(g.envelope)),
-                            lam_times([0.0, 1.0, 2.0]), r=1e8, require_envelope=True)
+                            lam_times([0.0, 1.0, 2.0]), r=1e8)
+    assert cert.sup_method == "Envelope"
     assert cert.verdict == "NotCertified"
     assert cert.R == pytest.approx(1e8 * GAUSS_R3, rel=1e-12)
 
@@ -120,12 +122,6 @@ def test_decay_radius_dense_sample_matches_envelope():
     r_env = decay_radius(g, 3)
     r_dense = decay_radius(dense, 3)
     assert abs(r_dense - r_env) < 2 * GridSpec.default(1).step
-
-
-def test_decay_radius_requires_envelope_in_rigorous_mode():
-    dense = replace(make_gaussian(1), envelope=None)
-    with pytest.raises(NumericalRefusal):
-        decay_radius(dense, 3, require_envelope=True)
 
 
 def gaussian_with_bump(centre):
@@ -301,7 +297,7 @@ def test_theorem1_anchor_reads_the_envelope_about_its_centre():
     # |f(-2)| = 1/2 exceeds the bound |f(2)|/2 = 1/4 at distance 4 from the
     # anchor, so R = 4 would be false; 1/(R - 2) = 1/4 gives R = 6 > M = 5.
     cert = check_theorem1(make_example1(8.0, 0.0), lam_times([0.0, 5.0, 10.0]),
-                          anchor=2.0, require_envelope=True)
+                          anchor=2.0)
     assert cert.sup_method == "Envelope"
     assert cert.verdict == "NotCertified"
     assert cert.R == pytest.approx(6.0, abs=1e-8)
@@ -408,6 +404,7 @@ def test_corollary2_duplicate_frequencies():
     cert = check_corollary2(make_gaussian(1), lam)
     assert not cert.certified
     assert cert.M == 0.0
+    assert "frequency" in cert.note and "time" not in cert.note
 
 
 def test_dilation_threshold_freq_gaussian():
@@ -548,6 +545,27 @@ def test_theorem3_lattice_scan_refuses_a_field_at_the_lattice_edge():
     cert = check_theorem3(f, g, lam, lattice=GridSpec(8.0, 128))
     assert cert.verdict == "NotCertified"
     assert cert.R == pytest.approx(1.754, abs=1e-3)
+
+
+@pytest.mark.parametrize("f, lattice", [
+    (make_example1(4.0, 1.0), None),
+    (make_example1(4.0, 1.0), GridSpec(8.0, 33)),  # an odd axis holds x = 0
+    (make_gaussian(1), GridSpec(6.0, 64)),
+])
+def test_theorem3_reads_the_peak_from_its_one_lattice_scan(monkeypatch, f, lattice):
+    # <f, g> = V_g f(0) is the one point of the lattice scan, bit for bit the
+    # value a separate `stft` scan gives.
+    from tfcert import stft, tfops
+    built = []
+    init = tfops._STFTScan.__init__
+    monkeypatch.setattr(tfops._STFTScan, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    g = make_gaussian(1)
+    cert = check_theorem3(f, g, PointSet.from_rows([[0, 0], [2.5, 0], [0, 2.5]]),
+                          lattice=lattice)
+    assert len(built) == 1
+    assert cert.sup_method == "DenseSample"
+    assert cert.peak == abs(stft(f, g, np.zeros(2)))
 
 
 def test_theorem3_single_point():

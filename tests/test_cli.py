@@ -95,6 +95,22 @@ def test_certify_duplicate_times_exit_three(tmp_path, capsys):
     assert "time" in doc["report"]["note"]
 
 
+@pytest.mark.parametrize("theorem, lam, axis, other", [
+    ("thm1", [[0, 0], [0, 1]], "time", "frequency"),
+    ("cor2", [[0, 0], [1, 0]], "frequency", "time"),
+    ("cor3", [[0, 0], [1, 0]], "frequency", "time"),
+])
+def test_certify_zero_separation_note_names_its_coordinates(tmp_path, capsys, theorem, lam,
+                                                            axis, other):
+    # Corollaries 2 and 3 separate the frequencies, Theorem 1 the times.
+    cfg = write_config(tmp_path, "zero.json", {"function": {"family": "gaussian"},
+                                               "lambda": lam})
+    code, out, _ = run(capsys, "certify", theorem, "--config", cfg, "--no-meta")
+    note = json.loads(out)["report"]["note"]
+    assert code == 3
+    assert axis in note and other not in note
+
+
 def test_certify_thm2_and_thm3(tmp_path, capsys):
     cfg = write_config(tmp_path, "t2.json", {
         "function": {"family": "example2", "params": {"omega": 0}},
@@ -489,6 +505,37 @@ def test_rigorous_mode_refusals_exit_two(tmp_path, capsys):
         "function": {"family": "gaussian"}, "lambda": [[0, 0], [2, 0]]})
     code, _, err = run(capsys, "certify", "thm3", "--config", cfg, "--rigorous")
     assert code == 2
+
+
+GAUSSIAN_ROWS = {"function": {"family": "gaussian"}, "lambda": [[0, 0], [2, 2], [4, 4]]}
+ER_ONE_POINT = {"dimension": 2, "function": {"family": "edgar_rosenblatt"},
+                "lambda": [[0, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("theorem, cfg, want", [
+    ("lemma1", {"function": {"family": "gaussian"}, "shifts": [0, 2, 4]}, 0),
+    ("thm1", GAUSSIAN_ROWS, 0),
+    ("cor1", GAUSSIAN_ROWS, 0),
+    ("thm2", {"function": {"family": "example2", "params": {"omega": 0}},
+              "lambda": [[0, 0], [2, 0], [4, 0], [6, 1]]}, 0),
+    ("cor2", GAUSSIAN_ROWS, 2),
+    ("cor3", GAUSSIAN_ROWS, 2),
+    ("thm3", GAUSSIAN_ROWS, 2),
+    # No envelope: one point would be vacuously Certified by dense sampling.
+    ("thm1", ER_ONE_POINT, 2),
+    ("cor1", ER_ONE_POINT, 2),
+    # The rule is read before `lambda`, so a bad one is never reached.
+    ("thm1", dict(ER_ONE_POINT, **{"lambda": "x"}), 2),
+])
+def test_rigorous_mode_runs_only_envelope_backed_checks(tmp_path, capsys, theorem, cfg, want):
+    path = write_config(tmp_path, "rig.json", cfg)
+    code, out, err = run(capsys, "certify", theorem, "--config", path, "--rigorous",
+                         "--no-meta")
+    assert code == want
+    if want == 2:
+        assert out == "" and err.startswith("refused: ") and err.count("\n") == 1
+    else:
+        assert json.loads(out)["report"]["sup_method"] in ("Envelope", "Pointwise")
 
 
 def test_rigorous_thm1_without_grid_certifies_a_3d_gaussian(tmp_path, capsys):

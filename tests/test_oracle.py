@@ -104,7 +104,7 @@ def test_envelope_certified_set_is_never_gram_dependent(family, rows):
     # Gram resolves, although Theorem 1 rightly certifies such a pair.
     f = make_gaussian(1) if family[0] == "gaussian" else make_example1(*family[1:])
     lam = PointSet.from_rows(rows)
-    cert = check_theorem1(f, lam, require_envelope=True)
+    cert = check_theorem1(f, lam)
     if cert.certified:
         assert cert.sup_method == "Envelope"
         assert gram_matrix(f, lam).verdict != "Dependent"
@@ -209,6 +209,22 @@ def test_er_residual_blocks_bound_memory_and_change_no_value(monkeypatch):
     points = er_lattice(1.0, 0.25)
     assert dependence_residual_er(points, 1e-9).max_abs_residual == \
         _row_sort_er_residuals(points, 1e-9).max()
+
+
+def test_er_residual_bounds_the_whole_stencil(monkeypatch):
+    # Each block of 100 points is a stencil of at most 500 evaluations, under
+    # the bound of 1000, but the 300 points make a stencil of 1500.
+    from tfcert import funcs
+    evaluated = []
+    monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: evaluated.append(a.size)
+                        or np.zeros(a.size, dtype=complex))
+    monkeypatch.setattr(funcs, "MAX_ER_WORK", 1000)
+    monkeypatch.setattr(oracle, "_ER_STENCIL_BLOCK", 100)
+    points = np.random.default_rng(0).uniform(-3.0, 3.0, (300, 2))
+    with pytest.raises(InputError, match="five-term"):
+        dependence_residual_er(points, 1e-9)
+    assert evaluated == []
+    assert dependence_residual_er(points[:200], 1e-9).max_abs_residual == 0.0
 
 
 def test_gram_refuses_non_square_integrable():
