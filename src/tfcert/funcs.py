@@ -204,8 +204,8 @@ def er_weight(reach: float) -> float:
 
 
 def er_reach(pts: np.ndarray) -> float:
-    """The largest finite |a| or |b| of (k, 2) ER points, 0 when none is finite."""
-    return float(np.abs(pts[np.isfinite(pts)]).max(initial=0.0))
+    """The largest |a| or |b| of (k, 2) finite ER points, 0 when there are none."""
+    return float(np.abs(pts).max(initial=0.0))
 
 
 def _quad_tol(value: float) -> float:
@@ -224,7 +224,8 @@ def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
     computed by adaptive Gauss-Legendre to absolute tolerance `quad_tol` at
     every point. The points are bisected together, level by level, in blocks
     of `_ER_BLOCK`; each value is bit-identical to a per-point depth-first
-    bisection. A call whose points, each counted er_weight(reach) times,
+    bisection. A call with a non-finite point, whose bisection would never
+    meet the tolerance, or whose points, each counted er_weight(reach) times,
     exceed MAX_ER_WORK is refused before any is evaluated. The
     square-integrable flag is left False: the function is only p-integrable
     for large p, so Gram quadrature is not certified.
@@ -233,6 +234,8 @@ def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        if not np.isfinite(pts).all():
+            raise InputError("Edgar-Rosenblatt points must be finite")
         if pts.shape[0] * er_weight(er_reach(pts)) > MAX_ER_WORK:
             raise InputError(
                 f"Edgar-Rosenblatt evaluations beyond {MAX_ER_WORK} points per call, each "

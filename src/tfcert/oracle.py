@@ -260,13 +260,14 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
     five shifted stencils, which overlap heavily on regular lattices. Each
     value depends on its point alone, so the blocks change no residual.
     The whole stencil, five points per given point one unit beyond their
-    reach, is held to the evaluator's MAX_ER_WORK before any block runs.
+    reach, is held to the evaluator's MAX_ER_WORK before any block runs, and
+    an empty or non-finite point list is refused (`finite_points`).
     """
     quad_tol = float(quad_tol)
     if quad_tol > 1e-6:
         raise InputError("quad_tol must be at most 1e-6 for the residual test")
     f = funcs.make_edgar_rosenblatt(quad_tol)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = finite_points(points, 2, "ER residual points")
     if 5 * pts.shape[0] * er_weight(er_reach(pts) + 1.0) > funcs.MAX_ER_WORK:
         raise InputError(
             f"five-term stencils beyond {funcs.MAX_ER_WORK} Edgar-Rosenblatt points, each "

@@ -47,9 +47,9 @@ built:
 - the folded kernels exp(-2 pi i omega.t_k) f(t_k) w_k of the lattice
   frequencies and of the point frequencies, each row a real and an
   imaginary plane;
-- the distinct window shifts: the lattice xs, then each point x not seen
-  before (rows equal up to the sign of zero are one), so distinct lattice
-  xs are a slice of them.
+- the distinct window shifts: the distinct lattice xs, then each point x
+  not seen before (rows equal up to the sign of zero are one), so the
+  lattice rows are a slice of them.
 For a real f every real window plane P has sum_k exp(2 pi i omega.t_k)
 f(t_k) w_k P(t_k - x) = conj of the sum at omega (Groechenig, Foundations of
 Time-Frequency Analysis, 2001), so a scan of a real f sums each mirrored
@@ -60,6 +60,18 @@ and equal folded rows share one kernel row. A lattice on the grid axis
 (`axis_quadrature`, exactly antisymmetric) so needs ceil(p/2) of its p
 omegas, and any other lattice folds whatever exact mirror pairs it holds.
 A complex f folds nothing.
+An even real f folds the shifts too. When f(t_k) w_k is even on nodes
+whose reversal is their reflection through the origin (read from the
+data), a real window plane P of parity s, P(-t) = s P(t), has
+sum_k exp(-2 pi i omega.t_k) f(t_k) w_k P(t_k + x) = s conj of the sum at
+(x, omega) (reverse the nodes). So when the window function gives the
+parities of its planes (the Hermite windows of a search; h_k has parity
+(-1)^k), a lattice x whose first nonzero coordinate is negative reads the
+row of -x, signed and conjugated, and a point (x, omega) so reflected reads
+(-x, -omega), signed, before the frequency fold: the point-symmetric search
+scan sums each window on half its shifts. A single window g has unknown
+parity and keeps every shift. Each of the two shift layouts, with the
+point kernel rows it needs, is built on first use.
 `products` sums a stack of q real window planes against the kernels, block
 by block of `_NODE_BLOCK` nodes. For each block a window function gives the
 q planes at the offsets t_k - x of the block's nodes from every shift;
@@ -92,7 +104,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -107,9 +119,10 @@ _WINDOW_BLOCK = 16_384
 # Window values below the smallest normal float are flushed to zero.
 _TINY = np.finfo(float).tiny
 # Quadrature nodes per block of the sums of an STFT scan. On the default
-# search scan (172 shifts), a block of 256 holds the nine Hermite planes of a
-# degree-8 basis pass in 3.2 MB, and the pass peaks at 5.1 MB with the
-# lattice sums of its 41 folded omegas; blocks of 512 doubled both.
+# search scan of an f that is not even (171 shifts), a block of 256 holds
+# the nine Hermite planes of a degree-8 basis pass in 3.2 MB, and the pass
+# peaks at 4.8 MB with the lattice sums of its 41 folded omegas; blocks of
+# 512 doubled both. An even f's pass (86 shifts) peaks at 2.3 MB.
 _NODE_BLOCK = 256
 # Size limits, checked before anything is allocated: samples per grid axis
 # and nodes per quadrature grid, and the values of an STFT scan, counted as
@@ -668,23 +681,36 @@ def _distinct_rows(a: np.ndarray):
     return np.array(list(first), dtype=float).reshape(len(first), a.shape[1]), inverse
 
 
-def _fold(rows: np.ndarray, dim: int, real: bool):
-    """(distinct folded rows, index, conj) of (r, w) rows whose last `dim`
-    columns are a frequency. For a real f, a row whose first nonzero
-    frequency coordinate is negative folds to its mirror, the frequency
-    negated, and reads the conjugate of its value (`conj`); row i of `rows`
-    reads distinct row index[i]. A complex f folds nothing."""
-    freqs = rows[:, rows.shape[1] - dim:]
-    conj = real & (freqs[np.arange(rows.shape[0]), np.argmax(freqs != 0, axis=1)] < 0)
+def _first_negative(a: np.ndarray) -> np.ndarray:
+    """True for each row of a 2-D array whose first nonzero entry is negative."""
+    return a[np.arange(a.shape[0]), np.argmax(a != 0, axis=1)] < 0
+
+
+def _fold(rows: np.ndarray, dim: int, real: bool, reflect: bool):
+    """(distinct folded rows, index, conj, flip) of (r, w) rows whose first
+    `dim` columns are a shift and whose last `dim` columns are a frequency.
+    When `reflect`, a row whose first nonzero shift coordinate is negative is
+    replaced by its reflection -row (`flip`); then, for a real f, a row whose
+    first nonzero frequency coordinate is negative is replaced by its mirror,
+    the frequency negated, and reads the conjugate of its value (`conj`).
+    Row i of `rows` reads distinct row index[i]."""
+    flip = reflect & _first_negative(rows[:, :dim])
+    rows = np.where(flip[:, None], -rows, rows)
+    conj = real & _first_negative(rows[:, rows.shape[1] - dim:])
     mirror = np.repeat([1.0, -1.0], [rows.shape[1] - dim, dim])
-    return (*_distinct_rows(np.where(conj[:, None], rows * mirror, rows)), conj)
+    return (*_distinct_rows(np.where(conj[:, None], rows * mirror, rows)), conj, flip)
 
 
-def _unfold(values: np.ndarray, index: np.ndarray, conj: np.ndarray) -> np.ndarray:
+def _unfold(values: np.ndarray, index: np.ndarray, conj: np.ndarray, flip: np.ndarray,
+            parities: Sequence) -> np.ndarray:
     """The values of the rows `_fold` folded, from those of its distinct
-    rows along the last axis of `values`."""
+    rows along the last axis of `values`; a flipped row of plane j reads
+    its value times parities[j], the planes running along the first axis."""
     values = values[..., index]
     np.negative(values.imag, out=values.imag, where=conj)
+    if flip.any():
+        sign = np.reshape(np.asarray(parities, dtype=float), (-1,) + (1,) * (values.ndim - 1))
+        np.multiply(values, sign, out=values, where=flip)
     return values
 
 
@@ -701,6 +727,20 @@ def _check_window(dim: int, g: FunctionEvaluator) -> None:
         raise InputError("stft requires square-integrable inputs")
 
 
+class _ScanLayout(NamedTuple):
+    """The window side of an `_STFTScan`, reflected through the origin or not
+    (`_STFTScan.layout`): the distinct shifts, the first `xs` of them the
+    folded lattice xs, the `_unfold` flags of the lattice xs and of the
+    points, and each folded point's shift and kernel rows."""
+
+    shifts: np.ndarray
+    xs: int
+    x_fold: tuple
+    point_fold: tuple
+    point_rows: np.ndarray
+    point_kernel: np.ndarray
+
+
 class _STFTScan:
     """V_g f of one f on a fixed lattice and point set, for any window g.
 
@@ -712,9 +752,11 @@ class _STFTScan:
     planes against the kernels; `fields` is that sum for one window.
 
     For a real f, mirrored frequencies share a kernel row (module notes):
-    the lattice omegas and the points are folded by `_fold`, whose index and
-    conjugation flags (`lattice_fold`, `point_fold`) `_unfold` reads back.
-    `point_rows` gives each folded point's shift.
+    the lattice omegas and the points are folded by `_fold`, whose flags
+    `_unfold` reads back. For an even real f (`even`, read from its
+    quadrature values), windows of known parities also fold each shift onto
+    its reflection. The shifts and the point kernel of either fold are built
+    on first use (`layout`).
     """
 
     def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
@@ -731,53 +773,81 @@ class _STFTScan:
         if self.grid.samples_per_axis ** f.dim * rows + m * p > MAX_SCAN_VALUES:
             raise InputError(f"STFT scans beyond {MAX_SCAN_VALUES} values are not supported")
         self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
-        fw = f(self.nodes) * w
+        self.fw = f(self.nodes) * w
         # For a real f, V(x, -omega) = conj V(x, omega) on each real window
         # plane, so a mirrored pair of frequencies needs one kernel row.
-        real = not np.iscomplexobj(fw)
-        omegas, *self.lattice_fold = _fold(omegas, f.dim, real)
-        pts, *self.point_fold = _fold(pts, f.dim, real)
+        self.real = not np.iscomplexobj(self.fw)
+        # Reversing the nodes reflects them through the origin in any dimension.
+        self.even = (self.real and np.array_equal(self.nodes[::-1], -self.nodes)
+                     and np.array_equal(self.fw, self.fw[::-1]))
+        omegas, *self.lattice_fold = _fold(omegas, f.dim, self.real, False)
         # Rows 2j and 2j + 1 are the real and imaginary planes of folded omega j.
-        self.lattice_kernel = _folded_planes(omegas, self.nodes, fw).reshape(-1, fw.size)
-        self.point_kernel = _folded_planes(pts[:, f.dim:], self.nodes, fw)
-        self.shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :f.dim]]))
-        # Distinct lattice xs come first, so their window rows are a slice.
-        # Indices count up in order of first appearance, so the first m rows
-        # are distinct exactly when row m - 1 has index m - 1.
-        self.lattice_rows = slice(0, m) if m == 0 or inverse[m - 1] == m - 1 else inverse[:m]
-        self.point_rows = inverse[m:]
-        self.lattice_shape = (m, omegas.shape[0])
+        self.lattice_kernel = _folded_planes(omegas, self.nodes, self.fw).reshape(-1, self.fw.size)
+        self.xs, self.points = xs, pts
+        self._layouts: dict = {}
 
-    def products(self, window: Callable[[np.ndarray], np.ndarray], q: int):
-        """(L, v) for q real window planes: L[j, i, l] = sum_k
+    def layout(self, reflect: bool) -> _ScanLayout:
+        """The shifts and the point kernel of the scan, each shift and point
+        folded onto its reflection through the origin when `reflect`.
+
+        A lattice x whose first nonzero coordinate is negative reads -x, and
+        a point (x, omega) so reflected reads (-x, -omega) before the
+        frequency fold; shifts equal up to the sign of zero are one, and the
+        distinct lattice xs come first, so their window rows are a slice.
+        """
+        if reflect not in self._layouts:
+            xs, x_index, _, x_flip = _fold(self.xs, self.dim, False, reflect)
+            pts, *point_fold = _fold(self.points, self.dim, self.real, reflect)
+            shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :self.dim]]))
+            self._layouts[reflect] = _ScanLayout(
+                shifts, xs.shape[0], (x_index, x_flip, x_flip), tuple(point_fold),
+                inverse[xs.shape[0]:], _folded_planes(pts[:, self.dim:], self.nodes, self.fw))
+        return self._layouts[reflect]
+
+    @property
+    def shifts(self) -> np.ndarray:
+        """The distinct window shifts of the unreflected layout."""
+        return self.layout(False).shifts
+
+    def products(self, window: Callable[[np.ndarray], np.ndarray], parities: Sequence):
+        """(L, v) for q = len(parities) real window planes: L[j, i, l] = sum_k
         exp(-2 pi i omegas[l].t_k) f(t_k) w_k P_j(t_k - xs[i]) on the lattice
         and v[j, i] the same sum at points[i], where window(t) gives the
         (q, shifts, b) planes P at the (shifts, b, n) offsets t_k - x of a
-        block of b nodes from the scan's distinct shifts x.
+        block of b nodes from the layout's shifts x. parities[j] is the
+        parity of P_j, P_j(-t) = parities[j] P_j(t), or None when unknown.
 
+        For an even real f and planes of known parities, V_P f(-x, omega) =
+        parity conj V_P f(x, omega) (module notes), so the sums run on the
+        reflected layout only; otherwise on the unreflected one.
         The sums run over blocks of `_NODE_BLOCK` nodes, in order. Each
         block's planes have their subnormal parts set to zero (`_flush`);
         then each plane's lattice rows are one real matrix product with the
         stacked lattice kernel, and each folded point is the dot product of
         its kernel row with its window row, so no value depends on q or on
-        the other rows of the call. Lattice columns and points folded onto
-        a mirror then read the exact conjugate of its sum (`_unfold`).
+        the other rows of the call. Lattice entries and points folded onto
+        a mirror or a reflection then read its sum exactly conjugated or
+        signed (`_unfold`).
         """
-        m, p = self.lattice_shape
-        lattice = np.zeros((q, m, 2 * p))
-        points = np.zeros((q, self.point_rows.shape[0], 2))
+        q = len(parities)
+        layout = self.layout(self.even and None not in parities)
+        m = layout.xs
+        lattice = np.zeros((q, m, self.lattice_kernel.shape[0]))
+        points = np.zeros((q, layout.point_rows.shape[0], 2))
         for lo in range(0, self.nodes.shape[0], _NODE_BLOCK):
             nodes = slice(lo, lo + _NODE_BLOCK)
-            planes = window(self.nodes[nodes] - self.shifts[:, None, :])
+            planes = window(self.nodes[nodes] - layout.shifts[:, None, :])
             lattice_kernel = self.lattice_kernel[:, nodes].T
-            point_kernel = self.point_kernel[:, :, nodes]
+            point_kernel = layout.point_kernel[:, :, nodes]
             for j in range(q):
                 _flush(planes[j])
-                lattice[j] += planes[j, self.lattice_rows] @ lattice_kernel
-                points[j] += (point_kernel @ planes[j, self.point_rows, :, None])[..., 0]
+                lattice[j] += planes[j, :m] @ lattice_kernel
+                points[j] += (point_kernel @ planes[j, layout.point_rows, :, None])[..., 0]
             del planes  # before the next block is built, the peak of memory
-        return (_unfold(lattice.view(complex), *self.lattice_fold),
-                _unfold(points.view(complex)[..., 0], *self.point_fold))
+        # A reflected x reads parity V(x, -omega), the conjugate for a real f.
+        lattice = _unfold(lattice.view(complex).swapaxes(1, 2), *layout.x_fold, parities)
+        return (_unfold(lattice.swapaxes(1, 2), *self.lattice_fold, parities),
+                _unfold(points.view(complex)[..., 0], *layout.point_fold, parities))
 
     def fields(self, g: FunctionEvaluator):
         """(V, v): V[i, j] = V_g f(xs[i], omegas[j]) on the lattice and
@@ -800,7 +870,7 @@ class _STFTScan:
                 vals = np.where(_distance(t, s) <= _exclusion(self.grid), 0.0, vals)
             return np.stack([vals.real, -vals.imag]) if q == 2 else vals.real[None]
 
-        lattice, points = self.products(window, q)
+        lattice, points = self.products(window, (None,) * q)
         if q == 2:
             return lattice[0] + 1j * lattice[1], points[0] + 1j * points[1]
         return lattice[0], points[0]

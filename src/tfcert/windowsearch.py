@@ -8,10 +8,17 @@ ring of samples on its boundary, because the sup over the open exterior
 equals the boundary maximum for continuous fields.
 `V_g f` is linear in g, so the field of the window sum_k c_k g_k is
 sum_k c_k V_{g_k} f of the fields of the basis windows g_k = (w, e_k): one
-pass over the scan sums all d + 1 basis windows of a width, and every ratio,
-of a searched window or of `tail_ratio`, is read from their rows. The ratio
-does not see the scale of c, so `search` walks only the width and solves for
-c per width.
+pass over the scan sums the basis windows of a width, and every ratio, of a
+searched window or of `tail_ratio`, is read from their rows. The ratio does
+not see the scale of c, so `search` walks only the width and solves for c
+per width.
+
+The lattice axis and the ring are point-symmetric and h_k has parity
+(-1)^k, so for an even real f the scan sums each window only on the shifts
+x >= 0 and reads the reflected half exactly (`_STFTScan.products`). For such
+an f, <f, g_k> = 0 for odd k and an optimal window has no odd part, so a
+search pass sums only the even windows of the d + 1; `tail_ratio` sums every
+index of its c.
 """
 
 from __future__ import annotations
@@ -29,11 +36,15 @@ WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
 # Window evaluations one search may spend, a width costing d + 1 + (d > 0)
-# of them. The basis pass of one width takes about 8 ms at d = 0 and 24 ms
-# at d = 3 on the default grid of a real f (x86-64, one BLAS thread), 5-8 ms
-# per evaluation, so the budget bounds a search to about 80 s.
+# of them. The basis pass of one width of a real f that is not even takes
+# about 6-9 ms at d = 0, 16-24 ms at d = 3 and 35-55 ms at d = 8 on the
+# default grid (x86-64, one BLAS thread), 4-9 ms per evaluation, so the
+# budget bounds a search to about 90 s. An even f reflects half the shifts
+# and sums only the even windows: 3-4 ms at d = 0 and 1, 5-9 ms at d = 2 and
+# 3, 12-20 ms at d = 8, 1-4 ms per evaluation.
 MAX_BUDGET = 10_000
-# Boundary-ring samples of the tail-ratio scan; even, so the ring mirrors.
+# Boundary-ring samples of the tail-ratio scan; a multiple of 4, so the ring
+# mirrors in both axes.
 _RING_SAMPLES = 180
 # The (x, omega) lattice of the tail-ratio scan when none is given.
 SEARCH_LATTICE = GridSpec(8.0, 81)
@@ -99,14 +110,17 @@ def realize_window(params: WindowParams) -> FunctionEvaluator:
 
 def _ring(R: float) -> np.ndarray:
     """The (_RING_SAMPLES, 2) samples R (cos theta_j, sin theta_j), theta_j =
-    2 pi j / _RING_SAMPLES. Sample _RING_SAMPLES - j is sample j mirrored,
-    (x, -y) with the same float x, so the ring has _RING_SAMPLES / 2 + 1
-    distinct x."""
-    half = _RING_SAMPLES // 2
-    theta = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)[:half + 1]
+    2 pi j / _RING_SAMPLES, point-symmetric: a quarter circle mirrored in
+    both axes, so that sample j + _RING_SAMPLES / 2 is exactly -(sample j)
+    and sample _RING_SAMPLES - j is (x_j, -y_j). The sample at theta = pi / 2
+    is (0, R), on the axis it mirrors in."""
+    quarter = _RING_SAMPLES // 4
+    theta = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)[:quarter + 1]
     x, y = R * np.cos(theta), R * np.sin(theta)
-    return np.column_stack([np.concatenate([x, x[half - 1:0:-1]]),
-                            np.concatenate([y, -y[half - 1:0:-1]])])
+    x[quarter] = 0.0  # cos(pi / 2) rounds to 6e-17
+    half = np.column_stack([np.concatenate([x, -x[quarter - 1:0:-1]]),
+                            np.concatenate([y, y[quarter - 1:0:-1]])])
+    return np.concatenate([half, -half])
 
 
 class _TailScan:
@@ -114,7 +128,8 @@ class _TailScan:
 
     Holds the `||lambda|| > R` lattice mask and an STFT scan of f over the
     lattice and over the origin followed by the boundary ring; `basis` scans
-    the basis windows of one width against them.
+    the basis windows of one width against them. The lattice axis and the
+    ring are point-symmetric, so for an even f the scan reads half of them.
     """
 
     def __init__(self, f: FunctionEvaluator, R: float,
@@ -130,17 +145,22 @@ class _TailScan:
         self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points)
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
 
-    def basis(self, width: float, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """(tail, origin) of the basis windows (width, e_k), k = 0..d: column
-        k of the (exterior points, d + 1) tail holds V_{g_k} f at the lattice
-        points outside the ball, then at the ring, and origin[k] = <f, g_k>.
+    def basis(self, width: float, indices: range) -> tuple[np.ndarray, np.ndarray]:
+        """(tail, origin) of the basis windows (width, e_k), k in `indices`:
+        column i of the (exterior points, len(indices)) tail holds V_{g_k} f
+        of the i-th index k at the lattice points outside the ball, then at
+        the ring, and origin[i] = <f, g_k>.
 
         One pass over the scan's node blocks (`_STFTScan.products`): each
-        block evaluates the Gaussian factor once and the d + 1 planes by the
-        recurrence (`_hermite_functions`, the values `realize_window` gives).
+        block evaluates the Gaussian factor once and the planes up to the
+        last index by the recurrence (`_hermite_functions`, the values
+        `realize_window` gives), and sums those of `indices`, the plane of
+        h_k with its parity (-1)^k.
         """
         lattice, points = self.scan.products(
-            lambda t: _hermite_functions(t[..., 0] / width, d, width), d + 1)
+            lambda t: _hermite_functions(t[..., 0] / width, indices[-1], width)[
+                indices.start::indices.step],
+            [(-1) ** k for k in indices])
         return np.concatenate([lattice[:, self.outside], points[:, 1:]], axis=1).T, points[:, 0]
 
 
@@ -152,13 +172,13 @@ def tail_ratio(f: FunctionEvaluator, g_params: WindowParams, R: float,
     Scans lattice points with ||lambda|| > R plus a ring on the boundary
     circle itself; a heuristic lower bound of the true exterior sup. The
     field of g = sum_k c_k g_k is sum_k c_k V_{g_k} f, read from the basis
-    pass of its width and degree (`_TailScan.basis`), the rows `search` reads
-    its ratios from. Raises NearOrthogonalError when the denominator
-    underflows (distinct from an infinite ratio). `search` builds the scan
-    once and reuses it for every width it tries.
+    pass of its width over every index of c (`_TailScan.basis`), the rows
+    `search` reads its ratios from. Raises NearOrthogonalError when the
+    denominator underflows (distinct from an infinite ratio). `search` builds
+    the scan once and reuses it for every width it tries.
     """
     c = g_params.hermite_coeffs
-    return _window_ratio(*_TailScan(f, R, lattice, grid).basis(g_params.width, c.size - 1), c)
+    return _window_ratio(*_TailScan(f, R, lattice, grid).basis(g_params.width, range(c.size)), c)
 
 
 @dataclass(frozen=True)
@@ -191,7 +211,16 @@ def _row_ratio(tail: np.ndarray, origin: np.ndarray, c: np.ndarray) -> float:
 
 
 def _window_ratio(tail: np.ndarray, origin: np.ndarray, c: np.ndarray) -> float:
-    """`_row_ratio`, refusing a window whose |<f, g>| is at most DENOM_FLOOR."""
+    """`_row_ratio` of the nonzero entries of c and their basis windows,
+    refusing a window whose |<f, g>| is at most DENOM_FLOOR.
+
+    The zero entries drop out, so a window's ratio is the same whichever
+    other basis windows the rows carry: `search` reads it from the even
+    windows alone and `tail_ratio` from all of them. The kept columns are
+    column-major, as a basis pass of those windows alone returns them.
+    """
+    nonzero = c != 0
+    tail, origin, c = tail.T[nonzero].T, origin[nonzero], c[nonzero]
     if abs(origin @ c) <= DENOM_FLOOR:
         raise NearOrthogonalError(
             "|<f, g>| underflows; the tail ratio is undefined for this window")
@@ -241,12 +270,18 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
     WIDTH_MAX] or tried before. At each width one pass sums the basis windows
     (w, e_k) (`_TailScan.basis`), `_lawson` solves for c from the
     incumbent's on their rows, and the solved window's ratio is read from the
-    same rows, its field being sum_k c_k V_{g_k} f. A width is charged
-    d + 1 + (d > 0) of the `budget` evaluations, the scans of the basis
-    windows and of the solved window taken one by one. It stops when the next
-    width does not fit the budget or the step falls below `_MIN_STEP`.
-    Deterministic; the trace records every improvement, each ratio exactly
-    `tail_ratio` of its window.
+    same rows, its field being sum_k c_k V_{g_k} f.
+
+    For an even f only the even k are scanned and solved, and the odd
+    coefficients are exactly 0. h_k has parity (-1)^k, so <f, h_k> = 0 for
+    odd k and V_{h_k} f(-lambda) = (-1)^k V_{h_k} f(lambda); on the
+    point-symmetric scan the numerator max|T c| is convex in c and unchanged
+    by flipping the sign of c's odd part, so c's even part is as good as c.
+    A width is charged d + 1 + (d > 0) of the `budget` evaluations, the
+    scans of the d + 1 basis windows and of the solved window taken one by
+    one, for an even f too. It stops when the next width does not fit the
+    budget or the step falls below `_MIN_STEP`. Deterministic; the trace
+    records every improvement, each ratio exactly `tail_ratio` of its window.
     """
     budget = int(budget)
     if not 10 <= budget <= MAX_BUDGET:
@@ -257,6 +292,8 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
     if N < 1:
         raise InputError("N must be at least 1")
     scan = _TailScan(f, R, lattice, grid)
+    stride = 2 if scan.scan.even else 1
+    indices = range(0, d + 1, stride)
     cost = d + 1 + (d > 0)
     used, best_ratio, best_params = 0, math.inf, None
     trace, seen, failure = [], set(), "no finite objective value found"
@@ -268,13 +305,16 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
             return False
         seen.add(x)
         used += cost
-        c = np.eye(1, d + 1)[0] if best_params is None else best_params.hermite_coeffs
-        tail, origin = scan.basis(2.0 ** x, d)
-        if d > 0:
+        coeffs = np.eye(1, d + 1)[0] if best_params is None else best_params.hermite_coeffs
+        c = coeffs[::stride]
+        tail, origin = scan.basis(2.0 ** x, indices)
+        if len(indices) > 1:  # one basis window leaves nothing to solve
             c = _lawson(tail, origin, c)
-        params = WindowParams(2.0 ** x, c)
+        coeffs = np.zeros(d + 1)
+        coeffs[::stride] = c
+        params = WindowParams(2.0 ** x, coeffs)
         try:
-            ratio = _window_ratio(tail, origin, params.hermite_coeffs)
+            ratio = _window_ratio(tail, origin, c)
         except NearOrthogonalError as exc:
             failure = str(exc)
             return False

@@ -171,6 +171,21 @@ def test_edgar_rosenblatt_empty_batch():
     assert make_edgar_rosenblatt(1e-9)(np.zeros((0, 2))).shape == (0,)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_edgar_rosenblatt_refuses_non_finite_points(bad, monkeypatch):
+    # A non-finite point's bisection never meets the tolerance; it is refused
+    # before any block is evaluated.
+    from tfcert import funcs
+    evaluated = []
+    monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: evaluated.append(a.size)
+                        or np.zeros(a.size, dtype=complex))
+    f = make_edgar_rosenblatt(1e-9)
+    for pts in ([[bad, 0.0]], [[0.0, 0.0], [1.0, bad]]):
+        with pytest.raises(InputError, match="finite"):
+            f(np.array(pts))
+    assert evaluated == []
+
+
 def test_gaussian_two_dimensional_sum_of_squares_is_exact():
     t = np.random.default_rng(5).uniform(-6.0, 6.0, (4096, 2))
     g = make_gaussian(2)

@@ -227,6 +227,18 @@ def test_er_residual_bounds_the_whole_stencil(monkeypatch):
     assert dependence_residual_er(points[:200], 1e-9).max_abs_residual == 0.0
 
 
+@pytest.mark.parametrize("points", [np.zeros((0, 2)), [[math.nan, 0.0]], [[0.0, math.inf]],
+                                    [[1.0, 2.0], [-math.inf, 0.0]]])
+def test_er_residual_refuses_empty_and_non_finite_points(points, monkeypatch):
+    from tfcert import funcs
+    evaluated = []
+    monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: evaluated.append(a.size)
+                        or np.zeros(a.size, dtype=complex))
+    with pytest.raises(InputError, match="finite points"):
+        dependence_residual_er(points, 1e-9)
+    assert evaluated == []
+
+
 def test_gram_refuses_non_square_integrable():
     with pytest.raises(NumericalRefusal, match="collocation"):
         gram_matrix(make_singular_cos(1.0), PointSet.from_rows([[0, 0], [3, 0]]))

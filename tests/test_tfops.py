@@ -539,7 +539,7 @@ def test_window_flush_moves_fields_within_the_stated_bound(monkeypatch):
     subnormal = lambda a: (a != 0) & (np.abs(a) < tiny)
     assert subnormal(g(scan.nodes - scan.shifts[:, None, :])).any()
     planes = []
-    scan.products(lambda t: planes.append(g(t)[None]) or planes[-1], 1)
+    scan.products(lambda t: planes.append(g(t)[None]) or planes[-1], (None,))
     assert not any(subnormal(plane).any() for plane in planes)
     nodes, w = quadrature_points(grid, 1)
     bound = nodes.shape[0] * tiny * np.max(np.abs(f(nodes) * w))
@@ -570,17 +570,17 @@ def close_to(got, want):
 
 @pytest.mark.parametrize("d", [0, 3, 8])
 def test_default_search_scan_folds_mirrored_frequencies(d, monkeypatch):
-    # The default search scan of a real f: 81 antisymmetric lattice omegas
-    # need 41 kernel rows, and the origin plus the 180-sample ring 92 point
+    # The default search scan of an even real f: 81 antisymmetric lattice
+    # omegas need 41 kernel rows, and the origin plus the 180-sample ring,
+    # reflected onto x >= 0 for the basis windows of known parity, 47 point
     # rows. Its basis fields match the full path of the same f made complex.
     from tfcert.windowsearch import _TailScan
     f = make_example1(4.0, 2.0)
     rows = count_kernel_rows(monkeypatch)
-    scan = _TailScan(f, 1.5, None, None)
-    assert rows == [41, 92]
-    full = _TailScan(as_complex(f), 1.5, None, None)
-    assert rows[2:] == [81, 181]
-    for got, want in zip(scan.basis(1.3, d), full.basis(1.3, d)):
+    scan, full = _TailScan(f, 1.5, None, None), _TailScan(as_complex(f), 1.5, None, None)
+    folded, want = scan.basis(1.3, range(d + 1)), full.basis(1.3, range(d + 1))
+    assert rows == [41, 81, 47, 181]
+    for got, want in zip(folded, want):
         assert close_to(got, want)
 
 
@@ -610,7 +610,7 @@ def test_folded_points_read_their_mirror_in_two_dimensions(monkeypatch):
     rows = count_kernel_rows(monkeypatch)
     scan = tfops._STFTScan(f, grid, xs, omegas, points)
     full = tfops._STFTScan(as_complex(f), grid, xs, omegas, points)
-    assert rows == [2, 3, 3, 6]
+    assert rows == [2, 3]  # each scan builds its point rows on first use
     real_g = translate(make_gaussian(2), [0.1, 0.2])
     lattice, at_points = scan.fields(real_g)
     np.testing.assert_array_equal(lattice[:, 0], np.conj(lattice[:, 2]))
@@ -618,6 +618,7 @@ def test_folded_points_read_their_mirror_in_two_dimensions(monkeypatch):
     for g in (real_g, modulate(make_gaussian(2), [0.5, 0.2])):
         (lattice, at_points), (full_lattice, full_points) = scan.fields(g), full.fields(g)
         assert close_to(lattice, full_lattice) and close_to(at_points, full_points)
+    assert rows == [2, 3, 3, 6]
 
 
 def test_complex_f_keeps_a_kernel_row_per_omega(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from tfcert import (GridSpec, InputError, NearOrthogonalError, PointSet,
                     WindowParams, check_theorem3, l2_norm,
                     make_example1, make_gaussian, realize_window, search,
-                    tail_ratio)
+                    stft_grid, stft_points, tail_ratio, translate)
 
 PI = math.pi
 
@@ -74,27 +74,115 @@ def test_tail_ratio_scaling_invariance():
 
 
 def test_default_tail_scan_shares_mirrored_ring_shifts():
-    # Ring samples j and 180 - j are (x, +-y) with the same float x, and the
-    # origin shares the lattice's x = 0: 81 lattice xs plus 91 ring xs. For a
-    # real f sample 180 - j is the mirror of sample j: the origin and the
-    # ring need 92 kernel rows, and a mirrored value is the exact conjugate.
+    # The ring is a quarter circle mirrored in both axes: sample j + 90 is
+    # -(sample j) and sample 180 - j is (x_j, -y_j), bit for bit, and sample
+    # 45 is (0, R). Basis windows of known parity on an even f read the
+    # reflected layout: 41 lattice xs (x >= 0) plus the 45 nonzero ring xs of
+    # x > 0, and the origin and samples 0-45 as 47 point kernel rows. A window
+    # of unknown parity reads the unreflected one: 81 lattice xs and 90 ring
+    # xs, 92 point rows, each mirrored value the exact conjugate.
     from tfcert import tfops
     from tfcert.windowsearch import _ring, _TailScan
     ring = _ring(1.7)
     j = np.arange(1, 90)
     assert ring.shape == (180, 2)
+    np.testing.assert_array_equal(ring[j + 90], -ring[j])
+    np.testing.assert_array_equal(ring[90], -ring[0])
     np.testing.assert_array_equal(ring[180 - j, 0], ring[j, 0])
     np.testing.assert_array_equal(ring[180 - j, 1], -ring[j, 1])
+    assert tuple(ring[45]) == (0.0, 1.7)
     rows, inner = [], tfops._folded_planes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tfops, "_folded_planes",
                    lambda freqs, nodes, fw: rows.append(freqs.shape[0]) or inner(freqs, nodes, fw))
-        scan = _TailScan(make_gaussian(1), 1.7, None, None).scan
-    assert rows == [41, 92]
-    assert scan.shifts.shape == (172, 1)
-    assert scan.lattice_rows == slice(0, 81)
-    at_points = scan.fields(realize_window(WindowParams(1.3, np.array([0.6, 0.0, -0.4]))))[1]
+        tail_scan = _TailScan(make_gaussian(1), 1.7, None, None)
+        tail_scan.basis(1.3, range(0, 3, 2))
+        scan = tail_scan.scan
+        assert scan.even and rows == [41, 47]
+        assert scan.layout(True).shifts.shape == (86, 1) and scan.layout(True).xs == 41
+        at_points = scan.fields(realize_window(WindowParams(1.3, np.array([0.6, 0.0, -0.4]))))[1]
+    assert rows == [41, 47, 92]
+    assert scan.shifts.shape == (171, 1) and scan.layout(False).xs == 81
     np.testing.assert_array_equal(at_points[1 + 180 - j], np.conj(at_points[1 + j]))
+
+
+@pytest.mark.parametrize("f, even", [(make_example1(4.0, 2.0), True),
+                                     (translate(make_example1(4.0, 2.0), 0.3), False)])
+def test_default_search_scan_reflects_only_an_even_f(f, even, monkeypatch):
+    # On the default search scan the basis pass of an even f evaluates its
+    # windows on 86 shifts, not 171, and sums 47 point kernel rows, not 92;
+    # f translated by 0.3 is not even and keeps every shift.
+    from tfcert import tfops, windowsearch
+    shifts, hermite = [], windowsearch._hermite_functions
+    monkeypatch.setattr(windowsearch, "_hermite_functions",
+                        lambda s, d, width: shifts.append(s.shape[0]) or hermite(s, d, width))
+    rows, planes = [], tfops._folded_planes
+    monkeypatch.setattr(tfops, "_folded_planes",
+                        lambda freqs, nodes, fw: rows.append(freqs.shape[0]) or planes(freqs, nodes, fw))
+    scan = windowsearch._TailScan(f, 1.75, None, None)
+    scan.basis(1.3, range(4))
+    assert scan.scan.even == even
+    assert set(shifts) == {86 if even else 171}
+    assert rows == [41, 47 if even else 92]
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_search_of_an_even_f_has_exactly_zero_odd_coefficients(d):
+    res = search(make_example1(4.0, 2.0), R=1.5, N=3, d=d, budget=20)
+    for params, _ in res.trace:
+        assert params.hermite_coeffs.size == d + 1
+        assert np.all(params.hermite_coeffs[1::2] == 0.0)
+    assert np.any(res.best_params.hermite_coeffs[::2][1:] != 0.0) or d == 1
+
+
+def test_search_of_a_non_even_f_keeps_its_odd_coefficients():
+    res = search(translate(make_example1(4.0, 2.0), 0.3), R=1.5, N=3, d=3, budget=20)
+    assert np.all(res.best_params.hermite_coeffs[1::2] != 0.0)
+
+
+@pytest.mark.parametrize("k, widths", [(0, 10), (1, 4), (3, 2)])
+def test_odd_degree_search_is_the_even_degree_below_padded(k, widths):
+    # An even f scans the same even windows at degrees 2k and 2k + 1, so with
+    # budgets that buy both the same widths the two searches are one search,
+    # the odd degree's coefficients padded with a zero.
+    f = make_example1(4.0, 2.0)
+    cost = lambda d: d + 1 + (d > 0)
+    even = search(f, R=1.5, N=3, d=2 * k, budget=max(10, widths * cost(2 * k)))
+    odd = search(f, R=1.5, N=3, d=2 * k + 1, budget=widths * cost(2 * k + 1))
+    assert len(odd.trace) == len(even.trace) >= 2
+    for (p_odd, r_odd), (p_even, r_even) in zip(odd.trace, even.trace):
+        assert r_odd == r_even and p_odd.width == p_even.width
+        np.testing.assert_array_equal(p_odd.hermite_coeffs, np.append(p_even.hermite_coeffs, 0.0))
+
+
+@pytest.mark.parametrize("f", [make_gaussian(1), make_example1(4.0, 2.0)])
+@pytest.mark.parametrize("width", [1.0 / 16.0, 0.5, 1.3, 4.0, 16.0])
+def test_tail_ratio_with_odd_coefficients_matches_the_unfolded_fields(f, width):
+    # tail_ratio reads an even f's reflected scan; the scan stft_grid and
+    # stft_points build sums every shift of the realized window (one scan
+    # holds both here). Fields agree within 1e-14 of their largest value,
+    # and the ratios within what that moves them.
+    from tfcert.tfops import _STFTScan, axis_quadrature
+    from tfcert.windowsearch import SEARCH_LATTICE, _ring, _TailScan
+    R = 1.5
+    xs = axis_quadrature(SEARCH_LATTICE)[0]
+    outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
+    points = np.vstack([[0.0, 0.0], _ring(R)])
+    scan, unfolded = _TailScan(f, R, None, None), _STFTScan(f, None, xs, xs, points)
+    coeffs = np.array([0.9, -0.7, 0.5, 0.45, -0.3, 0.2, 0.15, -0.1, 0.05])
+    for d in range(9):
+        params = WindowParams(width, coeffs[:d + 1])
+        lattice, at_points = unfolded.fields(realize_window(params))
+        want = np.concatenate([lattice[outside], at_points[1:]])
+        top = max(np.abs(want).max(), abs(at_points[0]))
+        tail, origin = scan.basis(width, range(d + 1))
+        assert np.max(np.abs(tail @ params.hermite_coeffs - want)) <= 1e-14 * top
+        assert abs(origin @ params.hermite_coeffs - at_points[0]) <= 1e-14 * top
+        denom = abs(at_points[0])
+        if denom > 1e-10:
+            ratio = np.abs(want).max() / denom
+            moved = 1e-14 * top * (1.0 + ratio) / (denom - 1e-14 * top)
+            assert abs(tail_ratio(f, params, R) - ratio) <= moved
 
 
 def test_search_gaussian_easy_target():
@@ -158,7 +246,7 @@ def test_search_trace_has_unit_max_norm_and_distinct_widths():
 @pytest.mark.parametrize("f, width", [(make_example1(4.0, 2.0), 1.3), (make_gaussian(1), 0.7)])
 def test_lawson_never_worse_than_its_start(f, width):
     from tfcert.windowsearch import _lawson, _row_ratio, _TailScan
-    tail, origin = _TailScan(f, 1.5, None, None).basis(width, 4)
+    tail, origin = _TailScan(f, 1.5, None, None).basis(width, range(5))
     for d in range(1, 5):
         rows = tail[:, :d + 1], origin[:d + 1]
         for start in (np.eye(1, d + 1)[0], np.array([1.0, -0.5, 0.25, -0.125, 0.0625])[:d + 1]):
@@ -181,7 +269,7 @@ def test_basis_pass_columns_match_single_window_scans(width):
         field, sums = scan.scan.fields(realize_window(WindowParams(width, e)))
         single.append(np.concatenate([field[scan.outside], sums[1:], sums[:1]]))
     for d in range(MAX_DEGREE + 1):
-        tail, origin = scan.basis(width, d)
+        tail, origin = scan.basis(width, range(d + 1))
         assert tail.shape == (single[0].size - 1, d + 1)
         for k in range(d + 1):
             column = np.append(tail[:, k], origin[k])
@@ -197,7 +285,7 @@ def test_basis_pass_memory_stays_within_8_mb():
     for d in range(MAX_DEGREE + 1):
         tracemalloc.start()
         try:
-            scan.basis(1.3, d)
+            scan.basis(1.3, range(d + 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
