@@ -223,32 +223,43 @@ def sup_outside(f: FunctionEvaluator, radius: float, center=None, *,
     return SupEstimate(float(vals.max()), SUP_DENSE)
 
 
-def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
-                 grid: Optional[GridSpec] = None) -> float:
-    """Smallest R with sup_{||t - anchor|| >= R} |f(t)| < |f(anchor)|/(N-1).
+def _peak(f: FunctionEvaluator, anchor: np.ndarray) -> float:
+    """|f(anchor)|, refused when it is 0: then no bound peak/(N-1) is positive."""
+    peak = float(_eval_abs(f, anchor)[0])
+    if peak == 0.0:
+        raise InputError("f vanishes at the anchor")
+    return peak
+
+
+def _radius_below(f: FunctionEvaluator, anchor: np.ndarray, bound: float,
+                  grid: Optional[GridSpec]) -> float:
+    """Smallest R with sup_{||t - anchor|| >= R} |f(t)| < bound.
 
     In envelope mode the envelope is read about the anchor by the rule of
     `sup_outside`, whatever its centre, so R is rigorous. Without an envelope
     a dense-sample scan is used, which is heuristic and resolves R only to
     the grid step.
     """
+    if f.envelope is not None:
+        return _radius_from_envelope(_envelope_about(f, anchor), bound)
+    pts, _ = quadrature_points(grid, f.dim, tuple(s - anchor for s in f.singularities))
+    return _radius_from_samples(np.linalg.norm(pts, axis=1), _eval_abs(f, pts + anchor), bound)
+
+
+def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
+                 grid: Optional[GridSpec] = None) -> float:
+    """Smallest R with sup_{||t - anchor|| >= R} |f(t)| < |f(anchor)|/(N-1).
+
+    Rigorous from f's envelope, read about the anchor; without one, a
+    heuristic dense-sample scan that resolves R only to the grid step (the
+    rules of `_radius_below`, which the separation checks share). An f that
+    vanishes at the anchor is an InputError.
+    """
     N = int(N)
     if N < 2:
         raise InputError("decay_radius requires N >= 2")
     anchor = _anchor(anchor, f.dim)
-    peak = float(_eval_abs(f, anchor)[0])
-    if peak == 0.0:
-        raise InputError("f vanishes at the anchor; pick another anchor")
-    bound = peak / (N - 1)
-
-    if f.envelope is not None:
-        return _radius_from_envelope(_envelope_about(f, anchor), bound)
-
-    shifted_sings = tuple(s - anchor for s in f.singularities)
-    pts, _ = quadrature_points(grid, f.dim, shifted_sings)
-    values = _eval_abs(f, pts + anchor)
-    radii = np.linalg.norm(pts, axis=1)
-    return _radius_from_samples(radii, values, bound)
+    return _radius_below(f, anchor, _peak(f, anchor) / (N - 1), grid)
 
 
 def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
@@ -260,10 +271,7 @@ def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
     """
     S = finite_points(shifts, f.dim, "shifts")
     N = S.shape[0]
-    origin = np.zeros(f.dim)
-    peak = float(_eval_abs(f, origin)[0])
-    if peak == 0.0:
-        raise InputError("f(0) = 0: translate first")
+    peak = _peak(f, np.zeros(f.dim))
     M, _ = _min_pairwise(S)
     if N == 1:
         return Certificate("Lemma1", "Certified", 1, 0.0, M, peak, math.inf,
@@ -315,11 +323,8 @@ def _decay_separation(theorem: str, f: FunctionEvaluator, rows: np.ndarray, axis
     if rows.shape[1] != f.dim:
         raise InputError("dimension mismatch between point set and function")
     anchor = _anchor(anchor, f.dim)
-    peak = float(_eval_abs(f, anchor)[0])
-    if peak == 0.0:
-        raise InputError("f vanishes at the anchor")
-    return _separation(theorem, peak, rows,
-                       lambda bound: decay_radius(f, rows.shape[0], anchor, grid=grid),
+    return _separation(theorem, _peak(f, anchor), rows,
+                       lambda bound: _radius_below(f, anchor, bound, grid),
                        SUP_ENVELOPE if f.envelope is not None else SUP_DENSE, axis)
 
 
@@ -333,27 +338,29 @@ def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
     return _decay_separation("Thm1", f, lam.times(), "time", anchor, grid)
 
 
+def _stretch_budget(cert: Certificate, freq: bool) -> float:
+    """M/R of a separation certificate, or R/M with `freq`. No separation
+    (M = 0) leaves no stretch: 0, or +inf with `freq`. A radius of 0, as for
+    a single point (M = +inf), leaves every stretch: +inf, or 0 with `freq`."""
+    if cert.M == 0.0:
+        return math.inf if freq else 0.0
+    if cert.R == 0.0:
+        return 0.0 if freq else math.inf
+    return cert.R / cert.M if freq else cert.M / cert.R
+
+
 def dilation_threshold(f: FunctionEvaluator, lam: PointSet, *,
                        grid: Optional[GridSpec] = None) -> float:
-    """Largest stretch budget M/R for the time-side dilation family.
+    """Largest stretch budget M/R for the time-side dilation family, with M
+    and R those of `check_theorem1(f, lam)`.
 
     Contract: for every r in (0, M/R), the r-stretched function (realized as
     dilate(f, 1/r), which spreads f out while compressing its decay radius
     proportionally to r) passes check_theorem1 on the same point set. Two
-    points with one time (M = 0) leave no such r, and the threshold is 0.
+    points with one time (M = 0) leave no such r, and the threshold is 0; a
+    single point or a radius of 0 leaves every r, and it is +inf.
     """
-    if f.singularities:
-        raise InputError("dilation threshold requires a continuous function")
-    N = len(lam)
-    if N == 1:
-        return math.inf
-    M, _ = _min_pairwise(lam.times())
-    if M == 0.0:
-        return 0.0
-    R = decay_radius(f, N, grid=grid)
-    if R == 0.0:
-        return math.inf
-    return M / R
+    return _stretch_budget(check_theorem1(f, lam, grid=grid), freq=False)
 
 
 def stretch(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
@@ -391,21 +398,16 @@ def check_corollary2(f: FunctionEvaluator, lam: PointSet,
 
 def dilation_threshold_freq(f: FunctionEvaluator, lam: PointSet,
                             grid: Optional[GridSpec] = None) -> float:
-    """Stretch threshold Rhat/M_omega for the frequency-side dilation family.
+    """Stretch threshold Rhat/M_omega for the frequency-side dilation family,
+    with Rhat and M_omega the R and M of `check_corollary2(f, lam)`.
 
     Contract: for every r above the returned value, the r-stretched function
     (time spread by r, hence frequency support compressed by 1/r) passes
     check_corollary2 on the same point set. Two points with one frequency
-    (M_omega = 0) leave no such r, and the threshold is +inf.
+    (M_omega = 0) leave no such r, and the threshold is +inf; a single point
+    or a radius of 0 leaves every r, and it is 0.
     """
-    N = len(lam)
-    if N == 1:
-        return 0.0
-    M_omega, _ = _min_pairwise(lam.freqs())
-    if M_omega == 0.0:
-        return math.inf
-    R_hat = decay_radius(fourier(f, grid), N, grid=grid)
-    return R_hat / M_omega
+    return _stretch_budget(check_corollary2(f, lam, grid), freq=True)
 
 
 def check_corollary3(f: FunctionEvaluator, lam: PointSet, r: float = 1.0,

@@ -37,10 +37,15 @@ class NearOrthogonalError(NumericalRefusal):
 
 def convert(kind, value, what: str):
     """`kind(value)` for a value read from a config; a missing (None) or
-    malformed value raises InputError naming `what`."""
+    malformed value raises InputError naming `what`. Booleans are malformed
+    for every kind, and so is a non-integral float for int, which `int`
+    would truncate; numeric strings are converted."""
     if value is None:
         raise InputError(f"{what} is required")
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be {kind.__name__}, got {value!r}") from exc

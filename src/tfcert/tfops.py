@@ -624,19 +624,18 @@ def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEv
 
     fhat(omega) = integral over [-L, L]^n of f(t) e^{-2 pi i omega.t} dt,
     evaluable at arbitrary omega (not only lattice points). Accuracy is
-    bounded by the tail mass outside the box plus trapezoid error; inputs
-    with neither an envelope nor the square-integrable flag are refused
-    because the truncation error cannot be bounded.
+    bounded by the tail mass outside the box plus trapezoid error. Inputs
+    not flagged square-integrable are refused, an envelope or not: a 1/r
+    envelope such as that of `singular_cos` bounds no tail mass, and the
+    integral itself may diverge, so the truncation error cannot be bounded.
     """
-    if f.envelope is None and not f.square_integrable:
+    if not f.square_integrable:
         raise NumericalRefusal(
-            "cannot bound the truncation error: no decay envelope and the "
-            "input is not flagged square-integrable")
+            "cannot bound the truncation error: the input is not flagged square-integrable")
     nodes, w = quadrature_points(grid, f.dim, f.singularities)
     weighted = f(nodes) * w
     fn = lambda om: _fourier_sum(np.reshape(om, (-1, f.dim)), nodes, weighted, -1.0)
-    return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=(),
-                             square_integrable=f.square_integrable)
+    return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=())
 
 
 def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
@@ -652,8 +651,7 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
     nodes, w = quadrature_points(grid, f.dim)
     weighted = fhat(nodes) * FunctionEvaluator(f.dim, multiplier)(nodes) * w
     fn = lambda t: _fourier_sum(np.reshape(t, (-1, f.dim)), nodes, weighted, +1.0)
-    return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=(),
-                             square_integrable=f.square_integrable)
+    return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=())
 
 
 def _folded_planes(freqs: np.ndarray, nodes: np.ndarray, fw: np.ndarray) -> np.ndarray:

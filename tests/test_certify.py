@@ -381,6 +381,76 @@ def test_check_corollary1_records_threshold():
     assert cert.certified  # r=1 < threshold
 
 
+def peak_calls(f, anchor=0.0):
+    """f with a list that records each call made at the anchor alone."""
+    calls = []
+
+    def fn(t):
+        if np.size(t) == f.dim and np.all(np.ravel(t) == anchor):
+            calls.append(t)
+        return f.fn(t)
+    return replace(f, fn=fn), calls
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_theorem1_evaluates_the_peak_once(dense):
+    g = make_gaussian(1)
+    g, calls = peak_calls(replace(g, envelope=None) if dense else g)
+    assert check_theorem1(g, lam_times([0.0, 1.0, 2.0])).certified
+    assert len(calls) == 1
+
+
+def test_corollary2_evaluates_the_peak_of_fhat_once(monkeypatch):
+    from tfcert import certify
+    fourier, seen = certify.fourier, []
+
+    def counted_fourier(f, grid=None):
+        fhat, calls = peak_calls(fourier(f, grid))
+        seen.append(calls)
+        return fhat
+    monkeypatch.setattr(certify, "fourier", counted_fourier)
+    assert check_corollary2(make_gaussian(1), PointSet.from_rows([[0, 0], [0, 1], [0, 2]])).certified
+    assert [len(calls) for calls in seen] == [1]
+
+
+def odd_gaussian():
+    return FunctionEvaluator(1, lambda t: t * np.exp(-PI * t * t))
+
+
+def not_square_integrable():
+    return FunctionEvaluator(1, lambda t: np.ones_like(t), square_integrable=False)
+
+
+# Each threshold is its certificate's M/R (time) or R/M (frequency); no
+# separation, a single point and a radius of 0 read as 0 or +inf, and a
+# certificate that refuses makes its threshold refuse alike.
+@pytest.mark.parametrize("threshold, check, f, rows, expected", [
+    (dilation_threshold, check_theorem1, make_gaussian, [[0, 0]], math.inf),
+    (dilation_threshold, check_theorem1, make_gaussian, [[0, 0], [0, 1]], 0.0),
+    (dilation_threshold, check_theorem1, make_gaussian, [[0, 0], [1, 0]], math.inf),
+    (dilation_threshold, check_theorem1, make_gaussian, [[0, 0], [1, 0], [2, 0]],
+     lambda c: c.M / c.R),
+    (dilation_threshold, check_theorem1, odd_gaussian, [[0, 0]], InputError),
+    (dilation_threshold_freq, check_corollary2, make_gaussian, [[0, 0]], 0.0),
+    (dilation_threshold_freq, check_corollary2, make_gaussian, [[0, 1], [2, 1]], math.inf),
+    (dilation_threshold_freq, check_corollary2, make_gaussian, [[0, 0], [1, 1], [2, 2]],
+     lambda c: c.R / c.M),
+    (dilation_threshold_freq, check_corollary2, not_square_integrable, [[0, 0]],
+     NumericalRefusal),
+])
+def test_dilation_threshold_reads_its_certificate(threshold, check, f, rows, expected):
+    f, lam = f(), PointSet.from_rows(rows)
+    if isinstance(expected, type):
+        with pytest.raises(expected) as certificate_refusal:
+            check(f, lam)
+        with pytest.raises(expected) as threshold_refusal:
+            threshold(f, lam)
+        assert str(threshold_refusal.value) == str(certificate_refusal.value)
+        return
+    cert = check(f, lam)
+    assert threshold(f, lam) == (expected(cert) if callable(expected) else expected)
+
+
 # ---------------------------------------------------------------------------
 # corollary 2 / 3 (frequency side)
 # ---------------------------------------------------------------------------

@@ -304,6 +304,9 @@ def test_bad_family_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+_SEARCH = {"function": {"family": "gaussian"}, "R": 1.5, "N": 3, "budget": 10}
+
+
 @pytest.mark.parametrize("command, cfg", [
     (("window-search",), {"function": {"family": "gaussian"}, "N": 2}),
     (("window-search",), {"function": {"family": "gaussian"}, "R": 2.0, "N": "two"}),
@@ -353,12 +356,60 @@ def test_bad_family_exit_one(tmp_path, capsys):
     # non-finite shifts, refused like a non-finite anchor or sample point
     (("certify", "lemma1"), {"function": {"family": "gaussian"}, "shifts": [0, math.nan]}),
     (("certify", "lemma1"), {"function": {"family": "gaussian"}, "shifts": [0, math.inf]}),
+    # int(2.7) would truncate and float(True) would read 1.0; both are refused
+    (("window-search",), dict(_SEARCH, N=2.7)),
+    (("window-search",), dict(_SEARCH, degree=True)),
+    (("window-search",), dict(_SEARCH, budget=10.5)),
+    (("window-search",), dict(_SEARCH, grid={"samples_per_axis": 10.5})),
+    (("window-search",), dict(_SEARCH, function={"family": "gaussian", "params": {"n": 1.5}})),
+    (("window-search",), dict(_SEARCH, R=True)),
+    (("certify", "thm1"), {"function": {"family": "example1", "params": {"C": True}},
+                           "lambda": [[0, 0], [2, 0]]}),
 ])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)
     code, _, err = run(capsys, *command, "--config", path)
     assert code == 1
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_convert_keeps_integral_floats_numeric_strings_and_big_integers():
+    from tfcert.errors import InputError, convert
+    assert convert(int, 3.0, "N") == 3 and convert(int, "3", "N") == 3
+    assert convert(int, 10 ** 30, "N") == 10 ** 30 and convert(int, 1e30, "N") == int(1e30)
+    assert math.isnan(convert(float, "nan", "r")) and convert(float, 2, "r") == 2.0
+    for kind, value in ((int, 2.5), (int, math.inf), (int, math.nan), (int, True),
+                        (float, False), (int, "2.5")):
+        with pytest.raises(InputError, match="must be"):
+            convert(kind, value, "x")
+
+
+@pytest.mark.parametrize("command, extra", [
+    (("certify", "cor2"), {"lambda": [[0, 0], [3, 1]]}),
+    (("certify", "cor3"), {"lambda": [[0, 0], [3, 1]], "r": 1.5}),
+    (("oracle", "metaplectic"), {"kind": "fourier_multiplier", "r": 0.3, "x": 0.5,
+                                 "omega": 0.5}),
+], ids=["cor2", "cor3", "fourier_multiplier"])
+def test_fourier_of_singular_cos_exit_two(tmp_path, capsys, command, extra):
+    # cos t/|t| is not square-integrable, so its Fourier quadrature is refused
+    path = write_config(tmp_path, "sc.json", dict(
+        extra, function={"family": "singular_cos", "params": {"omega": 1}}))
+    code, out, err = run(capsys, *command, "--config", path, "--no-meta")
+    assert code == 2 and out == ""
+    assert "square-integrable" in err
+
+
+def test_corollary1_refuses_a_singular_function_as_theorem1_does(tmp_path, capsys):
+    path = write_config(tmp_path, "e2.json", {
+        "function": {"family": "example2", "params": {"omega": 0}},
+        "lambda": [[0, 0], [2, 0], [4, 1]]})
+    errs = []
+    for theorem in ("cor1", "thm1"):
+        code, out, err = run(capsys, "certify", theorem, "--config", path, "--no-meta")
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1
+        errs.append(err)
+    assert errs[0] == errs[1]
 
 
 @pytest.mark.parametrize("points", ["abc", [1.0, math.nan], [0.0, math.inf], []])

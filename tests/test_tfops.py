@@ -378,6 +378,17 @@ def test_fourier_refuses_unbounded_truncation_error():
         fourier(f)
 
 
+def test_fourier_refuses_an_enveloped_f_that_is_not_square_integrable():
+    # cos t/|t| has a 1/r envelope, but neither its integral at 0 nor the
+    # tail of 1/r converges, so no truncation error is bounded.
+    f = make_singular_cos(1.0)
+    assert f.envelope is not None and not f.square_integrable
+    with pytest.raises(NumericalRefusal, match="square-integrable"):
+        fourier(f)
+    with pytest.raises(NumericalRefusal, match="square-integrable"):
+        inverse_fourier_multiplier(f, lambda om: np.ones_like(om))
+
+
 # ---------------------------------------------------------------------------
 # stft
 # ---------------------------------------------------------------------------
