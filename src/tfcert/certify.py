@@ -199,28 +199,34 @@ def _envelope_about(f: FunctionEvaluator, point: np.ndarray) -> Callable[[float]
     return lambda r: env(max(0.0, r - offset))
 
 
+def _dense_about(f: FunctionEvaluator, point: np.ndarray,
+                 grid: Optional[GridSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, values): ||t - point|| and |f(t)| at the nodes t of the
+    quadrature grid centred on `point`, the nodes within the exclusion
+    radius of a singularity of f dropped; a nonfinite value is refused. The
+    one dense sampler of |f| about a point, which `_radius_below` and
+    `sup_outside` read."""
+    pts, _ = quadrature_points(grid, f.dim, tuple(s - point for s in f.singularities))
+    return np.linalg.norm(pts, axis=1), _eval_abs(f, pts + point)
+
+
 def sup_outside(f: FunctionEvaluator, radius: float, center=None, *,
                 grid: Optional[GridSpec] = None) -> SupEstimate:
     """Upper estimate of sup |f(t)| over ||t - center|| >= radius.
 
     Envelope-backed when the evaluator carries one, about any center
-    (rigorous); otherwise the maximum over truncation-box samples, which
+    (rigorous); otherwise the maximum of the dense samples of `_dense_about`
+    at radius >= `radius`, on the grid centred on `center`, which
     lower-bounds the true sup and is flagged heuristic.
     """
     center = _anchor(center, f.dim)
     if f.envelope is not None:
         return SupEstimate(float(_envelope_about(f, center)(radius)), SUP_ENVELOPE)
-    pts, _ = quadrature_points(grid, f.dim, f.singularities)
-    radii = np.linalg.norm(pts - center, axis=1)
+    radii, vals = _dense_about(f, center, grid)
     outside = radii >= radius
     if not outside.any():
         raise NumericalRefusal("sampling grid does not reach outside the ball")
-    with np.errstate(all="ignore"):
-        vals = np.abs(np.atleast_1d(f(pts[outside])))
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        raise NumericalRefusal("no finite samples outside the ball")
-    return SupEstimate(float(vals.max()), SUP_DENSE)
+    return SupEstimate(float(vals[outside].max()), SUP_DENSE)
 
 
 def _peak(f: FunctionEvaluator, anchor: np.ndarray) -> float:
@@ -237,13 +243,12 @@ def _radius_below(f: FunctionEvaluator, anchor: np.ndarray, bound: float,
 
     In envelope mode the envelope is read about the anchor by the rule of
     `sup_outside`, whatever its centre, so R is rigorous. Without an envelope
-    a dense-sample scan is used, which is heuristic and resolves R only to
-    the grid step.
+    the dense samples of `_dense_about` are used, as in `sup_outside`, which
+    is heuristic and resolves R only to the grid step.
     """
     if f.envelope is not None:
         return _radius_from_envelope(_envelope_about(f, anchor), bound)
-    pts, _ = quadrature_points(grid, f.dim, tuple(s - anchor for s in f.singularities))
-    return _radius_from_samples(np.linalg.norm(pts, axis=1), _eval_abs(f, pts + anchor), bound)
+    return _radius_from_samples(*_dense_about(f, anchor, grid), bound)
 
 
 def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,

@@ -3,9 +3,9 @@
 Two top-level branches matter to callers: `InputError` means the request
 itself is malformed (bad dimensions, bad parameters, bad config), while
 `NumericalRefusal` means the request is well formed but cannot be answered
-at the requested level of rigor (missing envelope, singular integrand,
-vanishing denominator). The CLI maps the former to exit code 1 and the
-latter to exit code 2.
+at the requested level of rigor (missing envelope, singular integrand, an
+input not square-integrable, vanishing denominator). The CLI maps the former
+to exit code 1 and the latter to exit code 2.
 """
 
 import math
@@ -20,7 +20,9 @@ class InputError(TFCertError, ValueError):
 
 
 class NumericalRefusal(TFCertError, RuntimeError):
-    """The computation was refused rather than silently degraded."""
+    """The computation was refused rather than silently degraded: for example
+    a quadrature of an input not flagged square-integrable, whose truncation
+    error nothing bounds, or a nonfinite value at a required point."""
 
 
 class NotCertifiableError(NumericalRefusal):

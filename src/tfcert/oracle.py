@@ -20,7 +20,8 @@ from .errors import InputError, NumericalRefusal, finite
 from . import funcs
 from .funcs import _ER_FLAT_REACH, er_reach, er_weight
 from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _block_rows,
-                    _check_points_clear, _distinct_rows, axis_quadrature, finite_points,
+                    _check_points_clear, _clear_of, _distinct_rows,
+                    _require_square_integrable, axis_quadrature, finite_points,
                     inverse_fourier_multiplier, modulate, per_axis,
                     quadrature_points, stft_grid, tf_shift, translate)
 
@@ -165,10 +166,7 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     positive semidefinite however coarse or truncated the quadrature is, so
     the estimate mostly reads the rounding of the matrix product.
     """
-    if not f.square_integrable:
-        raise NumericalRefusal(
-            "gram_matrix requires a square-integrable input; "
-            "use collocation_rank for singular non-L2 functions")
+    _require_square_integrable(f, hint="; use collocation_rank for singular non-L2 functions")
     if lam.dim != f.dim:
         raise InputError("dimension mismatch")
     N = len(lam)
@@ -199,9 +197,10 @@ def default_collocation_points(f: FunctionEvaluator, lam: PointSet,
                                grid: Optional[GridSpec] = None) -> np.ndarray:
     """Time coordinates, pairwise midpoints, and 4N quasi-random box points.
 
-    Points falling on (or within the exclusion radius of) any shifted
-    singularity are dropped, since the collocation matrix needs every row
-    evaluated at every shift.
+    Points within the exclusion radius of any shifted singularity (at least
+    1e-12, `_exclusion`) are dropped by the clearance rule of the quadrature
+    nodes, since the collocation matrix needs every row evaluated at every
+    shift.
     """
     if f.dim != 1:
         raise InputError("default collocation sampling is implemented for dimension 1")
@@ -212,14 +211,8 @@ def default_collocation_points(f: FunctionEvaluator, lam: PointSet,
     cand = np.concatenate([times, np.asarray(mids, dtype=float),
                            _kronecker_points(4 * N, grid.half_width)])
     cand = np.unique(cand)
-    shifted_sings = [float(s[0] + t) for s in f.singularities for t in times]
-    if shifted_sings:
-        tol = max(grid.exclusion_radius, 1e-9)
-        keep = np.ones(cand.size, dtype=bool)
-        for s in shifted_sings:
-            keep &= np.abs(cand - s) > tol
-        cand = cand[keep]
-    return cand
+    sings = [s + x for s in f.singularities for x in lam.times()]
+    return cand[_clear_of(cand[:, None], sings, grid)]
 
 
 def collocation_rank(f: FunctionEvaluator, lam: PointSet,

@@ -92,6 +92,10 @@ singularity of f are dropped; nodes within it of a shifted window
 singularity get weight zero. Kernel rows are built in blocks of about
 `_WINDOW_BLOCK` values; that blocking changes no arithmetic.
 
+Every quadrature (`l2_norm`, `inner_product`, `fourier`, the STFT and the
+oracle's Gram matrix) refuses an input not flagged square-integrable
+through one rule, `_require_square_integrable`.
+
 A decay envelope bounds |f| outside balls about `envelope_center`; every
 exact operator keeps it valid, moving that centre with the function.
 
@@ -151,7 +155,8 @@ class GridSpec:
     """Truncation box [-half_width, half_width]^n with trapezoid sampling.
 
     `exclusion_radius` drops quadrature nodes inside a ball around each
-    singularity of the integrand (radius 0 drops exact coincidences only).
+    singularity of the integrand (radius 0 drops those within 1e-12 of one,
+    `_exclusion`).
     """
 
     half_width: float
@@ -193,6 +198,13 @@ class FunctionEvaluator:
     (the origin by default). The exact operators carry the envelope and move
     its centre with the function; the quadrature transforms drop it.
     `with_envelope` supplies one about the current centre.
+
+    `square_integrable=False` says f may not lie in L2, so that no quadrature
+    over the truncation box bounds its error: `l2_norm`, `inner_product`,
+    `fourier`, the STFT (as f or as the window) and the oracle's Gram
+    matrix refuse it with a NumericalRefusal (`_require_square_integrable`).
+    Pointwise evaluation, the separation certificates and the collocation
+    rank take it.
 
     `factors`, when present, are `dim` 1-D evaluators whose product is f:
     f(t) = factors[0](t_0) ... factors[n-1](t_{n-1}). A function with
@@ -348,9 +360,7 @@ def quadrature_points(grid: Optional[GridSpec], dim: int, singularities: Sequenc
     pts = np.stack([a.ravel() for a in np.meshgrid(*[t] * dim, indexing="ij")], axis=1)
     w = functools.reduce(np.multiply.outer, [wt] * dim).ravel()
     if singularities:
-        keep = np.ones(w.shape[0], dtype=bool)
-        for s in singularities:
-            keep &= _distance(pts, s) > _exclusion(grid)
+        keep = _clear_of(pts, singularities, grid)
         pts, w = pts[keep], w[keep]
     return pts, w
 
@@ -363,6 +373,27 @@ def _distance(pts: np.ndarray, center) -> np.ndarray:
 def _exclusion(grid: GridSpec) -> float:
     """Radius of the ball around a singularity whose nodes are excluded."""
     return max(grid.exclusion_radius, 1e-12)
+
+
+def _clear_of(pts: np.ndarray, singularities: Sequence, grid: GridSpec) -> np.ndarray:
+    """Mask of the (..., n) points farther than `_exclusion(grid)` from every
+    singularity: the one clearance rule of quadrature nodes, window offsets
+    and collocation points."""
+    keep = np.ones(pts.shape[:-1], dtype=bool)
+    for s in singularities:
+        keep &= _distance(pts, s) > _exclusion(grid)
+    return keep
+
+
+def _require_square_integrable(*fs: FunctionEvaluator, hint: str = "") -> None:
+    """Refuse a quadrature over the truncation box of any input not flagged
+    square-integrable, an envelope or not: a 1/r envelope such as that of
+    `singular_cos` bounds no tail mass, and the integral itself may diverge,
+    so the truncation error cannot be bounded. The one reader of the flag;
+    `hint` ends the message."""
+    if not all(f.square_integrable for f in fs):
+        raise NumericalRefusal("cannot bound the truncation error: "
+                               "the input is not flagged square-integrable" + hint)
 
 
 def _check_points_clear(points, singularities, dim: int):
@@ -396,7 +427,8 @@ def per_axis(rule: Callable, grid: Optional[GridSpec], *fs: FunctionEvaluator):
 
 def l2_norm(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> float:
     """Quadrature L2 norm of f over the truncation box (per axis when f
-    carries factors)."""
+    carries factors); refused for an f not flagged square-integrable."""
+    _require_square_integrable(f)
     norm = per_axis(lambda k, axis_grid, h: l2_norm(h, axis_grid), grid, f)
     if norm is not None:
         return float(norm)
@@ -408,9 +440,11 @@ def l2_norm(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> float:
 def inner_product(f: FunctionEvaluator, g: FunctionEvaluator,
                   grid: Optional[GridSpec] = None) -> complex:
     """Quadrature <f, g> = integral of f conj(g) over the truncation box (per
-    axis when both carry factors)."""
+    axis when both carry factors); refused unless both are flagged
+    square-integrable."""
     if f.dim != g.dim:
         raise InputError("dimension mismatch")
+    _require_square_integrable(f, g)
     value = per_axis(lambda k, axis_grid, h, q: inner_product(h, q, axis_grid), grid, f, g)
     if value is not None:
         return complex(value)
@@ -625,13 +659,9 @@ def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEv
     fhat(omega) = integral over [-L, L]^n of f(t) e^{-2 pi i omega.t} dt,
     evaluable at arbitrary omega (not only lattice points). Accuracy is
     bounded by the tail mass outside the box plus trapezoid error. Inputs
-    not flagged square-integrable are refused, an envelope or not: a 1/r
-    envelope such as that of `singular_cos` bounds no tail mass, and the
-    integral itself may diverge, so the truncation error cannot be bounded.
+    not flagged square-integrable are refused (`_require_square_integrable`).
     """
-    if not f.square_integrable:
-        raise NumericalRefusal(
-            "cannot bound the truncation error: the input is not flagged square-integrable")
+    _require_square_integrable(f)
     nodes, w = quadrature_points(grid, f.dim, f.singularities)
     weighted = f(nodes) * w
     fn = lambda om: _fourier_sum(np.reshape(om, (-1, f.dim)), nodes, weighted, -1.0)
@@ -717,14 +747,6 @@ def _flush(plane: np.ndarray) -> None:
     plane[np.abs(plane) < _TINY] = 0.0
 
 
-def _check_window(dim: int, g: FunctionEvaluator) -> None:
-    """Refuse a window that cannot serve in the STFT of a dim-dimensional f."""
-    if g.dim != dim:
-        raise InputError("dimension mismatch")
-    if not g.square_integrable:
-        raise InputError("stft requires square-integrable inputs")
-
-
 class _ScanLayout(NamedTuple):
     """The window side of an `_STFTScan`, reflected through the origin or not
     (`_STFTScan.layout`): the distinct shifts, the first `xs` of them the
@@ -759,8 +781,7 @@ class _STFTScan:
 
     def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
                  xs=(), omegas=(), points=()):
-        if not f.square_integrable:
-            raise InputError("stft requires square-integrable inputs")
+        _require_square_integrable(f)
         self.dim = f.dim
         self.grid = grid or GridSpec.default(f.dim)
         xs = _as_points(xs, f.dim)[0]
@@ -857,15 +878,17 @@ class _STFTScan:
         plane of -Im g. Entries where t_k lies within the exclusion radius of
         a singularity of the shifted window are zero.
         """
-        _check_window(self.dim, g)
+        if g.dim != self.dim:
+            raise InputError("dimension mismatch")
+        _require_square_integrable(g)
         # A complex-valued g adds a plane; its value type is read from an empty batch.
         q = 2 if np.iscomplexobj(g(np.empty((0, self.dim)))) else 1
 
         def window(t: np.ndarray) -> np.ndarray:
             with np.errstate(all="ignore"):
                 vals = g(t)
-            for s in g.singularities:
-                vals = np.where(_distance(t, s) <= _exclusion(self.grid), 0.0, vals)
+            if g.singularities:
+                vals = np.where(_clear_of(t, g.singularities, self.grid), vals, 0.0)
             return np.stack([vals.real, -vals.imag]) if q == 2 else vals.real[None]
 
         lattice, points = self.products(window, (None,) * q)

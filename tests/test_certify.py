@@ -565,6 +565,28 @@ def test_sup_outside_reads_the_envelope_about_any_center(f, center):
         assert dense.value <= est.value + 1e-12
 
 
+def test_sup_outside_samples_the_grid_of_the_decay_radius():
+    # no envelope; the taller bump at -7.5 lies off the grid centred on 7,
+    # which decay_radius and sup_outside both sample, so they agree
+    f = FunctionEvaluator(1, lambda t: np.exp(-PI * (t - 7.0) ** 2)
+                          + 1.5 * np.exp(-4.0 * PI * (t + 7.5) ** 2))
+    R = decay_radius(f, 2, anchor=[7.0])
+    assert sup_outside(f, R, [7.0]).value < abs(f(7.0))
+    pts, _ = quadrature_points(None, 1)
+    for r in (0.0, 0.5, 3.0):
+        t = pts[np.abs(pts[:, 0]) >= r] + 7.0
+        assert sup_outside(f, r, [7.0]).value == np.max(np.abs(f(t)))
+
+
+def test_sup_outside_refuses_a_nonfinite_sample_as_decay_radius_does():
+    f = FunctionEvaluator(1, lambda t: np.where(t > 5.0, np.inf, np.exp(-PI * t * t)))
+    with pytest.raises(NumericalRefusal, match="nonfinite"):
+        decay_radius(f, 2)
+    # an infinite sample bounds nothing, so it is refused, not skipped
+    with pytest.raises(NumericalRefusal, match="nonfinite"):
+        sup_outside(f, 1.0)
+
+
 def test_theorem2_rejects_bad_inputs():
     with pytest.raises(InputError):
         check_theorem2(make_gaussian(1), lam_times([0, 2]))  # no singularity

@@ -399,6 +399,21 @@ def test_fourier_of_singular_cos_exit_two(tmp_path, capsys, command, extra):
     assert "square-integrable" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    (("certify", "thm3"), {"lambda": [[0, 0], [3, 1]]}),
+    (("window-search",), {"R": 1.5, "N": 3, "budget": 10}),
+    (("oracle", "stft-identity"), {"u": 0.5, "eta": 0.5}),
+], ids=["thm3", "window-search", "stft-identity"])
+def test_stft_of_singular_cos_exit_two(tmp_path, capsys, command, extra):
+    # the STFT refuses a non-L2 f as every quadrature does, with exit 2
+    path = write_config(tmp_path, "sc.json", dict(
+        extra, function={"family": "singular_cos", "params": {"omega": 1}}))
+    code, out, err = run(capsys, *command, "--config", path, "--no-meta")
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1
+    assert "not flagged square-integrable" in err
+
+
 def test_corollary1_refuses_a_singular_function_as_theorem1_does(tmp_path, capsys):
     path = write_config(tmp_path, "e2.json", {
         "function": {"family": "example2", "params": {"omega": 0}},

@@ -312,6 +312,22 @@ def test_collocation_singular_cos_independent():
     assert report.relative_gap > 1e-6
 
 
+@pytest.mark.parametrize("exclusion", [0.0, 0.25])
+def test_default_collocation_points_clear_singularities_as_quadrature_nodes_do(exclusion):
+    # the midpoint 2.5e-10 lies 2.5e-10 from the singularities at 0 and 5e-10:
+    # the exclusion radius, floored at 1e-12 as for quadrature nodes, keeps it
+    # for a radius of 0, and collocation_rank accepts every kept point
+    f = make_singular_cos(1.0)
+    lam = PointSet.from_rows([[0, 0], [5e-10, 0], [3, 1]])
+    grid = GridSpec(8.0, 512, exclusion)
+    pts = default_collocation_points(f, lam, grid)
+    sings = np.array([s + x for s in f.singularities for x in lam.times()])
+    dist = np.abs(pts[:, None] - sings[None, :, 0]).min(axis=1)
+    assert (dist > max(exclusion, 1e-12)).all()
+    assert (2.5e-10 in pts) == (exclusion == 0.0)
+    collocation_rank(f, lam, pts)
+
+
 def test_collocation_single_function():
     f = make_gaussian(1)
     report = collocation_rank(f, PointSet.from_rows([[0, 0]]), [0.0, 0.5, 1.0])

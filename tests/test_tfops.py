@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     PointSet, WindowParams, chirp_mul, dilate, fourier,
-                    inner_product, l2_norm, make_edgar_rosenblatt, make_example1,
+                    gram_matrix, inner_product, l2_norm, make_edgar_rosenblatt, make_example1,
                     make_example2, make_gaussian, make_singular_cos, modulate,
                     realize_window, stft, stft_grid, stft_points, tf_shift,
                     translate)
@@ -685,9 +685,22 @@ def test_lattice_axis_is_exactly_antisymmetric(half_width):
 
 
 def test_stft_rejects_non_square_integrable():
-    from tfcert import make_singular_cos
-    with pytest.raises(InputError):
+    with pytest.raises(NumericalRefusal):
         stft(make_singular_cos(1.0), make_gaussian(1), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("quadrature", [
+    lambda sc, g: l2_norm(sc),
+    lambda sc, g: inner_product(sc, g),
+    lambda sc, g: inner_product(g, sc),
+    lambda sc, g: stft(g, sc, (0.0, 0.0)),
+    lambda sc, g: gram_matrix(sc, PointSet.from_rows([[0, 0]])),
+], ids=["l2_norm", "inner_product_f", "inner_product_g", "stft_window", "gram"])
+def test_every_quadrature_refuses_an_input_not_square_integrable(quadrature):
+    # cos t/|t| is not in L2 near 0, so its quadrature norm grows with the
+    # node count (17.7, 50.2 and 142 on 512, 4,096 and 32,768 nodes)
+    with pytest.raises(NumericalRefusal, match="not flagged square-integrable"):
+        quadrature(make_singular_cos(1.0), make_gaussian(1))
 
 
 def test_stft_dimension_mismatch():
