@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
-                    _check_points_clear, _STFTScan, axis_quadrature, dilate, finite_points,
-                    fourier, quadrature_points, translate)
+                    _check_points_clear, _check_values, _STFTScan, axis_quadrature,
+                    dilate, finite_points, fourier, quadrature_points, translate)
 
 BISECT_TOL = 1e-9
 # An envelope within this relative distance of the bound from 0 to twice the
@@ -119,8 +119,12 @@ def _eval_abs(f: FunctionEvaluator, points: np.ndarray) -> np.ndarray:
 
 
 def _min_pairwise(vecs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimum pairwise distance and the flat i<j distance list."""
+    """Minimum pairwise distance and the flat i<j distance list; N vectors of
+    length n whose N^2 n differences exceed MAX_ARRAY_VALUES are refused
+    before any is formed (`_check_values`), which also sizes
+    `_pair_differences`."""
     n = vecs.shape[0]
+    _check_values(n * n * vecs.shape[1], "pairwise differences")
     if n < 2:
         return math.inf, np.empty(0)
     diffs = vecs[:, None, :] - vecs[None, :, :]
@@ -276,8 +280,8 @@ def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
     """
     S = finite_points(shifts, f.dim, "shifts")
     N = S.shape[0]
-    peak = _peak(f, np.zeros(f.dim))
     M, _ = _min_pairwise(S)
+    peak = _peak(f, np.zeros(f.dim))
     if N == 1:
         return Certificate("Lemma1", "Certified", 1, 0.0, M, peak, math.inf,
                            (), SUP_POINTWISE)
@@ -288,22 +292,25 @@ def check_lemma1(f: FunctionEvaluator, shifts: Sequence) -> Certificate:
                        margins, SUP_POINTWISE)
 
 
-def _separation(theorem: str, peak: float, rows: np.ndarray,
+def _separation(theorem: str, read_peak: Callable[[], float], rows: np.ndarray,
                 radius: Callable[[float], float], sup_method: str,
                 axis: str) -> Certificate:
     """Certified when every two rows lie farther apart than radius(bound),
     the radius outside which the function the theorem reads stays below
     bound = peak/(N-1); the margins are the pairwise distances less it.
+    `read_peak` runs after the pairwise distances are sized, so a set too
+    large for them is refused before f is evaluated.
 
     A single row is vacuously Certified. Two coinciding rows (M = 0) fail
     whatever the radius, so a radius that cannot be certified then reads 0
     instead of refusing; `axis` names the coordinates in the note saying so.
     """
     N = rows.shape[0]
-    if N == 1:
-        return Certificate(theorem, "Certified", 1, 0.0, math.inf, peak,
-                           math.inf, (), sup_method)
     M, pair = _min_pairwise(rows)
+    peak = read_peak()
+    if N == 1:
+        return Certificate(theorem, "Certified", 1, 0.0, M, peak,
+                           math.inf, (), sup_method)
     bound = peak / (N - 1)
     note = None
     try:
@@ -328,7 +335,7 @@ def _decay_separation(theorem: str, f: FunctionEvaluator, rows: np.ndarray, axis
     if rows.shape[1] != f.dim:
         raise InputError("dimension mismatch between point set and function")
     anchor = _anchor(anchor, f.dim)
-    return _separation(theorem, _peak(f, anchor), rows,
+    return _separation(theorem, lambda: _peak(f, anchor), rows,
                        lambda bound: _radius_below(f, anchor, bound, grid),
                        SUP_ENVELOPE if f.envelope is not None else SUP_DENSE, axis)
 
@@ -536,6 +543,6 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
         R0 = float(violating.max()) if violating.size else 0.0
         return R0 + lattice.step * math.sqrt(2.0)
 
-    return _separation("Thm3", peak, lam.rows, radius,
+    return _separation("Thm3", lambda: peak, lam.rows, radius,
                        SUP_ENVELOPE if stft_envelope is not None else SUP_DENSE,
                        "time-frequency")

@@ -174,7 +174,7 @@ def _cmd_certify(args) -> tuple[dict, int, Callable[[], list] | None]:
     elif args.theorem == "thm2":
         cert = check_theorem2(f, lam, grid=grid)
     else:  # thm3
-        g = _function_from(cfg, "window", default={"family": "gaussian"})
+        g = _function_from(cfg, "window", default={"family": "gaussian", "params": {"n": dim}})
         cert = check_theorem3(f, g, lam, grid, _lattice_from(cfg, THM3_LATTICE))
 
     return {"report": cert.to_json()}, _verdict_exit(cert.verdict), None
@@ -229,7 +229,7 @@ def _cmd_oracle(args) -> tuple[dict, int, Callable[[], list] | None]:
         return {"report": rep.to_json()}, _verdict_exit(rep.verdict), \
             lambda: _matrix_csv(rep.matrix)
     if args.test == "stft-identity":
-        g = _function_from(cfg, "window", default={"family": "gaussian"})
+        g = _function_from(cfg, "window", default={"family": "gaussian", "params": {"n": dim}})
         lattice = _lattice_from(cfg, STFT_IDENTITY_LATTICE)
         rep = stft_identity_residual(f, g, cfg.get("u", 0.0), cfg.get("eta", 0.0),
                                      lattice, grid)

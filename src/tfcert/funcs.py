@@ -27,15 +27,16 @@ _ER_BLOCK = 512
 # and 1e-14 15 us; 3e-17 did not finish 200 points in 20 s.
 _ER_TOL_RANGE = (1e-14, 1e-3)
 # One ER evaluation at (a, b) costs about the same while |a| and |b| stay below
-# _ER_FLAT_REACH and grows linearly beyond it, and so do its panels and memory:
-# a block of points at reach 1e4 peaks at about 250 MB. So a point of a call
-# counts er_weight(reach) times, reach being the call's largest finite |a| or
-# |b|, and one call evaluates at most MAX_ER_WORK counted points. That admits
-# the five-term stencil of every lattice `oracle.er_lattice` accepts (at most
-# 5 MAX_ER_LATTICE counted points) and the default 512^2 dense scan within
-# reach 572.
+# _ER_FLAT_REACH and grows linearly beyond it, and so do its panels and memory.
+# So `check_er_work` bounds both: a point counts er_weight(reach) times, reach
+# being the largest |a| or |b|, and at most MAX_ER_WORK counted points run as
+# one call, one five-term stencil or one `oracle.er_lattice` stencil; and no
+# reach beyond MAX_ER_REACH runs. At that reach one block raised peak RSS by
+# 150 MB (points uniform in the square) to 320 MB (every point at the reach)
+# on x86-64. The rule admits the default 512^2 dense scan within reach 572.
 _ER_FLAT_REACH = 25.0
 MAX_ER_WORK = 6 * 10**6
+MAX_ER_REACH = 1e4 + 1.0
 _GL_RULE = None  # 10-point Gauss-Legendre (nodes, weights), built on first use
 
 
@@ -208,6 +209,16 @@ def er_reach(pts: np.ndarray) -> float:
     return float(np.abs(pts).max(initial=0.0))
 
 
+def check_er_work(count: float, reach: float, what: str) -> None:
+    """Refuse `count` ER points at this reach beyond MAX_ER_REACH or, each
+    counted er_weight(reach) times, beyond MAX_ER_WORK; `what` names them."""
+    if reach > MAX_ER_REACH or count * er_weight(reach) > MAX_ER_WORK:
+        raise InputError(
+            f"{what} beyond reach {MAX_ER_REACH:g} or beyond {MAX_ER_WORK} points, each counted "
+            f"max(1, reach / {_ER_FLAT_REACH:g}) times for the largest |a| or |b|, "
+            "are not supported")
+
+
 def _quad_tol(value: float) -> float:
     """`value` as an ER quadrature tolerance, refused outside _ER_TOL_RANGE."""
     lo, hi = _ER_TOL_RANGE
@@ -225,8 +236,9 @@ def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
     every point. The points are bisected together, level by level, in blocks
     of `_ER_BLOCK`; each value is bit-identical to a per-point depth-first
     bisection. A call with a non-finite point, whose bisection would never
-    meet the tolerance, or whose points, each counted er_weight(reach) times,
-    exceed MAX_ER_WORK is refused before any is evaluated. The
+    meet the tolerance, or whose points `check_er_work` refuses (a reach
+    beyond MAX_ER_REACH, or more than MAX_ER_WORK points each counted
+    er_weight(reach) times) is refused before any is evaluated. The
     square-integrable flag is left False: the function is only p-integrable
     for large p, so Gram quadrature is not certified.
     """
@@ -236,11 +248,7 @@ def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         if not np.isfinite(pts).all():
             raise InputError("Edgar-Rosenblatt points must be finite")
-        if pts.shape[0] * er_weight(er_reach(pts)) > MAX_ER_WORK:
-            raise InputError(
-                f"Edgar-Rosenblatt evaluations beyond {MAX_ER_WORK} points per call, each "
-                f"counted max(1, reach / {_ER_FLAT_REACH:g}) times for the largest |a|, |b|, "
-                "are not supported")
+        check_er_work(pts.shape[0], er_reach(pts), "Edgar-Rosenblatt evaluations")
         out = np.empty(pts.shape[0], dtype=complex)
         for s in range(0, pts.shape[0], _ER_BLOCK):
             block = pts[s:s + _ER_BLOCK]

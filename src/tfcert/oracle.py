@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import InputError, NumericalRefusal, finite
 from . import funcs
-from .funcs import _ER_FLAT_REACH, er_reach, er_weight
+from .funcs import check_er_work, er_reach
 from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _block_rows,
-                    _check_points_clear, _clear_of, _distinct_rows,
+                    _check_points_clear, _check_values, _clear_of, _distinct_rows,
                     _require_square_integrable, axis_quadrature, finite_points,
                     inverse_fourier_multiplier, modulate, per_axis,
                     quadrature_points, stft_grid, tf_shift, translate)
@@ -32,14 +32,10 @@ TWO_PI = 2.0 * np.pi
 EPS_INDEP = 1e-6
 EPS_DEP = 1e-10
 MAX_MATRIX = 64
-# A lattice point counts er_weight(half_width + 1) times against
-# MAX_ER_LATTICE, by the rule the ER evaluator applies to each call.
-MAX_ER_LATTICE = 10**6
-MAX_ER_HALF_WIDTH = 1e4
 # Lattice points per block of the five-term stencil of `dependence_residual_er`.
 # Every lattice of the benchmark's `oracle_sweep` (about 2,500 points) is one
-# block. On the largest lattice `er_lattice` accepts (998,001 points), blocks
-# of 65,536 peaked at 91 MB RSS against 473 MB for one block (2-core x86-64).
+# block. On a lattice of 998,001 points, blocks of 65,536 peaked at 91 MB RSS
+# against 473 MB for one block (2-core x86-64).
 _ER_STENCIL_BLOCK = 1 << 16
 # The (x, omega) lattice `stft_identity_residual` scans when none is given.
 STFT_IDENTITY_LATTICE = GridSpec(3.0, 33)
@@ -105,15 +101,28 @@ def _classify(sigma_min: float, sigma_max: float) -> tuple[float, str]:
     return gap, "Inconclusive"
 
 
+def _matrix_size(f: FunctionEvaluator, lam: PointSet) -> int:
+    """N = len(lam), refusing a point set of another dimension than f or of
+    more than MAX_MATRIX points."""
+    if lam.dim != f.dim:
+        raise InputError("dimension mismatch")
+    if len(lam) > MAX_MATRIX:
+        raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
+    return len(lam)
+
+
 def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.ndarray:
     """Matrix of (pi(lambda_i) f)(t_k) values, rows indexed by i.
 
-    Each row is evaluated in blocks of _WINDOW_BLOCK nodes: the 2-D default
-    grid has 512^2 nodes, and whole-grid temporaries of every row evaluation
-    made peak memory depend on the order of the matrix sizes. The values are
-    pointwise, so they do not depend on the blocking. A nonfinite value (a
-    shift too large to evaluate) is refused before any linear algebra.
+    A matrix beyond MAX_ARRAY_VALUES values is refused before any is
+    evaluated (`_check_values`). Each row is evaluated in blocks of
+    _WINDOW_BLOCK nodes: the 2-D default grid has 512^2 nodes, and
+    whole-grid temporaries of every row evaluation made peak memory depend on
+    the order of the matrix sizes. The values are pointwise, so they do not
+    depend on the blocking. A nonfinite value (a shift too large to
+    evaluate) is refused before any linear algebra.
     """
+    _check_values(len(lam) * pts.shape[0], "shift matrices")
     out = np.empty((len(lam), pts.shape[0]), dtype=complex)
     for i, row in enumerate(lam.rows):
         shifted = tf_shift(f, row)
@@ -167,11 +176,7 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     the estimate mostly reads the rounding of the matrix product.
     """
     _require_square_integrable(f, hint="; use collocation_rank for singular non-L2 functions")
-    if lam.dim != f.dim:
-        raise InputError("dimension mismatch")
-    N = len(lam)
-    if N > MAX_MATRIX:
-        raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
+    N = _matrix_size(f, lam)
     G = per_axis(lambda k, axis_grid, h: _axis_gram(k, axis_grid, h, lam), grid, f)
     if G is None:
         G = _dense_gram(f, lam, grid)
@@ -225,11 +230,7 @@ def collocation_rank(f: FunctionEvaluator, lam: PointSet,
     heuristic. Degenerate sampling (all rows numerically zero) is
     Inconclusive, not Dependent.
     """
-    if lam.dim != f.dim:
-        raise InputError("dimension mismatch")
-    N = len(lam)
-    if N > MAX_MATRIX:
-        raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
+    N = _matrix_size(f, lam)
     pts = finite_points(sample_points, f.dim, "sample_points")
     if pts.shape[0] < N:
         raise InputError("need at least N sample points")
@@ -253,18 +254,16 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
     five shifted stencils, which overlap heavily on regular lattices. Each
     value depends on its point alone, so the blocks change no residual.
     The whole stencil, five points per given point one unit beyond their
-    reach, is held to the evaluator's MAX_ER_WORK before any block runs, and
-    an empty or non-finite point list is refused (`finite_points`).
+    reach, is held to the evaluator's rule (`funcs.check_er_work`) before any
+    block runs, and an empty or non-finite point list is refused
+    (`finite_points`).
     """
     quad_tol = float(quad_tol)
     if quad_tol > 1e-6:
         raise InputError("quad_tol must be at most 1e-6 for the residual test")
     f = funcs.make_edgar_rosenblatt(quad_tol)
     pts = finite_points(points, 2, "ER residual points")
-    if 5 * pts.shape[0] * er_weight(er_reach(pts) + 1.0) > funcs.MAX_ER_WORK:
-        raise InputError(
-            f"five-term stencils beyond {funcs.MAX_ER_WORK} Edgar-Rosenblatt points, each "
-            f"counted max(1, reach / {_ER_FLAT_REACH:g}) times, are not supported")
+    check_er_work(5 * pts.shape[0], er_reach(pts) + 1.0, "five-term stencils")
     shifts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     peaks = []
     for lo in range(0, pts.shape[0], _ER_STENCIL_BLOCK):
@@ -282,20 +281,19 @@ def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
 def er_lattice(half_width: float = 3.0, step: float = 0.25) -> np.ndarray:
     """Square lattice of (a, b) points used by the dependence residual.
 
-    Refuses a non-finite or non-positive half width or step, a half width
-    beyond MAX_ER_HALF_WIDTH, and lattices of more than MAX_ER_LATTICE
-    points, each counted er_weight(half_width + 1) times.
+    Refuses a non-finite or non-positive half width or step, and, before
+    allocating, a lattice whose five-term stencil `dependence_residual_er`
+    would refuse: 5 side^2 points at reach half_width + 1, by the evaluator's
+    rule (`funcs.check_er_work`).
     """
     half_width, step = finite(half_width, "half_width"), finite(step, "step")
     if half_width <= 0.0 or step <= 0.0:
         raise InputError("half_width and step must be positive")
-    if half_width > MAX_ER_HALF_WIDTH:
-        raise InputError(f"er lattices beyond half_width {MAX_ER_HALF_WIDTH:g} are not supported")
     side = np.ceil((half_width + 1e-12 + half_width) / step)  # np.arange's length
-    if side > math.sqrt(MAX_ER_LATTICE / er_weight(half_width + 1.0)):
-        raise InputError(f"er lattices beyond {MAX_ER_LATTICE} points, each counted "
-                         f"max(1, (half_width + 1) / {_ER_FLAT_REACH:g}) times, "
-                         "are not supported")
+    # A side beyond MAX_ER_WORK is refused whatever the reach, and capping it
+    # there keeps its square finite.
+    check_er_work(5.0 * min(side, funcs.MAX_ER_WORK) ** 2, half_width + 1.0,
+                  "five-term stencils of er lattices")
     axis = np.arange(-half_width, half_width + 1e-12, step)
     a, b = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([a.ravel(), b.ravel()])

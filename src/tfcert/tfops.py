@@ -129,11 +129,13 @@ _TINY = np.finfo(float).tiny
 # 512 doubled both. An even f's pass (86 shifts) peaks at 2.3 MB.
 _NODE_BLOCK = 256
 # Size limits, checked before anything is allocated: samples per grid axis
-# and nodes per quadrature grid, and the values of an STFT scan, counted as
-# complex: K nodes times its xs, omegas and points, plus its lattice field
-# (up to 256 MB).
+# and nodes per quadrature grid, and the values of each dense array a request
+# sizes (`_check_values`, up to 256 MB as complex): an STFT scan's K nodes
+# times its xs, omegas and points, plus its lattice field; an oracle shift
+# matrix of N shifts times K nodes or sample points; and the N^2 n pairwise
+# differences of a separation check or `lemma1`.
 MAX_NODES = 1 << 22
-MAX_SCAN_VALUES = 1 << 24
+MAX_ARRAY_VALUES = 1 << 24
 # The exps a dense Fourier sum may compute, m targets times K nodes. A sum at
 # the bound takes about 20 s on x86-64 with one BLAS thread.
 MAX_DENSE_PHASES = 1 << 29
@@ -554,6 +556,13 @@ def _outer_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_values(count: int, what: str) -> None:
+    """Refuse a dense array of more than MAX_ARRAY_VALUES values before it is
+    allocated; `what` names the arrays."""
+    if count > MAX_ARRAY_VALUES:
+        raise InputError(f"{what} beyond {MAX_ARRAY_VALUES} values are not supported")
+
+
 def _block_rows(k: int) -> int:
     """Rows per block of a (rows, k) array with about `_WINDOW_BLOCK` values."""
     return max(1, _WINDOW_BLOCK // max(k, 1))
@@ -789,8 +798,7 @@ class _STFTScan:
         pts = _as_points(points, 2 * f.dim)[0]
         m, p = xs.shape[0], omegas.shape[0]
         rows = m + p + pts.shape[0]
-        if self.grid.samples_per_axis ** f.dim * rows + m * p > MAX_SCAN_VALUES:
-            raise InputError(f"STFT scans beyond {MAX_SCAN_VALUES} values are not supported")
+        _check_values(self.grid.samples_per_axis ** f.dim * rows + m * p, "STFT scans")
         self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
         self.fw = f(self.nodes) * w
         # For a real f, V(x, -omega) = conj V(x, omega) on each real window

@@ -180,6 +180,26 @@ def test_theorem1_dense_scan_refuses_a_bump_on_the_grid_edge():
 # check_lemma1
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("check", [
+    lambda f, rows: check_theorem1(f, PointSet.from_rows(rows)),
+    lambda f, rows: check_lemma1(f, [r[0] for r in rows]),
+], ids=["thm1", "lemma1"])
+def test_pairwise_differences_beyond_the_value_bound_are_refused_before_any_evaluation(
+        check, monkeypatch):
+    # 32 rows make 32^2 = 1,024 time differences.
+    from tfcert import tfops
+    calls = []
+    f = make_example1(4.0, 1.0)
+    counting = replace(f, fn=lambda t: calls.append(np.size(t)) or f.fn(t))
+    rows = [[8.0 * k, 0.0] for k in range(32)]  # the radius is 31 / 4
+    monkeypatch.setattr(tfops, "MAX_ARRAY_VALUES", 1023)
+    with pytest.raises(InputError, match="pairwise differences beyond 1023 values"):
+        check(counting, rows)
+    assert calls == []
+    monkeypatch.setattr(tfops, "MAX_ARRAY_VALUES", 1024)
+    assert check(counting, rows).verdict == "Certified"
+
+
 def test_lemma1_single_function():
     cert = check_lemma1(make_gaussian(1), [0.0])
     assert cert.certified

@@ -656,6 +656,40 @@ def test_far_anchor_er_scan_is_refused_at_once(tmp_path, capsys, monkeypatch):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_er_collocation_beyond_the_reach_cap_is_refused_at_once(tmp_path, capsys, monkeypatch):
+    # One sample point at reach 2e4 is far within the ER work bound, but the
+    # bisection's memory grows with the reach; no ER block may run.
+    evaluated = []
+    monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: evaluated.append(a.size)
+                        or np.zeros(a.size, dtype=complex))
+    cfg = write_config(tmp_path, "far.json", {
+        "function": {"family": "edgar_rosenblatt"},
+        "lambda": [[0, 0, 0, 0]], "sample_points": [[2e4, 0]]})
+    code, out, err = run(capsys, "oracle", "collocation", "--config", cfg)
+    assert code == 1 and out == "" and evaluated == []
+    assert err.startswith("input error: Edgar-Rosenblatt evaluations beyond reach 10001")
+    assert err.count("\n") == 1
+
+
+def test_stft_default_window_takes_the_dimension_of_f(tmp_path, capsys):
+    one = {"function": {"family": "example1", "params": {"C": 4, "omega": 1}},
+           "lambda": [[0, 0], [2.5, 0], [0, 2.5]]}
+    two = {"dimension": 2, "function": {"family": "gaussian", "params": {"n": 2}},
+           "lambda": [[0, 0, 0, 0]]}
+    explicit = dict(one, window={"family": "gaussian", "params": {"n": 1}})
+    outs = [run(capsys, "certify", "thm3", "--config", write_config(tmp_path, "c.json", cfg),
+                "--no-meta") for cfg in (one, explicit, two)]
+    assert outs[0] == outs[1]
+    code, out, err = outs[2]
+    assert code == 0 and err == ""
+    assert json.loads(out)["report"]["verdict"] == "Certified"
+    cfg = write_config(tmp_path, "id.json", {"dimension": 2, "function": two["function"],
+                                             "u": 0.5, "eta": 0.5})
+    code, out, err = run(capsys, "oracle", "stft-identity", "--config", cfg)
+    assert code == 1 and out == ""
+    assert err == "input error: identity residual scan is implemented for dimension 1\n"
+
+
 def test_csv_rejected_for_certificates(thm1_config, capsys):
     code, _, err = run(capsys, "certify", "thm1", "--config", thm1_config,
                        "--format", "csv")

@@ -186,6 +186,21 @@ def test_edgar_rosenblatt_refuses_non_finite_points(bad, monkeypatch):
     assert evaluated == []
 
 
+def test_edgar_rosenblatt_refuses_a_point_beyond_the_reach_cap(monkeypatch):
+    # One point at reach 2e4 counts 800 times, far within MAX_ER_WORK, but
+    # its bisection's memory grows with the reach: it is refused unevaluated.
+    from tfcert import funcs
+    evaluated = []
+    monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: evaluated.append(a.size)
+                        or np.zeros(a.size, dtype=complex))
+    f = make_edgar_rosenblatt(1e-9)
+    with pytest.raises(InputError, match="beyond reach 10001"):
+        f(np.array([[2e4, 0.0]]))
+    assert evaluated == []
+    assert f(np.array([[0.0, -funcs.MAX_ER_REACH]])).shape == (1,)
+    assert evaluated == [1]
+
+
 def test_gaussian_two_dimensional_sum_of_squares_is_exact():
     t = np.random.default_rng(5).uniform(-6.0, 6.0, (4096, 2))
     g = make_gaussian(2)

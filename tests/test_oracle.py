@@ -244,10 +244,36 @@ def test_gram_refuses_non_square_integrable():
         gram_matrix(make_singular_cos(1.0), PointSet.from_rows([[0, 0], [3, 0]]))
 
 
-def test_gram_rejects_oversized_sets():
+def test_gram_and_collocation_reject_oversized_sets():
     lam = PointSet.from_rows([[k, 0] for k in range(65)])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="point sets beyond 64"):
         gram_matrix(make_gaussian(1), lam)
+    with pytest.raises(InputError, match="point sets beyond 64"):
+        collocation_rank(make_gaussian(1), lam, np.linspace(-8.0, 8.0, 100))
+
+
+def _counting_example1(calls):
+    """example1 with C = 4, omega = 1, recording the size of each evaluation."""
+    f = make_example1(4.0, 1.0)
+    return dataclasses.replace(f, fn=lambda t: calls.append(np.size(t)) or f.fn(t))
+
+
+@pytest.mark.parametrize("oracle_of", [
+    lambda f, lam: gram_matrix(f, lam, GridSpec(8.0, 501)),
+    lambda f, lam: collocation_rank(f, lam, np.linspace(-8.0, 8.0, 501)),
+], ids=["gram", "collocation"])
+def test_shift_matrix_beyond_the_value_bound_is_refused_before_any_evaluation(
+        oracle_of, monkeypatch):
+    # Two shifts on 501 nodes or sample points make 1,002 values.
+    from tfcert import tfops
+    monkeypatch.setattr(tfops, "MAX_ARRAY_VALUES", 1001)
+    calls = []
+    f, lam = _counting_example1(calls), PointSet.from_rows([[0, 0], [2.5, 1]])
+    with pytest.raises(InputError, match="shift matrices beyond 1001 values"):
+        oracle_of(f, lam)
+    assert calls == []
+    monkeypatch.setattr(tfops, "MAX_ARRAY_VALUES", 1002)
+    assert oracle_of(f, lam).verdict == "Independent"
 
 
 def test_gram_two_dimensional():
@@ -427,16 +453,21 @@ def test_er_residual_monotone_refinement():
 @pytest.mark.parametrize("half_width, step", [
     (3.0, 0.0), (3.0, -0.25), (3.0, math.nan), (math.nan, 0.25), (-1.0, 0.25),
     (0.0, 0.25), (math.inf, 0.25), (3.0, 1e-300), (3.0, 5e-324), (1000.0, 0.5),
-    (1e4, 25.0), (1e5, 250.0), (1000.0, 12.6), (2e4, 1e4),
+    (1e4, 25.0), (1e5, 250.0), (1000.0, 11.5), (2e4, 1e4),
 ])
 def test_er_lattice_rejects_bad_parameters(half_width, step):
+    # (1000, 11.5): 174^2 points, whose stencil of 5 174^2 points at reach
+    # 1001, each counted 40.04 times, is just beyond 6e6
     with pytest.raises(InputError):
         er_lattice(half_width, step)
 
 
 @pytest.mark.parametrize("half_width, step, per_axis", [
     (24.0, 0.05, 961),      # reach 24: only the point count is bounded
-    (1000.0, 12.66, 158),   # 158^2 points, each counted 40.04 times
+    (1000.0, 12.66, 158),   # a stencil of 5 158^2 points, each counted 40.04 times
+    (1000.0, 12.6, 159),
+    (1000.0, 11.57, 173),   # the largest side at half width 1000
+    (1e4, 400.0, 50),       # the largest reach, 1e4 + 1 for the stencil
 ])
 def test_er_lattice_accepts_work_within_bound(half_width, step, per_axis):
     assert er_lattice(half_width, step).shape == (per_axis ** 2, 2)
