@@ -438,7 +438,9 @@ def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
     the R/2-ball around p (the envelope about p, else a dense sample), then
     walks x toward p along a halving sequence until |f(x)| > A(N-1). The
     returned translate is consistency-checked by re-running the pointwise
-    Lemma-1 inequalities on the re-anchored function.
+    Lemma-1 inequalities on the re-anchored function. A repeated time gives
+    R = M = 0, a non-finite peak and bound, the pairwise time distances as
+    margins and a NotCertified verdict, as for check_theorem1.
     """
     if len(f.singularities) != 1:
         raise InputError("check_theorem2 expects exactly one singularity")
@@ -459,9 +461,13 @@ def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
             x = p + step * _unit(f.dim)
         raise NumericalRefusal("could not find a nonzero value near the singularity")
 
-    R, _ = _min_pairwise(lam.times())
+    times = lam.times()
+    R, _ = _min_pairwise(times)
     if R == 0.0:
-        raise InputError("min pairwise time separation is zero")
+        # Two coinciding translates: no walk toward p separates them, so
+        # nothing is evaluated; R = M = 0 and the peak is unknown.
+        return _separation("Thm2", lambda: math.nan, times, lambda bound: 0.0,
+                           SUP_ENVELOPE if f.envelope is not None else SUP_DENSE, "time")
 
     half = R / 2.0
     bound_outside = sup_outside(f, half, p, grid=grid)
@@ -472,7 +478,6 @@ def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
 
     need = A * (N - 1)
     direction = _unit(f.dim)
-    times = lam.times()
     rho = half
     for _ in range(500):
         rho *= 0.5

@@ -241,9 +241,8 @@ def _cmd_oracle(args) -> tuple[dict, int, Callable[[], list] | None]:
         raise InputError("metaplectic config requires a 'kind'")
     params = tuple(convert(float, cfg.get(k, d), k)
                    for k, d in (("r", 1.0), ("x", 0.0), ("omega", 0.0)))
-    reports = metaplectic_residual(kind, params, f, cfg.get("sample_points"), grid)
-    body = {name: rep.to_json() for name, rep in reports.items()}
-    return {"report": body}, EXIT_OK, None
+    rep = metaplectic_residual(kind, params, f, cfg.get("sample_points"), grid)
+    return {"report": {"standard": rep.to_json()}}, EXIT_OK, None
 
 
 # ---------------------------------------------------------------------------

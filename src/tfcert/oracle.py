@@ -4,8 +4,8 @@ The Gram and collocation tests never consult the certificate machinery; they
 measure extremal singular values of matrices assembled directly from the
 shifted functions, and act as the numeric surrogate for true linear
 independence. Residual testers probe the exactness of operator identities on
-sample grids, fitting a global unimodular phase where the identity is only
-claimed up to phase.
+sample grids; the metaplectic identities hold up to a phase known in closed
+form, and each is checked at that phase, with no phase fitted.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import numpy as np
 from .errors import InputError, NumericalRefusal, finite
 from . import funcs
 from .funcs import check_er_work, er_reach
-from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _block_rows,
+from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet,
                     _check_points_clear, _check_values, _clear_of, _distinct_rows,
-                    _require_square_integrable, axis_quadrature, finite_points,
-                    inverse_fourier_multiplier, modulate, per_axis,
+                    _require_square_integrable, axis_quadrature, chirp_mul, dilate,
+                    finite_points, inverse_fourier_multiplier, modulate, per_axis,
                     quadrature_points, stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
@@ -321,66 +321,28 @@ def stft_identity_residual(f: FunctionEvaluator, g: FunctionEvaluator,
                           best_phase=1.0 + 0.0j)
 
 
-def _best_unimodular_phase(lhs: np.ndarray, rhs: np.ndarray) -> complex:
-    """Unimodular c minimizing max |lhs - c rhs| (coarse scan + golden refine).
-
-    Returns the best phase among all evaluated candidates, so exact
-    identities (where the least-squares phase already zeroes the residual)
-    come back with exactly that phase.
-    """
-    s = np.vdot(rhs, lhs)
-    center = float(np.angle(s)) if abs(s) > 0 else 0.0
-    objective = lambda th: float(np.max(np.abs(lhs - np.exp(1j * th) * rhs)))
-
-    best_th, best_val = center, objective(center)
-    thetas = center + np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    step = _block_rows(np.size(lhs))  # angles per block of about _WINDOW_BLOCK values
-    scan = np.concatenate([np.abs(lhs - np.exp(1j * th[:, None]) * rhs).max(axis=1)
-                           for th in np.split(thetas, range(step, thetas.size, step))])
-    j = int(np.argmin(np.where(np.isnan(scan), np.inf, scan)))  # the first least non-NaN
-    if scan[j] < best_val:
-        best_th, best_val = float(thetas[j]), float(scan[j])
-
-    span = 2.0 * np.pi / 512.0
-    a, b = best_th - span, best_th + span
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = objective(c1), objective(c2)
-    for _ in range(60):
-        if f1 < best_val:
-            best_th, best_val = c1, f1
-        if f2 < best_val:
-            best_th, best_val = c2, f2
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = objective(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = objective(c2)
-    return complex(np.exp(1j * best_th))
-
-
 METAPLECTIC_KINDS = ("dilation", "chirp", "fourier_multiplier")
 
 
 def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
-                         sample_points=None, grid: Optional[GridSpec] = None) -> dict:
-    """Covariance residuals of a metaplectic transform against pi(lambda).
+                         sample_points=None, grid: Optional[GridSpec] = None) -> ResidualReport:
+    """Covariance residual of a metaplectic transform U against pi(lambda).
 
-    For the requested transform (dilation, chirp multiplication, or the
-    chirp Fourier multiplier applied in the frequency domain) this evaluates
-    the left side L = U (M_omega T_x f) and candidate right sides
-    c M_{omega'} T_{x'} U f on the sample grid, fitting the best global
-    unimodular phase c per candidate. Returned mapping always contains the
-    'printed' parameterization and a 'standard' alternative derived from the
-    operator definitions.
-    Residuals are reported as-is: the tester asserts correctness of neither
-    convention.
+    Each kind checks its standard identity U M_omega T_x f = c M_omega' T_x' U f
+    at its closed-form phase c (Folland, Harmonic Analysis in Phase Space,
+    1989, ch. 4), with (omega, x) = params[1:] and r = params[0]:
+
+    - dilation D_r h(t) = |r|^{1/2} h(r t): (omega', x') = (r omega, x / r),
+      c = 1;
+    - chirp C_r h(t) = e^{2 pi i r t^2} h(t): (omega + 2 r x, x),
+      c = e^{-2 pi i r x^2};
+    - Fourier multiplier U = F^{-1} e^{2 pi i r xi^2} F, applied by quadrature
+      in the frequency domain: (omega, x - 2 r omega), c = e^{2 pi i r omega^2}.
+
+    Both sides are evaluated once on the sample points (201 points in
+    [-4, 4] by default); the residual is max |lhs - c rhs|, with
+    best_phase = c and no phase fitted.
     """
-    from .tfops import chirp_mul, dilate
     if kind not in METAPLECTIC_KINDS:
         raise InputError(f"unknown metaplectic kind {kind!r}")
     if f.dim != 1:
@@ -394,26 +356,18 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
     else:
         pts = finite_points(sample_points, 1, "sample_points")[:, 0]
 
-    shifted = modulate(translate(f, x), omega)
     if kind == "dilation":
         apply_u = lambda h: dilate(h, r)
-        variants = {"printed": (omega / r, x * r), "standard": (r * omega, x / r)}
+        om2, x2, c = r * omega, x / r, 1.0 + 0.0j
     elif kind == "chirp":
         apply_u = lambda h: chirp_mul(h, r)
-        variants = {"printed": (omega - x * r, x), "standard": (omega + 2.0 * r * x, x)}
+        om2, x2, c = omega + 2.0 * r * x, x, np.exp(-TWO_PI * 1j * r * x * x)
     else:
         mult = lambda xi: np.exp(TWO_PI * 1j * r * xi * xi)
         apply_u = lambda h: inverse_fourier_multiplier(h, mult, grid)
-        variants = {"printed": (-omega, -x - r * omega),
-                    "standard": (omega, x - 2.0 * r * omega)}
+        om2, x2, c = omega, x - 2.0 * r * omega, np.exp(TWO_PI * 1j * r * omega * omega)
 
-    lhs = apply_u(shifted)(pts)
-    uf = apply_u(f)
-    reports = {}
-    for name, (om2, x2) in variants.items():
-        rhs = modulate(translate(uf, x2), om2)(pts)
-        c = _best_unimodular_phase(lhs, rhs)
-        res = float(np.max(np.abs(lhs - c * rhs)))
-        reports[name] = ResidualReport(f"{kind}_covariance[{name}]", res,
-                                       phase_optimized=True, best_phase=c)
-    return reports
+    lhs = apply_u(modulate(translate(f, x), omega))(pts)
+    rhs = modulate(translate(apply_u(f), x2), om2)(pts)
+    return ResidualReport(f"{kind}_covariance[standard]", float(np.max(np.abs(lhs - c * rhs))),
+                          phase_optimized=False, best_phase=complex(c))

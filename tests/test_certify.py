@@ -610,9 +610,18 @@ def test_sup_outside_refuses_a_nonfinite_sample_as_decay_radius_does():
 def test_theorem2_rejects_bad_inputs():
     with pytest.raises(InputError):
         check_theorem2(make_gaussian(1), lam_times([0, 2]))  # no singularity
-    with pytest.raises(InputError):
-        check_theorem2(make_singular_cos(1.0),
-                       PointSet.from_rows([[0, 0], [0, 1]]))  # zero separation
+
+
+def test_theorem2_repeated_time_is_not_certified():
+    # As in check_theorem1: two coinciding times fail, with no exception.
+    cert = check_theorem2(make_singular_cos(1.0),
+                          PointSet.from_rows([[0, 0], [0, 1], [3, 0]]))
+    assert cert.verdict == "NotCertified"
+    assert (cert.N, cert.R, cert.M) == (3, 0.0, 0.0)
+    assert cert.margins == (0.0, 3.0, 3.0)  # the pairwise time distances
+    doc = cert.to_json()
+    assert doc["peak"] is None and doc["bound"] is None
+    assert doc["note"] == "duplicate time coordinates: min pairwise time separation is zero"
 
 
 # ---------------------------------------------------------------------------

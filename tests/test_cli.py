@@ -128,6 +128,19 @@ def test_certify_thm2_and_thm3(tmp_path, capsys):
     assert json.loads(out)["report"]["sup_method"] == "DenseSample"
 
 
+def test_certify_thm2_repeated_time_exits_three(tmp_path, capsys):
+    cfg = write_config(tmp_path, "t2.json", {
+        "function": {"family": "singular_cos", "params": {"omega": 1.0}},
+        "lambda": [[0, 0], [0, 1], [3, 0]]})
+    code, out, err = run(capsys, "certify", "thm2", "--config", cfg, "--no-meta")
+    assert (code, err) == (3, "")
+    rep = json.loads(out)["report"]
+    assert rep["verdict"] == "NotCertified" and rep["R"] == rep["M"] == 0.0
+    assert rep["peak"] is None and rep["bound"] is None
+    assert rep["margins"] == [0.0, 3.0, 3.0]
+    assert "min pairwise time separation is zero" in rep["note"]
+
+
 def test_certify_lemma1_and_corollaries(tmp_path, capsys):
     cfg = write_config(tmp_path, "l1.json", {
         "function": {"family": "example1", "params": {"C": 8, "omega": 0}},
@@ -208,8 +221,10 @@ def test_oracle_stft_identity_and_metaplectic(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "metaplectic", "--config", cfg, "--no-meta")
     assert code == 0
     doc = json.loads(out)
+    assert list(doc["report"]) == ["standard"]
     assert doc["report"]["standard"]["max_abs_residual"] < 1e-10
-    assert doc["report"]["printed"]["max_abs_residual"] > 0.1
+    assert doc["report"]["standard"]["phase_optimized"] is False
+    assert doc["report"]["standard"]["best_phase"] == [1.0, 0.0]
 
 
 def test_window_search_json_and_csv(tmp_path, capsys):

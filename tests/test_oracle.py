@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
-                    PointSet, SingularityHitError, check_theorem1,
+                    PointSet, SingularityHitError, check_theorem1, chirp_mul,
                     collocation_rank, default_collocation_points,
-                    dependence_residual_er, er_lattice, gram_matrix,
+                    dependence_residual_er, dilate, er_lattice, gram_matrix,
                     make_example1, make_example2, make_gaussian,
                     make_singular_cos, metaplectic_residual, modulate,
                     stft_grid, stft_identity_residual, tf_shift, translate)
 from tfcert import oracle
-from tfcert.tfops import quadrature_points
+from tfcert.tfops import inverse_fourier_multiplier, quadrature_points
 
 PI = math.pi
+TWO_PI = 2.0 * np.pi
 
 
 def bump():
@@ -547,91 +548,95 @@ def test_stft_identity_ordering_phase_relation():
 # metaplectic residuals
 # ---------------------------------------------------------------------------
 
+# The closed-form phase c of each standard identity
+# U M_omega T_x f = c M_omega' T_x' U f (Folland 1989, ch. 4).
+CLOSED_FORM_PHASE = {
+    "dilation": lambda r, x, omega: 1.0 + 0.0j,
+    "chirp": lambda r, x, omega: np.exp(-TWO_PI * 1j * r * x * x),
+    "fourier_multiplier": lambda r, x, omega: np.exp(TWO_PI * 1j * r * omega * omega),
+}
+
+
 def test_metaplectic_dilation_identity_at_r_one():
-    reports = metaplectic_residual("dilation", (1.0, 1.0, 1.0), make_gaussian(1))
-    assert reports["printed"].max_abs_residual == 0.0
+    report = metaplectic_residual("dilation", (1.0, 1.0, 1.0), make_gaussian(1))
+    assert report.max_abs_residual == 0.0
+    assert report.best_phase == 1.0
 
 
 def test_metaplectic_dilation_standard_convention_exact():
-    reports = metaplectic_residual("dilation", (2.0, 1.0, 1.0), make_gaussian(1))
-    assert reports["standard"].max_abs_residual < 1e-12
-    # the printed parameterization documents the convention mismatch
-    assert reports["printed"].max_abs_residual > 0.1
+    report = metaplectic_residual("dilation", (2.0, 1.0, 1.0), make_gaussian(1))
+    assert report.max_abs_residual < 1e-12
+    assert report.identity_name == "dilation_covariance[standard]"
+    assert not report.phase_optimized
 
 
 def test_metaplectic_chirp():
     r, x = 0.5, 1.0
-    reports = metaplectic_residual("chirp", (r, x, 1.0), make_gaussian(1))
-    assert reports["standard"].max_abs_residual < 1e-12
-    assert reports["printed"].max_abs_residual > 0.1
-    expected_phase = np.exp(-2j * PI * r * x * x)
-    assert abs(reports["standard"].best_phase - expected_phase) < 1e-9
+    report = metaplectic_residual("chirp", (r, x, 1.0), make_gaussian(1))
+    assert report.max_abs_residual < 1e-12
+    assert abs(report.best_phase - np.exp(-2j * PI * r * x * x)) < 1e-15
 
 
 def test_metaplectic_fourier_multiplier():
     r, omega = 0.25, 0.5
-    reports = metaplectic_residual("fourier_multiplier", (r, 0.5, omega),
-                                   make_gaussian(1))
-    assert reports["standard"].max_abs_residual < 1e-8
-    assert reports["printed"].max_abs_residual > 0.1
-    expected_phase = np.exp(2j * PI * r * omega * omega)
-    assert abs(reports["standard"].best_phase - expected_phase) < 1e-6
+    report = metaplectic_residual("fourier_multiplier", (r, 0.5, omega), make_gaussian(1))
+    assert report.max_abs_residual < 1e-8
+    assert abs(report.best_phase - np.exp(2j * PI * r * omega * omega)) < 1e-15
 
 
-def _loop_unimodular_phase(lhs, rhs):
-    """Reference: `oracle._best_unimodular_phase` with its coarse scan as a loop."""
-    s = np.vdot(rhs, lhs)
-    center = float(np.angle(s)) if abs(s) > 0 else 0.0
-    objective = lambda th: float(np.max(np.abs(lhs - np.exp(1j * th) * rhs)))
-    best_th, best_val = center, objective(center)
-    for th in center + np.linspace(-np.pi, np.pi, 512, endpoint=False):
-        v = objective(th)
-        if v < best_val:
-            best_th, best_val = float(th), v
-    span = 2.0 * np.pi / 512.0
-    a, b = best_th - span, best_th + span
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = objective(c1), objective(c2)
-    for _ in range(60):
-        if f1 < best_val:
-            best_th, best_val = c1, f1
-        if f2 < best_val:
-            best_th, best_val = c2, f2
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = objective(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = objective(c2)
-    return complex(np.exp(1j * best_th))
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_PHASE))
+@pytest.mark.parametrize("params", [(0.5, 1.0, 1.0), (-0.3764, -0.9793, -0.1431),
+                                    (0.1686, 0.0238, 1.2472)])
+def test_metaplectic_best_phase_is_the_closed_form(kind, params):
+    for f in (make_gaussian(1), make_example1(4.0, 1.0)):
+        report = metaplectic_residual(kind, params, f)
+        assert report.best_phase == CLOSED_FORM_PHASE[kind](*params)
+        assert not report.phase_optimized
 
 
-def test_best_unimodular_phase_matches_loop_scan(monkeypatch):
-    # The coarse scan runs in blocks of angles; each value and the first
-    # strict minimum must be those of the one-angle-at-a-time loop.
-    pairs = []
-    fit = oracle._best_unimodular_phase
-    monkeypatch.setattr(oracle, "_best_unimodular_phase",
-                        lambda lhs, rhs: pairs.append((lhs, rhs)) or fit(lhs, rhs))
-    for kind, params in (("dilation", (2.0, 1.0, 1.0)), ("chirp", (0.5, 1.0, 1.0)),
-                         ("fourier_multiplier", (0.25, 0.5, 0.5))):
-        for f in (make_gaussian(1), make_example1(4.0, 1.0)):
-            metaplectic_residual(kind, params, f)
-    rng = np.random.default_rng(5)
-    for k in (1, 100, 9000):  # one block, several, one angle per block
-        lhs = rng.normal(size=k) + 1j * rng.normal(size=k)
-        pairs += [(lhs, rng.normal(size=k) + 1j * rng.normal(size=k)),
-                  (lhs, lhs * np.exp(0.3j))]
-    nan_rhs = pairs[-1][0].copy()
-    nan_rhs[7] = np.nan
-    pairs.append((pairs[-1][0], nan_rhs))
-    assert len(pairs) == 19
-    for lhs, rhs in pairs:
-        got, want = fit(lhs, rhs), _loop_unimodular_phase(lhs, rhs)
-        assert got == want or (np.isnan(got) and np.isnan(want))
+# r, x and omega as the freq_side workload draws them: uniform, rounded to
+# four decimals, r in [-0.5, 0.5] (nonzero for a dilation), x and omega in
+# [-1.5, 1.5].
+_pool_value = lambda bound: st.integers(-bound, bound).map(lambda k: k / 1e4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(sorted(CLOSED_FORM_PHASE)),
+       r=_pool_value(5000).filter(lambda r: r != 0.0),
+       x=_pool_value(15000), omega=_pool_value(15000))
+def test_metaplectic_gaussian_standard_residual_is_round_off(kind, r, x, omega):
+    report = metaplectic_residual(kind, (r, x, omega), make_gaussian(1))
+    assert report.max_abs_residual <= 1e-9
+
+
+# The right sides as the paper prints them, (omega', x') of M_omega' T_x' U f.
+PRINTED = {
+    "dilation": ((2.0, 1.0, 1.0), lambda r, x, omega: (omega / r, x * r)),
+    "chirp": ((0.5, 1.0, 1.0), lambda r, x, omega: (omega - x * r, x)),
+    "fourier_multiplier": ((0.25, 0.5, 0.5), lambda r, x, omega: (-omega, -x - r * omega)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRINTED))
+def test_printed_parameterizations_fit_no_unimodular_phase(kind):
+    # Pins the discrepancy between the printed right sides and the operator
+    # definitions: for every theta, max|lhs - e^{i theta} rhs| exceeds 0.1.
+    # A scan angle lies within pi/4096 of any theta, and |e^{ia} - e^{ib}|
+    # <= |a - b|, so the scan minimum less max|rhs| pi/4096 bounds every
+    # phase. For the chirp |lhs| = |rhs|, so no modulus-only bound would do.
+    params, printed = PRINTED[kind]
+    r, x, omega = params
+    apply_u = {"dilation": lambda h: dilate(h, r),
+               "chirp": lambda h: chirp_mul(h, r),
+               "fourier_multiplier": lambda h: inverse_fourier_multiplier(
+                   h, lambda xi: np.exp(TWO_PI * 1j * r * xi * xi))}[kind]
+    f, pts = make_gaussian(1), np.linspace(-4.0, 4.0, 201)
+    om2, x2 = printed(r, x, omega)
+    lhs = apply_u(modulate(translate(f, x), omega))(pts)
+    rhs = modulate(translate(apply_u(f), x2), om2)(pts)
+    thetas = np.linspace(-PI, PI, 4096, endpoint=False)
+    scan = np.abs(lhs[None, :] - np.exp(1j * thetas)[:, None] * rhs[None, :]).max(axis=1)
+    assert scan.min() - np.abs(rhs).max() * PI / 4096 > 0.1
 
 
 def test_metaplectic_extra_variant_and_errors():
