@@ -19,10 +19,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
-                     NumericalRefusal)
-from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points,
-                    _check_points_clear, _check_values, _STFTScan, axis_quadrature,
-                    dilate, finite_points, fourier, quadrature_points, translate)
+                     NumericalRefusal, SingularityHitError)
+from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points, _check_values,
+                    _clear_of, _STFTScan, axis_quadrature, dilate, finite_points,
+                    fourier, quadrature_points, translate)
 
 BISECT_TOL = 1e-9
 # An envelope within this relative distance of the bound from 0 to twice the
@@ -105,13 +105,19 @@ def _verdict(margins) -> str:
 
 
 def _pair_differences(S: np.ndarray) -> np.ndarray:
-    """Rows x_i - x_j over the ordered pairs i != j."""
-    return (S[:, None, :] - S[None, :, :])[~np.eye(S.shape[0], dtype=bool)]
+    """Rows x_i - x_j over the ordered pairs i != j, in row-major order. N
+    rows of length n whose N^2 n differences exceed MAX_ARRAY_VALUES are
+    refused before any is formed (`_check_values`)."""
+    N, n = S.shape
+    _check_values(N * N * n, "pairwise differences")
+    return (S[:, None, :] - S[None, :, :])[~np.eye(N, dtype=bool)]
 
 
 def _eval_abs(f: FunctionEvaluator, points: np.ndarray) -> np.ndarray:
-    """|f| at the given points, refusing singular or nonfinite evaluations."""
-    _check_points_clear(points, f.singularities, f.dim)
+    """|f| at the given points, refusing a point not clear of a singularity
+    of f (`_clear_of`) or a nonfinite value."""
+    if f.singularities and not _clear_of(_as_points(points, f.dim)[0], f.singularities).all():
+        raise SingularityHitError("evaluation point hits a singularity of f")
     vals = np.abs(np.atleast_1d(f(points)))
     if not np.all(np.isfinite(vals)):
         raise NumericalRefusal("nonfinite function value at a required point")
@@ -119,18 +125,14 @@ def _eval_abs(f: FunctionEvaluator, points: np.ndarray) -> np.ndarray:
 
 
 def _min_pairwise(vecs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimum pairwise distance and the flat i<j distance list; N vectors of
-    length n whose N^2 n differences exceed MAX_ARRAY_VALUES are refused
-    before any is formed (`_check_values`), which also sizes
-    `_pair_differences`."""
-    n = vecs.shape[0]
-    _check_values(n * n * vecs.shape[1], "pairwise differences")
-    if n < 2:
+    """Minimum pairwise distance and the flat i<j distance list, read off
+    the norms of `_pair_differences`, which holds the size bound."""
+    diffs = _pair_differences(vecs)
+    N = vecs.shape[0]
+    if N < 2:
         return math.inf, np.empty(0)
-    diffs = vecs[:, None, :] - vecs[None, :, :]
-    dist = np.linalg.norm(diffs, axis=2)
-    iu = np.triu_indices(n, k=1)
-    pair = dist[iu]
+    upper = np.triu(np.ones((N, N), dtype=bool), 1)[~np.eye(N, dtype=bool)]
+    pair = np.linalg.norm(diffs[upper], axis=1)
     return float(pair.min()), pair
 
 

@@ -32,7 +32,7 @@ from .certify import (THM3_LATTICE, check_corollary1, check_corollary2,
                       check_theorem2, check_theorem3, dilation_threshold,
                       stretch)
 from .errors import InputError, NumericalRefusal, convert
-from .funcs import FamilySpec, make_example1, make_example2, make_gaussian
+from .funcs import ER_QUAD_TOL, FamilySpec, make_example1, make_example2, make_gaussian
 from .oracle import (STFT_IDENTITY_LATTICE, collocation_rank,
                      default_collocation_points, dependence_residual_er,
                      er_lattice, gram_matrix, metaplectic_residual,
@@ -64,6 +64,11 @@ _ALLOWED_KEYS = {
     # "seed" is accepted and not read: configs written for the seeded search carry it.
     ("window-search", None): {"dimension", "function", "grid", "lattice", "R", "N", "degree", "budget", "seed"},
 }
+
+
+def _subcommands(command: str) -> tuple:
+    """The subcommands of `command`, in the order `_ALLOWED_KEYS` lists them."""
+    return tuple(sub for cmd, sub in _ALLOWED_KEYS if cmd == command)
 
 
 def _load_config(path: str, command: str, sub: str | None) -> dict:
@@ -201,7 +206,7 @@ def _cmd_oracle(args) -> tuple[dict, int, Callable[[], list] | None]:
     cfg = _load_config(args.config, "oracle", args.test)
 
     if args.test == "er-residual":
-        er = _section(cfg, "er", {"half_width": 3.0, "step": 0.25, "quad_tol": 1e-9})
+        er = _section(cfg, "er", {"half_width": 3.0, "step": 0.25, "quad_tol": ER_QUAD_TOL})
         quad_tol = er["quad_tol"]
         lattice = er_lattice(er["half_width"], er["step"])
         rep = dependence_residual_er(lattice, quad_tol)
@@ -280,7 +285,7 @@ def _item(check: str, computed: dict, claimed: dict, passed: bool,
     return out
 
 
-def _reproduce_example1() -> list:
+def _reproduce_example1() -> tuple[list, None]:
     items = []
     f = make_example1(8.0, 5.0)
     lam = PointSet.from_rows([[0, 0], [1, 1], [2, 2], [3, 3]])
@@ -311,10 +316,10 @@ def _reproduce_example1() -> list:
               "hypothesis fails; the claimed threshold presupposes the minimum "
               "over distinct time values, under which the computed threshold "
               "matches the claimed one")))
-    return items
+    return items, None
 
 
-def _reproduce_example2() -> list:
+def _reproduce_example2() -> tuple[list, None]:
     f = make_example2(0.0)
     lam = PointSet.from_rows([[0, 0], [2, 0], [4, 0], [6, 1]])
     cert = check_theorem2(f, lam)
@@ -324,20 +329,19 @@ def _reproduce_example2() -> list:
         {"verdict": cert.verdict, "x": x, "peak": cert.peak},
         {"bound_on_x": 1.0 / 81.0,
          "derivation": "need |x|^(-1/4) to exceed 3 with sup bound A = 1"},
-        cert.certified and abs(x) < 1.0 / 81.0)]
+        cert.certified and abs(x) < 1.0 / 81.0)], None
 
 
-def _reproduce_er() -> list:
-    quad_tol = 1e-9
-    rep = dependence_residual_er(er_lattice(3.0, 0.25), quad_tol)
+def _reproduce_er() -> tuple[list, None]:
+    rep = dependence_residual_er(er_lattice(3.0, 0.25), ER_QUAD_TOL)
     return [_item(
         "five_term_dependence",
         {"max_abs_residual": rep.max_abs_residual},
-        {"tolerance": 1e-6, "quadrature_bound": 6.0 * quad_tol},
-        rep.max_abs_residual < 1e-6)]
+        {"tolerance": 1e-6, "quadrature_bound": 6.0 * ER_QUAD_TOL},
+        rep.max_abs_residual < 1e-6)], None
 
 
-def _reproduce_gaussian_stft() -> list:
+def _reproduce_gaussian_stft() -> tuple[list, None]:
     g = make_gaussian(1)
     env = lambda r: math.exp(-math.pi * r * r / 2.0)
     probes = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -347,7 +351,7 @@ def _reproduce_gaussian_stft() -> list:
     lam = PointSet.from_rows([[0, 0], [1, 0], [0, 1], [s2, s2]])
     cert = check_theorem3(g, g, lam, stft_envelope=env)
     expected_R = math.sqrt(2.0 * math.log(3.0) / math.pi)
-    items = [
+    return [
         _item("stft_magnitude_matches_envelope",
               {"max_abs_error": worst}, {"tolerance": 1e-6}, worst < 1e-6),
         _item("radius_for_four_points",
@@ -357,8 +361,7 @@ def _reproduce_gaussian_stft() -> list:
               {"verdict": cert.verdict, "M": cert.M},
               {"verdict": "Certified", "M": 1.0},
               cert.certified and abs(cert.M - 1.0) < 1e-12),
-    ]
-    return items
+    ], None
 
 
 def _reproduce_dilation_scan() -> tuple[list, list]:
@@ -389,19 +392,19 @@ def _reproduce_dilation_scan() -> tuple[list, list]:
     return items, rows
 
 
+# Each recipe returns its items and, for a flat scan, its CSV rows.
+_RECIPES = {
+    "example1": _reproduce_example1,
+    "example2": _reproduce_example2,
+    "er_dependence": _reproduce_er,
+    "gaussian_stft": _reproduce_gaussian_stft,
+    "dilation_scan": _reproduce_dilation_scan,
+}
+
+
 def _cmd_reproduce(args) -> tuple[dict, int, Callable[[], list] | None]:
-    csv_rows = None
-    if args.name == "example1":
-        items = _reproduce_example1()
-    elif args.name == "example2":
-        items = _reproduce_example2()
-    elif args.name == "er_dependence":
-        items = _reproduce_er()
-    elif args.name == "gaussian_stft":
-        items = _reproduce_gaussian_stft()
-    else:
-        items, rows = _reproduce_dilation_scan()
-        csv_rows = lambda: rows
+    items, rows = _RECIPES[args.name]()
+    csv_rows = None if rows is None else lambda: rows
     all_pass = all(it["pass"] for it in items)
     payload = {"report": {"name": args.name, "items": items, "all_pass": all_pass}}
     return payload, EXIT_OK if all_pass else EXIT_NEGATIVE, csv_rows
@@ -435,16 +438,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="omit timestamps for byte-identical reruns")
 
     p = sub.add_parser("certify", help="run a sufficient-condition checker")
-    p.add_argument("theorem", choices=("lemma1", "thm1", "cor1", "cor2", "cor3",
-                                       "thm2", "thm3"))
+    p.add_argument("theorem", choices=_subcommands("certify"))
     p.add_argument("--rigorous", action="store_true",
                    help="require analytic envelopes (refuse heuristic sups)")
     common(p)
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("oracle", help="run an independent numerical test")
-    p.add_argument("test", choices=("gram", "collocation", "er-residual",
-                                    "stft-identity", "metaplectic"))
+    p.add_argument("test", choices=_subcommands("oracle"))
     common(p)
     p.set_defaults(handler=_cmd_oracle)
 
@@ -453,8 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_window_search)
 
     p = sub.add_parser("reproduce", help="run a pinned reproduction recipe")
-    p.add_argument("name", choices=("example1", "example2", "er_dependence",
-                                    "gaussian_stft", "dilation_scan"))
+    p.add_argument("name", choices=tuple(_RECIPES))
     common(p, needs_config=False)
     p.set_defaults(handler=_cmd_reproduce)
     return parser

@@ -30,7 +30,7 @@ class NotCertifiableError(NumericalRefusal):
 
 
 class SingularityHitError(NumericalRefusal):
-    """A required evaluation point coincides with a singularity."""
+    """A required evaluation point is not clear of a singularity (`tfops._clear_of`)."""
 
 
 class NearOrthogonalError(NumericalRefusal):

@@ -26,6 +26,9 @@ _ER_BLOCK = 512
 # count explodes. With |a|, |b| <= 50 on x86-64, 1e-15 took 3.7 ms per point
 # and 1e-14 15 us; 3e-17 did not finish 200 points in 20 s.
 _ER_TOL_RANGE = (1e-14, 1e-3)
+# The ER quadrature tolerance of every default: evaluators, function specs,
+# the five-term residual and its CLI section.
+ER_QUAD_TOL = 1e-9
 # One ER evaluation at (a, b) costs about the same while |a| and |b| stay below
 # _ER_FLAT_REACH and grows linearly beyond it, and so do its panels and memory.
 # So `check_er_work` bounds both: a point counts er_weight(reach) times, reach
@@ -228,7 +231,7 @@ def _quad_tol(value: float) -> float:
     return value
 
 
-def make_edgar_rosenblatt(quad_tol: float = 1e-9) -> FunctionEvaluator:
+def make_edgar_rosenblatt(quad_tol: float = ER_QUAD_TOL) -> FunctionEvaluator:
     """Two-dimensional oscillatory-integral evaluator with certified accuracy.
 
     f(a, b) = integral over [1/3, 2/3] of exp(i(a acos(t) + b acos(1-t))) dt,
@@ -272,7 +275,7 @@ class FamilySpec:
 
     family: str
     params: dict = field(default_factory=dict)
-    quad_tol: float = 1e-9
+    quad_tol: float = ER_QUAD_TOL
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -292,7 +295,7 @@ class FamilySpec:
         if not isinstance(params, dict):
             raise InputError("function params must be a JSON object")
         return cls(family=obj["family"], params=dict(params),
-                   quad_tol=convert(float, obj.get("quad_tol", 1e-9), "quad_tol"))
+                   quad_tol=convert(float, obj.get("quad_tol", ER_QUAD_TOL), "quad_tol"))
 
     def build(self) -> FunctionEvaluator:
         p = dict(self.params)

@@ -3,9 +3,13 @@
 The Gram and collocation tests never consult the certificate machinery; they
 measure extremal singular values of matrices assembled directly from the
 shifted functions, and act as the numeric surrogate for true linear
-independence. Residual testers probe the exactness of operator identities on
-sample grids; the metaplectic identities hold up to a phase known in closed
-form, and each is checked at that phase, with no phase fitted.
+independence. Neither reads Dependent for a square-integrable f, whose
+small singular values show ill-conditioning (`_classify`): so the Gram
+matrix, which takes only L2 inputs, reads Independent or Inconclusive, and
+collocation's heuristic Dependent is for singular, non-L2 functions.
+Residual testers probe the exactness of operator identities on sample
+grids; the metaplectic identities hold up to a phase known in closed form,
+and each is checked at that phase, with no phase fitted.
 """
 
 from __future__ import annotations
@@ -16,14 +20,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalRefusal, finite
+from .errors import InputError, NumericalRefusal, SingularityHitError, finite
 from . import funcs
-from .funcs import check_er_work, er_reach
-from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet,
-                    _check_points_clear, _check_values, _clear_of, _distinct_rows,
-                    _require_square_integrable, axis_quadrature, chirp_mul, dilate,
-                    finite_points, inverse_fourier_multiplier, modulate, per_axis,
-                    quadrature_points, stft_grid, tf_shift, translate)
+from .funcs import ER_QUAD_TOL, check_er_work, er_reach
+from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _check_values,
+                    _clear_of, _distinct_rows, _require_square_integrable, axis_quadrature,
+                    chirp_mul, dilate, finite_points, inverse_fourier_multiplier, modulate,
+                    per_axis, quadrature_points, stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -90,13 +93,19 @@ class ResidualReport:
         }
 
 
-def _classify(sigma_min: float, sigma_max: float) -> tuple[float, str]:
+def _classify(f: FunctionEvaluator, sigma_min: float,
+              sigma_max: float) -> tuple[float, str]:
+    """The relative gap sigma_min / sigma_max and its verdict. A gap below
+    EPS_DEP reads Dependent only for an f not flagged square-integrable; for
+    an L2 f it reads Inconclusive, since a small gap there shows
+    ill-conditioning, not dependence (the Gaussian's translates at distinct
+    points are independent, Groechenig 2001, 3.4)."""
     if sigma_max <= 1e-12:
         return 0.0, "Inconclusive"
     gap = sigma_min / sigma_max
     if gap > EPS_INDEP:
         return gap, "Independent"
-    if gap < EPS_DEP:
+    if gap < EPS_DEP and not f.square_integrable:
         return gap, "Dependent"
     return gap, "Inconclusive"
 
@@ -185,7 +194,7 @@ def gram_matrix(f: FunctionEvaluator, lam: PointSet,
     herm_defect = float(np.max(np.abs(G - G.conj().T)))
     sigma_min = float(max(eigs[0], 0.0))
     sigma_max = float(eigs[-1])
-    gap, verdict = _classify(sigma_min, sigma_max)
+    gap, verdict = _classify(f, sigma_min, sigma_max)
     quad_err = herm_defect + float(max(0.0, -eigs[0]))
     return IndependenceReport("Gram", (N, N), sigma_min, sigma_max, gap,
                               verdict, quad_err, matrix=G)
@@ -202,20 +211,19 @@ def default_collocation_points(f: FunctionEvaluator, lam: PointSet,
                                grid: Optional[GridSpec] = None) -> np.ndarray:
     """Time coordinates, pairwise midpoints, and 4N quasi-random box points.
 
-    Points within the exclusion radius of any shifted singularity (at least
-    1e-12, `_exclusion`) are dropped by the clearance rule of the quadrature
-    nodes, since the collocation matrix needs every row evaluated at every
-    shift.
+    The set is sized by `collocation_rank`'s rule (`_matrix_size`) before
+    any point is built. Points not clear of a shifted singularity
+    (`_clear_of`, with the grid's exclusion radius) are dropped, since the
+    collocation matrix needs every row evaluated at every shift.
     """
     if f.dim != 1:
         raise InputError("default collocation sampling is implemented for dimension 1")
+    N = _matrix_size(f, lam)
     grid = grid or GridSpec.default(1)
-    N = len(lam)
     times = lam.times()[:, 0]
     mids = [(times[i] + times[j]) / 2.0 for i in range(N) for j in range(i + 1, N)]
-    cand = np.concatenate([times, np.asarray(mids, dtype=float),
-                           _kronecker_points(4 * N, grid.half_width)])
-    cand = np.unique(cand)
+    cand = np.unique(np.concatenate([times, np.asarray(mids, dtype=float),
+                                     _kronecker_points(4 * N, grid.half_width)]))
     sings = [s + x for s in f.singularities for x in lam.times()]
     return cand[_clear_of(cand[:, None], sings, grid)]
 
@@ -227,24 +235,26 @@ def collocation_rank(f: FunctionEvaluator, lam: PointSet,
     An Independent verdict is sound for continuous (and, more generally,
     pointwise-defined) functions: a nontrivial null vector of the true
     functions would annihilate every sample row. A Dependent verdict is
-    heuristic. Degenerate sampling (all rows numerically zero) is
-    Inconclusive, not Dependent.
+    heuristic, and only an f not flagged square-integrable can get one
+    (`_classify`). Degenerate sampling (all rows numerically zero) is
+    Inconclusive. A sample point not clear of a shifted singularity
+    (`_clear_of`) is refused.
     """
     N = _matrix_size(f, lam)
     pts = finite_points(sample_points, f.dim, "sample_points")
     if pts.shape[0] < N:
         raise InputError("need at least N sample points")
-    for x in lam.times():
-        _check_points_clear(pts, tuple(s + x for s in f.singularities), f.dim)
+    if not _clear_of(pts, [s + x for s in f.singularities for x in lam.times()]).all():
+        raise SingularityHitError("sample point hits a shifted singularity of f")
     A = _shift_values(f, lam, pts).T
     sig = np.linalg.svd(A, compute_uv=False)
     sigma_min, sigma_max = float(sig[-1]), float(sig[0])
-    gap, verdict = _classify(sigma_min, sigma_max)
+    gap, verdict = _classify(f, sigma_min, sigma_max)
     return IndependenceReport("Collocation", A.shape, sigma_min, sigma_max,
                               gap, verdict, 0.0, matrix=A)
 
 
-def dependence_residual_er(points, quad_tol: float = 1e-9) -> ResidualReport:
+def dependence_residual_er(points, quad_tol: float = ER_QUAD_TOL) -> ResidualReport:
     """Five-term dependence residual of the two-dimensional oscillatory family.
 
     Evaluates |2 f(a,b) - f(a+1,b) - f(a-1,b) - f(a,b+1) - f(a,b-1)| at every

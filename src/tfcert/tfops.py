@@ -87,14 +87,20 @@ below the smallest normal float, tiny = 2.2e-308, are set to zero: Hermite
 windows narrower than about 1.1-1.2 have such values on the default search
 scan, and they put BLAS on its slow subnormal path. That moves each value
 of V by at most K tiny max|f w| for K nodes (sqrt 2 times that for a
-complex window). Quadrature nodes within the exclusion radius of a
-singularity of f are dropped; nodes within it of a shifted window
-singularity get weight zero. Kernel rows are built in blocks of about
-`_WINDOW_BLOCK` values; that blocking changes no arithmetic.
+complex window). Kernel rows are built in blocks of about `_WINDOW_BLOCK`
+values; that blocking changes no arithmetic.
 
 Every quadrature (`l2_norm`, `inner_product`, `fourier`, the STFT and the
 oracle's Gram matrix) refuses an input not flagged square-integrable
 through one rule, `_require_square_integrable`.
+
+A point is clear of a singularity when it lies farther from it than the
+grid's exclusion radius and than SINGULARITY_FLOOR; `_clear_of` is the one
+comparison of a point against a singularity. Quadrature nodes (of the STFT
+too) and default collocation points that are not clear are dropped, and an
+STFT scan gives window offsets that are not clear weight zero. `certify` and `oracle.collocation_rank`,
+which must evaluate f at the points they are given, refuse such a point
+(`SingularityHitError`).
 
 A decay envelope bounds |f| outside balls about `envelope_center`; every
 exact operator keeps it valid, moving that centre with the function.
@@ -112,7 +118,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalRefusal, SingularityHitError
+from .errors import InputError, NumericalRefusal
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,6 +142,9 @@ _NODE_BLOCK = 256
 # differences of a separation check or `lemma1`.
 MAX_NODES = 1 << 22
 MAX_ARRAY_VALUES = 1 << 24
+# No point within this distance of a singularity is clear of it (`_clear_of`),
+# whatever the grid's exclusion radius.
+SINGULARITY_FLOOR = 1e-12
 # The exps a dense Fourier sum may compute, m targets times K nodes. A sum at
 # the bound takes about 20 s on x86-64 with one BLAS thread.
 MAX_DENSE_PHASES = 1 << 29
@@ -157,8 +166,8 @@ class GridSpec:
     """Truncation box [-half_width, half_width]^n with trapezoid sampling.
 
     `exclusion_radius` drops quadrature nodes inside a ball around each
-    singularity of the integrand (radius 0 drops those within 1e-12 of one,
-    `_exclusion`).
+    singularity of the integrand (radius 0 drops those within
+    SINGULARITY_FLOOR of one, `_clear_of`).
     """
 
     half_width: float
@@ -352,8 +361,8 @@ def quadrature_points(grid: Optional[GridSpec], dim: int, singularities: Sequenc
     """Tensor-product trapezoid nodes/weights, singular neighborhoods removed.
 
     Returns `(pts, w)` with pts of shape (K, dim); a `grid` of None is the
-    default grid of `dim`. Nodes within `grid.exclusion_radius` of a
-    singularity (or exactly on one, when the radius is 0) are dropped.
+    default grid of `dim`. Nodes not clear of a singularity (`_clear_of`)
+    are dropped.
     """
     grid = grid or GridSpec.default(dim)
     if grid.samples_per_axis ** dim > MAX_NODES:
@@ -372,18 +381,15 @@ def _distance(pts: np.ndarray, center) -> np.ndarray:
     return np.linalg.norm(pts - np.asarray(center, dtype=float), axis=-1)
 
 
-def _exclusion(grid: GridSpec) -> float:
-    """Radius of the ball around a singularity whose nodes are excluded."""
-    return max(grid.exclusion_radius, 1e-12)
-
-
-def _clear_of(pts: np.ndarray, singularities: Sequence, grid: GridSpec) -> np.ndarray:
-    """Mask of the (..., n) points farther than `_exclusion(grid)` from every
-    singularity: the one clearance rule of quadrature nodes, window offsets
-    and collocation points."""
+def _clear_of(pts: np.ndarray, singularities: Sequence,
+              grid: Optional[GridSpec] = None) -> np.ndarray:
+    """Mask of the (..., n) points farther from every singularity than both
+    the grid's exclusion radius and SINGULARITY_FLOOR; a grid of None has
+    radius 0. The one comparison of a point against a singularity."""
+    radius = max(grid.exclusion_radius if grid else 0.0, SINGULARITY_FLOOR)
     keep = np.ones(pts.shape[:-1], dtype=bool)
     for s in singularities:
-        keep &= _distance(pts, s) > _exclusion(grid)
+        keep &= _distance(pts, s) > radius
     return keep
 
 
@@ -396,15 +402,6 @@ def _require_square_integrable(*fs: FunctionEvaluator, hint: str = "") -> None:
     if not all(f.square_integrable for f in fs):
         raise NumericalRefusal("cannot bound the truncation error: "
                                "the input is not flagged square-integrable" + hint)
-
-
-def _check_points_clear(points, singularities, dim: int):
-    """Raise when an evaluation point lies within 1e-12 of a singularity."""
-    pts = _as_points(points, dim)[0]
-    for s in singularities:
-        if np.any(_distance(pts, s) <= 1e-12):
-            raise SingularityHitError(
-                f"evaluation point hits singularity at {np.ravel(s).tolist()}")
 
 
 def per_axis(rule: Callable, grid: Optional[GridSpec], *fs: FunctionEvaluator):
@@ -883,8 +880,8 @@ class _STFTScan:
 
         The window is evaluated once on each distinct shift, block by block
         of `products`, as its real plane plus, for a complex-valued g, the
-        plane of -Im g. Entries where t_k lies within the exclusion radius of
-        a singularity of the shifted window are zero.
+        plane of -Im g. Entries where t_k is not clear of a singularity of
+        the shifted window are zero.
         """
         if g.dim != self.dim:
             raise InputError("dimension mismatch")

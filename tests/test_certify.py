@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError,
                     NearOrthogonalError, NotCertifiableError, NumericalRefusal,
-                    PointSet, WindowParams, check_corollary1,
+                    PointSet, SingularityHitError, WindowParams, check_corollary1,
                     check_corollary2, check_corollary3, check_lemma1,
                     check_theorem1, check_theorem2, check_theorem3,
                     decay_radius, dilation_threshold, dilation_threshold_freq,
@@ -198,6 +198,55 @@ def test_pairwise_differences_beyond_the_value_bound_are_refused_before_any_eval
     assert calls == []
     monkeypatch.setattr(tfops, "MAX_ARRAY_VALUES", 1024)
     assert check(counting, rows).verdict == "Certified"
+
+
+def test_pair_differences_hold_their_own_value_bound(monkeypatch):
+    # 1,025 rows of length 1 make 1,025^2 > 2^20 differences: refused before
+    # any is formed, with no caller sizing them first
+    import tracemalloc
+    from tfcert import certify, tfops
+    monkeypatch.setattr(tfops, "MAX_ARRAY_VALUES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="pairwise differences beyond 1048576 values"):
+            certify._pair_differences(np.zeros((1025, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert certify._pair_differences(np.arange(6.0).reshape(3, 2)).tolist() == [
+        [-2, -2], [-4, -4], [2, 2], [-2, -2], [4, 4], [2, 2]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_min_pairwise_matches_the_upper_triangle_of_the_distance_matrix(n):
+    # the i < j norms of the ordered differences, bit for bit against the
+    # upper triangle of the full distance matrix in row-major order
+    from tfcert import certify
+    rng = np.random.default_rng(n)
+    for N in (2, 3, 7, 64, 200):
+        vecs = rng.normal(size=(N, n)) * 10.0 ** rng.integers(-3, 4)
+        dist = np.linalg.norm(vecs[:, None, :] - vecs[None, :, :], axis=2)
+        want = dist[np.triu_indices(N, k=1)]
+        M, pair = certify._min_pairwise(vecs)
+        assert np.array_equal(pair, want) and M == want.min()
+
+
+@pytest.mark.parametrize("offset, clear", [(1.0, False), (2.0, True)])
+def test_singularity_clearance_floor_is_one_rule(offset, clear):
+    # A point SINGULARITY_FLOOR from the singularity of example2 at 0 is
+    # refused by the pointwise evaluation and dropped from the quadrature
+    # nodes; one twice as far is accepted by both.
+    from tfcert import certify, tfops
+    f = make_example2(0.0)
+    d = offset * tfops.SINGULARITY_FLOOR
+    if clear:
+        assert certify._eval_abs(f, np.array([[d]]))[0] > 0
+    else:
+        with pytest.raises(SingularityHitError):
+            certify._eval_abs(f, np.array([[d]]))
+    pts, _ = quadrature_points(GridSpec(1.0, 3), 1, (np.array([d]),))
+    assert (0.0 in pts[:, 0]) == clear
 
 
 def test_lemma1_single_function():

@@ -52,13 +52,30 @@ def test_gram_gaussian_pair_closed_form():
     assert report.verdict == "Independent"
 
 
-def test_gram_near_duplicate_points_read_dependent():
+def test_gram_near_duplicate_points_read_inconclusive():
     # a shift of 1e-9 is indistinguishable at quadrature accuracy, so the
-    # relative gap falls under the dependence threshold
+    # relative gap falls under the dependence threshold; Gaussian translates
+    # at distinct points are independent, so the gap shows ill-conditioning
     lam = PointSet.from_rows([[0, 0], [1e-9, 0]])
     report = gram_matrix(make_gaussian(1), lam)
-    assert report.verdict == "Dependent"
+    assert report.verdict == "Inconclusive"
     assert report.relative_gap < 1e-10
+
+
+# 2 to 64 distinct rows on the grid (1/16) Z^2 in [-1, 1]^2, far denser than
+# the Gaussian's translates can be told apart at quadrature accuracy.
+_DENSE_ROWS = st.integers(2, 64).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(-16, 16), st.integers(-16, 16)), min_size=n, max_size=n,
+    unique=True))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_DENSE_ROWS)
+def test_gram_never_reads_gaussian_translates_dependent(rows):
+    # The Gaussian's translates at distinct points are independent
+    # (Groechenig 2001, 3.4), so a small gap is Inconclusive, never Dependent.
+    lam = PointSet.from_rows([[x / 16.0, w / 16.0] for x, w in rows])
+    assert gram_matrix(make_gaussian(1), lam).verdict != "Dependent"
 
 
 def traced_peak_mib(call) -> float:
@@ -375,6 +392,27 @@ def test_collocation_sample_on_singularity_rejected():
     lam = PointSet.from_rows([[0, 0], [3, 0]])
     with pytest.raises(SingularityHitError):
         collocation_rank(f, lam, [0.0, 1.0, 2.0])
+
+
+def test_collocation_keeps_dependent_for_the_er_five_term_set():
+    # 2 f - T_{e1} f - T_{-e1} f - T_{e2} f - T_{-e2} f = 0 for the
+    # Edgar-Rosenblatt function, which is not in L2
+    from tfcert import make_edgar_rosenblatt
+    lam = PointSet.from_rows([[0, 0, 0, 0], [1, 0, 0, 0], [-1, 0, 0, 0],
+                              [0, 1, 0, 0], [0, -1, 0, 0]], dim=2)
+    report = collocation_rank(make_edgar_rosenblatt(), lam, er_lattice(1.0, 0.5))
+    assert report.verdict == "Dependent"
+    assert report.relative_gap < 1e-10
+
+
+def test_default_collocation_points_size_the_set_before_sampling(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("sampling began before the set was sized")
+
+    monkeypatch.setattr(oracle, "_kronecker_points", unreachable)
+    lam = PointSet.from_rows([[0.5 * k, 0] for k in range(3000)])
+    with pytest.raises(InputError, match="beyond 64 elements"):
+        default_collocation_points(make_gaussian(1), lam)
 
 
 def test_collocation_needs_enough_samples():
