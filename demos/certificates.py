@@ -10,7 +10,7 @@ import numpy as np
 
 from tfcert import (PointSet, check_theorem1, check_theorem2, check_theorem3,
                     decay_radius, dilation_threshold, make_example1,
-                    make_example2, make_gaussian, stretch)
+                    make_example2, make_gaussian, report_json, stretch)
 
 print("Decay radii (smallest R with sup outside < peak/(N-1)):")
 g = make_gaussian(1)
@@ -51,4 +51,4 @@ print(f"  {cert.verdict}, translate x = {cert.translate_x[0]:.6f} "
       f"(needs |x| < 1/81 = {1 / 81:.6f})")
 
 print("\nCertificates serialize to JSON:")
-print(json.dumps(cert.to_json(), indent=2)[:400], "...")
+print(json.dumps(report_json(cert), indent=2)[:400], "...")

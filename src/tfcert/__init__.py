@@ -11,8 +11,8 @@ all of them.
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal, SingularityHitError, TFCertError)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, chirp_mul, dilate,
-                    fourier, inner_product, l2_norm, modulate, stft,
-                    stft_grid, stft_points, tf_shift, translate)
+                    fourier, inner_product, l2_norm, modulate, report_json,
+                    stft, stft_grid, stft_points, tf_shift, translate)
 from .funcs import (FamilySpec, make_edgar_rosenblatt, make_example1,
                     make_example2, make_gaussian, make_singular_cos)
 from .certify import (Certificate, SupEstimate, check_corollary1,
@@ -42,7 +42,7 @@ __all__ = [
     "fourier", "gram_matrix", "inner_product", "l2_norm",
     "make_edgar_rosenblatt", "make_example1", "make_example2",
     "make_gaussian", "make_singular_cos", "metaplectic_residual", "modulate",
-    "realize_window", "search", "stft", "stft_grid", "stft_identity_residual",
-    "stft_points", "stretch", "sup_outside", "tail_ratio", "tf_shift",
-    "translate",
+    "realize_window", "report_json", "search", "stft", "stft_grid",
+    "stft_identity_residual", "stft_points", "stretch", "sup_outside",
+    "tail_ratio", "tf_shift", "translate",
 ]

@@ -55,7 +55,8 @@ class Certificate:
 
     `margins` holds per-pair slack values; the verdict is Certified exactly
     when every margin is strictly positive. `bound` is peak/(N-1) for N >= 2
-    and +inf for the vacuous single-function case (serialized as null).
+    and +inf for the vacuous single-function case. `tfops.report_json` writes
+    its JSON form: a non-finite value as null, a field holding None left out.
     """
 
     theorem: str
@@ -75,30 +76,6 @@ class Certificate:
     def certified(self) -> bool:
         return self.verdict == "Certified"
 
-    def to_json(self) -> dict:
-        def num(v):
-            v = float(v)
-            return v if math.isfinite(v) else None
-
-        out = {
-            "theorem": self.theorem,
-            "verdict": self.verdict,
-            "N": int(self.N),
-            "R": num(self.R),
-            "M": num(self.M),
-            "peak": num(self.peak),
-            "bound": num(self.bound),
-            "margins": [num(m) for m in self.margins],
-            "sup_method": self.sup_method,
-        }
-        if self.translate_x is not None:
-            out["translate_x"] = [float(v) for v in np.atleast_1d(self.translate_x)]
-        if self.threshold_r is not None:
-            out["threshold_r"] = num(self.threshold_r)
-        if self.note is not None:
-            out["note"] = self.note
-        return out
-
 
 def _verdict(margins) -> str:
     return "Certified" if all(m > 0 for m in margins) else "NotCertified"
@@ -110,7 +87,11 @@ def _pair_differences(S: np.ndarray) -> np.ndarray:
     refused before any is formed (`_check_values`)."""
     N, n = S.shape
     _check_values(N * N * n, "pairwise differences")
-    return (S[:, None, :] - S[None, :, :])[~np.eye(N, dtype=bool)]
+    # The diagonal x_i - x_i is every (N + 1)-th row from the first, so it
+    # drops by reshaping, without the index arrays a 2-D mask would make:
+    # the peak is twice the (N, N, n) differences.
+    d = S[:, None, :] - S[None, :, :]
+    return d.reshape(-1, n)[1:].reshape(N - 1, N + 1, n)[:, :-1].reshape(-1, n)
 
 
 def _eval_abs(f: FunctionEvaluator, points: np.ndarray) -> np.ndarray:
@@ -127,12 +108,16 @@ def _eval_abs(f: FunctionEvaluator, points: np.ndarray) -> np.ndarray:
 def _min_pairwise(vecs: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimum pairwise distance and the flat i<j distance list, read off
     the norms of `_pair_differences`, which holds the size bound."""
-    diffs = _pair_differences(vecs)
-    N = vecs.shape[0]
+    N, n = vecs.shape
     if N < 2:
         return math.inf, np.empty(0)
-    upper = np.triu(np.ones((N, N), dtype=bool), 1)[~np.eye(N, dtype=bool)]
-    pair = np.linalg.norm(diffs[upper], axis=1)
+    rows = _pair_differences(vecs)
+    # Row i of the (N, N - 1) layout holds j < i, then j > i: the pairs
+    # i < j are its upper triangle. A mask of the rows' own shape selects
+    # them without index arrays, and the rebinding frees the full list.
+    upper = np.triu(np.ones((N, N - 1), dtype=bool)).reshape(-1, 1)
+    rows = rows[np.broadcast_to(upper, rows.shape)].reshape(-1, n)
+    pair = np.linalg.norm(rows, axis=1)
     return float(pair.min()), pair
 
 

@@ -4,12 +4,13 @@ reproduction recipes, and machine-readable output.
 Exit codes: 0 success (Certified / Independent / achieved / reproduction
 passed / residual within bound), 1 input error, 2 numerical refusal,
 3 negative verdict, 4 inconclusive. Reports are JSON documents with a
-`schema` field; CSV output is available only for flat reports (search
-traces, scan tables, oracle matrices), whose rows a handler returns as a
-function, called only under `--format csv`. Runs are reproducible: an
-identical config gives byte-identical output under --no-meta. A
-`window-search` config may carry a `seed`, which is accepted and not read:
-the search is deterministic.
+`schema` field. A handler returns its report objects, and the payload is
+written by one rule, `tfops.report_json`, so every report is strict JSON.
+CSV output is available only for flat reports (search traces, scan tables,
+oracle matrices), whose rows a handler returns as a function, called only
+under `--format csv`. Runs are reproducible: an identical config gives
+byte-identical output under --no-meta. A `window-search` config may carry a
+`seed`, which is accepted and not read: the search is deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -37,7 +39,7 @@ from .oracle import (STFT_IDENTITY_LATTICE, collocation_rank,
                      default_collocation_points, dependence_residual_er,
                      er_lattice, gram_matrix, metaplectic_residual,
                      stft_identity_residual)
-from .tfops import GridSpec, PointSet, stft_points
+from .tfops import GridSpec, PointSet, report_json, stft_points
 from .windowsearch import SEARCH_LATTICE, search as window_search
 
 EXIT_OK = 0
@@ -73,7 +75,10 @@ def _subcommands(command: str) -> tuple:
 
 def _load_config(path: str, command: str, sub: str | None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer past Python's digit limit
+            raise InputError(str(exc)) from exc
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
     allowed = _ALLOWED_KEYS[(command, sub)]
@@ -123,6 +128,11 @@ def _function_from(cfg: dict, key: str = "function", default: dict | None = None
     return FamilySpec.from_json(obj).build()
 
 
+def _window_from(cfg: dict, dim: int):
+    """The config's `window`, by default the Gaussian of dimension `dim`."""
+    return _function_from(cfg, "window", {"family": "gaussian", "params": {"n": dim}})
+
+
 def _pointset_from(cfg: dict, dim: int) -> PointSet:
     rows = cfg.get("lambda")
     if rows is None:
@@ -170,19 +180,18 @@ def _cmd_certify(args) -> tuple[dict, int, Callable[[], list] | None]:
         cert = check_lemma1(f, shifts)
     elif args.theorem == "thm1":
         cert = check_theorem1(f, lam, anchor=cfg.get("anchor"), grid=grid)
-    elif args.theorem == "cor1":
-        cert = check_corollary1(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid)
+    elif args.theorem in ("cor1", "cor3"):
+        check = check_corollary1 if args.theorem == "cor1" else check_corollary3
+        cert = check(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid)
     elif args.theorem == "cor2":
         cert = check_corollary2(f, lam, grid)
-    elif args.theorem == "cor3":
-        cert = check_corollary3(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid)
     elif args.theorem == "thm2":
         cert = check_theorem2(f, lam, grid=grid)
     else:  # thm3
-        g = _function_from(cfg, "window", default={"family": "gaussian", "params": {"n": dim}})
-        cert = check_theorem3(f, g, lam, grid, _lattice_from(cfg, THM3_LATTICE))
+        cert = check_theorem3(f, _window_from(cfg, dim), lam, grid,
+                              _lattice_from(cfg, THM3_LATTICE))
 
-    return {"report": cert.to_json()}, _verdict_exit(cert.verdict), None
+    return {"report": cert}, _verdict_exit(cert.verdict), None
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +220,7 @@ def _cmd_oracle(args) -> tuple[dict, int, Callable[[], list] | None]:
         lattice = er_lattice(er["half_width"], er["step"])
         rep = dependence_residual_er(lattice, quad_tol)
         code = EXIT_OK if rep.max_abs_residual <= 6.0 * quad_tol else EXIT_NEGATIVE
-        body = rep.to_json()
-        body["bound"] = 6.0 * quad_tol
-        body["lattice_points"] = int(lattice.shape[0])
+        body = asdict(rep) | {"bound": 6.0 * quad_tol, "lattice_points": lattice.shape[0]}
         return {"report": body}, code, None
 
     f = _function_from(cfg)
@@ -223,22 +230,19 @@ def _cmd_oracle(args) -> tuple[dict, int, Callable[[], list] | None]:
     if args.test == "gram":
         lam = _pointset_from(cfg, dim)
         rep = gram_matrix(f, lam, grid)
-        return {"report": rep.to_json()}, _verdict_exit(rep.verdict), \
-            lambda: _matrix_csv(rep.matrix)
+        return {"report": rep}, _verdict_exit(rep.verdict), lambda: _matrix_csv(rep.matrix)
     if args.test == "collocation":
         lam = _pointset_from(cfg, dim)
         pts = cfg.get("sample_points")
         if pts is None:
             pts = default_collocation_points(f, lam, grid)
         rep = collocation_rank(f, lam, pts)
-        return {"report": rep.to_json()}, _verdict_exit(rep.verdict), \
-            lambda: _matrix_csv(rep.matrix)
+        return {"report": rep}, _verdict_exit(rep.verdict), lambda: _matrix_csv(rep.matrix)
     if args.test == "stft-identity":
-        g = _function_from(cfg, "window", default={"family": "gaussian", "params": {"n": dim}})
         lattice = _lattice_from(cfg, STFT_IDENTITY_LATTICE)
-        rep = stft_identity_residual(f, g, cfg.get("u", 0.0), cfg.get("eta", 0.0),
-                                     lattice, grid)
-        return {"report": rep.to_json()}, EXIT_OK, None
+        rep = stft_identity_residual(f, _window_from(cfg, dim), cfg.get("u", 0.0),
+                                     cfg.get("eta", 0.0), lattice, grid)
+        return {"report": rep}, EXIT_OK, None
 
     # metaplectic
     kind = cfg.get("kind")
@@ -247,7 +251,7 @@ def _cmd_oracle(args) -> tuple[dict, int, Callable[[], list] | None]:
     params = tuple(convert(float, cfg.get(k, d), k)
                    for k, d in (("r", 1.0), ("x", 0.0), ("omega", 0.0)))
     rep = metaplectic_residual(kind, params, f, cfg.get("sample_points"), grid)
-    return {"report": {"standard": rep.to_json()}}, EXIT_OK, None
+    return {"report": {"standard": rep}}, EXIT_OK, None
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ def _cmd_window_search(args) -> tuple[dict, int, Callable[[], list] | None]:
     rows = lambda: [["step", "width", *coeffs, "ratio"]] + [
         [i, p.width, *map(float, p.hermite_coeffs), r] for i, (p, r) in enumerate(result.trace)]
     code = EXIT_OK if result.achieved else EXIT_NEGATIVE
-    return {"report": result.to_json()}, code, rows
+    return {"report": result}, code, rows
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +474,7 @@ def _emit(payload: dict, args, csv_rows) -> None:
         writer.writerows(csv_rows())
         text = buf.getvalue()
     else:
-        payload = dict(payload)
+        payload = report_json(payload)
         payload["schema"] = SCHEMA_VERSION
         payload["command"] = " ".join(
             s for s in (args.command, getattr(args, "theorem", None),
@@ -502,7 +506,7 @@ def main(argv=None) -> int:
     except NumericalRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (json.JSONDecodeError, OSError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

@@ -15,7 +15,7 @@ and each is checked at that phase, with no phase fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,18 +55,8 @@ class IndependenceReport:
     relative_gap: float
     verdict: str
     quad_error_estimate: float
-    matrix: Optional[np.ndarray] = None
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "matrix_dim": [int(d) for d in self.matrix_dim],
-            "sigma_min": float(self.sigma_min),
-            "sigma_max": float(self.sigma_max),
-            "relative_gap": float(self.relative_gap),
-            "verdict": self.verdict,
-            "quad_error_estimate": float(self.quad_error_estimate),
-        }
+    # The matrix itself is left out of the report (`tfops.report_json`).
+    matrix: Optional[np.ndarray] = field(default=None, metadata={"report": False})
 
 
 @dataclass(frozen=True)
@@ -83,14 +73,6 @@ class ResidualReport:
             raise NumericalRefusal(
                 f"nonfinite {self.identity_name} residual: an input is too large "
                 "for the sampled identity to be evaluated")
-
-    def to_json(self) -> dict:
-        return {
-            "identity_name": self.identity_name,
-            "max_abs_residual": float(self.max_abs_residual),
-            "phase_optimized": self.phase_optimized,
-            "best_phase": [float(self.best_phase.real), float(self.best_phase.imag)],
-        }
 
 
 def _classify(f: FunctionEvaluator, sigma_min: float,
@@ -142,11 +124,16 @@ def _shift_values(f: FunctionEvaluator, lam: PointSet, pts: np.ndarray) -> np.nd
     return out
 
 
+def _shifted_singularities(f: FunctionEvaluator, lam: PointSet) -> tuple:
+    """The singularities s + x of the shifts pi(lambda) f, over the
+    singularities s of f and the times x of lam."""
+    return tuple(s + x for s in f.singularities for x in lam.times())
+
+
 def _dense_gram(f: FunctionEvaluator, lam: PointSet,
                 grid: Optional[GridSpec]) -> np.ndarray:
     """G = Phi W Phi^* from the shift rows Phi on the n-D quadrature grid."""
-    sings = tuple(s + x for s in f.singularities for x in lam.times())
-    pts, w = quadrature_points(grid, f.dim, sings)
+    pts, w = quadrature_points(grid, f.dim, _shifted_singularities(f, lam))
     phi = _shift_values(f, lam, pts)
     phiw = phi * w
     return phiw @ np.conj(phi, out=phi).T
@@ -224,8 +211,7 @@ def default_collocation_points(f: FunctionEvaluator, lam: PointSet,
     mids = [(times[i] + times[j]) / 2.0 for i in range(N) for j in range(i + 1, N)]
     cand = np.unique(np.concatenate([times, np.asarray(mids, dtype=float),
                                      _kronecker_points(4 * N, grid.half_width)]))
-    sings = [s + x for s in f.singularities for x in lam.times()]
-    return cand[_clear_of(cand[:, None], sings, grid)]
+    return cand[_clear_of(cand[:, None], _shifted_singularities(f, lam), grid)]
 
 
 def collocation_rank(f: FunctionEvaluator, lam: PointSet,
@@ -244,7 +230,7 @@ def collocation_rank(f: FunctionEvaluator, lam: PointSet,
     pts = finite_points(sample_points, f.dim, "sample_points")
     if pts.shape[0] < N:
         raise InputError("need at least N sample points")
-    if not _clear_of(pts, [s + x for s in f.singularities for x in lam.times()]).all():
+    if not _clear_of(pts, _shifted_singularities(f, lam)).all():
         raise SingularityHitError("sample point hits a shifted singularity of f")
     A = _shift_values(f, lam, pts).T
     sig = np.linalg.svd(A, compute_uv=False)

@@ -17,7 +17,8 @@ one point per entry); `finite_points` validates a caller's list. Only
 a 1-D `fn` takes shape (k,), and it returns float64 values for a real `fn`
 and complex128 for a complex one. A time-frequency point is a row (x, omega)
 of length 2n (`PointSet`), to which an (x, omega) pair flattens. A `grid` of
-None is the default grid, resolved where the quadrature runs.
+None is the default grid, resolved where the quadrature runs. The one output
+convention lives here too: `report_json` is the JSON form of every report.
 
 An evaluator may carry per-axis `factors`, 1-D evaluators whose product it
 is (`make_gaussian` in dimension 2 and up). On a tensor trapezoid grid the
@@ -111,6 +112,7 @@ reductions use a fixed summation order, so results are reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -340,7 +342,7 @@ def _as_points(t, dim: int):
     """`t` in the (k, dim) point layout, plus the batch shape of its points."""
     try:
         a = np.asarray(t, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"points must form a real array: {exc}") from exc
     batch = a.shape[:-1] if a.shape[-1:] == (dim,) else a.shape
     if a.size != dim * math.prod(batch):
@@ -355,6 +357,37 @@ def finite_points(points, dim: int, what: str) -> np.ndarray:
     if pts.shape[0] == 0 or not np.isfinite(pts).all():
         raise InputError(f"{what} must be a nonempty list of finite points")
     return pts
+
+
+def report_json(value):
+    """The JSON form of a report: the one rule for every report and payload.
+
+    A report dataclass becomes an object of its fields, leaving out a field
+    that holds None or whose metadata has `"report": False`; a dict becomes
+    an object and a NamedTuple an object of its named fields; other tuples,
+    lists and arrays become lists; a complex number becomes [re, im]; numpy
+    scalars become Python ones; and every non-finite float becomes None
+    (null), so the result is strict JSON. Floats are tested first, as most
+    values are.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, dict):
+        return {k: report_json(v) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {k: report_json(v) for k, v in zip(value._fields, value)}
+    if isinstance(value, (list, tuple)):
+        return [report_json(v) for v in value]
+    if isinstance(value, complex):
+        return [report_json(value.real), report_json(value.imag)]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return report_json(value.tolist())
+    if dataclasses.is_dataclass(value):
+        return {f.name: report_json(v) for f in dataclasses.fields(value)
+                if f.metadata.get("report", True) and (v := getattr(value, f.name)) is not None}
+    raise TypeError(f"no JSON form for a report value of type {type(value).__name__}")
 
 
 def quadrature_points(grid: Optional[GridSpec], dim: int, singularities: Sequence = ()):

@@ -24,8 +24,9 @@ index of its c.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,10 +74,6 @@ class WindowParams:
             raise InputError("coefficient vector must not be identically zero")
         object.__setattr__(self, "width", w)
         object.__setattr__(self, "hermite_coeffs", c)
-
-    def to_json(self) -> dict:
-        return {"width": self.width,
-                "hermite_coeffs": [float(v) for v in self.hermite_coeffs]}
 
 
 def _hermite_functions(s: np.ndarray, d: int, width: float) -> np.ndarray:
@@ -181,6 +178,13 @@ def tail_ratio(f: FunctionEvaluator, g_params: WindowParams, R: float,
     return _window_ratio(*_TailScan(f, R, lattice, grid).basis(g_params.width, range(c.size)), c)
 
 
+class Incumbent(NamedTuple):
+    """One entry of a search trace: a window and its tail ratio."""
+
+    params: WindowParams
+    ratio: float
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a window search run, with the full incumbent trace."""
@@ -190,18 +194,7 @@ class SearchResult:
     target: float
     achieved: bool
     evaluations: int
-    trace: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "best_params": self.best_params.to_json(),
-            "ratio": float(self.ratio),
-            "target": float(self.target),
-            "achieved": self.achieved,
-            "evaluations": int(self.evaluations),
-            "trace": [{"params": p.to_json(), "ratio": float(r)}
-                      for p, r in self.trace],
-        }
+    trace: tuple[Incumbent, ...]
 
 
 def _row_ratio(tail: np.ndarray, origin: np.ndarray, c: np.ndarray) -> float:
@@ -289,8 +282,8 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
     d, N = int(d), int(N)
     if not 0 <= d <= MAX_DEGREE:
         raise InputError(f"degree must lie in [0, {MAX_DEGREE}]")
-    if N < 1:
-        raise InputError("N must be at least 1")
+    if not 1 <= N <= sys.float_info.max:  # so that the target 1/N is a float
+        raise InputError("N must be at least 1 and at most the largest float")
     scan = _TailScan(f, R, lattice, grid)
     stride = 2 if scan.scan.even else 1
     indices = range(0, d + 1, stride)
@@ -321,7 +314,7 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
         if not ratio < best_ratio:
             return False
         best_ratio, best_params = ratio, params
-        trace.append((params, ratio))
+        trace.append(Incumbent(params, ratio))
         return True
 
     x, step = 0.0, 0.5

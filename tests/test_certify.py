@@ -14,8 +14,8 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError,
                     check_theorem1, check_theorem2, check_theorem3,
                     decay_radius, dilation_threshold, dilation_threshold_freq,
                     gram_matrix, make_example1, make_example2, make_gaussian,
-                    make_singular_cos, realize_window, stretch, sup_outside,
-                    translate)
+                    make_singular_cos, realize_window, report_json, stretch,
+                    sup_outside, translate)
 from tfcert.tfops import quadrature_points
 
 PI = math.pi
@@ -232,6 +232,23 @@ def test_min_pairwise_matches_the_upper_triangle_of_the_distance_matrix(n):
         assert np.array_equal(pair, want) and M == want.min()
 
 
+@pytest.mark.parametrize("builder, bound", [("_pair_differences", 2.1), ("_min_pairwise", 2.6)])
+def test_pairwise_builders_peak_near_twice_the_differences(builder, bound):
+    # The diagonal drops by a reshape and the i < j pairs by a mask of the
+    # array's own shape, so numpy makes no int64 index arrays: at 2,048 rows
+    # of length 1 the peak stays near twice the (N, N, n) differences.
+    import tracemalloc
+    from tfcert import certify
+    vecs = np.random.default_rng(0).normal(size=(2048, 1))
+    tracemalloc.start()
+    try:
+        getattr(certify, builder)(vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * vecs.size * vecs.shape[0] * 8
+
+
 @pytest.mark.parametrize("offset, clear", [(1.0, False), (2.0, True)])
 def test_singularity_clearance_floor_is_one_rule(offset, clear):
     # A point SINGULARITY_FLOOR from the singularity of example2 at 0 is
@@ -317,7 +334,7 @@ def test_corollary1_gaussian_pair_has_zero_radius_at_every_stretch():
     for r in (0.5, 0.8, 1.0, 1.2537, 1.6, 2.0):
         cert = check_corollary1(make_gaussian(1), lam, r=r)
         assert cert.R == 0.0 and cert.certified, f"r={r}"
-        assert cert.to_json()["threshold_r"] is None
+        assert report_json(cert)["threshold_r"] is None
 
 
 def test_theorem1_single_point():
@@ -333,6 +350,18 @@ def test_theorem1_duplicate_times_not_certified():
     assert not cert.certified
     assert cert.M == 0.0
     assert "time" in cert.note
+
+
+def test_theorem1_uncertifiable_radius_at_zero_separation_reads_zero_with_a_note():
+    # A constant f never decays, so no radius is certifiable; two coinciding
+    # times fail whatever the radius, so R reads 0 and the note says why.
+    f = FunctionEvaluator(1, lambda t: np.ones_like(t))
+    cert = check_theorem1(f, PointSet.from_rows([[0, 0], [0, 1]]))
+    assert (cert.verdict, cert.R, cert.M) == ("NotCertified", 0.0, 0.0)
+    doc = report_json(cert)
+    assert doc == {"theorem": "Thm1", "verdict": "NotCertified", "N": 2, "R": 0.0, "M": 0.0,
+                   "peak": 1.0, "bound": 1.0, "margins": [0.0], "sup_method": "DenseSample",
+                   "note": "decay radius not certifiable and min time separation is zero"}
 
 
 def test_theorem1_rejects_singular_input():
@@ -668,7 +697,7 @@ def test_theorem2_repeated_time_is_not_certified():
     assert cert.verdict == "NotCertified"
     assert (cert.N, cert.R, cert.M) == (3, 0.0, 0.0)
     assert cert.margins == (0.0, 3.0, 3.0)  # the pairwise time distances
-    doc = cert.to_json()
+    doc = report_json(cert)
     assert doc["peak"] is None and doc["bound"] is None
     assert doc["note"] == "duplicate time coordinates: min pairwise time separation is zero"
 
@@ -744,6 +773,20 @@ def test_theorem3_single_point():
     assert cert.certified
 
 
+def test_theorem3_envelope_below_the_bound_at_radius_zero():
+    # |V_g g| <= 0.1 < |<g, g>|/2 everywhere, so the radius is 0.
+    g = make_gaussian(1)
+    cert = check_theorem3(g, g, PointSet.from_rows([[0, 0], [1, 0], [0, 1]]),
+                          stft_envelope=lambda r: 0.1)
+    assert cert.certified and cert.R == 0.0
+    doc = report_json(cert)
+    assert (doc["verdict"], doc["R"], doc["M"], doc["sup_method"]) == (
+        "Certified", 0.0, 1.0, "Envelope")
+    assert doc["peak"] == pytest.approx(1.0) and doc["bound"] == pytest.approx(0.5)
+    assert doc["margins"] == pytest.approx([1.0, 1.0, math.sqrt(2.0)])
+    assert not {"note", "translate_x", "threshold_r"} & doc.keys()
+
+
 def test_theorem3_near_orthogonal_refused():
     g = make_gaussian(1)
     odd = realize_window(WindowParams(1.0, [0.0, 1.0]))
@@ -759,7 +802,7 @@ def test_certificate_serialization_round_trip():
     import json
     f = make_example1(8.0, 5.0)
     cert = check_theorem1(f, lam_times([0, 1, 2, 3]))
-    blob = json.dumps(cert.to_json())
+    blob = json.dumps(report_json(cert))
     back = json.loads(blob)
     assert back["theorem"] == "Thm1"
     assert back["verdict"] == "Certified"

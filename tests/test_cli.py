@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfcert import cli, funcs, tfops
+from tfcert import cli, funcs, tfops, windowsearch
 from tfcert.cli import main
 
 
@@ -126,6 +126,17 @@ def test_certify_thm2_and_thm3(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "thm3", "--config", cfg, "--no-meta")
     assert code == 0
     assert json.loads(out)["report"]["sup_method"] == "DenseSample"
+
+
+def test_certify_thm3_in_two_dimensions_needs_an_envelope_exit_two(tmp_path, capsys):
+    # The lattice scan is 1-D and a config carries no STFT envelope.
+    cfg = write_config(tmp_path, "thm3-2d.json", {
+        "dimension": 2, "function": {"family": "gaussian", "params": {"n": 2}},
+        "lambda": [[0, 0, 0, 0], [2, 0, 0, 0]]})
+    code, out, err = run(capsys, "certify", "thm3", "--config", cfg, "--no-meta")
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1
+    assert "supply stft_envelope" in err
 
 
 def test_certify_thm2_repeated_time_exits_three(tmp_path, capsys):
@@ -385,6 +396,45 @@ def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)
     code, _, err = run(capsys, *command, "--config", path)
     assert code == 1
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+_HUGE = 10 ** 400  # JSON integers parse exactly; no float holds this one
+
+
+@pytest.mark.parametrize("command, cfg", [
+    (("certify", "lemma1"), {"function": {"family": "gaussian"}, "shifts": [0, _HUGE]}),
+    (("certify", "thm1"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 0]],
+                           "anchor": [_HUGE]}),
+    (("oracle", "collocation"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 1]],
+                                 "sample_points": [0, 1, _HUGE]}),
+    (("oracle", "metaplectic"), {"function": {"family": "gaussian"}, "kind": "dilation",
+                                 "sample_points": [0, _HUGE]}),
+    (("window-search",), dict(_SEARCH, N=_HUGE)),
+], ids=["lemma1-shifts", "thm1-anchor", "collocation-sample-points",
+        "metaplectic-sample-points", "window-search-N"])
+def test_integer_beyond_float_range_exit_one(tmp_path, capsys, monkeypatch, command, cfg):
+    # The window search refuses such an N before it builds its scan.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the tail scan was built")
+    monkeypatch.setattr(windowsearch, "_TailScan", no_scan)
+    path = write_config(tmp_path, "huge.json", cfg)
+    code, out, err = run(capsys, *command, "--config", path)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    b'{"function": {"family": "gaussian"}, "shifts": [0, 1' + b"0" * 5000 + b"]}",
+    b'{"function": {"family": "gaussian"}, "shifts": [0, 1], "\xff": 1}',
+], ids=["integer-past-the-digit-limit", "not-utf-8"])
+def test_config_json_python_cannot_read_exit_one(tmp_path, capsys, text):
+    # Python refuses to parse an integer of more than 4,300 digits, and the
+    # config is read as UTF-8: both are input errors, not tracebacks.
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    code, out, err = run(capsys, "certify", "lemma1", "--config", str(path))
+    assert code == 1 and out == ""
     assert err.startswith("input error:") and err.count("\n") == 1
 
 

@@ -12,7 +12,8 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     dependence_residual_er, dilate, er_lattice, gram_matrix,
                     make_example1, make_example2, make_gaussian,
                     make_singular_cos, metaplectic_residual, modulate,
-                    stft_grid, stft_identity_residual, tf_shift, translate)
+                    report_json, stft_grid, stft_identity_residual, tf_shift,
+                    translate)
 from tfcert import oracle
 from tfcert.tfops import inverse_fourier_multiplier, quadrature_points
 
@@ -691,11 +692,11 @@ def test_metaplectic_extra_variant_and_errors():
 def test_reports_serialize():
     import json
     rep = gram_matrix(make_gaussian(1), PointSet.from_rows([[0, 0], [1, 0]]))
-    back = json.loads(json.dumps(rep.to_json()))
+    back = json.loads(json.dumps(report_json(rep)))
     assert back["mode"] == "Gram"
     assert back["verdict"] == "Independent"
     assert 0 <= back["sigma_min"] <= back["sigma_max"]
 
     res = dependence_residual_er(np.array([[0.0, 0.0]]), 1e-9)
-    back = json.loads(json.dumps(res.to_json()))
+    back = json.loads(json.dumps(report_json(res)))
     assert back["best_phase"] == [1.0, 0.0]

@@ -950,3 +950,38 @@ def test_per_axis_norm_and_inner_product_match_the_dense_quadrature():
     want = math.exp(-PI * lam @ lam / 2.0) * np.exp(-1j * PI * lam[3:] @ lam[:3])
     assert abs(inner_product(make_gaussian(3), tf_shift(make_gaussian(3), lam)) - want) < 1e-14
     assert l2_norm(tf_shift(make_gaussian(3), lam)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_report_json_is_one_rule_for_every_report():
+    import dataclasses
+    import json
+    from typing import NamedTuple, Optional
+
+    class Entry(NamedTuple):
+        name: str
+        value: float
+
+    @dataclasses.dataclass(frozen=True)
+    class Report:
+        count: int
+        values: tuple
+        phase: complex
+        grid: np.ndarray
+        trace: tuple
+        flag: bool
+        extra: dict
+        absent: Optional[float] = None
+        hidden: Optional[np.ndarray] = dataclasses.field(default=None, metadata={"report": False})
+
+    rep = Report(np.int64(3), (1.5, math.inf, -math.inf, math.nan, np.float64(2.0)),
+                 complex(math.nan, -0.5), np.array([[0.25, np.inf]]),
+                 (Entry("a", 1.0), Entry("b", math.nan)), np.bool_(True),
+                 {"kept": None, "n": np.int32(7)}, hidden=np.ones(3))
+    doc = tfops.report_json(rep)
+    assert doc == {"count": 3, "values": [1.5, None, None, None, 2.0], "phase": [None, -0.5],
+                   "grid": [[0.25, None]], "flag": True, "extra": {"kept": None, "n": 7},
+                   "trace": [{"name": "a", "value": 1.0}, {"name": "b", "value": None}]}
+    assert type(doc["count"]) is int and type(doc["flag"]) is bool
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+    with pytest.raises(TypeError, match="no JSON form"):
+        tfops.report_json(object())

@@ -5,8 +5,8 @@ import pytest
 
 from tfcert import (GridSpec, InputError, NearOrthogonalError, PointSet,
                     WindowParams, check_theorem3, l2_norm,
-                    make_example1, make_gaussian, realize_window, search,
-                    stft_grid, stft_points, tail_ratio, translate)
+                    make_example1, make_gaussian, realize_window, report_json,
+                    search, stft_grid, stft_points, tail_ratio, translate)
 
 PI = math.pi
 
@@ -329,7 +329,7 @@ def test_achieved_config_upgrades_to_theorem3_certificate():
 def test_search_result_serializes():
     import json
     res = search(make_gaussian(1), R=2.0, N=2, d=0, budget=12)
-    back = json.loads(json.dumps(res.to_json()))
+    back = json.loads(json.dumps(report_json(res)))
     assert back["achieved"] is True
     assert back["target"] == 0.5
     assert back["trace"]
