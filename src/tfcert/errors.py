@@ -10,6 +10,10 @@ to exit code 1 and the latter to exit code 2.
 
 import math
 
+# The longest repr of an offending value that an input error quotes; a longer
+# one is named by its type and size (`_shown`).
+_SHOWN = 60
+
 
 class TFCertError(Exception):
     """Base class for all package errors."""
@@ -37,11 +41,26 @@ class NearOrthogonalError(NumericalRefusal):
     """A denominator inner product is numerically indistinguishable from zero."""
 
 
+def _shown(value) -> str:
+    """repr(value) for an input error, or its type and size when that is
+    longer than _SHOWN characters: "an int of 401 digits"."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int beyond the digits Python writes as text
+        return f"an int of {value.bit_length()} bits"
+    if len(text) <= _SHOWN:
+        return text
+    if isinstance(value, int):
+        return f"an int of {len(text.lstrip('-'))} digits"
+    return f"a {type(value).__name__} of {len(text)} characters"
+
+
 def convert(kind, value, what: str):
     """`kind(value)` for a value read from a config; a missing (None) or
-    malformed value raises InputError naming `what`. Booleans are malformed
-    for every kind, and so is a non-integral float for int, which `int`
-    would truncate; numeric strings are converted."""
+    malformed value raises InputError naming `what` and quoting the value
+    (`_shown`). Booleans are malformed for every kind, and so is a
+    non-integral float for int, which `int` would truncate; numeric strings
+    are converted."""
     if value is None:
         raise InputError(f"{what} is required")
     try:
@@ -50,12 +69,12 @@ def convert(kind, value, what: str):
             raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+        raise InputError(f"{what} must be {kind.__name__}, got {_shown(value)}") from exc
 
 
 def finite(value, what: str) -> float:
     """`convert(float, value, what)` that also refuses NaN and infinities."""
     v = convert(float, value, what)
     if not math.isfinite(v):
-        raise InputError(f"{what} must be finite, got {value!r}")
+        raise InputError(f"{what} must be finite, got {_shown(value)}")
     return v

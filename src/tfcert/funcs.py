@@ -3,7 +3,8 @@
 Each factory returns a `FunctionEvaluator` carrying the analytic radial
 envelope (where one exists) and singularity metadata, so the certificate
 checkers can run in rigorous envelope mode. The real families return real
-values; only the Edgar-Rosenblatt integral is complex.
+values and are even, which they declare (`FunctionEvaluator.parity`); only
+the Edgar-Rosenblatt integral is complex, and it declares no parity.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def make_example1(C: float, omega: float) -> FunctionEvaluator:
         return C if r <= cut else 1.0 / r
 
     return FunctionEvaluator(dim=1, fn=fn, envelope=envelope,
-                             singularities=(), square_integrable=True)
+                             singularities=(), square_integrable=True, parity=1)
 
 
 def make_example2(omega: float) -> FunctionEvaluator:
@@ -91,7 +92,7 @@ def make_example2(omega: float) -> FunctionEvaluator:
 
     return FunctionEvaluator(dim=1, fn=fn, envelope=envelope,
                              singularities=(np.array([0.0]),),
-                             square_integrable=True)
+                             square_integrable=True, parity=1)
 
 
 def make_singular_cos(omega: float) -> FunctionEvaluator:
@@ -107,7 +108,7 @@ def make_singular_cos(omega: float) -> FunctionEvaluator:
 
     return FunctionEvaluator(dim=1, fn=fn, envelope=envelope,
                              singularities=(np.array([0.0]),),
-                             square_integrable=False)
+                             square_integrable=False, parity=1)
 
 
 def make_gaussian(n: int = 1) -> FunctionEvaluator:
@@ -130,7 +131,8 @@ def make_gaussian(n: int = 1) -> FunctionEvaluator:
         factors = (make_gaussian(1),) * n
     envelope = lambda r: amp * np.exp(-np.pi * r * r)
     return FunctionEvaluator(dim=n, fn=fn, envelope=envelope,
-                             singularities=(), square_integrable=True, factors=factors)
+                             singularities=(), square_integrable=True, factors=factors,
+                             parity=1)
 
 
 def _sum_of_squares(t: np.ndarray) -> np.ndarray:

@@ -66,22 +66,28 @@ whose reversal is their reflection through the origin (read from the
 data), a real window plane P of parity s, P(-t) = s P(t), has
 sum_k exp(-2 pi i omega.t_k) f(t_k) w_k P(t_k + x) = s conj of the sum at
 (x, omega) (reverse the nodes). So when the window function gives the
-parities of its planes (the Hermite windows of a search; h_k has parity
-(-1)^k), a lattice x whose first nonzero coordinate is negative reads the
-row of -x, signed and conjugated, and a point (x, omega) so reflected reads
-(-x, -omega), signed, before the frequency fold: the point-symmetric search
-scan sums each window on half its shifts. A single window g has unknown
-parity and keeps every shift. Each of the two shift layouts, with the
-point kernel rows it needs, is built on first use.
+parities of its planes (the Hermite windows of a search, h_k having parity
+(-1)^k, or a single window g that declares one, `FunctionEvaluator.parity`),
+a lattice x whose first nonzero coordinate is negative and whose mirror -x
+is a shift of the scan too reads the row of -x, signed and conjugated, and
+a point (x, omega) so reflected reads (-x, -omega), signed, before the
+frequency fold: the point-symmetric search scan and a `thm3` lattice sum
+each window on half their shifts. A shift without a mirror keeps its own
+sums, so a fold only removes shifts, and a scan with none to remove (the
+shifted lattice xs - u of the STFT identity) sums as it would unreflected.
+Each of the two shift layouts, with the point kernel rows it needs, is
+built on first use.
 `products` sums a stack of q real window planes against the kernels, block
 by block of `_NODE_BLOCK` nodes. For each block a window function gives the
 q planes at the offsets t_k - x of the block's nodes from every shift;
 `products` sets their subnormal parts to zero (below), then adds each
 plane's lattice rows as one real matrix product with the stacked kernel
 and each point value as the dot product of its kernel row with its window
-row. The blocks are fixed, so a value does not depend on q or on the other
-rows of the call. `fields(g)` is `products` on conj(g(t_k - x)), as a real plane
-plus an imaginary plane when g is complex-valued. Lattice and point values
+row. The blocks are fixed, so a value does not depend on q, and on the
+other rows of the call only through the shift fold: a point reads its
+mirror's sum when its shift's mirror is among them. `fields(g)` is
+`products` on conj(g(t_k - x)), as a real plane plus an imaginary plane
+when g is complex-valued. Lattice and point values
 are both sum_k exp(-2 pi i omega.t_k) f(t_k) w_k conj(g(t_k - x)), summed in
 different orders, so they agree to round-off. Window parts of magnitude
 below the smallest normal float, tiny = 2.2e-308, are set to zero: Hermite
@@ -224,6 +230,13 @@ class FunctionEvaluator:
     singularities carries none. Translation, modulation and dilation act on
     each factor; the quadrature transforms and `chirp_mul` drop them, and
     `per_axis` reads them.
+
+    `parity`, when declared, is +1 or -1 with f(-t) = parity f(t) (an even
+    or an odd f); None declares nothing. Translation and modulation drop it;
+    dilation, `chirp_mul` and `with_envelope` keep it, and the quadrature
+    transforms declare none. An STFT scan folds its window shifts with it
+    when the window's singularities are symmetric about the origin
+    (`_STFTScan.fields`).
     """
 
     dim: int
@@ -233,6 +246,7 @@ class FunctionEvaluator:
     square_integrable: bool = True
     envelope_center: Optional[np.ndarray] = None
     factors: Optional[tuple] = None
+    parity: Optional[int] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -253,6 +267,9 @@ class FunctionEvaluator:
             if sings:
                 raise InputError("a function with singularities carries no factors")
             object.__setattr__(self, "factors", factors)
+        if self.parity is not None and (isinstance(self.parity, bool)
+                                        or self.parity not in (1, -1)):
+            raise InputError("parity must be None, 1 or -1")
 
     def __call__(self, t):
         pts, batch = _as_points(t, self.dim)
@@ -493,7 +510,7 @@ def translate(f: FunctionEvaluator, x) -> FunctionEvaluator:
     """Time shift: result(t) = f(t - x).
 
     Singularities and the envelope centre shift by +x; the envelope itself
-    is unchanged.
+    is unchanged, and the parity is dropped.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (f.dim,):
@@ -501,19 +518,20 @@ def translate(f: FunctionEvaluator, x) -> FunctionEvaluator:
     inner = f.fn
     return replace(f, fn=lambda t: inner(t - x),
                    singularities=tuple(s + x for s in f.singularities),
-                   envelope_center=f.envelope_center + x,
+                   envelope_center=f.envelope_center + x, parity=None,
                    factors=_factors_by(f, translate, x))
 
 
 def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
-    """Modulation: result(t) = e^{2 pi i omega.t} f(t). Preserves |f|."""
+    """Modulation: result(t) = e^{2 pi i omega.t} f(t). Preserves |f| and
+    drops the parity."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.shape != (f.dim,):
         raise InputError(f"modulation must be a vector of length {f.dim}")
     inner = f.fn
     freq = TWO_PI * omega
     fn = lambda t: np.exp(1j * np.dot(np.reshape(t, (-1, f.dim)), freq)) * inner(t)
-    return replace(f, fn=fn, factors=_factors_by(f, modulate, omega))
+    return replace(f, fn=fn, parity=None, factors=_factors_by(f, modulate, omega))
 
 
 def _factors_by(f: FunctionEvaluator, op: Callable, params) -> Optional[tuple]:
@@ -544,7 +562,8 @@ def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
 
     Large |r| compresses the function toward the origin. The envelope
     transforms exactly: env'(rho) = |r|^{n/2} env(|r| rho) about c / r, and
-    each 1-D factor is dilated by r, with the scale |r|^{1/2}.
+    each 1-D factor is dilated by r, with the scale |r|^{1/2}. The parity is
+    kept, for either sign of r.
     """
     r = float(r)
     if not math.isfinite(r) or r == 0.0:
@@ -562,7 +581,8 @@ def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
 
 
 def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
-    """Multiplication by the linear chirp e^{2 pi i r t^2} (dimension 1 only)."""
+    """Multiplication by the linear chirp e^{2 pi i r t^2} (dimension 1 only),
+    which is even, so the parity is kept."""
     if f.dim != 1:
         raise InputError("chirp multiplication is defined for dimension 1 only")
     r = float(r)
@@ -602,13 +622,23 @@ def _phase_rows(freqs: np.ndarray, nodes: np.ndarray, sign: float):
     """Row blocks of the (r, K) matrix exp(sign 2 pi i omega_j.t_k) for (r, n)
     frequencies omega and (K, n) nodes t, each of about `_WINDOW_BLOCK`
     values: cos(theta) + i sin(theta) of theta = sign 2 pi (omega.t). The
-    caller may overwrite a block."""
-    step = _block_rows(nodes.shape[0])
+    caller may overwrite a block.
+
+    When the nodes are one axis that is exactly antisymmetric, t[K - 1 - k]
+    == -t[k] bit for bit (`axis_quadrature`), theta(-t) = -theta(t) exactly
+    and cos is even and sin odd, so cos and sin run on the first ceil(K/2)
+    nodes and the rest of each row is the conjugate of that half reversed:
+    the same bits. In n-D a sum of products can change the sign of a zero,
+    so n-D nodes take every node."""
+    K = nodes.shape[0]
+    half = (K + 1) // 2 if nodes.shape[1] == 1 and np.array_equal(nodes[::-1], -nodes) else K
+    step = _block_rows(K)
     for lo in range(0, freqs.shape[0], step):
-        theta = sign * TWO_PI * _outer_dot(freqs[lo:lo + step], nodes)
-        block = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=block.real)
-        np.sin(theta, out=block.imag)
+        theta = sign * TWO_PI * _outer_dot(freqs[lo:lo + step], nodes[:half])
+        block = np.empty((theta.shape[0], K), dtype=complex)
+        np.cos(theta, out=block.real[:, :half])
+        np.sin(theta, out=block.imag[:, :half])
+        np.conj(block[:, :K - half][:, ::-1], out=block[:, half:])
         yield block
 
 
@@ -753,14 +783,15 @@ def _first_negative(a: np.ndarray) -> np.ndarray:
     return a[np.arange(a.shape[0]), np.argmax(a != 0, axis=1)] < 0
 
 
-def _fold(rows: np.ndarray, dim: int, real: bool, reflect: bool):
+def _fold(rows: np.ndarray, dim: int, real: bool, reflect):
     """(distinct folded rows, index, conj, flip) of (r, w) rows whose first
     `dim` columns are a shift and whose last `dim` columns are a frequency.
-    When `reflect`, a row whose first nonzero shift coordinate is negative is
-    replaced by its reflection -row (`flip`); then, for a real f, a row whose
-    first nonzero frequency coordinate is negative is replaced by its mirror,
-    the frequency negated, and reads the conjugate of its value (`conj`).
-    Row i of `rows` reads distinct row index[i]."""
+    Where `reflect` (a bool, or one per row), a row whose first nonzero
+    shift coordinate is negative is replaced by its reflection -row
+    (`flip`); then, for a real f, a row whose first nonzero frequency
+    coordinate is negative is replaced by its mirror, the frequency negated,
+    and reads the conjugate of its value (`conj`). Row i of `rows` reads
+    distinct row index[i]."""
     flip = reflect & _first_negative(rows[:, :dim])
     rows = np.where(flip[:, None], -rows, rows)
     conj = real & _first_negative(rows[:, rows.shape[1] - dim:])
@@ -814,8 +845,9 @@ class _STFTScan:
     the lattice omegas and the points are folded by `_fold`, whose flags
     `_unfold` reads back. For an even real f (`even`, read from its
     quadrature values), windows of known parities also fold each shift onto
-    its reflection. The shifts and the point kernel of either fold are built
-    on first use (`layout`).
+    its reflection when the reflection is a shift of the scan too. The
+    shifts and the point kernel of either layout are built on first use
+    (`layout`).
     """
 
     def __init__(self, f: FunctionEvaluator, grid: Optional[GridSpec],
@@ -844,21 +876,31 @@ class _STFTScan:
         self._layouts: dict = {}
 
     def layout(self, reflect: bool) -> _ScanLayout:
-        """The shifts and the point kernel of the scan, each shift and point
-        folded onto its reflection through the origin when `reflect`.
+        """The shifts and the point kernel of the scan, each shift whose
+        reflection through the origin is a shift of the scan too folded onto
+        it when `reflect`.
 
-        A lattice x whose first nonzero coordinate is negative reads -x, and
-        a point (x, omega) so reflected reads (-x, -omega) before the
-        frequency fold; shifts equal up to the sign of zero are one, and the
+        Such a lattice x whose first nonzero coordinate is negative reads -x,
+        and a point (x, omega) so reflected reads (-x, -omega) before the
+        frequency fold. A shift without a mirror keeps its own sums, so a
+        fold only ever removes shifts, and a scan with no mirrored shifts
+        (the shifted lattice xs - u of the STFT identity) sums as if
+        unreflected. Shifts equal up to the sign of zero are one, and the
         distinct lattice xs come first, so their window rows are a slice.
         """
         if reflect not in self._layouts:
-            xs, x_index, _, x_flip = _fold(self.xs, self.dim, False, reflect)
-            pts, *point_fold = _fold(self.points, self.dim, self.real, reflect)
-            shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :self.dim]]))
+            m, dim = self.xs.shape[0], self.dim
+            mirrored = np.zeros(m + self.points.shape[0], dtype=bool)
+            if reflect:
+                shifts = np.concatenate([self.xs, self.points[:, :dim]]).tolist()
+                seen = set(map(tuple, shifts))
+                mirrored[:] = [tuple(-v for v in x) in seen for x in shifts]
+            xs, x_index, _, x_flip = _fold(self.xs, dim, False, mirrored[:m])
+            pts, *point_fold = _fold(self.points, dim, self.real, mirrored[m:])
+            shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :dim]]))
             self._layouts[reflect] = _ScanLayout(
                 shifts, xs.shape[0], (x_index, x_flip, x_flip), tuple(point_fold),
-                inverse[xs.shape[0]:], _folded_planes(pts[:, self.dim:], self.nodes, self.fw))
+                inverse[xs.shape[0]:], _folded_planes(pts[:, dim:], self.nodes, self.fw))
         return self._layouts[reflect]
 
     @property
@@ -876,15 +918,16 @@ class _STFTScan:
 
         For an even real f and planes of known parities, V_P f(-x, omega) =
         parity conj V_P f(x, omega) (module notes), so the sums run on the
-        reflected layout only; otherwise on the unreflected one.
+        reflected layout, where each mirrored pair of shifts is summed once;
+        otherwise on the unreflected one.
         The sums run over blocks of `_NODE_BLOCK` nodes, in order. Each
         block's planes have their subnormal parts set to zero (`_flush`);
         then each plane's lattice rows are one real matrix product with the
         stacked lattice kernel, and each folded point is the dot product of
-        its kernel row with its window row, so no value depends on q or on
-        the other rows of the call. Lattice entries and points folded onto
-        a mirror or a reflection then read its sum exactly conjugated or
-        signed (`_unfold`).
+        its kernel row with its window row, so no value depends on q, nor on
+        the other rows of the call but through the shift fold. Lattice
+        entries and points folded onto a mirror or a reflection then read
+        its sum exactly conjugated or signed (`_unfold`).
         """
         q = len(parities)
         layout = self.layout(self.even and None not in parities)
@@ -914,7 +957,10 @@ class _STFTScan:
         The window is evaluated once on each distinct shift, block by block
         of `products`, as its real plane plus, for a complex-valued g, the
         plane of -Im g. Entries where t_k is not clear of a singularity of
-        the shifted window are zero.
+        the shifted window are zero. Both planes have g's declared parity
+        (`FunctionEvaluator.parity`) when its singularities, and so the
+        zeroed entries, are symmetric about the origin; an even f's scan
+        then folds its shifts.
         """
         if g.dim != self.dim:
             raise InputError("dimension mismatch")
@@ -929,7 +975,9 @@ class _STFTScan:
                 vals = np.where(_clear_of(t, g.singularities, self.grid), vals, 0.0)
             return np.stack([vals.real, -vals.imag]) if q == 2 else vals.real[None]
 
-        lattice, points = self.products(window, (None,) * q)
+        sings = set(map(tuple, np.reshape(g.singularities, (-1, self.dim)).tolist()))
+        symmetric = all(tuple(-v for v in x) in sings for x in sings)
+        lattice, points = self.products(window, (g.parity if symmetric else None,) * q)
         if q == 2:
             return lattice[0] + 1j * lattice[1], points[0] + 1j * points[1]
         return lattice[0], points[0]

@@ -23,6 +23,7 @@ index of its c.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,12 +39,18 @@ MAX_DEGREE = 8
 DENOM_FLOOR = 1e-10
 # Window evaluations one search may spend, a width costing d + 1 + (d > 0)
 # of them. The basis pass of one width of a real f that is not even takes
-# about 6-9 ms at d = 0, 16-24 ms at d = 3 and 35-55 ms at d = 8 on the
-# default grid (x86-64, one BLAS thread), 4-9 ms per evaluation, so the
-# budget bounds a search to about 90 s. An even f reflects half the shifts
-# and sums only the even windows: 3-4 ms at d = 0 and 1, 5-9 ms at d = 2 and
-# 3, 12-20 ms at d = 8, 1-4 ms per evaluation.
+# about 7-9 ms at d = 0, 21-27 ms at d = 3 and 43-56 ms at d = 8 on the
+# default grid (x86-64, one BLAS thread, widths 1/4 to 2), 4-9 ms per
+# evaluation, so the budget bounds a search to about 90 s. An even f
+# reflects half the shifts and sums only the even windows: 4-5 ms at d = 0,
+# 7-10 ms at d = 3, 16-21 ms at d = 8, 1.5-5 ms per evaluation. Narrow
+# widths cost at most a third more than wide ones, since the Gaussian
+# factor is not computed where it underflows (`_hermite_functions`); at
+# d = 0 a width of 1/4 took twice as long as a width of 2 before that.
 MAX_BUDGET = 10_000
+# The Hermite planes are set to zero, without `exp`, where they stay below
+# tiny / _UNDERFLOW_MARGIN (`_underflow_cut`).
+_UNDERFLOW_MARGIN = 4.0
 # Boundary-ring samples of the tail-ratio scan; a multiple of 4, so the ring
 # mirrors in both axes.
 _RING_SAMPLES = 180
@@ -76,20 +83,55 @@ class WindowParams:
         object.__setattr__(self, "hermite_coeffs", c)
 
 
-def _hermite_functions(s: np.ndarray, d: int, width: float) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _underflow_cut(d: int, gain: float) -> float:
+    """A q such that gain (sqrt(4 pi) s + 1)^d e^{-pi s^2} < tiny /
+    _UNDERFLOW_MARGIN wherever -pi s^2 < q, for a gain of at least 1.
+
+    That is s beyond the root s* of F(s) = log(gain / tiny) + d log(sqrt(4
+    pi) s + 1) - pi s^2, found by the fixed-point step s <- sqrt((log(gain /
+    tiny) + d log(sqrt(4 pi) s + 1)) / pi). The step is increasing in s, so
+    from a start above s* every iterate stays above it; F decreases beyond
+    s* (s* > 15 and d <= MAX_DEGREE), so each iterate is a valid cut.
+    """
+    a = math.log(gain * _UNDERFLOW_MARGIN) - math.log(sys.float_info.min)
+    s = math.sqrt(a / math.pi) + d
+    for _ in range(3):
+        s = math.sqrt((a + d * math.log1p(math.sqrt(4.0 * math.pi) * s)) / math.pi)
+    return -math.pi * s * s
+
+
+def _hermite_functions(s: np.ndarray, d: int, width: float, gain: float = 1.0,
+                       reach: Optional[float] = None) -> np.ndarray:
     """w^{-1/2} h_k(s) for k = 0..d, as a (d + 1,) + s.shape array, for the
     Hermite functions h_k(s) = 2^{1/4} (2^k k!)^{-1/2} H_k(y) e^{-pi s^2},
     y = sqrt(2 pi) s, of unit L2 norm; s = t / w gives the window of width w.
 
     One Gaussian factor and the recurrence h_{k+1} = sqrt(2 / (k + 1)) y h_k
-    - sqrt(k / (k + 1)) h_{k-1}, which needs no factorial.
+    - sqrt(k / (k + 1)) h_{k-1}, which needs no factorial. By that recurrence
+    |h_k| <= (sqrt 2 |y| + 1)^k h_0, so where -pi s^2 lies below
+    `_underflow_cut` every plane times `gain` (a bound on the sum of |c_k|
+    the planes are combined with) is below tiny / 4 and flushes to zero
+    (`tfops._flush`); there the Gaussian factor is set to 0 without
+    calling `exp`, whose subnormal results are about 90 times slower than
+    normal ones. The mask is skipped where nothing lies below the cut: when
+    `reach`, a bound on |s|, says so, or else when one `min` does. Every
+    other value is unchanged, bit for bit.
     """
     h = np.empty((d + 1,) + np.shape(s))
-    np.multiply(s, s, out=h[0])
-    h[0] *= -np.pi
-    np.exp(h[0], out=h[0])
-    h[0] *= 2.0 ** 0.25 / math.sqrt(width)
-    y = math.sqrt(2.0 * math.pi) * s
+    q = h[0]
+    np.multiply(s, s, out=q)
+    q *= -np.pi
+    scale = 2.0 ** 0.25 / math.sqrt(width)
+    cut = _underflow_cut(d, max(1.0, scale * gain))
+    if (reach is None or -math.pi * reach * reach < cut) and q.min(initial=0.0) < cut:
+        low = q < cut
+        np.exp(q, out=q, where=~low)
+        q[low] = 0.0
+    else:
+        np.exp(q, out=q)
+    q *= scale
+    y = math.sqrt(2.0 * math.pi) * s if d else None
     for k in range(d):
         np.multiply(y, h[k], out=h[k + 1])
         h[k + 1] *= math.sqrt(2.0 / (k + 1))
@@ -99,10 +141,20 @@ def _hermite_functions(s: np.ndarray, d: int, width: float) -> np.ndarray:
 
 
 def realize_window(params: WindowParams) -> FunctionEvaluator:
-    """Build the window evaluator g(t) = sum_k c_k w^{-1/2} h_k(t/w)."""
+    """Build the window evaluator g(t) = sum_k c_k w^{-1/2} h_k(t/w).
+
+    h_k has parity (-1)^k, so g declares the parity (-1)^k when every
+    nonzero c_k has an index k of one parity. Where every plane lies below
+    tiny / (4 sum |c_k|) (`_hermite_functions`), g is 0 rather than a
+    subnormal value.
+    """
     w, c = params.width, params.hermite_coeffs
-    return FunctionEvaluator(dim=1, fn=lambda t: c @ _hermite_functions(t / w, c.size - 1, w),
-                             envelope=None, singularities=(), square_integrable=True)
+    gain = float(np.abs(c).sum())
+    odd = {k % 2 for k in np.flatnonzero(c)}
+    return FunctionEvaluator(
+        dim=1, fn=lambda t: c @ _hermite_functions(t / w, c.size - 1, w, gain),
+        envelope=None, singularities=(), square_integrable=True,
+        parity=(-1) ** odd.pop() if len(odd) == 1 else None)
 
 
 def _ring(R: float) -> np.ndarray:
@@ -141,6 +193,8 @@ class _TailScan:
         points = np.vstack([[0.0, 0.0], _ring(R)])
         self.scan = _STFTScan(f, grid, xs=xs, omegas=xs, points=points)
         self.outside = np.hypot(*np.meshgrid(xs, xs, indexing="ij")) > R
+        # a bound on every offset |t_k - x| of the scan
+        self.reach = float(np.abs(self.scan.nodes).max() + np.abs(np.append(xs, R)).max())
 
     def basis(self, width: float, indices: range) -> tuple[np.ndarray, np.ndarray]:
         """(tail, origin) of the basis windows (width, e_k), k in `indices`:
@@ -152,11 +206,13 @@ class _TailScan:
         block evaluates the Gaussian factor once and the planes up to the
         last index by the recurrence (`_hermite_functions`, the values
         `realize_window` gives), and sums those of `indices`, the plane of
-        h_k with its parity (-1)^k.
+        h_k with its parity (-1)^k. No offset is farther out than the
+        scan's `reach`, so at widths above reach / 15 no block looks for
+        underflow.
         """
         lattice, points = self.scan.products(
-            lambda t: _hermite_functions(t[..., 0] / width, indices[-1], width)[
-                indices.start::indices.step],
+            lambda t: _hermite_functions(t[..., 0] / width, indices[-1], width,
+                                         reach=self.reach / width)[indices.start::indices.step],
             [(-1) ** k for k in indices])
         return np.concatenate([lattice[:, self.outside], points[:, 1:]], axis=1).T, points[:, 0]
 

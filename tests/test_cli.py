@@ -424,6 +424,16 @@ def test_integer_beyond_float_range_exit_one(tmp_path, capsys, monkeypatch, comm
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_input_error_names_a_huge_value_by_its_size(tmp_path, capsys):
+    # The one error line names a 401-digit R by its type and size instead of
+    # quoting every digit.
+    path = write_config(tmp_path, "huge-r.json", dict(_SEARCH, R=_HUGE))
+    code, out, err = run(capsys, "window-search", "--config", path)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert len(err) < 200 and "an int of 401 digits" in err
+
+
 @pytest.mark.parametrize("text", [
     b'{"function": {"family": "gaussian"}, "shifts": [0, 1' + b"0" * 5000 + b"]}",
     b'{"function": {"family": "gaussian"}, "shifts": [0, 1], "\xff": 1}',

@@ -536,12 +536,13 @@ def test_scan_repeated_shifts_give_bit_identical_values():
 
 
 def test_window_flush_moves_fields_within_the_stated_bound(monkeypatch):
-    # At width 0.5 the window has subnormal values on the default grid. They
+    # exp(-pi (t / 0.5)^2) has subnormal values on the default grid (a Hermite
+    # window of width 0.5 sets them to zero before they are computed). They
     # are flushed to zero, which moves each value by at most K tiny max|f w|
     # against the same sums (`products`) with the flush turned off.
-    from tfcert.windowsearch import SEARCH_LATTICE, WindowParams, realize_window
+    from tfcert.windowsearch import SEARCH_LATTICE
     f = make_gaussian(1)
-    g = realize_window(WindowParams(0.5, np.array([1.0])))
+    g = FunctionEvaluator(dim=1, fn=lambda t: np.exp(-PI * (t / 0.5) ** 2))
     grid = GridSpec.default(1)
     xs = np.linspace(-8.0, 8.0, SEARCH_LATTICE.samples_per_axis)
     scan = tfops._STFTScan(f, grid, xs, xs, [[0.0, 0.0], [7.9, -3.0], [-6.5, 1.0]])
@@ -558,6 +559,124 @@ def test_window_flush_moves_fields_within_the_stated_bound(monkeypatch):
     want_lattice, want_points = scan.fields(g)
     assert np.max(np.abs(lattice - want_lattice)) <= bound
     assert np.max(np.abs(at_points - want_points)) <= bound
+
+
+def direct_phase_rows(freqs, nodes, sign):
+    """(cos, sin) of theta = sign 2 pi omega t on every node, for 1-D nodes."""
+    theta = sign * tfops.TWO_PI * np.multiply.outer(freqs, nodes[:, 0])
+    return np.cos(theta), np.sin(theta)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("nodes", [
+    tfops.axis_quadrature(GridSpec(8.0, 4096))[0],
+    tfops.axis_quadrature(GridSpec(8.0, 4095))[0],
+    tfops.axis_quadrature(GridSpec(3.0, 7))[0],
+    quadrature_points(GridSpec(8.0, 4095), 1, [np.array([0.0])])[0][:, 0],
+    quadrature_points(GridSpec(8.0, 4096), 1, [np.array([0.5])])[0][:, 0],
+], ids=["even-K", "odd-K", "K-7", "origin-dropped", "not-mirrored"])
+def test_phase_rows_equal_direct_cos_and_sin_bit_for_bit(nodes, sign):
+    # On an exactly antisymmetric axis (even or odd K, or the origin dropped)
+    # half of each row is the conjugate of the other half reversed; with a
+    # singularity at 0.5 dropped the nodes are not mirrored and every node is
+    # computed. Either way each value is the direct cos and sin, to the bit,
+    # on the omega = 0 rows (both signs of zero) too.
+    nodes = nodes[:, None]
+    freqs = np.concatenate([[0.0, -0.0], np.linspace(-8.0, 8.0, 33),
+                            np.random.default_rng(3).uniform(-40.0, 40.0, 20)])
+    cos, sin = direct_phase_rows(freqs, nodes, sign)
+    got = np.concatenate(list(_phase_rows(freqs[:, None], nodes, sign)))
+    assert got.real.tobytes() == cos.tobytes() and got.imag.tobytes() == sin.tobytes()
+
+
+PARITY_CASES = {
+    "gaussian": make_gaussian(1),
+    "example1": make_example1(4.0, 2.0),
+    "example2": make_example2(1.5),
+    "singular_cos": make_singular_cos(1.0),
+    "even-window": realize_window(WindowParams(0.7, np.array([0.6, 0.0, -0.4]))),
+    "odd-window": realize_window(WindowParams(1.3, np.array([0.0, 0.5, 0.0, 0.2]))),
+    "narrow-window": realize_window(WindowParams(0.25, np.array([0.0, 1.0]))),
+    "dilate-negative": dilate(make_example1(4.0, 2.0), -1.7),
+    "dilate-odd": dilate(realize_window(WindowParams(1.0, np.array([0.0, 1.0]))), -0.6),
+    "chirp": chirp_mul(realize_window(WindowParams(1.3, np.array([0.0, 0.5]))), 0.3),
+    "with-envelope": make_example2(0.5).with_envelope(lambda r: math.inf),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(name=st.sampled_from(sorted(PARITY_CASES)),
+       t=st.lists(st.floats(-9.0, 9.0).filter(lambda v: abs(v) > 1e-3), min_size=1, max_size=12))
+def test_declared_parity_holds_at_random_points(name, t):
+    # A declared parity p is exact: f(-t) == p f(t), values and the sign of
+    # the imaginary part alike.
+    f, t = PARITY_CASES[name], np.array(t)
+    assert f.parity in (1, -1)
+    np.testing.assert_array_equal(f(-t), f.parity * f(t))
+
+
+def test_operators_keep_or_drop_the_parity():
+    f = make_example1(4.0, 2.0)
+    odd = realize_window(WindowParams(1.3, np.array([0.0, 0.5, 0.0, 0.2])))
+    assert f.parity == make_gaussian(3).parity == 1 and odd.parity == -1
+    assert make_edgar_rosenblatt().parity is None
+    assert realize_window(WindowParams(1.0, np.array([0.5, 0.5]))).parity is None
+    for h in (f, odd):
+        assert translate(h, 0.3).parity is None and modulate(h, 0.5).parity is None
+        assert tf_shift(h, [0.0, 0.5]).parity is None
+        assert translate(h, 0.0).parity is None  # dropped, not checked
+        for kept in (dilate(h, -1.7), dilate(h, 2.0), chirp_mul(h, 0.3),
+                     h.with_envelope(lambda r: 1.0)):
+            assert kept.parity == h.parity
+    g2 = make_gaussian(2)
+    assert dilate(g2, -0.5).parity == 1 and translate(g2, [0.1, 0.0]).parity is None
+    assert fourier(f).parity is None
+    assert inverse_fourier_multiplier(f, lambda w: np.ones_like(w)).parity is None
+    for bad in (0, 2, -2, 0.5, True):
+        with pytest.raises(InputError):
+            FunctionEvaluator(dim=1, fn=np.cos, parity=bad)
+
+
+@pytest.mark.parametrize("g", [make_gaussian(1),
+                               realize_window(WindowParams(1.3, np.array([0.0, 0.5, 0.0, 0.2])))],
+                         ids=["gaussian", "odd-window"])
+def test_thm3_scan_of_an_even_f_folds_its_shifts(g):
+    # The 128 lattice xs and the origin are 129 shifts; a window of declared
+    # parity on an even f sums only x >= 0, 65 shifts, and reads each x < 0
+    # exactly signed and conjugated, within 1e-15 of the unfolded field.
+    from tfcert.certify import THM3_LATTICE
+    f = make_example1(4.0, 1.0)
+    xs = tfops.axis_quadrature(THM3_LATTICE)[0]
+    shifts = []
+    counted = replace(g, fn=lambda t: shifts.append(t.shape[0]) or g.fn(t))
+    scan = tfops._STFTScan(f, None, xs, xs, np.zeros((1, 2)))
+    lattice, origin = scan.fields(counted)
+    # each node block evaluates g on 65 shifts (an empty batch reads g's type)
+    assert scan.even and scan.shifts.shape == (129, 1)
+    assert set(shifts) == {0, 65 * tfops._NODE_BLOCK}
+    want, want_origin = tfops._STFTScan(f, None, xs, xs, np.zeros((1, 2))).fields(
+        replace(g, parity=None))
+    assert np.max(np.abs(lattice - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(origin, want_origin)
+
+
+def test_a_fold_removes_only_mirrored_shifts():
+    # The STFT identity's right side scans the shifted xs - u, which holds no
+    # mirrored pair, so a window of declared parity sums it bit for bit as one
+    # of unknown parity; a shift whose mirror is in the scan is folded. A
+    # window whose singularities are not symmetric has zeroed entries of no
+    # parity, so its scan does not fold.
+    from tfcert.oracle import STFT_IDENTITY_LATTICE
+    f, g = make_example1(4.0, 1.0), make_gaussian(1)
+    xs = tfops.axis_quadrature(STFT_IDENTITY_LATTICE)[0]
+    unknown = replace(g, parity=None)
+    assert np.array_equal(stft_grid(f, g, xs - 0.3, xs), stft_grid(f, unknown, xs - 0.3, xs))
+    scan = tfops._STFTScan(f, None, xs - 0.3, xs, [[0.3, 1.0], [2.0, 0.5]])
+    assert scan.layout(True).shifts.shape[0] == scan.shifts.shape[0] - 1
+    lopsided = replace(g, singularities=(np.array([0.5]),))
+    assert lopsided.parity == 1
+    assert np.array_equal(stft_grid(f, lopsided, xs, xs),
+                          stft_grid(f, replace(lopsided, parity=None), xs, xs))
 
 
 def as_complex(f):

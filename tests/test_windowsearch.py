@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,8 +80,9 @@ def test_default_tail_scan_shares_mirrored_ring_shifts():
     # 45 is (0, R). Basis windows of known parity on an even f read the
     # reflected layout: 41 lattice xs (x >= 0) plus the 45 nonzero ring xs of
     # x > 0, and the origin and samples 0-45 as 47 point kernel rows. A window
-    # of unknown parity reads the unreflected one: 81 lattice xs and 90 ring
-    # xs, 92 point rows, each mirrored value the exact conjugate.
+    # of unknown parity (an even `realize_window` declares +1, so it is
+    # cleared) reads the unreflected one: 81 lattice xs and 90 ring xs, 92
+    # point rows, each mirrored value the exact conjugate.
     from tfcert import tfops
     from tfcert.windowsearch import _ring, _TailScan
     ring = _ring(1.7)
@@ -100,7 +102,8 @@ def test_default_tail_scan_shares_mirrored_ring_shifts():
         scan = tail_scan.scan
         assert scan.even and rows == [41, 47]
         assert scan.layout(True).shifts.shape == (86, 1) and scan.layout(True).xs == 41
-        at_points = scan.fields(realize_window(WindowParams(1.3, np.array([0.6, 0.0, -0.4]))))[1]
+        g = replace(realize_window(WindowParams(1.3, np.array([0.6, 0.0, -0.4]))), parity=None)
+        at_points = scan.fields(g)[1]
     assert rows == [41, 47, 92]
     assert scan.shifts.shape == (171, 1) and scan.layout(False).xs == 81
     np.testing.assert_array_equal(at_points[1 + 180 - j], np.conj(at_points[1 + j]))
@@ -114,8 +117,8 @@ def test_default_search_scan_reflects_only_an_even_f(f, even, monkeypatch):
     # f translated by 0.3 is not even and keeps every shift.
     from tfcert import tfops, windowsearch
     shifts, hermite = [], windowsearch._hermite_functions
-    monkeypatch.setattr(windowsearch, "_hermite_functions",
-                        lambda s, d, width: shifts.append(s.shape[0]) or hermite(s, d, width))
+    monkeypatch.setattr(windowsearch, "_hermite_functions", lambda s, d, width, **kw:
+                        shifts.append(s.shape[0]) or hermite(s, d, width, **kw))
     rows, planes = [], tfops._folded_planes
     monkeypatch.setattr(tfops, "_folded_planes",
                         lambda freqs, nodes, fw: rows.append(freqs.shape[0]) or planes(freqs, nodes, fw))
@@ -274,6 +277,45 @@ def test_basis_pass_columns_match_single_window_scans(width):
         for k in range(d + 1):
             column = np.append(tail[:, k], origin[k])
             assert np.max(np.abs(column - single[k])) <= 1e-13 * np.max(np.abs(single[k]))
+
+
+def unguarded_hermite_planes(s, d, width):
+    """The Hermite planes by the recurrence, `exp` run on every value."""
+    h = np.empty((d + 1,) + s.shape)
+    h[0] = np.exp(-PI * (s * s)) * (2.0 ** 0.25 / math.sqrt(width))
+    y = math.sqrt(2.0 * PI) * s
+    for k in range(d):
+        h[k + 1] = y * h[k] * math.sqrt(2.0 / (k + 1))
+        if k:
+            h[k + 1] -= math.sqrt(k / (k + 1)) * h[k - 1]
+    return h
+
+
+@pytest.mark.parametrize("width", [1.0 / 16.0, 0.5, 0.6, 1.0, 2.0])
+def test_guarded_hermite_planes_equal_the_flushed_formula(width):
+    # Where no plane up to degree d can reach tiny the Gaussian factor is set
+    # to zero without `exp`; once flushed, every plane of every degree is the
+    # unguarded recurrence flushed, byte for byte, on the offsets of the
+    # default search scan (every fourth node), whether a `min` or a bound on
+    # |s| (the basis pass's reach) looks for underflow. Below width 1 the
+    # guard acts.
+    from tfcert import tfops
+    from tfcert.windowsearch import MAX_DEGREE, _hermite_functions, _TailScan
+    scan = _TailScan(make_example1(4.0, 2.0), 1.8, None, None).scan
+    s = (scan.nodes[::4, 0] - scan.shifts) / width
+    want = unguarded_hermite_planes(s, MAX_DEGREE, width)
+    zeros = np.count_nonzero(want[0] == 0.0)
+    underflows = np.count_nonzero(want[0] < np.finfo(float).tiny)
+    for plane in want:
+        tfops._flush(plane)
+    for d in range(MAX_DEGREE + 1):
+        for reach in (None, 16.0 / width):
+            got = _hermite_functions(s, d, width, reach=reach)
+            if width < 1.0 and d == 0:
+                assert zeros < np.count_nonzero(got[0] == 0.0) <= underflows
+            for plane in got:
+                tfops._flush(plane)
+            assert got.tobytes() == want[:d + 1].tobytes(), (d, reach)
 
 
 def test_basis_pass_memory_stays_within_8_mb():
