@@ -9,6 +9,8 @@ the Edgar-Rosenblatt integral is complex, and it declares no parity.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,31 +19,56 @@ from .errors import InputError, convert, finite
 from .tfops import FunctionEvaluator
 
 MAX_GAUSSIAN_DIM = 64
-# Points per block of the batched Edgar-Rosenblatt quadrature: the panel
-# arrays of one bisection grow with the block, not with the point set.
-_ER_BLOCK = 512
-# Tolerance range of the ER quadrature. Bisection stops where a panel's two
-# halves agree within its share of the tolerance, a fixed fraction of its
-# width; the rounding of the phases, which grows with |a| and |b|, is too,
-# so below about 1e-14 it can exceed the share at every depth and the panel
-# count explodes. With |a|, |b| <= 50 on x86-64, 1e-15 took 3.7 ms per point
-# and 1e-14 15 us; 3e-17 did not finish 200 points in 20 s.
+# Nodes per step of the Edgar-Rosenblatt (ER) evaluator: its points run
+# grouped by panel count, as many rows at a time as fit, so its arrays stay
+# the same size at every reach.
+_ER_NODES = 1 << 14
+# Tolerance range of the ER quadrature. quad_tol bounds the truncation error of
+# each value. The rounding of the phases adds a floor of about
+# (2 pi (|a| + |b|) + 16) eps / 3, 1.2e-15 at the origin and 9.3e-12 at
+# |a| = |b| = 10^4, which no panel count removes; below 1e-14 the bound would
+# buy panels whose gain sits under that floor.
 _ER_TOL_RANGE = (1e-14, 1e-3)
 # The ER quadrature tolerance of every default: evaluators, function specs,
 # the five-term residual and its CLI section.
 ER_QUAD_TOL = 1e-9
 # One ER evaluation at (a, b) costs about the same while |a| and |b| stay below
-# _ER_FLAT_REACH and grows linearly beyond it, and so do its panels and memory.
-# So `check_er_work` bounds both: a point counts er_weight(reach) times, reach
-# being the largest |a| or |b|, and at most MAX_ER_WORK counted points run as
-# one call, one five-term stencil or one `oracle.er_lattice` stencil; and no
-# reach beyond MAX_ER_REACH runs. At that reach one block raised peak RSS by
-# 150 MB (points uniform in the square) to 320 MB (every point at the reach)
-# on x86-64. The rule admits the default 512^2 dense scan within reach 572.
+# _ER_FLAT_REACH and grows linearly beyond it, as its panel count does (about
+# reach / 14 at the default tolerance, reach / 8 at 1e-14). So `check_er_work`
+# bounds the time: a point counts er_weight(reach) times, reach being the
+# largest |a| or |b|, and at most MAX_ER_WORK counted points run as one call,
+# one five-term stencil or one `oracle.er_lattice` stencil. No reach beyond
+# MAX_ER_REACH runs: there one row of the rule at 1e-14, 1,302 panels, still
+# fits in _ER_NODES. The rule admits the default 512^2 dense scan within
+# reach 572.
 _ER_FLAT_REACH = 25.0
 MAX_ER_WORK = 6 * 10**6
 MAX_ER_REACH = 1e4 + 1.0
-_GL_RULE = None  # 10-point Gauss-Legendre (nodes, weights), built on first use
+# The 10-point Gauss-Legendre rule on [-1, 1], bit for bit the nodes and
+# weights of numpy.polynomial.legendre.leggauss(10), which is not imported:
+# the positive nodes and their weights, mirrored.
+_GL_HALF = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+                     0.8650633666889845, 0.9739065285171717])
+_GL_HALF_WEIGHTS = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+                             0.1494513491505804, 0.06667134430868814])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1], _GL_HALF))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
+# The truncation bound of the composite rule on [1/3, 2/3]. The (n+1)-point
+# Gauss rule errs by at most (64/15) M rho^-2n / (rho^2 - 1) on a function
+# analytic inside the Bernstein ellipse E_rho about [-1, 1] and bounded by M
+# there (Trefethen, Approximation Theory and Approximation Practice, 2013,
+# Thm 19.3). So on a panel of half-width h the 10-point rule errs by at most
+# h (64/15) M rho^-18 / (rho^2 - 1), E_rho now about the panel. The integrand
+# F(t) = exp(i(a acos t + b acos(1 - t))) is analytic off t <= 0 and t >= 1.
+# On the ellipse with foci -1 and 1 through z, |Im acos z| = acosh(s / 2) with
+# s = |z - 1| + |z + 1|, so for |a|, |b| <= R,
+# |F(z)| <= exp(R (acosh(s1 / 2) + acosh(s2 / 2))) with s1 = |z - 1| + |z + 1|
+# and s2 = |z| + |z - 2|. Both sums are convex, so on a polygon circumscribed
+# about E_rho each is largest at a vertex; the polygon is symmetric about the
+# real axis, as both sums are, so its upper vertices suffice. Each panel takes
+# the best rho of _ER_RHOS whose polygon keeps clear of t <= 0 and t >= 1.
+_ER_POLYGON = 16
+_ER_RHOS = np.geomspace(1.02, 64.0, 32)
 
 
 def make_example1(C: float, omega: float) -> FunctionEvaluator:
@@ -143,65 +170,77 @@ def _sum_of_squares(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauss_legendre():
-    """The 10-point Gauss-Legendre rule on [-1, 1]; loading numpy.polynomial
-    is left to the first Edgar-Rosenblatt evaluation, not the package import."""
-    global _GL_RULE
-    if _GL_RULE is None:
-        _GL_RULE = np.polynomial.legendre.leggauss(10)
-    return _GL_RULE
+def _least(holds) -> int:
+    """The least n >= 0 with holds(n), for a `holds` that is false below some
+    n and true from there on: doubling brackets it, bisection finds it."""
+    high = 1
+    while not holds(high - 1):
+        high *= 2
+    return bisect.bisect_left(range(high), True, key=holds)
 
 
-def _er_panels(a, b, lo, hi) -> np.ndarray:
-    """Gauss-Legendre value of exp(i(a acos(t) + b acos(1-t))) over each panel
-    [lo, hi]; all arguments are 1-D arrays, one entry per panel."""
-    nodes, weights = _gauss_legendre()
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    tt = mid[:, None] + half[:, None] * nodes
-    phase = a[:, None] * np.arccos(tt) + b[:, None] * np.arccos(1.0 - tt)
-    return half * np.sum(weights * np.exp(1j * phase), axis=1)
+def _er_bound_terms(panels: int) -> tuple:
+    """(const, slope), each (panels, len(_ER_RHOS)): the log of the truncation
+    bound of panel j of the rule on `panels` equal panels of [1/3, 2/3], with
+    the ellipse E_rho of _ER_RHOS[k], is const[j, k] + R slope[j, k] for every
+    |a|, |b| <= R (see _ER_POLYGON); const is +inf where the polygon is not
+    clear of the branch cuts. The rule's bound is the sum over the panels of
+    each panel's least term."""
+    h = 1.0 / (6.0 * panels)
+    centre = (1.0 / 3.0 + (2.0 * np.arange(panels) + 1.0) * h)[:, None]
+    major, minor = 0.5 * h * (_ER_RHOS + 1.0 / _ER_RHOS), 0.5 * h * (_ER_RHOS - 1.0 / _ER_RHOS)
+    s1 = s2 = 0.0
+    for angle in (2.0 * np.arange(_ER_POLYGON // 2) + 1.0) * np.pi / _ER_POLYGON:
+        z = centre + (major * np.cos(angle) + 1j * minor * np.sin(angle)) / np.cos(np.pi / _ER_POLYGON)
+        s1 = np.maximum(s1, np.abs(z - 1.0) + np.abs(z + 1.0))
+        s2 = np.maximum(s2, np.abs(z) + np.abs(z - 2.0))
+    # The polygon reaches along the real axis exactly as far as the ellipse.
+    clear = (centre - major > 0.0) & (centre + major < 1.0)
+    const = np.log(64.0 / 15.0 * h) - 18.0 * np.log(_ER_RHOS) - np.log(_ER_RHOS ** 2 - 1.0)
+    return np.where(clear, const, np.inf), np.arccosh(0.5 * s1) + np.arccosh(0.5 * s2)
+
+
+@functools.lru_cache(maxsize=4096)
+def _er_reach_limit(panels: int, tol: float) -> int:
+    """The largest integer reach at which the rule on `panels` panels has a
+    truncation bound within `tol`, -1 if there is none. The bound grows with
+    the reach, without limit."""
+    const, slope = _er_bound_terms(panels)
+    return _least(lambda r: np.logaddexp.reduce((const + r * slope).min(axis=1)) > np.log(tol)) - 1
+
+
+@functools.lru_cache(maxsize=4096)
+def _er_panel_count(reach: int, tol: float) -> int:
+    """The panel count of every point whose ceil(max(|a|, |b|)) is `reach`: the
+    fewest panels whose reach limit covers it, so that their truncation bound
+    is within `tol` at that reach and, the bound growing with the reach, below
+    it. The limits grow with the panel count, which the search assumes."""
+    return _least(lambda p: _er_reach_limit(p + 1, tol) >= reach) + 1
 
 
 def _er_block(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Adaptive ER quadrature for one block of points (a[i], b[i]).
+    """The composite rule at each point (a[i], b[i]).
 
-    Bisection runs level by level over every pending panel of every point.
-    A panel [lo, hi] holding the error share `share` and one-panel value
-    `whole` is accepted when its two halves sum to within `share` of `whole`
-    (or it is narrower than 1e-12); otherwise each half goes on with half
-    the share. The shares telescope, so each point's error is below `tol`.
-    Accepted sums are added per point by decreasing `lo`, the order of a
-    depth-first right-first traversal, so every value is reproducible bit
-    for bit and independent of the block it falls in.
+    A point takes the panel count of its own reach, ceil(max(|a|, |b|))
+    (`_er_panel_count`), never its batch's. The points run grouped by panel
+    count, at most _ER_NODES nodes at a time, and each row is summed in one
+    fixed order, so every value depends on its point alone.
     """
-    n = a.size
-    point = np.arange(n)
-    lo = np.full(n, 1.0 / 3.0)
-    hi = np.full(n, 2.0 / 3.0)
-    share = np.full(n, tol)
-    whole = _er_panels(a, b, lo, hi)
-    done_point, done_lo, done_sum = [], [], []
-    while point.size:
-        mid = 0.5 * (lo + hi)
-        halves = _er_panels(np.tile(a[point], 2), np.tile(b[point], 2),
-                            np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = np.split(halves, 2)
-        pair = left + right
-        ok = (np.abs(pair - whole) < share) | ((hi - lo) < 1e-12)
-        done_point.append(point[ok])
-        done_lo.append(lo[ok])
-        done_sum.append(pair[ok])
-        split = ~ok
-        point = np.tile(point[split], 2)
-        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
-        share = np.tile(0.5 * share[split], 2)
-        whole = np.concatenate([left[split], right[split]])
-    point, lo, pair = (np.concatenate(x) for x in (done_point, done_lo, done_sum))
-    order = np.lexsort((-lo, point))
-    total = np.zeros(n, dtype=complex)
-    np.add.at(total, point[order], pair[order])
-    return total
+    reach = np.ceil(np.maximum(np.abs(a), np.abs(b))).astype(np.intp)
+    reaches = np.flatnonzero(np.bincount(reach))
+    counts = np.array([_er_panel_count(int(r), tol) for r in reaches], dtype=np.intp)
+    counts = counts[np.searchsorted(reaches, reach)]
+    out = np.empty(a.size, dtype=complex)
+    for panels in np.flatnonzero(np.bincount(counts)):
+        h = 1.0 / (6.0 * panels)
+        t = ((1.0 / 3.0 + (2.0 * np.arange(panels) + 1.0) * h)[:, None] + h * _GL_NODES).ravel()
+        acos_t, acos_u, weights = np.arccos(t), np.arccos(1.0 - t), np.tile(h * _GL_WEIGHTS, panels)
+        rows, step = np.flatnonzero(counts == panels), max(1, _ER_NODES // t.size)
+        for at in np.split(rows, range(step, rows.size, step)):
+            phase = np.outer(a[at], acos_t) + np.outer(b[at], acos_u)
+            out.real[at] = (np.cos(phase) * weights).sum(axis=1)
+            out.imag[at] = (np.sin(phase) * weights).sum(axis=1)
+    return out
 
 
 def er_weight(reach: float) -> float:
@@ -234,16 +273,20 @@ def _quad_tol(value: float) -> float:
 
 
 def make_edgar_rosenblatt(quad_tol: float = ER_QUAD_TOL) -> FunctionEvaluator:
-    """Two-dimensional oscillatory-integral evaluator with certified accuracy.
+    """Two-dimensional oscillatory-integral evaluator with a proven
+    truncation bound.
 
     f(a, b) = integral over [1/3, 2/3] of exp(i(a acos(t) + b acos(1-t))) dt,
-    computed by adaptive Gauss-Legendre to absolute tolerance `quad_tol` at
-    every point. The points are bisected together, level by level, in blocks
-    of `_ER_BLOCK`; each value is bit-identical to a per-point depth-first
-    bisection. A call with a non-finite point, whose bisection would never
-    meet the tolerance, or whose points `check_er_work` refuses (a reach
-    beyond MAX_ER_REACH, or more than MAX_ER_WORK points each counted
-    er_weight(reach) times) is refused before any is evaluated. The
+    computed by a composite 10-point Gauss-Legendre rule on equal panels.
+    Each point takes the panel count of its reach ceil(max(|a|, |b|)), the
+    fewest whose a-priori bound (see `_ER_POLYGON`) holds the truncation
+    error within `quad_tol`; each value depends on its point alone, not on
+    the batch it is in. Rounding adds a floor of about
+    (2 pi (|a| + |b|) + 16) eps / 3 (`_ER_TOL_RANGE`), separate from that
+    bound. A call with a non-finite
+    point, or whose points `check_er_work` refuses (a reach beyond
+    MAX_ER_REACH, or more than MAX_ER_WORK points each counted
+    er_weight(reach) times), is refused before any is evaluated. The
     square-integrable flag is left False: the function is only p-integrable
     for large p, so Gram quadrature is not certified.
     """
@@ -254,11 +297,7 @@ def make_edgar_rosenblatt(quad_tol: float = ER_QUAD_TOL) -> FunctionEvaluator:
         if not np.isfinite(pts).all():
             raise InputError("Edgar-Rosenblatt points must be finite")
         check_er_work(pts.shape[0], er_reach(pts), "Edgar-Rosenblatt evaluations")
-        out = np.empty(pts.shape[0], dtype=complex)
-        for s in range(0, pts.shape[0], _ER_BLOCK):
-            block = pts[s:s + _ER_BLOCK]
-            out[s:s + _ER_BLOCK] = _er_block(block[:, 0], block[:, 1], quad_tol)
-        return out
+        return _er_block(pts[:, 0], pts[:, 1], quad_tol)
 
     return FunctionEvaluator(dim=2, fn=fn, envelope=None, singularities=(),
                              square_integrable=False)

@@ -209,8 +209,11 @@ def default_collocation_points(f: FunctionEvaluator, lam: PointSet,
     grid = grid or GridSpec.default(1)
     times = lam.times()[:, 0]
     mids = [(times[i] + times[j]) / 2.0 for i in range(N) for j in range(i + 1, N)]
+    # With an index asked for, np.unique sorts instead of checking for a
+    # masked array, a check that imports numpy.ma (1.2 MB) on numpy >= 2.3.
     cand = np.unique(np.concatenate([times, np.asarray(mids, dtype=float),
-                                     _kronecker_points(4 * N, grid.half_width)]))
+                                     _kronecker_points(4 * N, grid.half_width)]),
+                     return_index=True)[0]
     return cand[_clear_of(cand[:, None], _shifted_singularities(f, lam), grid)]
 
 
@@ -244,8 +247,10 @@ def dependence_residual_er(points, quad_tol: float = ER_QUAD_TOL) -> ResidualRep
     """Five-term dependence residual of the two-dimensional oscillatory family.
 
     Evaluates |2 f(a,b) - f(a+1,b) - f(a-1,b) - f(a,b+1) - f(a,b-1)| at every
-    given (a, b); with per-point quadrature tolerance quad_tol the residual
-    is bounded by 6 quad_tol. The points are taken in blocks of
+    given (a, b). The identity is exact and each value's truncation error is
+    proven within quad_tol (`funcs.make_edgar_rosenblatt`), so the residual
+    is within 6 quad_tol plus six times the evaluator's rounding floor at the
+    stencil's farthest point. The points are taken in blocks of
     `_ER_STENCIL_BLOCK`; within a block, evaluations are shared across the
     five shifted stencils, which overlap heavily on regular lattices. Each
     value depends on its point alone, so the blocks change no residual.

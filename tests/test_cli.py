@@ -732,8 +732,8 @@ def test_far_anchor_er_scan_is_refused_at_once(tmp_path, capsys, monkeypatch):
 
 
 def test_er_collocation_beyond_the_reach_cap_is_refused_at_once(tmp_path, capsys, monkeypatch):
-    # One sample point at reach 2e4 is far within the ER work bound, but the
-    # bisection's memory grows with the reach; no ER block may run.
+    # One sample point at reach 2e4 is far within the ER work bound, but it
+    # lies beyond the reach cap; no ER block may run.
     evaluated = []
     monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: evaluated.append(a.size)
                         or np.zeros(a.size, dtype=complex))

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,62 +111,144 @@ def test_edgar_rosenblatt_deterministic():
         assert f(p) == first
 
 
-def scalar_er(a, b, tol):
-    """Reference: the per-point depth-first bisection (right half first) that
-    the batched quadrature must reproduce bit for bit."""
+EPS = np.finfo(float).eps
+
+
+def er_floor(pts):
+    """The evaluator's stated rounding floor at each (a, b):
+    (2 pi (|a| + |b|) + 16) eps / 3."""
+    return (2.0 * np.pi * np.abs(pts).sum(axis=1) + 16.0) * EPS / 3.0
+
+
+def finer_er(pts, panels):
+    """Reference: a composite 20-point Gauss-Legendre rule on `panels` equal
+    panels of [1/3, 2/3], written independently of the evaluator."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    h = 1.0 / (6.0 * panels)
+    t = ((1.0 / 3.0 + (2.0 * np.arange(panels) + 1.0) * h)[:, None] + h * nodes).ravel()
+    phase = np.outer(pts[:, 0], np.arccos(t)) + np.outer(pts[:, 1], np.arccos(1.0 - t))
+    return np.exp(1j * phase) @ np.tile(h * weights, panels)
+
+
+def er_truncation_bound(reach, tol, panels=None):
+    """(P, bound): the panel count the evaluator takes at this integer reach
+    (or `panels`) and the truncation bound of that rule there, each panel's
+    least term (`funcs._er_bound_terms`) summed over the panels."""
+    from tfcert import funcs
+    panels = panels or funcs._er_panel_count(reach, tol)
+    const, slope = funcs._er_bound_terms(panels)
+    return panels, float(np.exp(np.logaddexp.reduce((const + reach * slope).min(axis=1))))
+
+
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    from tfcert import funcs
     nodes, weights = np.polynomial.legendre.leggauss(10)
-
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        tt = mid + half * nodes
-        return half * np.sum(weights * np.exp(1j * (a * np.arccos(tt) + b * np.arccos(1.0 - tt))))
-
-    total = 0.0 + 0.0j
-    stack = [(1.0 / 3.0, 2.0 / 3.0, tol, panel(1.0 / 3.0, 2.0 / 3.0))]
-    while stack:
-        lo, hi, share, whole = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if abs(left + right - whole) < share or (hi - lo) < 1e-12:
-            total += left + right
-        else:
-            stack.append((lo, mid, 0.5 * share, left))
-            stack.append((mid, hi, 0.5 * share, right))
-    return complex(total)
+    assert np.array_equal(funcs._GL_NODES, nodes)
+    assert np.array_equal(funcs._GL_WEIGHTS, weights)
 
 
-def assert_matches_scalar(pts, tol):
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    ref = np.array([scalar_er(a, b, tol) for a, b in pts], dtype=complex)
-    assert np.array_equal(make_edgar_rosenblatt(tol)(pts), ref)
+def test_edgar_rosenblatt_leaves_numpy_polynomial_unloaded(run_child):
+    code = ("import sys; import numpy as np; from tfcert import make_edgar_rosenblatt; "
+            "make_edgar_rosenblatt()(np.array([[3.0, -2.0], [40.0, 0.5]])); "
+            "print('numpy.polynomial' in sys.modules)")
+    assert run_child(code).strip() == "False"
 
 
-def er_stencil(lattice):
-    shifts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    flat = (lattice[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-    return np.unique(np.round(flat, 12), axis=0)
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12, 1e-14])
+@pytest.mark.parametrize("reach", [0.5, 4.0, 25.0, 100.0, 1000.0, 10001.0])
+def test_edgar_rosenblatt_within_its_bound_of_a_finer_rule(reach, tol):
+    # Points with |a| or |b| at the reach, the other anywhere within it; each
+    # value lies within the truncation bound at ceil(reach) plus the rounding
+    # floor of the rule and that of the reference. The bound is the least of
+    # its panel count: one panel fewer would not meet tol.
+    rng = np.random.default_rng(int(reach * 7) + int(-math.log10(tol)))
+    pts = rng.uniform(-reach, reach, (32, 2))
+    pts[:16, 0] = reach * rng.choice([-1.0, 1.0], 16)
+    pts[16:, 1] = reach * rng.choice([-1.0, 1.0], 16)
+    panels, bound = er_truncation_bound(math.ceil(reach), tol)
+    assert bound <= tol
+    if panels > 1:
+        assert er_truncation_bound(math.ceil(reach), tol, panels - 1)[1] > tol
+    err = np.abs(make_edgar_rosenblatt(tol)(pts) - finer_er(pts, 8 * panels))
+    assert (err <= bound + 2.0 * er_floor(pts)).all(), (err.max(), bound)
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-12])
-def test_edgar_rosenblatt_batched_matches_scalar_on_stencil(tol):
-    # 1025 points: more than one block, so block boundaries are crossed
-    assert_matches_scalar(er_stencil(er_lattice(3.0, 0.25)), tol)
+@pytest.mark.parametrize("panels", [1, 2, 7, 60])
+def test_er_bound_terms_hold_on_each_ellipse_clear_of_the_cuts(panels):
+    # A term is finite only where its ellipse keeps clear of t <= 0 and
+    # t >= 1, and its slope bounds |Im acos z| + |Im acos(1 - z)|, here from
+    # numpy's complex arccos, on the ellipse: the bound on log|F| per unit of
+    # reach.
+    from tfcert import funcs
+    const, slope = funcs._er_bound_terms(panels)
+    h = 1.0 / (6.0 * panels)
+    centre = 1.0 / 3.0 + (2.0 * np.arange(panels) + 1.0) * h
+    rho = funcs._ER_RHOS
+    clear = 0.5 * h * (rho + 1.0 / rho) < np.minimum(centre, 1.0 - centre)[:, None]
+    assert np.array_equal(np.isfinite(const), clear) and clear.any(axis=1).all()
+    w = rho[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 257))
+    z = centre[:, None, None] + 0.5 * h * (w + 1.0 / w)
+    log_f = np.abs(np.arccos(z).imag) + np.abs(np.arccos(1.0 - z).imag)
+    assert (log_f.max(axis=2) <= slope * (1.0 + 1e-12)).all()
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-12])
-def test_edgar_rosenblatt_batched_matches_scalar_deep_bisection(tol):
-    rng = np.random.default_rng(3)
-    pts = rng.choice([-1.0, 1.0], (24, 2)) * rng.uniform(900.0, 1100.0, (24, 2))
-    assert_matches_scalar(pts, tol)
+def test_edgar_rosenblatt_meets_its_bound_at_the_two_panel_limit():
+    # At (25, -25) the two-panel rule errs by 1.85e-12: more than the bound
+    # read with rho^-20 in place of the 10-point rule's rho^-18 (1.17e-12).
+    pts = np.array([[25.0, -25.0]])
+    panels, bound = er_truncation_bound(25, 1e-9)
+    assert panels == 2
+    err = abs(make_edgar_rosenblatt(1e-9)(pts)[0] - finer_er(pts, 64)[0])
+    assert 1.5e-12 < err <= bound
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=st.floats(-1000, 1000), b=st.floats(-1000, 1000),
-       tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]))
-def test_edgar_rosenblatt_batched_matches_scalar_property(a, b, tol):
-    assert_matches_scalar([[a, b], [b, a], [0.0, 0.0]], tol)
+@given(points=st.lists(st.tuples(st.floats(-300, 300), st.floats(-300, 300)),
+                       min_size=1, max_size=6),
+       at=st.integers(505, 515), tol=st.sampled_from([1e-3, 1e-9, 1e-14]))
+def test_edgar_rosenblatt_value_depends_on_its_point_alone(points, at, tol):
+    # Each point is evaluated alone, then from row `at` on in a batch whose
+    # other rows run from reach 0 to 300, so the batch mixes panel counts and
+    # the points sit about the 512-row block boundary.
+    f = make_edgar_rosenblatt(tol)
+    pts = np.array(points, dtype=float)
+    filler = np.column_stack([np.linspace(0.0, 300.0, 540), np.linspace(-30.0, 7.0, 540)])
+    batch = np.concatenate([filler[:at], pts, filler[at:]])
+    values = f(batch)[at:at + len(pts)]
+    alone = np.array([f(p[None, :])[0] for p in pts])
+    assert np.array_equal(values, alone)
+
+
+def test_a_far_point_at_the_lowest_tolerance_returns_within_its_bound(run_child):
+    # The adaptive bisection this rule replaced never stopped here: the
+    # rounding of the phases exceeded the halved shares of 1e-14. It runs in
+    # a child process under an address-space cap and a timeout.
+    code = ("import resource, json; import numpy as np; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30)); "
+            "from tfcert import make_edgar_rosenblatt; "
+            "v = make_edgar_rosenblatt(1e-14)(np.array([[1000.0, 1000.0], [-1000.0, 1000.0]])); "
+            "print(json.dumps([[z.real, z.imag] for z in v.tolist()]))")
+    values = np.array([complex(*z) for z in json.loads(run_child(code))])
+    pts = np.array([[1000.0, 1000.0], [-1000.0, 1000.0]])
+    panels, bound = er_truncation_bound(1000, 1e-14)
+    assert panels == 131
+    assert (np.abs(values - finer_er(pts, 8 * panels)) <= bound + 2.0 * er_floor(pts)).all()
+
+
+@pytest.mark.parametrize("reach", [10.0, 1e3, 1e4])
+def test_er_block_memory_does_not_grow_with_the_reach(reach):
+    # 512 points with |a| at the reach: the bisection this rule replaced
+    # peaked at 19 MiB at reach 10^3 and 171 MiB at 10^4.
+    pts = np.random.default_rng(4).uniform(-reach, reach, (512, 2))
+    pts[:, 0] = reach
+    f = make_edgar_rosenblatt()
+    tracemalloc.start()
+    try:
+        f(pts)
+        peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0
 
 
 def test_edgar_rosenblatt_empty_batch():
@@ -173,8 +257,8 @@ def test_edgar_rosenblatt_empty_batch():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_edgar_rosenblatt_refuses_non_finite_points(bad, monkeypatch):
-    # A non-finite point's bisection never meets the tolerance; it is refused
-    # before any block is evaluated.
+    # A non-finite point has no reach to take a panel count from; it is
+    # refused before any block is evaluated.
     from tfcert import funcs
     evaluated = []
     monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: evaluated.append(a.size)
@@ -188,7 +272,7 @@ def test_edgar_rosenblatt_refuses_non_finite_points(bad, monkeypatch):
 
 def test_edgar_rosenblatt_refuses_a_point_beyond_the_reach_cap(monkeypatch):
     # One point at reach 2e4 counts 800 times, far within MAX_ER_WORK, but
-    # its bisection's memory grows with the reach: it is refused unevaluated.
+    # it lies beyond the reach cap: it is refused unevaluated.
     from tfcert import funcs
     evaluated = []
     monkeypatch.setattr(funcs, "_er_block", lambda a, b, tol: evaluated.append(a.size)

@@ -406,6 +406,15 @@ def test_collocation_keeps_dependent_for_the_er_five_term_set():
     assert report.relative_gap < 1e-10
 
 
+def test_default_collocation_points_leave_numpy_ma_unloaded(run_child):
+    # On numpy >= 2.3, np.unique with no index asked for imports numpy.ma.
+    code = ("import sys; from tfcert import PointSet, make_gaussian; "
+            "from tfcert.oracle import default_collocation_points; "
+            "default_collocation_points(make_gaussian(), PointSet.from_rows([[0, 0], [1, 2]])); "
+            "print('numpy.ma' in sys.modules)")
+    assert run_child(code).strip() == "False"
+
+
 def test_default_collocation_points_size_the_set_before_sampling(monkeypatch):
     def unreachable(*args):
         raise AssertionError("sampling began before the set was sized")
