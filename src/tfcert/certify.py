@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
                      NumericalRefusal, SingularityHitError)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points, _check_values,
-                    _clear_of, _STFTScan, axis_quadrature, dilate, finite_points,
-                    fourier, quadrature_points, translate)
+                    _clear_of, _shared_dim, _STFTScan, axis_quadrature, dilate,
+                    finite_points, fourier, quadrature_points, translate)
 
 BISECT_TOL = 1e-9
 # An envelope within this relative distance of the bound from 0 to twice the
@@ -179,6 +179,13 @@ def _anchor(anchor, dim: int) -> np.ndarray:
     return pts[0]
 
 
+def _sup_method(f: FunctionEvaluator) -> str:
+    """How a sup of |f| is bounded: from f's envelope (rigorous) when it
+    carries one, else by dense sampling (heuristic). The one reader of
+    whether f has an envelope."""
+    return SUP_ENVELOPE if f.envelope is not None else SUP_DENSE
+
+
 def _envelope_about(f: FunctionEvaluator, point: np.ndarray) -> Callable[[float], float]:
     """r -> env(max(0, r - ||point - c||)) for f's envelope env about c.
 
@@ -211,7 +218,7 @@ def sup_outside(f: FunctionEvaluator, radius: float, center=None, *,
     lower-bounds the true sup and is flagged heuristic.
     """
     center = _anchor(center, f.dim)
-    if f.envelope is not None:
+    if _sup_method(f) == SUP_ENVELOPE:
         return SupEstimate(float(_envelope_about(f, center)(radius)), SUP_ENVELOPE)
     radii, vals = _dense_about(f, center, grid)
     outside = radii >= radius
@@ -237,7 +244,7 @@ def _radius_below(f: FunctionEvaluator, anchor: np.ndarray, bound: float,
     the dense samples of `_dense_about` are used, as in `sup_outside`, which
     is heuristic and resolves R only to the grid step.
     """
-    if f.envelope is not None:
+    if _sup_method(f) == SUP_ENVELOPE:
         return _radius_from_envelope(_envelope_about(f, anchor), bound)
     return _radius_from_samples(*_dense_about(f, anchor, grid), bound)
 
@@ -319,12 +326,10 @@ def _decay_separation(theorem: str, f: FunctionEvaluator, rows: np.ndarray, axis
     if f.singularities:
         raise InputError("this check requires a continuous function; "
                          "use check_theorem2 for singular inputs")
-    if rows.shape[1] != f.dim:
-        raise InputError("dimension mismatch between point set and function")
+    _shared_dim(f=f.dim, lam=rows.shape[1])
     anchor = _anchor(anchor, f.dim)
     return _separation(theorem, lambda: _peak(f, anchor), rows,
-                       lambda bound: _radius_below(f, anchor, bound, grid),
-                       SUP_ENVELOPE if f.envelope is not None else SUP_DENSE, axis)
+                       lambda bound: _radius_below(f, anchor, bound, grid), _sup_method(f), axis)
 
 
 def check_theorem1(f: FunctionEvaluator, lam: PointSet, *, anchor=None,
@@ -375,12 +380,21 @@ def stretch(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     return dilate(f, 1.0 / r)
 
 
+def _dilated(theorem: str, base: Callable[..., Certificate], freq: bool,
+             f: FunctionEvaluator, lam: PointSet, r: float,
+             grid: Optional[GridSpec]) -> Certificate:
+    """The `base` certificate of the r-stretched f, with the stretch
+    threshold of the `base` certificate of f attached (`_stretch_budget`,
+    on the frequency side with `freq`). The one builder of Corollaries 1
+    and 3."""
+    thr = _stretch_budget(base(f, lam, grid=grid), freq)
+    return replace(base(stretch(f, r), lam, grid=grid), theorem=theorem, threshold_r=thr)
+
+
 def check_corollary1(f: FunctionEvaluator, lam: PointSet, r: float = 1.0, *,
                      grid: Optional[GridSpec] = None) -> Certificate:
     """Theorem-1 certificate for the r-stretched function, threshold attached."""
-    thr = dilation_threshold(f, lam, grid=grid)
-    cert = check_theorem1(stretch(f, r), lam, grid=grid)
-    return replace(cert, theorem="Cor1", threshold_r=thr)
+    return _dilated("Cor1", check_theorem1, False, f, lam, r, grid)
 
 
 def check_corollary2(f: FunctionEvaluator, lam: PointSet,
@@ -412,83 +426,73 @@ def dilation_threshold_freq(f: FunctionEvaluator, lam: PointSet,
 def check_corollary3(f: FunctionEvaluator, lam: PointSet, r: float = 1.0,
                      grid: Optional[GridSpec] = None) -> Certificate:
     """Corollary-2 certificate for the r-stretched function, threshold attached."""
-    thr = dilation_threshold_freq(f, lam, grid)
-    cert = check_corollary2(stretch(f, r), lam, grid)
-    return replace(cert, theorem="Cor3", threshold_r=thr)
+    return _dilated("Cor3", check_corollary2, True, f, lam, r, grid)
 
 
 def check_theorem2(f: FunctionEvaluator, lam: PointSet, *,
                    grid: Optional[GridSpec] = None) -> Certificate:
     """Certificate for functions blowing up at one point p.
 
-    With R the min pairwise time separation, bounds A >= sup of |f| outside
-    the R/2-ball around p (the envelope about p, else a dense sample), then
-    walks x toward p along a halving sequence until |f(x)| > A(N-1). The
-    returned translate is consistency-checked by re-running the pointwise
-    Lemma-1 inequalities on the re-anchored function. A repeated time gives
-    R = M = 0, a non-finite peak and bound, the pairwise time distances as
-    margins and a NotCertified verdict, as for check_theorem1.
+    x walks toward p along a halving sequence (`_toward`). A single
+    translate is Certified at the first finite nonzero |f(x)|, from
+    |x - p| = 1e-3. For N >= 2, with R the min pairwise time separation, A
+    bounds the sup of |f| outside the R/2-ball around p (the envelope about
+    p, else a dense sample), and the walk from |x - p| = R/4 stops at the
+    first |f(x)| > A(N-1) whose re-anchored pointwise Lemma-1 inequalities
+    pass. A repeated time gives R = M = 0, a non-finite peak and bound, the
+    pairwise time distances as margins and a NotCertified verdict, as for
+    check_theorem1.
     """
     if len(f.singularities) != 1:
         raise InputError("check_theorem2 expects exactly one singularity")
     p = f.singularities[0]
-    if lam.dim != f.dim:
-        raise InputError("dimension mismatch between point set and function")
+    _shared_dim(f=f.dim, lam=lam.dim)
     N = len(lam)
-
-    if N == 1:
-        step = 1e-3
-        x = p + step * _unit(f.dim)
-        for _ in range(60):
-            val = float(np.abs(f(x)))
-            if np.isfinite(val) and val > 0:
-                return Certificate("Thm2", "Certified", 1, 0.0, math.inf, val,
-                                   math.inf, (), SUP_POINTWISE, translate_x=x)
-            step *= 0.5
-            x = p + step * _unit(f.dim)
-        raise NumericalRefusal("could not find a nonzero value near the singularity")
-
     times = lam.times()
-    R, _ = _min_pairwise(times)
-    if R == 0.0:
-        # Two coinciding translates: no walk toward p separates them, so
-        # nothing is evaluated; R = M = 0 and the peak is unknown.
-        return _separation("Thm2", lambda: math.nan, times, lambda bound: 0.0,
-                           SUP_ENVELOPE if f.envelope is not None else SUP_DENSE, "time")
+    if N == 1:
+        walk, need = _toward(f, p, 2e-3, 60), 0.0
+    else:
+        R, _ = _min_pairwise(times)
+        if R == 0.0:
+            # Two coinciding translates: no walk toward p separates them, so
+            # nothing is evaluated; R = M = 0 and the peak is unknown.
+            return _separation("Thm2", lambda: math.nan, times, lambda bound: 0.0,
+                               _sup_method(f), "time")
+        bound_outside = sup_outside(f, R / 2.0, p, grid=grid)
+        if not math.isfinite(bound_outside.value):
+            raise NumericalRefusal("sup bound away from the singularity is infinite")
+        walk, need = _toward(f, p, R / 2.0, 500), bound_outside.value * (N - 1)
 
-    half = R / 2.0
-    bound_outside = sup_outside(f, half, p, grid=grid)
-    A = bound_outside.value
-    sup_method = bound_outside.method
-    if not math.isfinite(A):
-        raise NumericalRefusal("sup bound away from the singularity is infinite")
-
-    need = A * (N - 1)
-    direction = _unit(f.dim)
-    rho = half
-    for _ in range(500):
-        rho *= 0.5
-        x = p + rho * direction
-        with np.errstate(all="ignore"):
-            val = float(np.abs(f(x)))
-        if not (np.isfinite(val) and val > need):
+    for x, val in walk:
+        if not val > need:
             continue
+        if N == 1:
+            return Certificate("Thm2", "Certified", 1, 0.0, math.inf, val,
+                               math.inf, (), SUP_POINTWISE, translate_x=x)
         # Consistency: the re-anchored pointwise inequalities must pass.
         try:
             inner = check_lemma1(translate(f, -x), times)
         except NumericalRefusal:
             continue
         if inner.certified:
-            return Certificate("Thm2", "Certified", N, R, R, val,
-                               val / (N - 1), inner.margins, sup_method,
-                               translate_x=x)
+            return Certificate("Thm2", "Certified", N, R, R, val, val / (N - 1),
+                               inner.margins, bound_outside.method, translate_x=x)
     raise NumericalRefusal("no certified translate found along the halving sequence")
 
 
-def _unit(dim: int) -> np.ndarray:
-    e = np.zeros(dim)
+def _toward(f: FunctionEvaluator, p: np.ndarray, rho: float, tries: int):
+    """(x, |f(x)|) at x = p + rho e_0, rho halved before each of `tries`
+    tries; a value that is not finite is skipped. The one walk toward the
+    singularity p."""
+    e = np.zeros(f.dim)
     e[0] = 1.0
-    return e
+    for _ in range(tries):
+        rho *= 0.5
+        x = p + rho * e
+        with np.errstate(all="ignore"):
+            val = float(np.abs(f(x)))
+        if math.isfinite(val):
+            yield x, val
 
 
 def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
@@ -503,10 +507,7 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
     is then inflated by one lattice cell diagonal as a safety margin).
     Certified when the min pairwise distance in R^{2n} exceeds R.
     """
-    if f.dim != g.dim:
-        raise InputError("dimension mismatch")
-    if lam.dim != f.dim:
-        raise InputError("dimension mismatch between point set and functions")
+    _shared_dim(f=f.dim, g=g.dim, lam=lam.dim)
     lattice = lattice or THM3_LATTICE
     scanned = stft_envelope is None and f.dim == 1 and len(lam) > 1
     xs = axis_quadrature(lattice)[0] if scanned else ()

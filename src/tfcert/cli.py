@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .certify import (THM3_LATTICE, check_corollary1, check_corollary2,
+from .certify import (SUP_DENSE, THM3_LATTICE, check_corollary1, check_corollary2,
                       check_corollary3, check_lemma1, check_theorem1,
                       check_theorem2, check_theorem3, dilation_threshold,
                       stretch)
@@ -85,7 +85,23 @@ def _load_config(path: str, command: str, sub: str | None) -> dict:
     extra = set(cfg) - allowed
     if extra:
         raise InputError(f"unknown config keys for {command} {sub or ''}: {sorted(extra)}")
+    _refuse_booleans(cfg)
     return cfg
+
+
+def _refuse_booleans(cfg: dict) -> None:
+    """No config field takes a boolean, so a `true` or `false` anywhere in
+    the document, a point list included, is an input error naming its path.
+    Iterative, so a document as deep as JSON reads is walked."""
+    stack = list(cfg.items())
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, bool):
+            raise InputError(f"{path} is {str(value).lower()}; no config field takes a boolean")
+        if isinstance(value, dict):
+            stack.extend((f"{path}.{key}", v) for key, v in value.items())
+        elif isinstance(value, list):
+            stack.extend((f"{path}[{i}]", v) for i, v in enumerate(value))
 
 
 def _section(cfg: dict, key: str, defaults: dict) -> dict:
@@ -163,15 +179,6 @@ def _cmd_certify(args) -> tuple[dict, int, Callable[[], list] | None]:
     f = _function_from(cfg)
     dim = _dimension_of(cfg, f)
     grid = _grid_from(cfg, dim=dim)
-    # Under --rigorous every sup must come from an analytic envelope. lemma1
-    # needs none, as it reads f pointwise; thm1, cor1 and thm2 read f's; a
-    # config can carry none for the fhat of cor2/cor3 or the V_g f of thm3.
-    if args.rigorous and not (args.theorem == "lemma1" or (
-            args.theorem in ("thm1", "cor1", "thm2") and f.envelope is not None)):
-        raise NumericalRefusal(
-            f"{args.theorem} has no rigorous mode here: its sup would come from "
-            "dense sampling, not an analytic envelope")
-
     lam = None if args.theorem == "lemma1" else _pointset_from(cfg, dim)
     if args.theorem == "lemma1":
         shifts = cfg.get("shifts")
@@ -191,6 +198,12 @@ def _cmd_certify(args) -> tuple[dict, int, Callable[[], list] | None]:
         cert = check_theorem3(f, _window_from(cfg, dim), lam, grid,
                               _lattice_from(cfg, THM3_LATTICE))
 
+    # Under --rigorous a certificate stands only on a rigorous sup: the
+    # certificate says how its sup was proven.
+    if args.rigorous and cert.sup_method == SUP_DENSE:
+        raise NumericalRefusal(
+            f"{args.theorem} has no rigorous mode here: its sup would come from "
+            "dense sampling, not an analytic envelope")
     return {"report": cert}, _verdict_exit(cert.verdict), None
 
 

@@ -332,6 +332,8 @@ class FamilySpec:
             raise InputError(f"unknown keys in function spec: {sorted(extra)}")
         if "family" not in obj:
             raise InputError("function spec requires a 'family' key")
+        if "quad_tol" in obj and obj["family"] != "edgar_rosenblatt":
+            raise InputError("quad_tol is a parameter of the family 'edgar_rosenblatt' alone")
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise InputError("function params must be a JSON object")

@@ -24,9 +24,10 @@ from .errors import InputError, NumericalRefusal, SingularityHitError, finite
 from . import funcs
 from .funcs import ER_QUAD_TOL, check_er_work, er_reach
 from .tfops import (_WINDOW_BLOCK, FunctionEvaluator, GridSpec, PointSet, _check_values,
-                    _clear_of, _distinct_rows, _require_square_integrable, axis_quadrature,
-                    chirp_mul, dilate, finite_points, inverse_fourier_multiplier, modulate,
-                    per_axis, quadrature_points, stft_grid, tf_shift, translate)
+                    _clear_of, _distinct_rows, _require_square_integrable, _shared_dim,
+                    axis_quadrature, chirp_mul, dilate, finite_points,
+                    inverse_fourier_multiplier, modulate, per_axis, quadrature_points,
+                    stft_grid, tf_shift, translate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,8 +96,7 @@ def _classify(f: FunctionEvaluator, sigma_min: float,
 def _matrix_size(f: FunctionEvaluator, lam: PointSet) -> int:
     """N = len(lam), refusing a point set of another dimension than f or of
     more than MAX_MATRIX points."""
-    if lam.dim != f.dim:
-        raise InputError("dimension mismatch")
+    _shared_dim(f=f.dim, lam=lam.dim)
     if len(lam) > MAX_MATRIX:
         raise InputError(f"point sets beyond {MAX_MATRIX} elements are not supported")
     return len(lam)
@@ -203,8 +203,7 @@ def default_collocation_points(f: FunctionEvaluator, lam: PointSet,
     (`_clear_of`, with the grid's exclusion radius) are dropped, since the
     collocation matrix needs every row evaluated at every shift.
     """
-    if f.dim != 1:
-        raise InputError("default collocation sampling is implemented for dimension 1")
+    _shared_dim("default collocation sampling", f=f.dim)
     N = _matrix_size(f, lam)
     grid = grid or GridSpec.default(1)
     times = lam.times()[:, 0]
@@ -308,8 +307,7 @@ def stft_identity_residual(f: FunctionEvaluator, g: FunctionEvaluator,
     max over the lattice of |V_g(T_u M_eta f)(x, w) - e^{-2 pi i u w}
     V_g f(x-u, w-eta)|. The identity is exact, so no phase is fitted.
     """
-    if f.dim != 1 or g.dim != 1:
-        raise InputError("identity residual scan is implemented for dimension 1")
+    _shared_dim("identity residual scan", f=f.dim, g=g.dim)
     u, eta = finite(u, "u"), finite(eta, "eta")
     lattice = lattice or STFT_IDENTITY_LATTICE
     xs = axis_quadrature(lattice)[0]
@@ -346,8 +344,7 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
     """
     if kind not in METAPLECTIC_KINDS:
         raise InputError(f"unknown metaplectic kind {kind!r}")
-    if f.dim != 1:
-        raise InputError("metaplectic residuals are implemented for dimension 1")
+    _shared_dim("metaplectic residual", f=f.dim)
     r, x, omega = params
     r, x, omega = finite(r, "r"), finite(x, "x"), finite(omega, "omega")
     if kind == "dilation" and r == 0.0:

@@ -16,7 +16,9 @@ one point per entry); `finite_points` validates a caller's list. Only
 `FunctionEvaluator.__call__` adapts points to the `fn` contract, under which
 a 1-D `fn` takes shape (k,), and it returns float64 values for a real `fn`
 and complex128 for a complex one. A time-frequency point is a row (x, omega)
-of length 2n (`PointSet`), to which an (x, omega) pair flattens. A `grid` of
+of length 2n (`PointSet`), to which an (x, omega) pair flattens. Inputs
+that must share a dimension, and those of computations implemented for
+dimension 1 alone, are checked by one rule, `_shared_dim`. A `grid` of
 None is the default grid, resolved where the quadrature runs. The one output
 convention lives here too: `report_json` is the JSON form of every report.
 
@@ -376,6 +378,19 @@ def finite_points(points, dim: int, what: str) -> np.ndarray:
     return pts
 
 
+def _shared_dim(one_d: Optional[str] = None, **dims: int) -> None:
+    """Refuse named inputs, given as name=dim, of different dimensions with
+    an InputError naming each one's; with `one_d`, which names a computation
+    implemented for dimension 1, refuse any input of another dimension too.
+    Every agreement check of a library call's inputs and every 1-D-only
+    guard is this one rule."""
+    if one_d is not None and any(d != 1 for d in dims.values()):
+        raise InputError(f"{one_d} is implemented for dimension 1")
+    if len(set(dims.values())) > 1:
+        raise InputError("dimension mismatch: " + ", ".join(
+            f"{name} has dimension {d}" for name, d in dims.items()))
+
+
 def report_json(value):
     """The JSON form of a report: the one rule for every report and payload.
 
@@ -491,8 +506,7 @@ def inner_product(f: FunctionEvaluator, g: FunctionEvaluator,
     """Quadrature <f, g> = integral of f conj(g) over the truncation box (per
     axis when both carry factors); refused unless both are flagged
     square-integrable."""
-    if f.dim != g.dim:
-        raise InputError("dimension mismatch")
+    _shared_dim(f=f.dim, g=g.dim)
     _require_square_integrable(f, g)
     value = per_axis(lambda k, axis_grid, h, q: inner_product(h, q, axis_grid), grid, f, g)
     if value is not None:
@@ -583,8 +597,7 @@ def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
 def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     """Multiplication by the linear chirp e^{2 pi i r t^2} (dimension 1 only),
     which is even, so the parity is kept."""
-    if f.dim != 1:
-        raise InputError("chirp multiplication is defined for dimension 1 only")
+    _shared_dim("chirp multiplication", f=f.dim)
     r = float(r)
     inner = f.fn
     return replace(f, fn=lambda t: np.exp(TWO_PI * 1j * r * t * t) * inner(t), factors=None)
@@ -962,8 +975,7 @@ class _STFTScan:
         zeroed entries, are symmetric about the origin; an even f's scan
         then folds its shifts.
         """
-        if g.dim != self.dim:
-            raise InputError("dimension mismatch")
+        _shared_dim(f=self.dim, g=g.dim)
         _require_square_integrable(g)
         # A complex-valued g adds a plane; its value type is read from an empty batch.
         q = 2 if np.iscomplexobj(g(np.empty((0, self.dim)))) else 1

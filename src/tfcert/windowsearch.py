@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InputError, NearOrthogonalError, NumericalRefusal
-from .tfops import FunctionEvaluator, GridSpec, _STFTScan, axis_quadrature
+from .tfops import FunctionEvaluator, GridSpec, _shared_dim, _STFTScan, axis_quadrature
 
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
 MAX_DEGREE = 8
@@ -183,8 +183,7 @@ class _TailScan:
 
     def __init__(self, f: FunctionEvaluator, R: float,
                  lattice: Optional[GridSpec], grid: Optional[GridSpec]):
-        if f.dim != 1:
-            raise InputError("window search is implemented for dimension 1")
+        _shared_dim("window search", f=f.dim)
         R = float(R)
         if not 0 < R < math.inf:
             raise InputError("R must be positive and finite")

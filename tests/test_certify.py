@@ -685,6 +685,39 @@ def test_sup_outside_refuses_a_nonfinite_sample_as_decay_radius_does():
         sup_outside(f, 1.0)
 
 
+# A zero function with a singularity: no walk toward it finds a nonzero value.
+_ZERO_SINGULAR = FunctionEvaluator(1, lambda t: np.zeros_like(t), singularities=(0.0,))
+# example2 with its envelope centred 5 away from its singularity, where the
+# envelope reads +inf at every radius up to 5.
+_FAR_CENTRE = replace(make_example2(0.0), envelope_center=np.array([5.0]))
+# f = 1e308 beyond |t| = 6: finite <f, g> against a window 4 e^{-pi t^2},
+# whose shifts to |x| near 7 overflow the lattice sums.
+_FAR_HUGE = FunctionEvaluator(1, lambda t: np.where(np.abs(t) > 6.0, 1e308, 0.0))
+_WIDE4 = FunctionEvaluator(1, lambda t: 4.0 * np.exp(-PI * t * t))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: sup_outside(replace(make_gaussian(1), envelope=None), 1e3), NumericalRefusal,
+     "does not reach outside the ball"),
+    (lambda: decay_radius(make_gaussian(1), 1), InputError, "N >= 2"),
+    (lambda: check_theorem2(_ZERO_SINGULAR, PointSet.from_rows([[0, 0]])), NumericalRefusal,
+     "no certified translate found along the halving sequence"),
+    (lambda: check_theorem2(_ZERO_SINGULAR, lam_times([0, 2])), NumericalRefusal,
+     "no certified translate found along the halving sequence"),
+    (lambda: check_theorem2(_FAR_CENTRE, lam_times([0, 2])), NumericalRefusal,
+     "sup bound away from the singularity is infinite"),
+    (lambda: check_theorem3(FunctionEvaluator(1, lambda t: np.full_like(t, np.inf)),
+                            make_gaussian(1), lam_times([0, 3])), NumericalRefusal,
+     "<f, g> is not finite"),
+    (lambda: check_theorem3(_FAR_HUGE, _WIDE4, lam_times([0, 3])), NumericalRefusal,
+     "not finite on the scanned lattice"),
+], ids=["sup-outside-grid", "decay-radius-N", "thm2-single-zero", "thm2-zero",
+        "thm2-infinite-sup", "thm3-peak", "thm3-field"])
+def test_each_refusal_of_the_checks(call, error, match):
+    with np.errstate(all="ignore"), pytest.raises(error, match=match):
+        call()
+
+
 def test_theorem2_rejects_bad_inputs():
     with pytest.raises(InputError):
         check_theorem2(make_gaussian(1), lam_times([0, 2]))  # no singularity

@@ -391,6 +391,28 @@ _SEARCH = {"function": {"family": "gaussian"}, "R": 1.5, "N": 3, "budget": 10}
     (("window-search",), dict(_SEARCH, R=True)),
     (("certify", "thm1"), {"function": {"family": "example1", "params": {"C": True}},
                            "lambda": [[0, 0], [2, 0]]}),
+    # no field takes a boolean, point lists included, where numpy would read 1 and 0
+    (("certify", "thm1"), {"function": {"family": "gaussian"},
+                           "lambda": [[True, False], [3, 0]]}),
+    (("certify", "lemma1"), {"function": {"family": "gaussian"}, "shifts": [True, 3]}),
+    (("certify", "thm1"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [2, 0]],
+                           "anchor": True}),
+    (("oracle", "collocation"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 1]],
+                                 "sample_points": [0, True, 2]}),
+    (("oracle", "metaplectic"), {"function": {"family": "gaussian"}, "kind": "dilation",
+                                 "sample_points": [0, False]}),
+    (("oracle", "gram"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [True, 0]]}),
+    # quad_tol is a parameter of edgar_rosenblatt alone
+    (("certify", "thm1"), {"function": {"family": "gaussian", "quad_tol": 1e-5},
+                           "lambda": [[0, 0], [2, 0]]}),
+    # a document that is not an object, and required keys left out
+    (("certify", "thm1"), [[0, 0], [2, 0]]),
+    (("certify", "lemma1"), {"function": {"family": "gaussian"}}),
+    (("oracle", "metaplectic"), {"function": {"family": "gaussian"}}),
+    # 4096^2 nodes of a dense 2-D Fourier quadrature, beyond MAX_NODES
+    (("certify", "cor2"), {"dimension": 2, "function": {"family": "gaussian", "params": {"n": 2}},
+                           "lambda": [[0, 0, 0, 0], [1, 0, 0, 0]],
+                           "grid": {"samples_per_axis": 4096}}),
 ])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)
@@ -425,13 +447,14 @@ def test_integer_beyond_float_range_exit_one(tmp_path, capsys, monkeypatch, comm
 
 
 def test_input_error_names_a_huge_value_by_its_size(tmp_path, capsys):
-    # The one error line names a 401-digit R by its type and size instead of
-    # quoting every digit.
-    path = write_config(tmp_path, "huge-r.json", dict(_SEARCH, R=_HUGE))
-    code, out, err = run(capsys, "window-search", "--config", path)
-    assert code == 1 and out == ""
-    assert err.startswith("input error:") and err.count("\n") == 1
-    assert len(err) < 200 and "an int of 401 digits" in err
+    # The one error line names a 401-digit R, or a long string, by its type
+    # and size instead of quoting it.
+    for R, shown in ((_HUGE, "an int of 401 digits"), ("x" * 100, "a str of 102 characters")):
+        path = write_config(tmp_path, "huge-r.json", dict(_SEARCH, R=R))
+        code, out, err = run(capsys, "window-search", "--config", path)
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert len(err) < 200 and shown in err
 
 
 @pytest.mark.parametrize("text", [
@@ -457,6 +480,9 @@ def test_convert_keeps_integral_floats_numeric_strings_and_big_integers():
                         (float, False), (int, "2.5")):
         with pytest.raises(InputError, match="must be"):
             convert(kind, value, "x")
+    # an int with more digits than Python writes as text is named by its bits
+    with pytest.raises(InputError, match="R must be float, got an int of 16610 bits"):
+        convert(float, 10 ** 5000, "R")
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -665,16 +691,18 @@ ER_ONE_POINT = {"dimension": 2, "function": {"family": "edgar_rosenblatt"},
     # No envelope: one point would be vacuously Certified by dense sampling.
     ("thm1", ER_ONE_POINT, 2),
     ("cor1", ER_ONE_POINT, 2),
-    # The rule is read before `lambda`, so a bad one is never reached.
-    ("thm1", dict(ER_ONE_POINT, **{"lambda": "x"}), 2),
+    # The rule reads the certificate's sup_method after the check has run,
+    # so a malformed `lambda` is an input error first.
+    ("thm1", dict(ER_ONE_POINT, **{"lambda": "x"}), 1),
 ])
 def test_rigorous_mode_runs_only_envelope_backed_checks(tmp_path, capsys, theorem, cfg, want):
     path = write_config(tmp_path, "rig.json", cfg)
     code, out, err = run(capsys, "certify", theorem, "--config", path, "--rigorous",
                          "--no-meta")
     assert code == want
-    if want == 2:
-        assert out == "" and err.startswith("refused: ") and err.count("\n") == 1
+    if want in (1, 2):
+        prefix = "refused: " if want == 2 else "input error: "
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1
     else:
         assert json.loads(out)["report"]["sup_method"] in ("Envelope", "Pointwise")
 
@@ -763,6 +791,16 @@ def test_stft_default_window_takes_the_dimension_of_f(tmp_path, capsys):
     code, out, err = run(capsys, "oracle", "stft-identity", "--config", cfg)
     assert code == 1 and out == ""
     assert err == "input error: identity residual scan is implemented for dimension 1\n"
+
+
+def test_thm3_window_of_another_dimension_names_each_dimension(tmp_path, capsys):
+    cfg = write_config(tmp_path, "w2.json", {
+        "function": {"family": "gaussian"}, "window": {"family": "gaussian", "params": {"n": 2}},
+        "lambda": [[0, 0], [2, 0]]})
+    code, out, err = run(capsys, "certify", "thm3", "--config", cfg)
+    assert code == 1 and out == ""
+    assert err == ("input error: dimension mismatch: f has dimension 1, g has dimension 2, "
+                   "lam has dimension 1\n")
 
 
 def test_csv_rejected_for_certificates(thm1_config, capsys):
@@ -905,6 +943,7 @@ def _check_one_field_mutation(case, value):
             code = main([*command, "--config", str(config), "--no-meta"])
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3, 4)
+    assert code == 1 or value is not True, "no config field takes a boolean"
     assert not caught, [str(w.message) for w in caught]
     if code == 1:
         assert err.startswith("input error:") and err.count("\n") == 1, err

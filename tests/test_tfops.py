@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
-                    PointSet, WindowParams, chirp_mul, dilate, fourier,
-                    gram_matrix, inner_product, l2_norm, make_edgar_rosenblatt, make_example1,
-                    make_example2, make_gaussian, make_singular_cos, modulate,
-                    realize_window, stft, stft_grid, stft_points, tf_shift,
-                    translate)
+                    PointSet, WindowParams, check_theorem1, check_theorem2,
+                    check_theorem3, chirp_mul, default_collocation_points, dilate,
+                    fourier, gram_matrix, inner_product, l2_norm, make_edgar_rosenblatt,
+                    make_example1, make_example2, make_gaussian, make_singular_cos,
+                    metaplectic_residual, modulate, realize_window, search, stft,
+                    stft_grid, stft_identity_residual, stft_points, tf_shift, translate)
 from tfcert import tfops
 from tfcert.tfops import _phase_rows, inverse_fourier_multiplier, quadrature_points
 
@@ -327,6 +328,14 @@ def test_fourier_dense_path_is_unchanged_off_progressions():
     assert nodes.shape[0] == 1024
     targets = np.linspace(-2.0, 2.0, 400)
     assert np.array_equal(fourier(f, odd)(targets), dense_sum(targets, nodes, fw, -1.0))
+
+    # a 2-node grid whose singularity drops a node leaves one node, which is
+    # no progression, for two targets
+    f, pair = translate(make_example2(0.0), 1.0), GridSpec(1.0, 2)  # singular at node t = 1
+    nodes, fw = quadrature(f, pair)
+    assert nodes.shape[0] == 1
+    targets = np.array([0.0, 1.0])
+    assert np.array_equal(fourier(f, pair)(targets), dense_sum(targets, nodes, fw, -1.0))
 
     g2, small = make_gaussian(2), GridSpec(4.0, 32)
     nodes, w = quadrature_points(small, 2)
@@ -1036,6 +1045,16 @@ def test_operators_carry_the_factors(n, chain, points):
     np.testing.assert_allclose(f(t), product, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"dim": 0}, "dim must be a positive integer"),
+    ({"dim": 1, "singularities": ([0.0, 1.0],)}, "must be points in R\\^dim"),
+    ({"dim": 2, "envelope_center": [0.0]}, "must be points in R\\^dim"),
+])
+def test_malformed_evaluators_are_input_errors(kwargs, match):
+    with pytest.raises(InputError, match=match):
+        FunctionEvaluator(fn=np.cos, **kwargs)
+
+
 def test_malformed_factors_are_input_errors():
     g1, g2 = make_gaussian(1), make_gaussian(2)
     for factors in [(g1,), (g1, g1, g1), (g1, g2), (g1, "gaussian")]:
@@ -1104,3 +1123,47 @@ def test_report_json_is_one_rule_for_every_report():
     assert json.loads(json.dumps(doc, allow_nan=False)) == doc
     with pytest.raises(TypeError, match="no JSON form"):
         tfops.report_json(object())
+
+
+# ---------------------------------------------------------------------------
+# one dimension contract
+# ---------------------------------------------------------------------------
+
+_G1, _G2 = make_gaussian(1), make_gaussian(2)
+_ROWS1 = PointSet.from_rows([[0, 0], [2, 0]])
+_ROWS2 = PointSet.from_rows([[0, 0, 0, 0], [2, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    # inputs that must share a dimension
+    (lambda: inner_product(_G1, _G2), "dimension mismatch: f has dimension 1, g has dimension 2"),
+    (lambda: stft_points(_G1, _G2, [[0.0, 0.0]]),
+     "dimension mismatch: f has dimension 1, g has dimension 2"),
+    (lambda: check_theorem1(_G1, _ROWS2),
+     "dimension mismatch: f has dimension 1, lam has dimension 2"),
+    (lambda: check_theorem2(make_example2(0.0), _ROWS2),
+     "dimension mismatch: f has dimension 1, lam has dimension 2"),
+    (lambda: check_theorem3(_G1, _G2, _ROWS1), "dimension mismatch: f has dimension 1, "
+     "g has dimension 2, lam has dimension 1"),
+    (lambda: check_theorem3(_G1, _G1, _ROWS2), "dimension mismatch: f has dimension 1, "
+     "g has dimension 1, lam has dimension 2"),
+    (lambda: gram_matrix(_G1, _ROWS2),
+     "dimension mismatch: f has dimension 1, lam has dimension 2"),
+    # computations implemented for dimension 1
+    (lambda: chirp_mul(_G2, 0.5), "chirp multiplication is implemented for dimension 1"),
+    (lambda: default_collocation_points(_G2, _ROWS2),
+     "default collocation sampling is implemented for dimension 1"),
+    (lambda: stft_identity_residual(_G2, _G2, 0.5, 0.5),
+     "identity residual scan is implemented for dimension 1"),
+    (lambda: metaplectic_residual("dilation", (2.0, 0.0, 0.0), _G2),
+     "metaplectic residual is implemented for dimension 1"),
+    (lambda: search(_G2, R=1.5, N=3, d=0, budget=10),
+     "window search is implemented for dimension 1"),
+], ids=["inner_product", "stft", "thm1", "thm2", "thm3-window", "thm3-points", "gram",
+        "chirp", "collocation", "stft-identity", "metaplectic", "window-search"])
+def test_one_dimension_contract_at_every_site(call, message):
+    # `tfops._shared_dim` states it once: a mismatch names each input's
+    # dimension, and a 1-D-only computation says so in one wording.
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tfcert import (GridSpec, InputError, NearOrthogonalError, PointSet,
-                    WindowParams, check_theorem3, l2_norm,
+from tfcert import (FunctionEvaluator, GridSpec, InputError, NearOrthogonalError,
+                    NumericalRefusal, PointSet, WindowParams, check_theorem3, l2_norm,
                     make_example1, make_gaussian, realize_window, report_json,
                     search, stft_grid, stft_points, tail_ratio, translate)
 
@@ -347,6 +347,34 @@ def test_search_stops_at_the_smallest_step():
     result = search(make_example1(4, 2), R=1.5, N=3, d=0, budget=200)
     assert result.evaluations <= 45
     assert result.ratio == pytest.approx(0.17784546189, rel=1e-6)
+
+
+# A zero f leaves nothing to solve; an f beyond |t| = 24 gives windows of
+# width at most 2 a zero <f, g_k> on every basis window, so Lawson's
+# constraint a . c = 1 fixes no hyperplane. Each search refuses.
+_FAR = FunctionEvaluator(1, lambda t: np.where(np.abs(t) > 24.0, np.exp(24.0 - np.abs(t)), 0.0))
+
+
+@pytest.mark.parametrize("f, grid, lattice", [
+    (FunctionEvaluator(1, lambda t: np.zeros_like(t)), None, None),
+    (_FAR, GridSpec(32.0, 4096), GridSpec(32.0, 81)),
+], ids=["zero", "far"])
+def test_search_without_a_usable_window_refuses(f, grid, lattice):
+    with pytest.raises(NumericalRefusal, match="no usable window"):
+        search(f, R=1.5, N=3, d=2, budget=10, lattice=lattice, grid=grid)
+
+
+def test_search_keeps_its_window_where_the_solve_is_singular():
+    # f is one node at t = 0, complex so that no even fold drops h_1. The
+    # ring of R = 1000 shifts the windows by x = 0 or |x| > 34, and no point
+    # of the 3 x 3 lattice lies outside it. h_1(0) = 0 and h_1 underflows
+    # far out, so h_1's tail column and <f, h_1> are exactly 0, Lawson's
+    # KKT system is singular, and each width keeps the Gaussian.
+    delta = FunctionEvaluator(1, lambda t: np.where(t == 0.0, 1.0 + 1.0j, 0.0))
+    res = search(delta, R=1000.0, N=3, d=1, budget=10, grid=GridSpec(8.0, 4097),
+                 lattice=GridSpec(8.0, 3))
+    assert res.best_params.hermite_coeffs.tolist() == [1.0, 0.0]
+    assert res.ratio == pytest.approx(1.0) and not res.achieved
 
 
 def test_search_rejects_tiny_budget():
