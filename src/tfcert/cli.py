@@ -77,7 +77,9 @@ def _load_config(path: str, command: str, sub: str | None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except ValueError as exc:  # not JSON, not UTF-8, or an integer past Python's digit limit
+        # not JSON, not UTF-8, an integer past Python's digit limit, or
+        # nested past the interpreter's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise InputError(str(exc)) from exc
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")

@@ -44,12 +44,16 @@ and all of them read V_g f through one `_STFTScan`: `stft_grid` and
 `stft_points` build a scan and evaluate one window against it, `stft` is
 `stft_points` on one row, and a window search sums the Hermite basis
 windows of each width it tries against one scan. A scan holds what does
-not depend on the window, each phase's cos and sin computed once when it is
-built:
+not depend on the window, built once:
 - the quadrature nodes;
 - the folded kernels exp(-2 pi i omega.t_k) f(t_k) w_k of the lattice
-  frequencies and of the point frequencies, each row a real and an
-  imaginary plane;
+  frequencies and of the point frequencies, node by node, each frequency a
+  real and an imaginary plane (`_folded_planes`). The nodes lie on the
+  grid's axis, an arithmetic progression, so a frequency's phases on it are
+  products of a coarse and a fine table of about sqrt(samples / 2) cos and
+  sin each (`_axis_columns`), and an n-D node's phase the product of its
+  axes'.
+  A frequency's kernel depends on that frequency alone;
 - the distinct window shifts: the distinct lattice xs, then each point x
   not seen before (rows equal up to the sign of zero are one), so the
   lattice rows are a slice of them.
@@ -59,7 +63,7 @@ Time-Frequency Analysis, 2001), so a scan of a real f sums each mirrored
 pair of frequencies once. One rule (`_fold`) serves the lattice omegas and
 the points: a frequency whose first nonzero coordinate is negative is
 replaced by its mirror -omega and reads the conjugate of the mirror's sum,
-and equal folded rows share one kernel row. A lattice on the grid axis
+and equal folded rows share one kernel. A lattice on the grid axis
 (`axis_quadrature`, exactly antisymmetric) so needs ceil(p/2) of its p
 omegas, and any other lattice folds whatever exact mirror pairs it holds.
 A complex f folds nothing.
@@ -77,18 +81,28 @@ frequency fold: the point-symmetric search scan and a `thm3` lattice sum
 each window on half their shifts. A shift without a mirror keeps its own
 sums, so a fold only removes shifts, and a scan with none to remove (the
 shifted lattice xs - u of the STFT identity) sums as it would unreflected.
-Each of the two shift layouts, with the point kernel rows it needs, is
+Each of the two shift layouts, with the point kernels it needs, is
 built on first use.
 `products` sums a stack of q real window planes against the kernels, block
 by block of `_NODE_BLOCK` nodes. For each block a window function gives the
 q planes at the offsets t_k - x of the block's nodes from every shift;
 `products` sets their subnormal parts to zero (below), then adds each
-plane's lattice rows as one real matrix product with the stacked kernel
-and each point value as the dot product of its kernel row with its window
-row. The blocks are fixed, so a value does not depend on q, and on the
-other rows of the call only through the shift fold: a point reads its
-mirror's sum when its shift's mirror is among them. `fields(g)` is
-`products` on conj(g(t_k - x)), as a real plane plus an imaginary plane
+plane's lattice rows as real matrix products with the node-major kernel,
+one per tile of `_TILE` = 8 float columns (four frequencies), and each
+point value as the dot product of its window row with its kernel. Each
+tile is a view of the kernel but the last part tile, which is copied and
+padded with zeros, so every lattice product has one shape, (shifts, block
+nodes) by (block nodes, 8), whatever the frequencies. The blocks are fixed,
+so no value depends on q. Nor does a lattice value depend on the other
+frequencies of the call, or on whether f is real: its kernel is its own,
+and a BLAS rounds every column of products of one shape alike. That last
+is what the BLAS must give, and every OpenBLAS 0.3.31 x86-64 kernel tried
+gives it (SkylakeX, Haswell, Sandybridge, Nehalem and Katmai, on one and two
+threads), where one product over all the columns does not: the Haswell
+kernel, which AMD Zen CPUs also run, rounds a column by the column count.
+A value depends on the other shifts only through the shift fold: a point
+reads its mirror's sum when its shift's mirror is among them. `fields(g)`
+is `products` on conj(g(t_k - x)), as a real plane plus an imaginary plane
 when g is complex-valued. Lattice and point values
 are both sum_k exp(-2 pi i omega.t_k) f(t_k) w_k conj(g(t_k - x)), summed in
 different orders, so they agree to round-off. Window parts of magnitude
@@ -96,8 +110,7 @@ below the smallest normal float, tiny = 2.2e-308, are set to zero: Hermite
 windows narrower than about 1.1-1.2 have such values on the default search
 scan, and they put BLAS on its slow subnormal path. That moves each value
 of V by at most K tiny max|f w| for K nodes (sqrt 2 times that for a
-complex window). Kernel rows are built in blocks of about `_WINDOW_BLOCK`
-values; that blocking changes no arithmetic.
+complex window).
 
 Every quadrature (`l2_norm`, `inner_product`, `fourier`, the STFT and the
 oracle's Gram matrix) refuses an input not flagged square-integrable
@@ -132,9 +145,10 @@ from .errors import InputError, NumericalRefusal
 
 TWO_PI = 2.0 * np.pi
 
-# Phase rows exp(+-2 pi i omega.t) of dense Fourier sums and STFT kernels and
-# the shift rows of the oracle's Gram matrix are built in blocks of about
-# _WINDOW_BLOCK values, so that their temporaries stay in cache.
+# Phase rows exp(+-2 pi i omega.t) of dense Fourier sums, the node blocks of
+# n-D STFT kernels and the shift rows of the oracle's Gram matrix are built
+# in blocks of about _WINDOW_BLOCK values, so that their temporaries stay in
+# cache.
 _WINDOW_BLOCK = 16_384
 # Window values below the smallest normal float are flushed to zero.
 _TINY = np.finfo(float).tiny
@@ -144,6 +158,9 @@ _TINY = np.finfo(float).tiny
 # peaks at 4.8 MB with the lattice sums of its 41 folded omegas; blocks of
 # 512 doubled both. An even f's pass (86 shifts) peaks at 2.3 MB.
 _NODE_BLOCK = 256
+# Float columns (four frequencies) of the lattice kernel per product of an
+# STFT scan's sums, so that every such product has one shape.
+_TILE = 8
 # Size limits, checked before anything is allocated: samples per grid axis
 # and nodes per quadrature grid, and the values of each dense array a request
 # sizes (`_check_values`, up to 256 MB as complex): an STFT scan's K nodes
@@ -642,7 +659,8 @@ def _phase_rows(freqs: np.ndarray, nodes: np.ndarray, sign: float):
     and cos is even and sin odd, so cos and sin run on the first ceil(K/2)
     nodes and the rest of each row is the conjugate of that half reversed:
     the same bits. In n-D a sum of products can change the sign of a zero,
-    so n-D nodes take every node."""
+    so n-D nodes take every node. The dense kernel of `_fourier_sum`, its
+    one caller."""
     K = nodes.shape[0]
     half = (K + 1) // 2 if nodes.shape[1] == 1 and np.array_equal(nodes[::-1], -nodes) else K
     step = _block_rows(K)
@@ -766,19 +784,89 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
     return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=())
 
 
-def _folded_planes(freqs: np.ndarray, nodes: np.ndarray, fw: np.ndarray) -> np.ndarray:
-    """exp(-2 pi i omega_j.t_k) fw[k] for (r, n) frequencies omega and (K, n)
-    nodes t, as an (r, 2, K) real array: row j holds the real plane and then
-    the imaginary plane of frequency j."""
-    out = np.empty((freqs.shape[0], 2, nodes.shape[0]))
-    lo = 0
-    for block in _phase_rows(freqs, nodes, -1.0):
-        block *= fw
-        hi = lo + block.shape[0]
-        out[lo:hi, 0] = block.real
-        out[lo:hi, 1] = block.imag
-        lo = hi
+class _NodeAxes(NamedTuple):
+    """Where the K nodes of a scan sit on its grid's axis, the progression
+    t_i = (i - (samples - 1) / 2) step: node k is the point whose coordinate
+    d is t at index[d][k]. The index is None when the nodes are the whole
+    1-D axis in order."""
+
+    step: float
+    samples: int
+    index: Optional[tuple]
+
+
+def _turn_table(turns: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (l, r) table exp(-2 pi i u_i nu_j) of (l,) values u and (r,)
+    turns per unit nu. Each phase is reduced by its whole turns before the
+    cos and sin, so both run on |theta| <= pi, and negating nu conjugates
+    the table exactly."""
+    frac = np.multiply.outer(u, turns)
+    frac -= np.rint(frac)
+    theta = -TWO_PI * frac
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
     return out
+
+
+def _axis_columns(freqs: np.ndarray, step: float, samples: int) -> np.ndarray:
+    """The (samples, r) table exp(-2 pi i omega_j t_i) of (r,) frequencies on
+    the progression t_i = (i - (samples - 1) / 2) step, one column per
+    frequency.
+
+    The second half, t >= 0, starts at node s = samples - half with half =
+    ceil(samples / 2). Its node s + S a + b, S the least power of two with
+    S^2 >= half, is the product of the coarse entry at t_{s + S a} and the
+    fine entry at t = b step (`_turn_table`): fewer than 2.5 sqrt(half) + 1
+    cos and sin per frequency (96 on the default 4,096-node axis) and one
+    complex product per node, and t = 0 is exactly 1. The first half,
+    t_{samples-1-i} = -t_i, is the exact conjugate of the second reversed.
+    A column depends on its own frequency alone, and the column of -omega
+    is the exact conjugate of that of omega."""
+    r, half = freqs.shape[0], (samples + 1) // 2
+    split = 1 << ((half - 1).bit_length() + 1) // 2
+    coarse, start = -(-half // split), samples - half
+    table = _turn_table(freqs * step, np.concatenate([
+        split * np.arange(coarse) + (start - 0.5 * (samples - 1)), np.arange(split)]))
+    # The products may run past the last node; those rows are never read.
+    out = np.empty((start + coarse * split, r), dtype=complex)
+    np.multiply(table[:coarse, None], table[None, coarse:],
+                out=out[start:].reshape(coarse, split, r))
+    np.conj(out[half:samples][::-1], out=out[:start])
+    return out[:samples]
+
+
+def _folded_planes(freqs: np.ndarray, axes: _NodeAxes, fw: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i omega_j.t_k) fw[k] for (r, n) frequencies omega and the
+    K nodes t of `axes`, as a (K, r) complex array. Its float view (K, 2 r)
+    holds the real and the imaginary plane of frequency j in columns 2j and
+    2j + 1, node by node.
+
+    Each axis gives its columns (`_axis_columns`); the nodes take them at
+    their axis indices and multiply them, in blocks of about
+    `_WINDOW_BLOCK` values (the whole 1-D axis takes its columns as they
+    are). Then cos(theta) fw and sin(theta) fw are formed in place, by four
+    products for a complex fw. No column reads another frequency, so a
+    column depends on its own frequency alone."""
+    r, K = freqs.shape[0], fw.shape[0]
+    columns = [_axis_columns(freqs[:, d], axes.step, axes.samples)
+               for d in range(freqs.shape[1])]
+    if axes.index is None:
+        kernel = columns[0]
+    else:
+        # 1-D nodes are an increasing part of the axis, index[k] >= k, so
+        # their columns are gathered in place, block by block.
+        kernel = columns[0][:K] if len(columns) == 1 else np.empty((K, r), dtype=complex)
+        for lo in range(0, K, _block_rows(r)):
+            block = slice(lo, lo + _block_rows(r))
+            kernel[block] = functools.reduce(np.multiply, [
+                axis[index[block]] for axis, index in zip(columns, axes.index)])
+    if np.iscomplexobj(fw):
+        kernel *= fw[:, None]
+    else:
+        planes = kernel.view(float).reshape(K, 2 * r)
+        planes *= fw[:, None]
+    return kernel
 
 
 def _distinct_rows(a: np.ndarray):
@@ -834,7 +922,7 @@ class _ScanLayout(NamedTuple):
     """The window side of an `_STFTScan`, reflected through the origin or not
     (`_STFTScan.layout`): the distinct shifts, the first `xs` of them the
     folded lattice xs, the `_unfold` flags of the lattice xs and of the
-    points, and each folded point's shift and kernel rows."""
+    points, and each folded point's shift and its kernel."""
 
     shifts: np.ndarray
     xs: int
@@ -847,14 +935,15 @@ class _ScanLayout(NamedTuple):
 class _STFTScan:
     """V_g f of one f on a fixed lattice and point set, for any window g.
 
-    Holds everything that does not depend on the window, each phase's cos and
-    sin computed once: the quadrature nodes, the folded kernels
-    exp(-2 pi i omega.t) f(t) w of the lattice frequencies and of the point
-    frequencies (`_folded_planes`), and the distinct shifts that the lattice
-    xs and the point xs name. `products` sums any stack of real window
+    Holds everything that does not depend on the window, built once: the
+    quadrature nodes and where they sit on the grid's axis (`axes`), the
+    folded kernels exp(-2 pi i omega.t) f(t) w of the lattice frequencies and
+    of the point frequencies, node by node (`_folded_planes`, from per-axis
+    phase tables), and the distinct shifts that the lattice xs and the point
+    xs name. `products` sums any stack of real window
     planes against the kernels; `fields` is that sum for one window.
 
-    For a real f, mirrored frequencies share a kernel row (module notes):
+    For a real f, mirrored frequencies share a kernel (module notes):
     the lattice omegas and the points are folded by `_fold`, whose flags
     `_unfold` reads back. For an even real f (`even`, read from its
     quadrature values), windows of known parities also fold each shift onto
@@ -876,15 +965,22 @@ class _STFTScan:
         _check_values(self.grid.samples_per_axis ** f.dim * rows + m * p, "STFT scans")
         self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
         self.fw = f(self.nodes) * w
+        # Every node coordinate is a value of the grid's axis, within two ulps
+        # of L of the progression, so rounding reads its index exactly.
+        index = np.rint((self.nodes + self.grid.half_width) / self.grid.step).astype(np.intp)
+        samples = self.grid.samples_per_axis
+        self.axes = _NodeAxes(self.grid.step, samples,
+                              None if index.shape == (samples, 1) else tuple(index.T))
         # For a real f, V(x, -omega) = conj V(x, omega) on each real window
-        # plane, so a mirrored pair of frequencies needs one kernel row.
+        # plane, so a mirrored pair of frequencies needs one kernel.
         self.real = not np.iscomplexobj(self.fw)
         # Reversing the nodes reflects them through the origin in any dimension.
         self.even = (self.real and np.array_equal(self.nodes[::-1], -self.nodes)
                      and np.array_equal(self.fw, self.fw[::-1]))
         omegas, *self.lattice_fold = _fold(omegas, f.dim, self.real, False)
-        # Rows 2j and 2j + 1 are the real and imaginary planes of folded omega j.
-        self.lattice_kernel = _folded_planes(omegas, self.nodes, self.fw).reshape(-1, self.fw.size)
+        # Columns 2j and 2j + 1 are the real and imaginary planes of folded
+        # omega j.
+        self.lattice_kernel = _folded_planes(omegas, self.axes, self.fw).view(float)
         self.xs, self.points = xs, pts
         self._layouts: dict = {}
 
@@ -913,7 +1009,9 @@ class _STFTScan:
             shifts, inverse = _distinct_rows(np.concatenate([xs, pts[:, :dim]]))
             self._layouts[reflect] = _ScanLayout(
                 shifts, xs.shape[0], (x_index, x_flip, x_flip), tuple(point_fold),
-                inverse[xs.shape[0]:], _folded_planes(pts[:, dim:], self.nodes, self.fw))
+                inverse[xs.shape[0]:],
+                _folded_planes(pts[:, dim:], self.axes, self.fw).view(float).reshape(
+                    self.fw.size, -1, 2))
         return self._layouts[reflect]
 
     @property
@@ -935,32 +1033,44 @@ class _STFTScan:
         otherwise on the unreflected one.
         The sums run over blocks of `_NODE_BLOCK` nodes, in order. Each
         block's planes have their subnormal parts set to zero (`_flush`);
-        then each plane's lattice rows are one real matrix product with the
-        stacked lattice kernel, and each folded point is the dot product of
-        its kernel row with its window row, so no value depends on q, nor on
-        the other rows of the call but through the shift fold. Lattice
+        then each plane's lattice rows are real matrix products of one shape
+        with the node-major lattice kernel, one per tile of `_TILE` columns,
+        the last part tile padded with zeros, and each folded point is the
+        dot product of its window row with its kernel, so no value depends on
+        q nor on the other frequencies of the call (module notes), and on the
+        other shifts only through the shift fold. Lattice
         entries and points folded onto a mirror or a reflection then read
         its sum exactly conjugated or signed (`_unfold`).
         """
         q = len(parities)
         layout = self.layout(self.even and None not in parities)
         m = layout.xs
-        lattice = np.zeros((q, m, self.lattice_kernel.shape[0]))
-        points = np.zeros((q, layout.point_rows.shape[0], 2))
+        columns = self.lattice_kernel.shape[1]
+        tiles, part = divmod(columns, _TILE)
+        lattice = np.zeros((q, m, tiles + (part > 0), _TILE))
+        points = np.zeros((q, layout.point_rows.shape[0], 1, 2))
         for lo in range(0, self.nodes.shape[0], _NODE_BLOCK):
             nodes = slice(lo, lo + _NODE_BLOCK)
             planes = window(self.nodes[nodes] - layout.shifts[:, None, :])
-            lattice_kernel = self.lattice_kernel[:, nodes].T
-            point_kernel = layout.point_kernel[:, :, nodes]
+            kernel = self.lattice_kernel[nodes]
+            # The whole tiles are views of the kernel; the last part tile is
+            # copied and padded with zeros.
+            whole = kernel[:, :tiles * _TILE].reshape(kernel.shape[0], tiles, _TILE).swapaxes(0, 1)
+            last = np.zeros((kernel.shape[0], _TILE))
+            last[:, :part] = kernel[:, tiles * _TILE:]
+            point_kernel = layout.point_kernel[nodes].swapaxes(0, 1)
             for j in range(q):
                 _flush(planes[j])
-                lattice[j] += planes[j, :m] @ lattice_kernel
-                points[j] += (point_kernel @ planes[j, layout.point_rows, :, None])[..., 0]
+                lattice[j, :, :tiles] += (planes[j, :m] @ whole).swapaxes(0, 1)
+                if part:
+                    lattice[j, :, tiles] += planes[j, :m] @ last
+                points[j] += planes[j, layout.point_rows, None, :] @ point_kernel
             del planes  # before the next block is built, the peak of memory
+        lattice = lattice.reshape(q, m, lattice.shape[2] * _TILE)[..., :columns]
         # A reflected x reads parity V(x, -omega), the conjugate for a real f.
         lattice = _unfold(lattice.view(complex).swapaxes(1, 2), *layout.x_fold, parities)
         return (_unfold(lattice.swapaxes(1, 2), *self.lattice_fold, parities),
-                _unfold(points.view(complex)[..., 0], *layout.point_fold, parities))
+                _unfold(points.view(complex)[..., 0, 0], *layout.point_fold, parities))
 
     def fields(self, g: FunctionEvaluator):
         """(V, v): V[i, j] = V_g f(xs[i], omegas[j]) on the lattice and
@@ -1010,10 +1120,12 @@ def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,
               grid: Optional[GridSpec] = None) -> np.ndarray:
     """V_g f on a separable lattice: V[i, j] = V_g f(xs[i], omegas[j]).
 
-    The lattice costs one cos and one sin per (omega, node) pair, and for a
-    real f one per (folded omega, node) pair: -omega reads the conjugate of
-    omega's sum on each real window plane, so the omegas of an exactly
-    antisymmetric axis cost half.
+    Each omega's kernel costs fewer than 2 sqrt(K) cos and sin and one
+    complex product per node on a 1-D grid of K nodes (`_axis_columns`), and
+    for a real f only the folded omegas have one: -omega reads the conjugate
+    of omega's sum on each real window plane, so the omegas of an exactly
+    antisymmetric axis cost half. A value does not depend on the other
+    omegas.
     """
     return _STFTScan(f, grid, xs=xs, omegas=omegas).fields(g)[0]
 

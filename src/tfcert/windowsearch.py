@@ -315,7 +315,11 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
 
     From a step of 1/2, it tries x + step, then x - step, moves on a strict
     improvement and halves the step otherwise, skipping widths outside [WIDTH_MIN,
-    WIDTH_MAX] or tried before. At each width one pass sums the basis windows
+    WIDTH_MAX] or tried before. While no width has given a usable window
+    (|<f, g>| above DENOM_FLOOR), it doubles the step instead, as long as
+    x + 2 step or x - 2 step is a width in range not tried before, so that
+    a window far wider or narrower than the unit Gaussian is reached. At
+    each width one pass sums the basis windows
     (w, e_k) (`_TailScan.basis`), `_lawson` solves for c from the
     incumbent's on their rows, and the solved window's ratio is read from the
     same rows, its field being sum_k c_k V_{g_k} f.
@@ -346,10 +350,14 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
     used, best_ratio, best_params = 0, math.inf, None
     trace, seen, failure = [], set(), "no finite objective value found"
 
+    def fresh(x: float) -> bool:
+        """Whether 2^x is a width in range not tried before."""
+        return WIDTH_MIN <= 2.0 ** x <= WIDTH_MAX and x not in seen
+
     def improves(x: float) -> bool:
         """Evaluate the window solved at width 2^x; True if it is the new incumbent."""
         nonlocal used, best_ratio, best_params, failure
-        if not WIDTH_MIN <= 2.0 ** x <= WIDTH_MAX or x in seen:
+        if not fresh(x):
             return False
         seen.add(x)
         used += cost
@@ -379,6 +387,10 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
             x += step
         elif used + cost <= budget and improves(x - step):
             x -= step
+        elif best_params is None and (fresh(x + 2.0 * step) or fresh(x - 2.0 * step)):
+            # No usable width yet: look farther out before looking closer. The
+            # next pass tries a width not tried before, so the doubling ends.
+            step *= 2.0
         else:
             step /= 2.0
 

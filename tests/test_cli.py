@@ -24,8 +24,9 @@ def run(capsys, *argv):
 
 
 def write_config(tmp_path, name, obj):
+    """`obj` as JSON in tmp_path/name; a str is written as the document's text."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
 
 
@@ -413,6 +414,9 @@ _SEARCH = {"function": {"family": "gaussian"}, "R": 1.5, "N": 3, "budget": 10}
     (("certify", "cor2"), {"dimension": 2, "function": {"family": "gaussian", "params": {"n": 2}},
                            "lambda": [[0, 0, 0, 0], [1, 0, 0, 0]],
                            "grid": {"samples_per_axis": 4096}}),
+    # a document nested past the interpreter's recursion limit
+    pytest.param(("certify", "lemma1"), '{"function": {"family": "gaussian"}, "shifts": '
+                 + "[" * 100_000 + "]" * 100_000 + "}", id="nested-past-recursion-limit"),
 ])
 def test_malformed_config_value_exit_one(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "bad.json", cfg)

@@ -698,7 +698,7 @@ def count_kernel_rows(monkeypatch):
     """The frequency rows each `_folded_planes` call of a scan builds, in order."""
     rows, inner = [], tfops._folded_planes
     monkeypatch.setattr(tfops, "_folded_planes",
-                        lambda freqs, nodes, fw: rows.append(freqs.shape[0]) or inner(freqs, nodes, fw))
+                        lambda freqs, *rest: rows.append(freqs.shape[0]) or inner(freqs, *rest))
     return rows
 
 
@@ -794,6 +794,103 @@ def test_real_f_folds_the_exact_mirror_pairs_of_any_lattice(monkeypatch):
                 np.testing.assert_array_equal(field[:, i], np.conj(field[:, j]))
         assert close_to(field, stft_grid(as_complex(f), g, xs, xs))
         assert rows[-2:] == [81, 0]
+
+
+LONG_PI = 4 * np.arctan(np.longdouble(1))
+_FREQS = np.random.default_rng(3).uniform(-40.0, 40.0, 20)
+_THM3_OMEGAS = tfops.axis_quadrature(GridSpec(8.0, 128))[0]
+
+
+@pytest.mark.parametrize("f, grid, freqs", [
+    (make_example1(4.0, 1.0), None, np.concatenate([_THM3_OMEGAS, _FREQS, [0.0, 1e-3]])),
+    (modulate(make_gaussian(1), 0.7), None, np.concatenate([np.linspace(-8, 8, 81), _FREQS])),
+    (make_example2(1.5), GridSpec(8.0, 4097), np.concatenate([_THM3_OMEGAS, _FREQS])),
+    (translate(make_gaussian(2), [0.3, -0.2]), GridSpec(4.0, 65),
+     np.random.default_rng(4).uniform(-10.0, 10.0, (40, 2))),
+    (modulate(make_gaussian(2), [0.5, 0.2]), GridSpec(4.0, 64),
+     np.random.default_rng(5).uniform(-10.0, 10.0, (40, 2))),
+], ids=["1d-real", "1d-complex", "example2-origin-dropped", "2d-real", "2d-complex"])
+def test_scan_kernel_within_its_bound_of_a_long_double_reference(f, grid, freqs):
+    # Each kernel entry exp(-2 pi i omega.t_k) f(t_k) w_k is within
+    # 2 eps (1 + 2 pi |omega|_1 L) |f w_k| of the long double value at the
+    # scan's own nodes. The columns are built on the ideal progression, from
+    # which the nodes lie up to 0.83 eps L away, and the phase products round
+    # at eps |theta|: each about half of eps 2 pi |omega| L. The kernel reads
+    # up to 0.62 of the bound; the direct cos and sin of `_phase_rows` read
+    # up to 0.67 (2-D, where the phase sums round too).
+    scan = tfops._STFTScan(f, grid)
+    freqs = np.reshape(freqs, (-1, f.dim))
+    got = tfops._folded_planes(freqs, scan.axes, scan.fw)
+    theta = -2 * LONG_PI * (scan.nodes.astype(np.longdouble) @ freqs.T.astype(np.longdouble))
+    cos, sin = np.cos(theta), np.sin(theta)
+    a, b = scan.fw.real.astype(np.longdouble)[:, None], np.imag(scan.fw).astype(np.longdouble)[:, None]
+    error = np.maximum(np.abs(got.real - (cos * a - sin * b)),
+                       np.abs(got.imag - (cos * b + sin * a)))
+    L = scan.grid.half_width
+    bound = 2 * np.finfo(float).eps * np.abs(scan.fw)[:, None] \
+        * (1 + 2 * PI * L * np.abs(freqs).sum(axis=1))
+    assert (error <= bound).all(), np.max(error / np.where(bound > 0, bound, 1))
+    if f.singularities:  # t = 0 is not a node
+        assert scan.nodes.shape[0] == grid.samples_per_axis - 1
+
+
+@pytest.mark.parametrize("samples", [2, 3, 4, 7, 64, 65, 4096, 4097])
+def test_kernel_columns_of_mirrored_frequencies_are_exact_conjugates(samples):
+    # The column of -omega is the conjugate of the column of omega, and each
+    # column's first half the conjugate of its second half reversed, exactly
+    # (up to the sign of a zero); t = 0 reads exactly 1. So are the kernels
+    # of a real f, in 1-D and in 2-D.
+    step = GridSpec(8.0, samples).step
+    freqs = np.concatenate([_FREQS, _THM3_OMEGAS])
+    columns = tfops._axis_columns(freqs, step, samples)
+    np.testing.assert_array_equal(tfops._axis_columns(-freqs, step, samples), np.conj(columns))
+    np.testing.assert_array_equal(columns[::-1], np.conj(columns))
+    if samples % 2:
+        assert (columns[samples // 2] == 1.0).all()
+    for f, grid, omegas in ((make_example1(4.0, 1.0), GridSpec(8.0, samples), freqs[:, None]),
+                            (translate(make_gaussian(2), [0.3, -0.2]), GridSpec(4.0, 33),
+                             np.random.default_rng(6).uniform(-10.0, 10.0, (20, 2)))):
+        scan = tfops._STFTScan(f, grid)
+        kernel = tfops._folded_planes(omegas, scan.axes, scan.fw)
+        np.testing.assert_array_equal(tfops._folded_planes(-omegas, scan.axes, scan.fw),
+                                      np.conj(kernel))
+
+
+def test_scan_of_a_singular_f_gathers_its_kernel_in_place():
+    # example2 drops the node t = 0 of an odd axis, so its kernel columns are
+    # gathered from the axis columns at the kept nodes' indices. The gather
+    # runs in place, so building the scan holds one kernel-sized array, not
+    # two.
+    import tracemalloc
+    xs = tfops.axis_quadrature(GridSpec(8.0, 128))[0]
+    tracemalloc.start()
+    try:
+        scan = tfops._STFTScan(make_example2(1.5), GridSpec(8.0, 4097), xs, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.nodes.shape[0] == 4096 and peak < 1.5 * scan.lattice_kernel.nbytes
+
+
+@pytest.mark.parametrize("g", [make_gaussian(1), modulate(make_gaussian(1), 0.7)],
+                         ids=["real-window", "complex-window"])
+def test_lattice_value_depends_on_its_omega_alone(g):
+    # Each omega's kernel is its own and every lattice product has one shape,
+    # (shifts, block nodes) by (block nodes, 8), whatever the omegas, so a
+    # lattice value keeps its bits whatever the other omegas of the call, and
+    # for f real or the same f made complex. That holds on a BLAS that rounds
+    # every column of products of one shape alike, as every OpenBLAS 0.3.31
+    # x86-64 kernel tried does (module notes). f is off the origin, so no
+    # shift fold changes the sums.
+    f = translate(make_example1(4.0, 1.0), 0.3)
+    xs = tfops.axis_quadrature(GridSpec(3.0, 33))[0]
+    field = stft_grid(f, g, xs, xs)
+    for j in (0, 7, 16, 20, 32):
+        assert stft_grid(f, g, xs, xs[[j]])[:, 0].tobytes() == field[:, j].tobytes()
+    picks = [20, 3, 31, 20, 8, 16]
+    assert stft_grid(f, g, xs, xs[picks]).tobytes() == field[:, picks].tobytes()
+    assert stft_grid(as_complex(f), g, xs, xs).tobytes() == field.tobytes()
+    assert stft_grid(as_complex(f), g, xs, xs[[20]]).tobytes() == field[:, [20]].tobytes()
 
 
 @pytest.mark.parametrize("half_width", [0.5, 1.0, 3.0, 8.0, 6.25, 1e3 / 3])

@@ -96,7 +96,7 @@ def test_default_tail_scan_shares_mirrored_ring_shifts():
     rows, inner = [], tfops._folded_planes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tfops, "_folded_planes",
-                   lambda freqs, nodes, fw: rows.append(freqs.shape[0]) or inner(freqs, nodes, fw))
+                   lambda freqs, *rest: rows.append(freqs.shape[0]) or inner(freqs, *rest))
         tail_scan = _TailScan(make_gaussian(1), 1.7, None, None)
         tail_scan.basis(1.3, range(0, 3, 2))
         scan = tail_scan.scan
@@ -121,7 +121,7 @@ def test_default_search_scan_reflects_only_an_even_f(f, even, monkeypatch):
                         shifts.append(s.shape[0]) or hermite(s, d, width, **kw))
     rows, planes = [], tfops._folded_planes
     monkeypatch.setattr(tfops, "_folded_planes",
-                        lambda freqs, nodes, fw: rows.append(freqs.shape[0]) or planes(freqs, nodes, fw))
+                        lambda freqs, *rest: rows.append(freqs.shape[0]) or planes(freqs, *rest))
     scan = windowsearch._TailScan(f, 1.75, None, None)
     scan.basis(1.3, range(4))
     assert scan.scan.even == even
@@ -351,17 +351,32 @@ def test_search_stops_at_the_smallest_step():
 
 # A zero f leaves nothing to solve; an f beyond |t| = 24 gives windows of
 # width at most 2 a zero <f, g_k> on every basis window, so Lawson's
-# constraint a . c = 1 fixes no hyperplane. Each search refuses.
+# constraint a . c = 1 fixes no hyperplane. Each search refuses: at d = 2 a
+# budget of 10 affords the widths 1 and 2^0.5 alone, and at d = 0 a budget
+# of 200 lets the zero f's search try every width its doubling and halving
+# steps reach, each once, and stop.
+_ZERO = FunctionEvaluator(1, lambda t: np.zeros_like(t))
 _FAR = FunctionEvaluator(1, lambda t: np.where(np.abs(t) > 24.0, np.exp(24.0 - np.abs(t)), 0.0))
 
 
-@pytest.mark.parametrize("f, grid, lattice", [
-    (FunctionEvaluator(1, lambda t: np.zeros_like(t)), None, None),
-    (_FAR, GridSpec(32.0, 4096), GridSpec(32.0, 81)),
-], ids=["zero", "far"])
-def test_search_without_a_usable_window_refuses(f, grid, lattice):
+@pytest.mark.parametrize("f, grid, lattice, d, budget", [
+    (_ZERO, None, None, 2, 10),
+    (_FAR, GridSpec(32.0, 4096), GridSpec(32.0, 81), 2, 10),
+    (_ZERO, None, None, 0, 200),
+], ids=["zero", "far", "zero-every-width"])
+def test_search_without_a_usable_window_refuses(f, grid, lattice, d, budget):
     with pytest.raises(NumericalRefusal, match="no usable window"):
-        search(f, R=1.5, N=3, d=2, budget=10, lattice=lattice, grid=grid)
+        search(f, R=1.5, N=3, d=d, budget=budget, lattice=lattice, grid=grid)
+
+
+def test_search_with_no_usable_unit_width_looks_farther_out():
+    # Widths 1, 2, 4 and 8 leave |<f, g>| of the far f below DENOM_FLOOR.
+    # With no incumbent the step doubles instead of halving, so the search
+    # reaches width 16 within its budget instead of refusing.
+    grid, lattice = GridSpec(32.0, 4096), GridSpec(32.0, 81)
+    res = search(_FAR, R=1.5, N=3, d=0, budget=200, lattice=lattice, grid=grid)
+    assert res.best_params.width > 8.0 and not res.achieved
+    assert res.ratio == tail_ratio(_FAR, res.best_params, 1.5, lattice, grid)
 
 
 def test_search_keeps_its_window_where_the_solve_is_singular():
