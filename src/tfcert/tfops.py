@@ -33,11 +33,15 @@ without factors keep the dense n-D quadrature.
 1-D, when the targets and the nodes are both arithmetic progressions (every
 a[j] within 8 eps max|a| of a[0] + j step) and there are enough targets, the
 sum is a Bluestein chirp-z transform on `numpy.fft` in O((K + m) log(K + m))
-instead of m K exps. Evaluating at the ideal progressions moves each phase
+instead of m K phases. Evaluating at the ideal progressions moves each phase
 2 pi omega t by at most 16 eps 2 pi max|omega| max|t|, a small multiple of
-the rounding the dense kernel makes when it forms and exponentiates phases of
-that size. Short, non-uniform or 2-D target sets, and nodes with an interior
-singular neighborhood dropped, keep the dense kernel.
+the rounding of the phases themselves. Short, non-uniform or 2-D target
+sets, and nodes with an interior singular neighborhood dropped, take the
+dense sum of the STFT scan's phase kernel (`_folded_planes`, below) at the
+targets, negated for the inverse sum. Its nodes come from
+`quadrature_points`, so they lie on the grid's axis whether singular nodes
+are dropped or not (`_nodes_on_axis`), and each target's value is summed on
+its own, so it does not depend on the other targets.
 
 The STFT entry points work in any dimension the quadrature grid supports,
 and all of them read V_g f through one `_STFTScan`: `stft_grid` and
@@ -145,10 +149,10 @@ from .errors import InputError, NumericalRefusal
 
 TWO_PI = 2.0 * np.pi
 
-# Phase rows exp(+-2 pi i omega.t) of dense Fourier sums, the node blocks of
-# n-D STFT kernels and the shift rows of the oracle's Gram matrix are built
-# in blocks of about _WINDOW_BLOCK values, so that their temporaries stay in
-# cache.
+# The phase kernels of dense Fourier sums (a block of targets at a time), the
+# node blocks of n-D and gathered phase kernels and the shift rows of the
+# oracle's Gram matrix are built in blocks of about _WINDOW_BLOCK values, so
+# that their temporaries stay in cache.
 _WINDOW_BLOCK = 16_384
 # Window values below the smallest normal float are flushed to zero.
 _TINY = np.finfo(float).tiny
@@ -172,14 +176,16 @@ MAX_ARRAY_VALUES = 1 << 24
 # No point within this distance of a singularity is clear of it (`_clear_of`),
 # whatever the grid's exclusion radius.
 SINGULARITY_FLOOR = 1e-12
-# The exps a dense Fourier sum may compute, m targets times K nodes. A sum at
-# the bound takes about 20 s on x86-64 with one BLAS thread.
+# The phases a dense Fourier sum may form, m targets times K nodes. A sum at
+# the bound takes about 7 s on a 2-D grid of 128^2 nodes and 4 s on the 1-D
+# default axis (x86-64, one BLAS thread).
 MAX_DENSE_PHASES = 1 << 29
 # A 1-D array is an arithmetic progression when it lies within this relative
 # distance of one. A chirp-z sum replaces the dense one when the m K dense
-# exps exceed _CHIRP_COST size log2(size) for the FFT length `size`; the two
+# phases exceed _CHIRP_COST size log2(size) for the FFT length `size`; the two
 # cost the same between 0.25 and 0.8 on x86-64 with one BLAS thread
-# (measured for K = 256 to 16384).
+# (measured for K = 256 to 16384 with a cos and a sin per phase; the per-axis
+# tables make a 1-D dense phase a third to a half cheaper).
 _UNIFORM_RTOL = 8 * np.finfo(float).eps
 _CHIRP_COST = 0.5
 
@@ -624,18 +630,6 @@ def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
 # Quadrature-backed transforms
 # ---------------------------------------------------------------------------
 
-def _outer_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m, K) matrix of dot products of (m, n) rows a with (K, n) rows b.
-
-    Built one coordinate at a time: in 1-D this is a plain outer product,
-    several times faster than a matmul with inner dimension 1.
-    """
-    out = np.multiply.outer(a[:, 0], b[:, 0])
-    for d in range(1, a.shape[1]):
-        out += np.multiply.outer(a[:, d], b[:, d])
-    return out
-
-
 def _check_values(count: int, what: str) -> None:
     """Refuse a dense array of more than MAX_ARRAY_VALUES values before it is
     allocated; `what` names the arrays."""
@@ -648,38 +642,13 @@ def _block_rows(k: int) -> int:
     return max(1, _WINDOW_BLOCK // max(k, 1))
 
 
-def _phase_rows(freqs: np.ndarray, nodes: np.ndarray, sign: float):
-    """Row blocks of the (r, K) matrix exp(sign 2 pi i omega_j.t_k) for (r, n)
-    frequencies omega and (K, n) nodes t, each of about `_WINDOW_BLOCK`
-    values: cos(theta) + i sin(theta) of theta = sign 2 pi (omega.t). The
-    caller may overwrite a block.
-
-    When the nodes are one axis that is exactly antisymmetric, t[K - 1 - k]
-    == -t[k] bit for bit (`axis_quadrature`), theta(-t) = -theta(t) exactly
-    and cos is even and sin odd, so cos and sin run on the first ceil(K/2)
-    nodes and the rest of each row is the conjugate of that half reversed:
-    the same bits. In n-D a sum of products can change the sign of a zero,
-    so n-D nodes take every node. The dense kernel of `_fourier_sum`, its
-    one caller."""
-    K = nodes.shape[0]
-    half = (K + 1) // 2 if nodes.shape[1] == 1 and np.array_equal(nodes[::-1], -nodes) else K
-    step = _block_rows(K)
-    for lo in range(0, freqs.shape[0], step):
-        theta = sign * TWO_PI * _outer_dot(freqs[lo:lo + step], nodes[:half])
-        block = np.empty((theta.shape[0], K), dtype=complex)
-        np.cos(theta, out=block.real[:, :half])
-        np.sin(theta, out=block.imag[:, :half])
-        np.conj(block[:, :K - half][:, ::-1], out=block[:, half:])
-        yield block
-
-
 def _progression(a: np.ndarray):
     """(centre, step) of a 1-D array that is an arithmetic progression, else
     None: a[j] must lie within 8 eps max|a| of a[0] + j step.
 
     Callers evaluate at the ideal progression, which moves each phase
     2 pi omega t by at most 8 eps 2 pi max|a| times the other factor: a small
-    multiple of the rounding of the dense kernel's own phase products.
+    multiple of the rounding of the phase kernel's own products.
     """
     m = a.shape[0]
     if m < 2:
@@ -720,15 +689,20 @@ def _chirp_sum(omega, axis, m: int, weights: np.ndarray, sign: float,
     return conv * np.exp(1j * (theta * tc * (oc + delta * p) + 0.5 * alpha * p * p))
 
 
-def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
-                 sign: float) -> np.ndarray:
+def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, axes: _NodeAxes,
+                 weights: np.ndarray, sign: float) -> np.ndarray:
     """sum_k weights[k] exp(sign 2 pi i omega_j.t_k) for (m, n) targets omega
-    and (K, n) nodes t.
+    and the (K, n) nodes t of `axes`.
 
     In 1-D, when targets and nodes are both arithmetic progressions and m is
-    large enough that three FFTs cost less than the m K dense exps, the sum
+    large enough that three FFTs cost less than the m K dense phases, the sum
     is a chirp-z transform (`_chirp_sum`) in O((K + m) log(K + m)). Otherwise
-    it is the dense phase-sum kernel, refused beyond MAX_DENSE_PHASES exps.
+    it is the dense sum of the STFT scan's kernel (`_folded_planes`) at the
+    frequencies -sign omega, which negates the phases exactly, refused
+    beyond MAX_DENSE_PHASES phases. It runs block by block of targets, each
+    target's kernel column copied to a contiguous row and summed on its own:
+    numpy sums a lone row pairwise but the rows of several columns one node
+    after another, so a target's value does not depend on the other targets.
     """
     m, K = targets.shape[0], nodes.shape[0]
     if targets.shape[1] == 1 and m >= 2:
@@ -741,16 +715,12 @@ def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
     if m * K > MAX_DENSE_PHASES:
         raise InputError(f"a dense Fourier sum of {m} x {K} phases exceeds the "
                          f"{MAX_DENSE_PHASES} supported; use a coarser grid")
-    sums = []
-    for block in _phase_rows(targets, nodes, sign):
-        rows = block.shape[0]
-        if rows == 1:
-            # BLAS sums a lone row with its dot kernel, which rounds unlike
-            # the matrix-vector kernel of every other block; a zero row
-            # sends it through the same kernel.
-            block = np.concatenate([block, np.zeros_like(block)])
-        sums.append((block @ weights)[:rows])
-    return np.concatenate(sums) if sums else np.empty(0, dtype=complex)
+    freqs, step = -sign * targets, _block_rows(K)
+    sums = np.empty(m, dtype=complex)
+    for lo in range(0, m, step):
+        kernel = _folded_planes(freqs[lo:lo + step], axes, weights)
+        sums[lo:lo + step] = np.ascontiguousarray(kernel.T).sum(axis=1)
+    return sums
 
 
 def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEvaluator:
@@ -762,9 +732,9 @@ def fourier(f: FunctionEvaluator, grid: Optional[GridSpec] = None) -> FunctionEv
     not flagged square-integrable are refused (`_require_square_integrable`).
     """
     _require_square_integrable(f)
-    nodes, w = quadrature_points(grid, f.dim, f.singularities)
+    nodes, w, axes = _nodes_on_axis(grid, f.dim, f.singularities)
     weighted = f(nodes) * w
-    fn = lambda om: _fourier_sum(np.reshape(om, (-1, f.dim)), nodes, weighted, -1.0)
+    fn = lambda om: _fourier_sum(np.reshape(om, (-1, f.dim)), nodes, axes, weighted, -1.0)
     return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=())
 
 
@@ -778,21 +748,35 @@ def inverse_fourier_multiplier(f: FunctionEvaluator, multiplier,
     than a literal chirp convolution.
     """
     fhat = fourier(f, grid)
-    nodes, w = quadrature_points(grid, f.dim)
+    nodes, w, axes = _nodes_on_axis(grid, f.dim)
     weighted = fhat(nodes) * FunctionEvaluator(f.dim, multiplier)(nodes) * w
-    fn = lambda t: _fourier_sum(np.reshape(t, (-1, f.dim)), nodes, weighted, +1.0)
+    fn = lambda t: _fourier_sum(np.reshape(t, (-1, f.dim)), nodes, axes, weighted, +1.0)
     return FunctionEvaluator(dim=f.dim, fn=fn, envelope=None, singularities=())
 
 
 class _NodeAxes(NamedTuple):
-    """Where the K nodes of a scan sit on its grid's axis, the progression
-    t_i = (i - (samples - 1) / 2) step: node k is the point whose coordinate
-    d is t at index[d][k]. The index is None when the nodes are the whole
-    1-D axis in order."""
+    """Where the K nodes of a quadrature sit on its grid's axis, the
+    progression t_i = (i - (samples - 1) / 2) step: node k is the point
+    whose coordinate d is t at index[d][k]. The index is None when the nodes
+    are the whole 1-D axis in order (`_nodes_on_axis`)."""
 
     step: float
     samples: int
     index: Optional[tuple]
+
+
+def _nodes_on_axis(grid: Optional[GridSpec], dim: int, singularities: Sequence = ()):
+    """(nodes, w, axes): `quadrature_points` of `grid` (None is the default
+    grid of `dim`) and where its nodes sit on the grid's axis. Every node
+    coordinate is a value of the axis, within two ulps of L of the
+    progression, so rounding reads its index exactly, with singular nodes
+    dropped or not."""
+    grid = grid or GridSpec.default(dim)
+    nodes, w = quadrature_points(grid, dim, singularities)
+    index = np.rint((nodes + grid.half_width) / grid.step).astype(np.intp)
+    samples = grid.samples_per_axis
+    whole = index.shape == (samples, 1)
+    return nodes, w, _NodeAxes(grid.step, samples, None if whole else tuple(index.T))
 
 
 def _turn_table(turns: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -809,10 +793,11 @@ def _turn_table(turns: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _axis_columns(freqs: np.ndarray, step: float, samples: int) -> np.ndarray:
+def _axis_columns(freqs: np.ndarray, step: float, samples: int,
+                  index: Optional[np.ndarray] = None) -> np.ndarray:
     """The (samples, r) table exp(-2 pi i omega_j t_i) of (r,) frequencies on
     the progression t_i = (i - (samples - 1) / 2) step, one column per
-    frequency.
+    frequency, or its rows at the axis indices `index`.
 
     The second half, t >= 0, starts at node s = samples - half with half =
     ceil(samples / 2). Its node s + S a + b, S the least power of two with
@@ -822,12 +807,28 @@ def _axis_columns(freqs: np.ndarray, step: float, samples: int) -> np.ndarray:
     complex product per node, and t = 0 is exactly 1. The first half,
     t_{samples-1-i} = -t_i, is the exact conjugate of the second reversed.
     A column depends on its own frequency alone, and the column of -omega
-    is the exact conjugate of that of omega."""
+    is the exact conjugate of that of omega.
+
+    Given axis indices, it forms their rows alone, at a cost that follows
+    the indices, not the axis: each the product of its coarse and fine
+    entry, conjugated on the first half (the same bits as the table's row),
+    in blocks of about `_WINDOW_BLOCK` values; or, for fewer indices than
+    the tables have rows, each phase directly (`_turn_table`)."""
     r, half = freqs.shape[0], (samples + 1) // 2
     split = 1 << ((half - 1).bit_length() + 1) // 2
     coarse, start = -(-half // split), samples - half
+    if index is not None and index.shape[0] < coarse + split:
+        return _turn_table(freqs * step, index - 0.5 * (samples - 1))
     table = _turn_table(freqs * step, np.concatenate([
         split * np.arange(coarse) + (start - 0.5 * (samples - 1)), np.arange(split)]))
+    if index is not None:
+        out, first = np.empty((index.shape[0], r), dtype=complex), index < start
+        a, b = np.divmod(np.where(first, samples - 1 - index, index) - start, split)
+        for lo in range(0, index.shape[0], _block_rows(r)):
+            block = slice(lo, lo + _block_rows(r))
+            np.multiply(table[a[block]], table[coarse + b[block]], out=out[block])
+        np.negative(out.imag, out=out.imag, where=first[:, None])
+        return out
     # The products may run past the last node; those rows are never read.
     out = np.empty((start + coarse * split, r), dtype=complex)
     np.multiply(table[:coarse, None], table[None, coarse:],
@@ -845,22 +846,31 @@ def _folded_planes(freqs: np.ndarray, axes: _NodeAxes, fw: np.ndarray) -> np.nda
     Each axis gives its columns (`_axis_columns`); the nodes take them at
     their axis indices and multiply them, in blocks of about
     `_WINDOW_BLOCK` values (the whole 1-D axis takes its columns as they
-    are). Then cos(theta) fw and sin(theta) fw are formed in place, by four
-    products for a complex fw. No column reads another frequency, so a
-    column depends on its own frequency alone."""
+    are). Fewer than half as many nodes as an axis has points, such as 1-D
+    nodes of which a wide singular neighborhood is dropped, form their own
+    rows of each axis instead, so the kernel's cost and memory follow K,
+    not the axis. Then cos(theta) fw and sin(theta) fw are formed in place,
+    by four products for a complex fw. No column reads another frequency,
+    so a column depends on its own frequency alone. The one phase kernel:
+    every STFT kernel and the dense Fourier sum read it."""
     r, K = freqs.shape[0], fw.shape[0]
-    columns = [_axis_columns(freqs[:, d], axes.step, axes.samples)
+    few = axes.index is not None and 2 * K < axes.samples
+    columns = [_axis_columns(freqs[:, d], axes.step, axes.samples, axes.index[d] if few else None)
                for d in range(freqs.shape[1])]
-    if axes.index is None:
-        kernel = columns[0]
+    if axes.index is None or few:
+        kernel = functools.reduce(np.multiply, columns)
     else:
         # 1-D nodes are an increasing part of the axis, index[k] >= k, so
-        # their columns are gathered in place, block by block.
+        # their columns are gathered in place, block by block. Every index
+        # lies on the axis, so "clip" never acts; it spares `take` the copy
+        # of its output that "raise" makes (an overlapping output is still
+        # copied).
         kernel = columns[0][:K] if len(columns) == 1 else np.empty((K, r), dtype=complex)
         for lo in range(0, K, _block_rows(r)):
             block = slice(lo, lo + _block_rows(r))
-            kernel[block] = functools.reduce(np.multiply, [
-                axis[index[block]] for axis, index in zip(columns, axes.index)])
+            np.take(columns[0], axes.index[0][block], axis=0, out=kernel[block], mode="clip")
+            for axis, index in zip(columns[1:], axes.index[1:]):
+                kernel[block] *= np.take(axis, index[block], axis=0)
     if np.iscomplexobj(fw):
         kernel *= fw[:, None]
     else:
@@ -963,14 +973,8 @@ class _STFTScan:
         m, p = xs.shape[0], omegas.shape[0]
         rows = m + p + pts.shape[0]
         _check_values(self.grid.samples_per_axis ** f.dim * rows + m * p, "STFT scans")
-        self.nodes, w = quadrature_points(self.grid, f.dim, f.singularities)
+        self.nodes, w, self.axes = _nodes_on_axis(self.grid, f.dim, f.singularities)
         self.fw = f(self.nodes) * w
-        # Every node coordinate is a value of the grid's axis, within two ulps
-        # of L of the progression, so rounding reads its index exactly.
-        index = np.rint((self.nodes + self.grid.half_width) / self.grid.step).astype(np.intp)
-        samples = self.grid.samples_per_axis
-        self.axes = _NodeAxes(self.grid.step, samples,
-                              None if index.shape == (samples, 1) else tuple(index.T))
         # For a real f, V(x, -omega) = conj V(x, omega) on each real window
         # plane, so a mirrored pair of frequencies needs one kernel.
         self.real = not np.iscomplexobj(self.fw)

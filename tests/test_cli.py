@@ -616,16 +616,20 @@ def test_bad_er_lattice_exit_one(tmp_path, capsys, first_point_residual, er):
 
 
 @pytest.fixture
-def bounded_phase_rows(monkeypatch):
+def bounded_dense_sums(monkeypatch):
     """Fail at once, instead of running for minutes, if a dense phase sum
-    beyond 2^29 exps starts."""
-    rows = tfops._phase_rows
+    beyond 2^29 phases builds its kernel."""
+    fourier_sum = tfops._fourier_sum
 
-    def bounded(targets, nodes, sign):
-        if targets.shape[0] * nodes.shape[0] > 1 << 29:
-            raise AssertionError("a dense phase sum beyond the bound started")
-        return rows(targets, nodes, sign)
-    monkeypatch.setattr(tfops, "_phase_rows", bounded)
+    def refuse(*args):
+        raise AssertionError("a dense phase sum beyond the bound started")
+
+    def bounded(targets, nodes, *rest):
+        with monkeypatch.context() as mp:
+            if targets.shape[0] * nodes.shape[0] > 1 << 29:
+                mp.setattr(tfops, "_folded_planes", refuse)
+            return fourier_sum(targets, nodes, *rest)
+    monkeypatch.setattr(tfops, "_fourier_sum", bounded)
 
 
 _GAUSSIAN_2D = {"dimension": 2, "function": {"family": "gaussian", "params": {"n": 2}},
@@ -640,7 +644,7 @@ _GAUSSIAN_2D = {"dimension": 2, "function": {"family": "gaussian", "params": {"n
     ("cor2", {"function": {"family": "example2", "params": {"omega": 0.5}},
               "lambda": [[0, 0], [2, 1], [4, 2]], "grid": {"samples_per_axis": 65537}}),
 ])
-def test_dense_fourier_sum_beyond_bound_exit_one(tmp_path, capsys, bounded_phase_rows,
+def test_dense_fourier_sum_beyond_bound_exit_one(tmp_path, capsys, bounded_dense_sums,
                                                  theorem, cfg):
     path = write_config(tmp_path, "dense.json", cfg)
     code, out, err = run(capsys, "certify", theorem, "--config", path)

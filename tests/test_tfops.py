@@ -13,7 +13,7 @@ from tfcert import (FunctionEvaluator, GridSpec, InputError, NumericalRefusal,
                     metaplectic_residual, modulate, realize_window, search, stft,
                     stft_grid, stft_identity_residual, stft_points, tf_shift, translate)
 from tfcert import tfops
-from tfcert.tfops import _phase_rows, inverse_fourier_multiplier, quadrature_points
+from tfcert.tfops import inverse_fourier_multiplier, quadrature_points
 
 PI = math.pi
 
@@ -262,13 +262,29 @@ def test_fourier_matches_independent_high_resolution_quadrature():
 
 
 def dense_sum(targets, nodes, weights, sign):
-    """The dense phase-sum kernel, the chirp-z path's reference: each block of
-    phase rows summed by one matrix-vector product, with a zero row below it
-    so that a lone row takes the same BLAS kernel; 1-D targets may be a plain
+    """sum_k weights[k] exp(sign 2 pi i omega.t_k) by direct exps, 64 targets
+    at a time: the chirp-z path's reference. 1-D targets may be a plain
     array."""
-    rows = _phase_rows(np.reshape(targets, (-1, nodes.shape[1])), nodes, sign)
-    return np.concatenate([(np.concatenate([block, 0 * block[:1]]) @ weights)[:-1]
-                           for block in rows])
+    targets = np.reshape(targets, (-1, nodes.shape[1]))
+    return np.concatenate([np.exp(sign * 2j * PI * (targets[lo:lo + 64] @ nodes.T)) @ weights
+                           for lo in range(0, targets.shape[0], 64)])
+
+
+LONG_PI = 4 * np.arctan(np.longdouble(1))
+EPS = np.finfo(float).eps
+
+
+def long_double_sum(targets, nodes, weights, sign):
+    """sum_k weights[k] exp(sign 2 pi i omega.t_k) in long double at the
+    float targets, nodes and weights, 64 targets at a time."""
+    a, b = weights.real.astype(np.longdouble), np.imag(weights).astype(np.longdouble)
+    sums = []
+    for lo in range(0, targets.shape[0], 64):
+        theta = sign * 2 * LONG_PI * (targets[lo:lo + 64].astype(np.longdouble)
+                                      @ nodes.T.astype(np.longdouble))
+        cos, sin = np.cos(theta), np.sin(theta)
+        sums.append((cos @ a - sin @ b) + 1j * (cos @ b + sin @ a))
+    return np.concatenate(sums)
 
 
 def quadrature(f, grid):
@@ -312,22 +328,38 @@ def test_inverse_fourier_multiplier_chirp_path_matches_dense_sum(name):
         assert np.max(np.abs(h(targets) - dense)) < 1e-12 * np.sum(np.abs(weighted))
 
 
-def test_fourier_dense_path_is_unchanged_off_progressions():
+def test_fourier_off_progressions_is_the_dense_sum_within_its_bound(monkeypatch):
     # A non-uniform target set, a single target, nodes with a singular point
-    # dropped from the interior, and 2-D targets all keep the dense kernel.
-    g = make_gaussian(1)
-    grid = GridSpec.default(1)
+    # dropped from the interior, a lone node, 2-D targets and non-uniform
+    # inverse targets all take the dense sum, not the chirp-z path. Each
+    # value is within its bound of the long double sum at the same nodes and
+    # weights, in its real and its imaginary part: every kernel entry within
+    # 2 eps (1 + 2 pi |omega|_1 L) |w_k|
+    # (`test_scan_kernel_within_its_bound_of_a_long_double_reference`), and
+    # K eps sum|w| for the summation.
+    chirp_calls, chirp = [], tfops._chirp_sum
+    monkeypatch.setattr(tfops, "_chirp_sum", lambda *a: chirp_calls.append(a) or chirp(*a))
+
+    def within_bound(got, targets, grid, nodes, weights, sign=-1.0):
+        targets = np.reshape(targets, (-1, nodes.shape[1]))
+        diff = np.reshape(got, -1) - long_double_sum(targets, nodes, weights, sign)
+        error = np.maximum(np.abs(diff.real), np.abs(diff.imag))
+        total = np.sum(np.abs(weights))
+        kernel = 2 * EPS * (1 + 2 * PI * grid.half_width * np.abs(targets).sum(axis=1)) * total
+        bound = kernel + nodes.shape[0] * EPS * total
+        assert (error <= bound).all(), np.max(error / bound)
+
+    g, grid = make_gaussian(1), GridSpec.default(1)
     nodes, fw = quadrature(g, grid)
     rng = np.random.default_rng(7)
     for targets in (np.sort(rng.uniform(-3.0, 3.0, 400)), np.array([0.75])):
-        fhat = np.atleast_1d(fourier(g, grid)(targets))
-        assert np.array_equal(fhat, dense_sum(targets, nodes, fw, -1.0))
+        within_bound(fourier(g, grid)(targets), targets, grid, nodes, fw)
 
     f, odd = make_example2(2.0), GridSpec(8.0, 1025)  # t = 0 is node 512
     nodes, fw = quadrature(f, odd)
     assert nodes.shape[0] == 1024
     targets = np.linspace(-2.0, 2.0, 400)
-    assert np.array_equal(fourier(f, odd)(targets), dense_sum(targets, nodes, fw, -1.0))
+    within_bound(fourier(f, odd)(targets), targets, odd, nodes, fw)
 
     # a 2-node grid whose singularity drops a node leaves one node, which is
     # no progression, for two targets
@@ -335,42 +367,83 @@ def test_fourier_dense_path_is_unchanged_off_progressions():
     nodes, fw = quadrature(f, pair)
     assert nodes.shape[0] == 1
     targets = np.array([0.0, 1.0])
-    assert np.array_equal(fourier(f, pair)(targets), dense_sum(targets, nodes, fw, -1.0))
+    within_bound(fourier(f, pair)(targets), targets, pair, nodes, fw)
 
     g2, small = make_gaussian(2), GridSpec(4.0, 32)
     nodes, w = quadrature_points(small, 2)
     targets = np.stack([np.linspace(-2.0, 2.0, 300)] * 2, axis=1)
-    dense = dense_sum(targets, nodes, g2(nodes) * w, -1.0)
-    assert np.array_equal(fourier(g2, small)(targets), dense)
+    within_bound(fourier(g2, small)(targets), targets, small, nodes, g2(nodes) * w)
+
+    # the inverse sum, sign +1, on the full axis at non-uniform targets
+    mult = lambda xi: np.exp(2j * PI * 0.3 * xi * xi)
+    nodes, w = quadrature_points(grid, 1)
+    weighted = fourier(g, grid)(nodes) * mult(nodes[:, 0]) * w
+    h = inverse_fourier_multiplier(g, mult, grid)
+    chirp_calls.clear()  # fhat at the 4096 axis nodes is a chirp-z sum
+    targets = np.sort(rng.uniform(-3.0, 3.0, 50))
+    within_bound(h(targets), targets, grid, nodes, weighted, +1.0)
+    assert chirp_calls == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(picks=st.lists(st.integers(0, 7), min_size=1, max_size=9),
        block=st.sampled_from([4096, 8192, 16_384, 40_000]))
 def test_dense_fourier_value_depends_only_on_its_target(picks, block):
-    # On 64^2 nodes a block holds `block` // 4096 target rows, so a target may
-    # share its block with others or sit alone in it; its value must not move.
-    g2, grid = make_gaussian(2), GridSpec(6.0, 64)
-    targets = np.random.default_rng(5).uniform(-2.0, 2.0, (8, 2))
-    alone = [complex(fourier(g2, grid)(t)) for t in targets]
-    original = tfops._WINDOW_BLOCK
-    tfops._WINDOW_BLOCK = block
-    try:
-        values = fourier(g2, grid)(targets[picks])
-    finally:
-        tfops._WINDOW_BLOCK = original
-    assert [complex(v) for v in values] == [alone[i] for i in picks]
+    # A block holds `block` // K target rows (K = 64^2 nodes in 2-D, the
+    # whole default axis of 4,096 nodes, and example2's 1,024 nodes on an odd
+    # axis, whose interior node t = 0 is dropped), so a target may share its
+    # block with others or sit alone in it; its value must not move. Nine 1-D
+    # targets or fewer cost less as dense phases than as a chirp-z sum, so
+    # every call sums densely.
+    rng = np.random.default_rng(5)
+    for f, grid, targets in ((make_gaussian(2), GridSpec(6.0, 64), rng.uniform(-2.0, 2.0, (8, 2))),
+                             (make_gaussian(1), GridSpec.default(1), rng.uniform(-2.0, 2.0, 8)),
+                             (make_example2(2.0), GridSpec(8.0, 1025), rng.uniform(-2.0, 2.0, 8))):
+        fhat = fourier(f, grid)
+        alone = [complex(fhat(t)) for t in targets]
+        original = tfops._WINDOW_BLOCK
+        tfops._WINDOW_BLOCK = block
+        try:
+            values = np.reshape(fhat(targets[picks]), -1)
+        finally:
+            tfops._WINDOW_BLOCK = original
+        assert [complex(v) for v in values] == [alone[i] for i in picks]
 
 
 def test_dense_fourier_sum_bound(monkeypatch):
-    # the decay scan of a 2-D fhat on a 128^2 grid (2^28 exps) is accepted;
-    # a sum beyond MAX_DENSE_PHASES is refused before any exp is computed
-    monkeypatch.setattr(tfops, "_phase_rows", lambda targets, nodes, sign: iter(()))
-    nodes, w = np.zeros((128 ** 2, 2)), np.ones(128 ** 2, dtype=complex)
-    tfops._fourier_sum(np.zeros((128 ** 2, 2)), nodes, w, -1.0)
+    # the decay scan of a 2-D fhat on a 128^2 grid (2^28 phases) is accepted;
+    # a sum beyond MAX_DENSE_PHASES is refused before any phase is computed
+    built = []
+    monkeypatch.setattr(tfops, "_folded_planes", lambda freqs, axes, fw: built.append(
+        freqs.shape[0]) or np.zeros((1, freqs.shape[0]), dtype=complex))
+    nodes, w, axes = tfops._nodes_on_axis(GridSpec(6.0, 128), 2)
+    tfops._fourier_sum(np.zeros((128 ** 2, 2)), nodes, axes, w, -1.0)
+    assert sum(built) == 128 ** 2
+    built.clear()
     with pytest.raises(InputError, match="dense Fourier sum"):
         tfops._fourier_sum(np.zeros((tfops.MAX_DENSE_PHASES // 128 ** 2 + 1, 2)),
-                           nodes, w, -1.0)
+                           nodes, axes, w, -1.0)
+    assert built == []
+
+
+def test_dense_fourier_sum_of_few_kept_nodes_allocates_for_them_alone():
+    # A wide exclusion radius keeps 10 of the 65,537 axis points of example2.
+    # Its kernel is formed at those 10 nodes alone, not from the whole axis's
+    # columns (65,537 x 64 complex values, 64 MiB, for 64 targets), so a sum
+    # allocates about its targets' share.
+    import tracemalloc
+    f, grid = make_example2(1.5), GridSpec(8.0, 65537, exclusion_radius=7.999)
+    fhat = fourier(f, grid)
+    nodes, fw = quadrature(f, grid)
+    targets = np.sort(np.random.default_rng(8).uniform(-3.0, 3.0, 64))
+    tracemalloc.start()
+    try:
+        values = fhat(targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes.shape[0] == 10 and peak < 64 * 1024
+    assert np.max(np.abs(values - dense_sum(targets, nodes, fw, -1.0))) < 1e-13 * np.sum(np.abs(fw))
 
 
 def test_fourier_gaussian_self_dual_on_all_nodes():
@@ -570,34 +643,6 @@ def test_window_flush_moves_fields_within_the_stated_bound(monkeypatch):
     assert np.max(np.abs(at_points - want_points)) <= bound
 
 
-def direct_phase_rows(freqs, nodes, sign):
-    """(cos, sin) of theta = sign 2 pi omega t on every node, for 1-D nodes."""
-    theta = sign * tfops.TWO_PI * np.multiply.outer(freqs, nodes[:, 0])
-    return np.cos(theta), np.sin(theta)
-
-
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
-@pytest.mark.parametrize("nodes", [
-    tfops.axis_quadrature(GridSpec(8.0, 4096))[0],
-    tfops.axis_quadrature(GridSpec(8.0, 4095))[0],
-    tfops.axis_quadrature(GridSpec(3.0, 7))[0],
-    quadrature_points(GridSpec(8.0, 4095), 1, [np.array([0.0])])[0][:, 0],
-    quadrature_points(GridSpec(8.0, 4096), 1, [np.array([0.5])])[0][:, 0],
-], ids=["even-K", "odd-K", "K-7", "origin-dropped", "not-mirrored"])
-def test_phase_rows_equal_direct_cos_and_sin_bit_for_bit(nodes, sign):
-    # On an exactly antisymmetric axis (even or odd K, or the origin dropped)
-    # half of each row is the conjugate of the other half reversed; with a
-    # singularity at 0.5 dropped the nodes are not mirrored and every node is
-    # computed. Either way each value is the direct cos and sin, to the bit,
-    # on the omega = 0 rows (both signs of zero) too.
-    nodes = nodes[:, None]
-    freqs = np.concatenate([[0.0, -0.0], np.linspace(-8.0, 8.0, 33),
-                            np.random.default_rng(3).uniform(-40.0, 40.0, 20)])
-    cos, sin = direct_phase_rows(freqs, nodes, sign)
-    got = np.concatenate(list(_phase_rows(freqs[:, None], nodes, sign)))
-    assert got.real.tobytes() == cos.tobytes() and got.imag.tobytes() == sin.tobytes()
-
-
 PARITY_CASES = {
     "gaussian": make_gaussian(1),
     "example1": make_example1(4.0, 2.0),
@@ -652,7 +697,11 @@ def test_operators_keep_or_drop_the_parity():
 def test_thm3_scan_of_an_even_f_folds_its_shifts(g):
     # The 128 lattice xs and the origin are 129 shifts; a window of declared
     # parity on an even f sums only x >= 0, 65 shifts, and reads each x < 0
-    # exactly signed and conjugated, within 1e-15 of the unfolded field.
+    # exactly signed and conjugated. A folded value and the unfolded one add
+    # the same K terms f(t_k) w_k e^{-2 pi i omega t_k} g(t_k - x), up to exact
+    # signs and conjugates, in two orders, so their real parts, and their
+    # imaginary parts, differ by at most 2 K eps max_x sum_k |f(t_k) w_k
+    # g(t_k - x)|.
     from tfcert.certify import THM3_LATTICE
     f = make_example1(4.0, 1.0)
     xs = tfops.axis_quadrature(THM3_LATTICE)[0]
@@ -665,7 +714,10 @@ def test_thm3_scan_of_an_even_f_folds_its_shifts(g):
     assert set(shifts) == {0, 65 * tfops._NODE_BLOCK}
     want, want_origin = tfops._STFTScan(f, None, xs, xs, np.zeros((1, 2))).fields(
         replace(g, parity=None))
-    assert np.max(np.abs(lattice - want)) <= 1e-15 * np.max(np.abs(want))
+    terms = np.abs(scan.fw) * np.abs(g(scan.nodes - scan.shifts[:, None, :]))
+    bound = 2 * scan.fw.size * EPS * np.max(terms.sum(axis=1))
+    diff = lattice - want
+    assert np.max(np.maximum(np.abs(diff.real), np.abs(diff.imag))) <= bound
     assert np.array_equal(origin, want_origin)
 
 
@@ -796,29 +848,44 @@ def test_real_f_folds_the_exact_mirror_pairs_of_any_lattice(monkeypatch):
         assert rows[-2:] == [81, 0]
 
 
-LONG_PI = 4 * np.arctan(np.longdouble(1))
 _FREQS = np.random.default_rng(3).uniform(-40.0, 40.0, 20)
 _THM3_OMEGAS = tfops.axis_quadrature(GridSpec(8.0, 128))[0]
 
 
-@pytest.mark.parametrize("f, grid, freqs", [
-    (make_example1(4.0, 1.0), None, np.concatenate([_THM3_OMEGAS, _FREQS, [0.0, 1e-3]])),
-    (modulate(make_gaussian(1), 0.7), None, np.concatenate([np.linspace(-8, 8, 81), _FREQS])),
-    (make_example2(1.5), GridSpec(8.0, 4097), np.concatenate([_THM3_OMEGAS, _FREQS])),
-    (translate(make_gaussian(2), [0.3, -0.2]), GridSpec(4.0, 65),
-     np.random.default_rng(4).uniform(-10.0, 10.0, (40, 2))),
+# A 2-D gaussian singular at four points, whose exclusion balls leave a few
+# nodes of the grid
+_FOUR_SINGULAR = FunctionEvaluator(
+    dim=2, fn=lambda t: np.exp(-PI * np.sum(t * t, axis=-1)),
+    singularities=tuple(np.array(p) for p in ([2.0, 2.0], [2.0, -2.0], [-2.0, 2.0], [-2.0, -2.0])))
+_FREQS_2D = np.random.default_rng(4).uniform(-10.0, 10.0, (40, 2))
+
+
+@pytest.mark.parametrize("f, grid, freqs, kept", [
+    (make_example1(4.0, 1.0), None, np.concatenate([_THM3_OMEGAS, _FREQS, [0.0, 1e-3]]), 4096),
+    (modulate(make_gaussian(1), 0.7), None, np.concatenate([np.linspace(-8, 8, 81), _FREQS]), 4096),
+    (make_example2(1.5), GridSpec(8.0, 4097), np.concatenate([_THM3_OMEGAS, _FREQS]), 4096),
+    (translate(make_gaussian(2), [0.3, -0.2]), GridSpec(4.0, 65), _FREQS_2D, 65 ** 2),
     (modulate(make_gaussian(2), [0.5, 0.2]), GridSpec(4.0, 64),
-     np.random.default_rng(5).uniform(-10.0, 10.0, (40, 2))),
-], ids=["1d-real", "1d-complex", "example2-origin-dropped", "2d-real", "2d-complex"])
-def test_scan_kernel_within_its_bound_of_a_long_double_reference(f, grid, freqs):
+     np.random.default_rng(5).uniform(-10.0, 10.0, (40, 2)), 64 ** 2),
+    (make_example2(1.5), GridSpec(8.0, 4097, exclusion_radius=6.0),
+     np.concatenate([_THM3_OMEGAS, _FREQS]), 1024),
+    (make_example2(1.5), GridSpec(8.0, 4097, exclusion_radius=7.99), _FREQS, 6),
+    (_FOUR_SINGULAR, GridSpec(4.0, 129, exclusion_radius=2.78), _FREQS_2D, 33),
+    (_FOUR_SINGULAR, GridSpec(4.0, 129, exclusion_radius=2.8), _FREQS_2D, 9),
+], ids=["1d-real", "1d-complex", "example2-origin-dropped", "2d-real", "2d-complex",
+        "example2-quarter-kept", "example2-six-kept", "2d-33-kept", "2d-9-kept"])
+def test_scan_kernel_within_its_bound_of_a_long_double_reference(f, grid, freqs, kept):
     # Each kernel entry exp(-2 pi i omega.t_k) f(t_k) w_k is within
     # 2 eps (1 + 2 pi |omega|_1 L) |f w_k| of the long double value at the
     # scan's own nodes. The columns are built on the ideal progression, from
     # which the nodes lie up to 0.83 eps L away, and the phase products round
     # at eps |theta|: each about half of eps 2 pi |omega| L. The kernel reads
-    # up to 0.62 of the bound; the direct cos and sin of `_phase_rows` read
-    # up to 0.67 (2-D, where the phase sums round too).
+    # up to 0.62 of the bound; cos and sin taken directly of the rounded
+    # phases read up to 0.67 (2-D, where the phase sums round too). Fewer
+    # kept nodes than half an axis form their own rows: from the axis
+    # tables (1,024 and 33 nodes), or each phase directly (6 and 9 nodes).
     scan = tfops._STFTScan(f, grid)
+    assert scan.nodes.shape[0] == kept
     freqs = np.reshape(freqs, (-1, f.dim))
     got = tfops._folded_planes(freqs, scan.axes, scan.fw)
     theta = -2 * LONG_PI * (scan.nodes.astype(np.longdouble) @ freqs.T.astype(np.longdouble))
@@ -830,8 +897,6 @@ def test_scan_kernel_within_its_bound_of_a_long_double_reference(f, grid, freqs)
     bound = 2 * np.finfo(float).eps * np.abs(scan.fw)[:, None] \
         * (1 + 2 * PI * L * np.abs(freqs).sum(axis=1))
     assert (error <= bound).all(), np.max(error / np.where(bound > 0, bound, 1))
-    if f.singularities:  # t = 0 is not a node
-        assert scan.nodes.shape[0] == grid.samples_per_axis - 1
 
 
 @pytest.mark.parametrize("samples", [2, 3, 4, 7, 64, 65, 4096, 4097])
