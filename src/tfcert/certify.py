@@ -19,10 +19,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (InputError, NearOrthogonalError, NotCertifiableError,
-                     NumericalRefusal, SingularityHitError)
+                     NumericalRefusal, SingularityHitError, convert)
 from .tfops import (FunctionEvaluator, GridSpec, PointSet, _as_points, _check_values,
                     _clear_of, _shared_dim, _STFTScan, axis_quadrature, dilate,
-                    finite_points, fourier, quadrature_points, translate)
+                    finite_points, finite_vector, fourier, quadrature_points, translate)
 
 BISECT_TOL = 1e-9
 # An envelope within this relative distance of the bound from 0 to twice the
@@ -171,12 +171,7 @@ def _radius_from_samples(radii: np.ndarray, values: np.ndarray, bound: float) ->
 
 def _anchor(anchor, dim: int) -> np.ndarray:
     """`anchor` as a finite vector of length dim; None is the origin."""
-    if anchor is None:
-        return np.zeros(dim)
-    pts = _as_points(anchor, dim)[0]
-    if pts.shape[0] != 1 or not np.isfinite(pts).all():
-        raise InputError(f"anchor must be a finite vector of length {dim}")
-    return pts[0]
+    return np.zeros(dim) if anchor is None else finite_vector(anchor, dim, "anchor")
 
 
 def _sup_method(f: FunctionEvaluator) -> str:
@@ -258,7 +253,7 @@ def decay_radius(f: FunctionEvaluator, N: int, anchor=None, *,
     rules of `_radius_below`, which the separation checks share). An f that
     vanishes at the anchor is an InputError.
     """
-    N = int(N)
+    N = convert(int, N, "N")
     if N < 2:
         raise InputError("decay_radius requires N >= 2")
     anchor = _anchor(anchor, f.dim)
@@ -374,7 +369,7 @@ def stretch(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     reads: certified exactly for r below the threshold (the decay radius of
     the stretched function is r times the original).
     """
-    r = float(r)
+    r = convert(float, r, "r")
     if not math.isfinite(r) or r == 0.0:
         raise InputError(f"stretch factor must be finite and nonzero, got {r}")
     return dilate(f, 1.0 / r)
@@ -387,8 +382,8 @@ def _dilated(theorem: str, base: Callable[..., Certificate], freq: bool,
     threshold of the `base` certificate of f attached (`_stretch_budget`,
     on the frequency side with `freq`). The one builder of Corollaries 1
     and 3."""
-    thr = _stretch_budget(base(f, lam, grid=grid), freq)
-    return replace(base(stretch(f, r), lam, grid=grid), theorem=theorem, threshold_r=thr)
+    stretched, thr = stretch(f, r), _stretch_budget(base(f, lam, grid=grid), freq)
+    return replace(base(stretched, lam, grid=grid), theorem=theorem, threshold_r=thr)
 
 
 def check_corollary1(f: FunctionEvaluator, lam: PointSet, r: float = 1.0, *,
@@ -504,12 +499,16 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
     Estimates the radius R outside which |V_g f| < |<f, g>|/(N-1), either
     rigorously from a caller-supplied radial envelope of |V_g f| or
     heuristically by scanning the 2n-dimensional lattice (the scanned radius
-    is then inflated by one lattice cell diagonal as a safety margin).
-    Certified when the min pairwise distance in R^{2n} exceeds R.
+    is then inflated by one lattice cell diagonal as a safety margin). The
+    scan is implemented for dimension 1: above it, two or more points without
+    an envelope are refused before any quadrature runs. Certified when the
+    min pairwise distance in R^{2n} exceeds R.
     """
     _shared_dim(f=f.dim, g=g.dim, lam=lam.dim)
+    scanned = stft_envelope is None and len(lam) > 1
+    if scanned and f.dim != 1:
+        raise NumericalRefusal("lattice scan is implemented for dimension 1; supply stft_envelope")
     lattice = lattice or THM3_LATTICE
-    scanned = stft_envelope is None and f.dim == 1 and len(lam) > 1
     xs = axis_quadrature(lattice)[0] if scanned else ()
     # One scan gives the lattice and, as its one point, <f, g> = V_g f(0).
     values, origin = _STFTScan(f, grid, xs, xs, np.zeros((1, 2 * f.dim))).fields(g)
@@ -522,9 +521,6 @@ def check_theorem3(f: FunctionEvaluator, g: FunctionEvaluator, lam: PointSet,
     def radius(bound: float) -> float:
         if stft_envelope is not None:
             return _radius_from_envelope(stft_envelope, bound)
-        if not scanned:
-            raise NumericalRefusal(
-                "lattice scan is implemented for dimension 1; supply stft_envelope")
         if not np.isfinite(field).all():
             raise NumericalRefusal("|V_g f| is not finite on the scanned lattice")
         if (field[[0, -1]] >= bound).any() or (field[:, [0, -1]] >= bound).any():

@@ -155,8 +155,7 @@ def _pointset_from(cfg: dict, dim: int) -> PointSet:
     rows = cfg.get("lambda")
     if rows is None:
         raise InputError("config requires a 'lambda' list of [x..., omega...] rows")
-    ps = PointSet.from_rows(rows, dim=dim)
-    return ps
+    return PointSet.from_rows(rows, dim=dim)
 
 
 def _dimension_of(cfg: dict, f) -> int:
@@ -191,7 +190,7 @@ def _cmd_certify(args) -> tuple[dict, int, Callable[[], list] | None]:
         cert = check_theorem1(f, lam, anchor=cfg.get("anchor"), grid=grid)
     elif args.theorem in ("cor1", "cor3"):
         check = check_corollary1 if args.theorem == "cor1" else check_corollary3
-        cert = check(f, lam, r=convert(float, cfg.get("r", 1.0), "r"), grid=grid)
+        cert = check(f, lam, r=cfg.get("r", 1.0), grid=grid)
     elif args.theorem == "cor2":
         cert = check_corollary2(f, lam, grid)
     elif args.theorem == "thm2":
@@ -263,8 +262,7 @@ def _cmd_oracle(args) -> tuple[dict, int, Callable[[], list] | None]:
     kind = cfg.get("kind")
     if kind is None:
         raise InputError("metaplectic config requires a 'kind'")
-    params = tuple(convert(float, cfg.get(k, d), k)
-                   for k, d in (("r", 1.0), ("x", 0.0), ("omega", 0.0)))
+    params = (cfg.get("r", 1.0), cfg.get("x", 0.0), cfg.get("omega", 0.0))
     rep = metaplectic_residual(kind, params, f, cfg.get("sample_points"), grid)
     return {"report": {"standard": rep}}, EXIT_OK, None
 
@@ -279,11 +277,8 @@ def _cmd_window_search(args) -> tuple[dict, int, Callable[[], list] | None]:
     dim = _dimension_of(cfg, f)
     grid = _grid_from(cfg, dim=dim)
     lattice = _lattice_from(cfg, SEARCH_LATTICE)
-    result = window_search(
-        f, R=convert(float, cfg.get("R"), "R"), N=convert(int, cfg.get("N"), "N"),
-        d=convert(int, cfg.get("degree", 0), "degree"),
-        budget=convert(int, cfg.get("budget", 200), "budget"),
-        lattice=lattice, grid=grid)
+    result = window_search(f, R=cfg.get("R"), N=cfg.get("N"), d=cfg.get("degree", 0),
+                           budget=cfg.get("budget", 200), lattice=lattice, grid=grid)
     coeffs = [f"c{k}" for k in range(len(result.best_params.hermite_coeffs))]
     rows = lambda: [["step", "width", *coeffs, "ratio"]] + [
         [i, p.width, *map(float, p.hermite_coeffs), r] for i, (p, r) in enumerate(result.trace)]

@@ -146,7 +146,7 @@ def make_gaussian(n: int = 1) -> FunctionEvaluator:
     dense n-D quadrature stops at MAX_NODES nodes. n is capped at
     MAX_GAUSSIAN_DIM.
     """
-    n = int(n)
+    n = convert(int, n, "n")
     if not 1 <= n <= MAX_GAUSSIAN_DIM:
         raise InputError(f"n must be an integer in [1, {MAX_GAUSSIAN_DIM}]")
     amp = 2.0 ** (n / 4.0)
@@ -266,7 +266,7 @@ def check_er_work(count: float, reach: float, what: str) -> None:
 def _quad_tol(value: float) -> float:
     """`value` as an ER quadrature tolerance, refused outside _ER_TOL_RANGE."""
     lo, hi = _ER_TOL_RANGE
-    value = float(value)
+    value = convert(float, value, "quad_tol")
     if not lo <= value <= hi:
         raise InputError(f"quad_tol must lie in [{lo:g}, {hi:g}]")
     return value
@@ -321,7 +321,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        _quad_tol(self.quad_tol)
+        object.__setattr__(self, "quad_tol", _quad_tol(self.quad_tol))
 
     @classmethod
     def from_json(cls, obj: dict) -> "FamilySpec":
@@ -338,7 +338,7 @@ class FamilySpec:
         if not isinstance(params, dict):
             raise InputError("function params must be a JSON object")
         return cls(family=obj["family"], params=dict(params),
-                   quad_tol=convert(float, obj.get("quad_tol", ER_QUAD_TOL), "quad_tol"))
+                   quad_tol=obj.get("quad_tol", ER_QUAD_TOL))
 
     def build(self) -> FunctionEvaluator:
         p = dict(self.params)

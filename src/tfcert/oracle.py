@@ -71,9 +71,13 @@ class ResidualReport:
 
     def __post_init__(self):
         if not math.isfinite(self.max_abs_residual):
-            raise NumericalRefusal(
-                f"nonfinite {self.identity_name} residual: an input is too large "
-                "for the sampled identity to be evaluated")
+            raise _too_large(self.identity_name)
+
+
+def _too_large(identity_name: str) -> NumericalRefusal:
+    """The refusal of a residual that an input too large makes nonfinite."""
+    return NumericalRefusal(f"nonfinite {identity_name} residual: an input is too large "
+                            "for the sampled identity to be evaluated")
 
 
 def _classify(f: FunctionEvaluator, sigma_min: float,
@@ -258,7 +262,7 @@ def dependence_residual_er(points, quad_tol: float = ER_QUAD_TOL) -> ResidualRep
     block runs, and an empty or non-finite point list is refused
     (`finite_points`).
     """
-    quad_tol = float(quad_tol)
+    quad_tol = funcs._quad_tol(quad_tol)
     if quad_tol > 1e-6:
         raise InputError("quad_tol must be at most 1e-6 for the residual test")
     f = funcs.make_edgar_rosenblatt(quad_tol)
@@ -305,12 +309,16 @@ def stft_identity_residual(f: FunctionEvaluator, g: FunctionEvaluator,
     """Covariance residual of the STFT under a translation-then-modulation shift.
 
     max over the lattice of |V_g(T_u M_eta f)(x, w) - e^{-2 pi i u w}
-    V_g f(x-u, w-eta)|. The identity is exact, so no phase is fitted.
+    V_g f(x-u, w-eta)|. The identity is exact, so no phase is fitted. A
+    shifted lattice that is not finite is refused as a nonfinite residual
+    is.
     """
     _shared_dim("identity residual scan", f=f.dim, g=g.dim)
     u, eta = finite(u, "u"), finite(eta, "eta")
     lattice = lattice or STFT_IDENTITY_LATTICE
     xs = axis_quadrature(lattice)[0]
+    if not np.isfinite(np.concatenate([xs - u, xs - eta])).all():
+        raise _too_large("stft_covariance")
     shifted_f = translate(modulate(f, eta), u)
     lhs = stft_grid(shifted_f, g, xs, xs, grid)
     rhs = stft_grid(f, g, xs - u, xs - eta, grid)
@@ -340,7 +348,9 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
 
     Both sides are evaluated once on the sample points (201 points in
     [-4, 4] by default); the residual is max |lhs - c rhs|, with
-    best_phase = c and no phase fitted.
+    best_phase = c and no phase fitted. Derived parameters (omega', x', c)
+    that are not finite are refused as a nonfinite residual is, before
+    any operator reads them.
     """
     if kind not in METAPLECTIC_KINDS:
         raise InputError(f"unknown metaplectic kind {kind!r}")
@@ -364,6 +374,8 @@ def metaplectic_residual(kind: str, params, f: FunctionEvaluator,
         mult = lambda xi: np.exp(TWO_PI * 1j * r * xi * xi)
         apply_u = lambda h: inverse_fourier_multiplier(h, mult, grid)
         om2, x2, c = omega, x - 2.0 * r * omega, np.exp(TWO_PI * 1j * r * omega * omega)
+    if not np.isfinite([om2, x2, c]).all():
+        raise _too_large(f"{kind}_covariance[standard]")
 
     lhs = apply_u(modulate(translate(f, x), omega))(pts)
     rhs = modulate(translate(apply_u(f), x2), om2)(pts)

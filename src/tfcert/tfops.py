@@ -12,7 +12,12 @@ the same axis.
 The package's input conventions live here. Point layout: every point array
 has shape (k, n) internally, and evaluators read a trailing axis of length n
 as the coordinate axis (for n = 1 it may be omitted, so a plain array holds
-one point per entry); `finite_points` validates a caller's list. Only
+one point per entry); `finite_points` validates a caller's list. One
+vector (a shift, a frequency, a time-frequency point, a singularity, an
+envelope centre, an anchor) is read by one reader, `finite_vector`: any
+array of n finite entries, a number when n is 1. Numbers are read through
+`errors.convert` and `errors.finite`, by the CLI's rules and names, so a
+library call refuses what the CLI refuses. Only
 `FunctionEvaluator.__call__` adapts points to the `fn` contract, under which
 a 1-D `fn` takes shape (k,), and it returns float64 values for a real `fn`
 and complex128 for a complex one. A time-frequency point is a row (x, omega)
@@ -145,7 +150,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalRefusal
+from .errors import InputError, NumericalRefusal, convert, finite
 
 TWO_PI = 2.0 * np.pi
 
@@ -200,7 +205,8 @@ class GridSpec:
 
     `exclusion_radius` drops quadrature nodes inside a ball around each
     singularity of the integrand (radius 0 drops those within
-    SINGULARITY_FLOOR of one, `_clear_of`).
+    SINGULARITY_FLOOR of one, `_clear_of`). Each field is read through
+    `errors.convert`, so a fractional sample count is refused, not kept.
     """
 
     half_width: float
@@ -208,6 +214,9 @@ class GridSpec:
     exclusion_radius: float = 0.0
 
     def __post_init__(self):
+        for name, kind in (("half_width", float), ("samples_per_axis", int),
+                           ("exclusion_radius", float)):
+            object.__setattr__(self, name, convert(kind, getattr(self, name), name))
         if not 0 < self.half_width < math.inf:
             raise InputError("half_width must be positive and finite")
         if not 2 <= self.samples_per_axis <= MAX_NODES:
@@ -241,7 +250,9 @@ class FunctionEvaluator:
     upper bound on sup_{||t - c|| >= r} |f(t)|, where c is `envelope_center`
     (the origin by default). The exact operators carry the envelope and move
     its centre with the function; the quadrature transforms drop it.
-    `with_envelope` supplies one about the current centre.
+    `with_envelope` supplies one about the current centre. `dim` is read
+    through `errors.convert`, and each singularity and the centre through
+    `finite_vector`.
 
     `square_integrable=False` says f may not lie in L2, so that no quadrature
     over the truncation box bounds its error: `l2_norm`, `inner_product`,
@@ -274,14 +285,17 @@ class FunctionEvaluator:
     parity: Optional[int] = None
 
     def __post_init__(self):
-        if self.dim < 1:
+        dim = convert(int, self.dim, "dim")
+        if dim < 1:
             raise InputError("dim must be a positive integer")
-        sings = tuple(np.atleast_1d(np.asarray(s, dtype=float)) for s in self.singularities)
-        center = np.zeros(self.dim) if self.envelope_center is None else \
-            np.atleast_1d(np.asarray(self.envelope_center, dtype=float))
-        for s in sings + (center,):
-            if s.shape != (self.dim,):
-                raise InputError("singularities and the envelope centre must be points in R^dim")
+        try:
+            sings = tuple(finite_vector(s, dim, "a singularity") for s in self.singularities)
+            center = np.zeros(dim) if self.envelope_center is None else \
+                finite_vector(self.envelope_center, dim, "the envelope centre")
+        except InputError as exc:
+            raise InputError("singularities and the envelope centre must be points "
+                             f"in R^dim: {exc}") from None
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "singularities", sings)
         object.__setattr__(self, "envelope_center", center)
         if self.factors is not None:
@@ -373,7 +387,10 @@ def axis_quadrature(grid: GridSpec):
     mirrored functions sample the same values and a real f's STFT scan on
     this axis sums each mirrored frequency pair once. Each node moves by at
     most two ulps of L, the ends stay -L and L, and an axis that is already
-    antisymmetric is unchanged."""
+    antisymmetric is unchanged. A half width beyond half the largest float,
+    whose step 2 L / (samples - 1) overflows, is refused."""
+    if not math.isfinite(grid.step):
+        raise NumericalRefusal(f"the grid step overflows at half_width {grid.half_width:g}")
     a = np.linspace(-grid.half_width, grid.half_width, grid.samples_per_axis)
     w = np.full(grid.samples_per_axis, grid.step)
     w[0] = w[-1] = 0.5 * grid.step
@@ -399,6 +416,21 @@ def finite_points(points, dim: int, what: str) -> np.ndarray:
     if pts.shape[0] == 0 or not np.isfinite(pts).all():
         raise InputError(f"{what} must be a nonempty list of finite points")
     return pts
+
+
+def finite_vector(value, dim: int, what: str) -> np.ndarray:
+    """`value` as one finite point of R^dim, an array of shape (dim,) (a
+    number when dim is 1); `what` names it in the error. A float vector is
+    read without a copy. The one reader of a single vector."""
+    # math.isfinite on the entries is several times cheaper than numpy's
+    # isfinite and all on a vector of a few entries.
+    try:
+        row = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        row = np.empty(0)
+    if row.shape != (dim,) or not all(map(math.isfinite, row.tolist())):
+        raise InputError(f"{what} must be a finite vector of length {dim}")
+    return row
 
 
 def _shared_dim(one_d: Optional[str] = None, **dims: int) -> None:
@@ -549,9 +581,7 @@ def translate(f: FunctionEvaluator, x) -> FunctionEvaluator:
     Singularities and the envelope centre shift by +x; the envelope itself
     is unchanged, and the parity is dropped.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (f.dim,):
-        raise InputError(f"shift must be a vector of length {f.dim}")
+    x = finite_vector(x, f.dim, "shift")
     inner = f.fn
     return replace(f, fn=lambda t: inner(t - x),
                    singularities=tuple(s + x for s in f.singularities),
@@ -562,9 +592,7 @@ def translate(f: FunctionEvaluator, x) -> FunctionEvaluator:
 def modulate(f: FunctionEvaluator, omega) -> FunctionEvaluator:
     """Modulation: result(t) = e^{2 pi i omega.t} f(t). Preserves |f| and
     drops the parity."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if omega.shape != (f.dim,):
-        raise InputError(f"modulation must be a vector of length {f.dim}")
+    omega = finite_vector(omega, f.dim, "frequency")
     inner = f.fn
     freq = TWO_PI * omega
     fn = lambda t: np.exp(1j * np.dot(np.reshape(t, (-1, f.dim)), freq)) * inner(t)
@@ -578,20 +606,11 @@ def _factors_by(f: FunctionEvaluator, op: Callable, params) -> Optional[tuple]:
     return tuple(op(h, p) for h, p in zip(f.factors, params))
 
 
-def _tf_row(lam, dim: int) -> np.ndarray:
-    """The row (x, omega) of length 2 dim that `lam` flattens to, validated."""
-    try:
-        row = np.hstack(lam)
-    except (TypeError, ValueError) as exc:
-        raise InputError("a time-frequency point must be a row or an (x, omega) pair") from exc
-    return PointSet.from_rows([row], dim).rows[0]
-
-
 def tf_shift(f: FunctionEvaluator, lam) -> FunctionEvaluator:
     """Time-frequency shift by the row lam = (x, omega): modulation after
     translation. An (x, omega) pair flattens to the same row."""
-    x, omega = np.split(_tf_row(lam, f.dim), 2)
-    return modulate(translate(f, x), omega)
+    row = finite_vector(lam, 2 * f.dim, "a time-frequency point")
+    return modulate(translate(f, row[:f.dim]), row[f.dim:])
 
 
 def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
@@ -602,7 +621,7 @@ def dilate(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     each 1-D factor is dilated by r, with the scale |r|^{1/2}. The parity is
     kept, for either sign of r.
     """
-    r = float(r)
+    r = convert(float, r, "r")
     if not math.isfinite(r) or r == 0.0:
         raise InputError(f"dilation factor must be finite and nonzero, got {r}")
     inner = f.fn
@@ -621,7 +640,7 @@ def chirp_mul(f: FunctionEvaluator, r: float) -> FunctionEvaluator:
     """Multiplication by the linear chirp e^{2 pi i r t^2} (dimension 1 only),
     which is even, so the parity is kept."""
     _shared_dim("chirp multiplication", f=f.dim)
-    r = float(r)
+    r = finite(r, "r")
     inner = f.fn
     return replace(f, fn=lambda t: np.exp(TWO_PI * 1j * r * t * t) * inner(t), factors=None)
 
@@ -951,7 +970,9 @@ class _STFTScan:
     of the point frequencies, node by node (`_folded_planes`, from per-axis
     phase tables), and the distinct shifts that the lattice xs and the point
     xs name. `products` sums any stack of real window
-    planes against the kernels; `fields` is that sum for one window.
+    planes against the kernels; `fields` is that sum for one window. A
+    shift, frequency or point that is not finite is refused, as `stft`
+    refuses it.
 
     For a real f, mirrored frequencies share a kernel (module notes):
     the lattice omegas and the points are folded by `_fold`, whose flags
@@ -967,9 +988,10 @@ class _STFTScan:
         _require_square_integrable(f)
         self.dim = f.dim
         self.grid = grid or GridSpec.default(f.dim)
-        xs = _as_points(xs, f.dim)[0]
-        omegas = _as_points(omegas, f.dim)[0]
-        pts = _as_points(points, 2 * f.dim)[0]
+        xs, omegas, pts = (_as_points(a, d)[0] for a, d in
+                           ((xs, f.dim), (omegas, f.dim), (points, 2 * f.dim)))
+        if not all(np.isfinite(a).all() for a in (xs, omegas, pts)):
+            raise InputError("STFT shifts, frequencies and points must be finite")
         m, p = xs.shape[0], omegas.shape[0]
         rows = m + p + pts.shape[0]
         _check_values(self.grid.samples_per_axis ** f.dim * rows + m * p, "STFT scans")
@@ -1117,7 +1139,8 @@ def stft(f: FunctionEvaluator, g: FunctionEvaluator, lam,
     truncation box; this is `stft_points` at the single row lambda = (x,
     omega), to which an (x, omega) pair flattens.
     """
-    return complex(stft_points(f, g, _tf_row(lam, f.dim), grid)[0])
+    row = finite_vector(lam, 2 * f.dim, "a time-frequency point")
+    return complex(stft_points(f, g, row, grid)[0])
 
 
 def stft_grid(f: FunctionEvaluator, g: FunctionEvaluator, xs, omegas,

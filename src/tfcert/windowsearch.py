@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError, NearOrthogonalError, NumericalRefusal
+from .errors import InputError, NearOrthogonalError, NumericalRefusal, convert, finite
 from .tfops import FunctionEvaluator, GridSpec, _shared_dim, _STFTScan, axis_quadrature
 
 WIDTH_MIN, WIDTH_MAX = 1.0 / 16.0, 16.0
@@ -65,16 +65,19 @@ _MIN_STEP = 2.0 ** -20
 
 @dataclass(frozen=True)
 class WindowParams:
-    """Dilated Gaussian-Hermite window: width w and coefficients c_0..c_d."""
+    """Dilated Gaussian-Hermite window: width w and coefficients c_0..c_d,
+    each read through `errors.convert` (the coefficients through
+    `errors.finite`)."""
 
     width: float
     hermite_coeffs: np.ndarray
 
     def __post_init__(self):
-        w = float(self.width)
-        c = np.asarray(self.hermite_coeffs, dtype=float).reshape(-1)
+        w = convert(float, self.width, "width")
         if not WIDTH_MIN <= w <= WIDTH_MAX:
             raise InputError(f"width must lie in [{WIDTH_MIN}, {WIDTH_MAX}]")
+        c = np.array([finite(v, "hermite_coeffs")
+                      for v in np.asarray(self.hermite_coeffs, dtype=object).reshape(-1)])
         if c.size < 1 or c.size > MAX_DEGREE + 1:
             raise InputError(f"need 1..{MAX_DEGREE + 1} Hermite coefficients")
         if not np.any(c != 0.0):
@@ -184,7 +187,7 @@ class _TailScan:
     def __init__(self, f: FunctionEvaluator, R: float,
                  lattice: Optional[GridSpec], grid: Optional[GridSpec]):
         _shared_dim("window search", f=f.dim)
-        R = float(R)
+        R = convert(float, R, "R")
         if not 0 < R < math.inf:
             raise InputError("R must be positive and finite")
         lattice = lattice or SEARCH_LATTICE
@@ -335,10 +338,10 @@ def search(f: FunctionEvaluator, R: float, N: int, d: int, budget: int,
     budget or the step falls below `_MIN_STEP`. Deterministic; the trace
     records every improvement, each ratio exactly `tail_ratio` of its window.
     """
-    budget = int(budget)
+    budget = convert(int, budget, "budget")
     if not 10 <= budget <= MAX_BUDGET:
         raise InputError(f"budget must lie in [10, {MAX_BUDGET}]")
-    d, N = int(d), int(N)
+    d, N = convert(int, d, "degree"), convert(int, N, "N")
     if not 0 <= d <= MAX_DEGREE:
         raise InputError(f"degree must lie in [0, {MAX_DEGREE}]")
     if not 1 <= N <= sys.float_info.max:  # so that the target 1/N is a float

@@ -700,6 +700,7 @@ _WIDE4 = FunctionEvaluator(1, lambda t: 4.0 * np.exp(-PI * t * t))
     (lambda: sup_outside(replace(make_gaussian(1), envelope=None), 1e3), NumericalRefusal,
      "does not reach outside the ball"),
     (lambda: decay_radius(make_gaussian(1), 1), InputError, "N >= 2"),
+    (lambda: decay_radius(make_gaussian(1), 2.5), InputError, "N must be int, got 2.5"),
     (lambda: check_theorem2(_ZERO_SINGULAR, PointSet.from_rows([[0, 0]])), NumericalRefusal,
      "no certified translate found along the halving sequence"),
     (lambda: check_theorem2(_ZERO_SINGULAR, lam_times([0, 2])), NumericalRefusal,
@@ -711,7 +712,8 @@ _WIDE4 = FunctionEvaluator(1, lambda t: 4.0 * np.exp(-PI * t * t))
      "<f, g> is not finite"),
     (lambda: check_theorem3(_FAR_HUGE, _WIDE4, lam_times([0, 3])), NumericalRefusal,
      "not finite on the scanned lattice"),
-], ids=["sup-outside-grid", "decay-radius-N", "thm2-single-zero", "thm2-zero",
+], ids=["sup-outside-grid", "decay-radius-N", "decay-radius-fractional-N",
+        "thm2-single-zero", "thm2-zero",
         "thm2-infinite-sup", "thm3-peak", "thm3-field"])
 def test_each_refusal_of_the_checks(call, error, match):
     with np.errstate(all="ignore"), pytest.raises(error, match=match):
@@ -825,6 +827,21 @@ def test_theorem3_near_orthogonal_refused():
     odd = realize_window(WindowParams(1.0, [0.0, 1.0]))
     with pytest.raises(NearOrthogonalError):
         check_theorem3(odd, g, PointSet.from_rows([[0, 0], [2, 0]]))
+
+
+def test_theorem3_refuses_a_2d_scan_before_any_quadrature(monkeypatch):
+    # The lattice scan is 1-D: above it, two points without an STFT envelope
+    # are refused before a scan is built to read <f, g>.
+    from tfcert import certify
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("an STFT scan was built")
+
+    monkeypatch.setattr(certify, "_STFTScan", unbuilt)
+    g = make_gaussian(2)
+    with pytest.raises(NumericalRefusal, match="lattice scan is implemented for dimension 1; "
+                                               "supply stft_envelope"):
+        check_theorem3(g, g, PointSet.from_rows([[0, 0, 0, 0], [2, 0, 0, 0]]))
 
 
 # ---------------------------------------------------------------------------

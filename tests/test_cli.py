@@ -584,6 +584,12 @@ def test_nonfinite_family_parameter_exit_one(tmp_path, capsys, command, function
     (("oracle", "gram"), {"function": {"family": "gaussian"}, "lambda": [[0, 0], [1, 1e308]]}),
     (("oracle", "collocation"), {"function": {"family": "gaussian"},
                                  "lambda": [[0, 0], [1, 1e308]]}),
+    # the shift x / r of the dilated side overflows
+    (("oracle", "metaplectic"), {"function": {"family": "gaussian"}, "kind": "dilation",
+                                 "r": 1e-310, "x": 1.5}),
+    # the shifted lattice xs - u overflows
+    (("oracle", "stft-identity"), {"function": {"family": "gaussian"}, "u": 1.7e308,
+                                   "lattice": {"half_width": 1.7e308, "samples_per_axis": 5}}),
 ])
 def test_nonfinite_result_refused_exit_two(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "huge.json", cfg)

@@ -33,6 +33,8 @@ def test_example1_rejects_nonpositive_scale():
         make_example1(0.0, 1.0)
     with pytest.raises(InputError):
         make_example1(-2.0, 1.0)
+    with pytest.raises(InputError, match="n must be int, got 1.5"):
+        make_gaussian(1.5)
 
 
 @pytest.mark.parametrize("make, args", [

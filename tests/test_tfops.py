@@ -177,12 +177,16 @@ def test_exact_operators_carry_the_envelope_center():
 def test_dilate_zero_rejected():
     with pytest.raises(InputError):
         dilate(plain_gaussian(), 0.0)
+    with pytest.raises(InputError, match="r must be float"):
+        dilate(plain_gaussian(), "x")
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
 def test_dilate_nonfinite_rejected(r):
     with pytest.raises(InputError, match="finite"):
         dilate(plain_gaussian(), r)
+    with pytest.raises(InputError, match="finite"):
+        chirp_mul(plain_gaussian(), r)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,6 +1025,13 @@ def test_tfpoint_requires_matching_lengths():
             PointSet.from_rows([[bad, 0], [1, 0]])
         with pytest.raises(InputError):
             PointSet.from_rows([[0, 0], [1, bad]])
+        # the STFT lattice and points, and the shift and frequency of one operator
+        for call in (lambda: stft_grid(g1, g1, [bad], [0.0]),
+                     lambda: stft_grid(g1, g1, [0.0], [bad]),
+                     lambda: stft_points(g1, g1, [[bad, 0.0]]),
+                     lambda: translate(g1, bad), lambda: modulate(g1, [bad])):
+            with pytest.raises(InputError, match="finite"):
+                call()
 
 
 def test_pointset_rejects_duplicates():
@@ -1088,6 +1099,10 @@ def test_gridspec_validation():
         GridSpec(2.0, 1)
     with pytest.raises(InputError):
         GridSpec(2.0, 16, exclusion_radius=2.0)
+    with pytest.raises(InputError, match="samples_per_axis must be int"):
+        GridSpec(8.0, 64.5)
+    with pytest.raises(InputError, match="half_width must be float"):
+        GridSpec("x", 64)
     # above dimension 1 the default grid is the 2-D one, read per axis
     assert GridSpec.default(3) == GridSpec.default(2) == GridSpec(6.0, 512)
 
@@ -1211,6 +1226,11 @@ def test_operators_carry_the_factors(n, chain, points):
     ({"dim": 0}, "dim must be a positive integer"),
     ({"dim": 1, "singularities": ([0.0, 1.0],)}, "must be points in R\\^dim"),
     ({"dim": 2, "envelope_center": [0.0]}, "must be points in R\\^dim"),
+    ({"dim": 1.5}, "dim must be int"),
+    ({"dim": 1, "singularities": ([0.0, 1.0],)}, "a singularity must be a finite vector of length 1"),
+    ({"dim": 2, "envelope_center": [0.0]}, "the envelope centre must be a finite vector of length 2"),
+    ({"dim": 1, "singularities": (math.nan,)}, "a singularity must be a finite vector"),
+    ({"dim": 1, "envelope_center": math.inf}, "the envelope centre must be a finite vector"),
 ])
 def test_malformed_evaluators_are_input_errors(kwargs, match):
     with pytest.raises(InputError, match=match):

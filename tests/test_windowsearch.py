@@ -23,6 +23,10 @@ def test_window_params_validation():
         WindowParams(1.0, np.zeros(3))
     with pytest.raises(InputError):
         WindowParams(1.0, np.ones(12))
+    with pytest.raises(InputError, match="width must be float"):
+        WindowParams("x", [1.0])
+    with pytest.raises(InputError, match="hermite_coeffs must be finite"):
+        tail_ratio(make_gaussian(1), WindowParams(1.0, [math.nan]), 1.5)
 
 
 def test_realized_hermite_functions_are_orthonormal():
@@ -395,6 +399,11 @@ def test_search_keeps_its_window_where_the_solve_is_singular():
 def test_search_rejects_tiny_budget():
     with pytest.raises(InputError):
         search(make_gaussian(1), R=1.0, N=2, d=0, budget=5)
+    # a fraction is refused, not truncated
+    with pytest.raises(InputError, match="degree must be int, got 0.9"):
+        search(make_gaussian(1), 1.5, 3, 0.9, 10)
+    with pytest.raises(InputError, match="budget must be int, got 10.7"):
+        search(make_gaussian(1), R=1.5, N=3, d=0, budget=10.7)
 
 
 def test_achieved_config_upgrades_to_theorem3_certificate():
